@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -19,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dataio, ekf, metrics, tdoa, trajgen
-from .config import ConfigError, RunConfig, write_resolved
+from .config import ConfigError, RunConfig
 from .dataio import AlignedPair, Segment, TimedSample
 from .geodesy import EnuPoint, GeoPoint, from_enu
 from .motionmodels import ModelKind, NoiseSigmas
@@ -44,12 +43,6 @@ def _write_lines(path, lines: Sequence[str]) -> None:
     with open(path, "w", newline="\n", encoding="utf-8") as f:
         for line in lines:
             f.write(line + "\n")
-
-
-def _write_json(path, payload) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def _write_aligned_csv(path, pairs: Sequence[AlignedPair]) -> None:
@@ -82,33 +75,21 @@ def _resolve_origin(cfg: RunConfig, uav_geo: Sequence[TimedSample]) -> GeoPoint:
     return cfg.origin() or uav_geo[0].pos
 
 
+def _aligned_pairs(cfg: RunConfig, uav_path, rf_path) -> tuple[list[AlignedPair], GeoPoint]:
+    """Parse both logs, move them to the local frame and timestamp-match them."""
+    uav_geo = dataio.parse_position_log(uav_path)
+    rf_geo = dataio.parse_position_log(rf_path)
+    origin = _resolve_origin(cfg, uav_geo)
+    pairs = dataio.align(
+        dataio.to_local(uav_geo, origin),
+        dataio.to_local(rf_geo, origin),
+        int(cfg.data["align"]["tol_ms"]),
+    )
+    return pairs, origin
+
+
 # ---------------------------------------------------------------------------
 # simulate
-
-
-def _decimate(samples, interval_ms: int):
-    out, last = [], None
-    for s in samples:
-        if last is None or s.t_ms - last >= interval_ms:
-            out.append(s)
-            last = s.t_ms
-    return out
-
-
-def _position_noise_flight(truth, sigma_m, seed, interval_ms, outlier_rate, outlier_max_m):
-    """Direct position-noise measurement model (bypasses the TDoA chain)."""
-    out = []
-    for s in _decimate(truth, interval_ms):
-        rng = tdoa._epoch_rng(seed, s.t_ms)
-        x = s.pos.x + rng.normal(0.0, sigma_m)
-        y = s.pos.y + rng.normal(0.0, sigma_m)
-        if outlier_rate > 0 and rng.random() < outlier_rate:
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            radius = outlier_max_m * math.sqrt(rng.random())
-            x += radius * math.cos(theta)
-            y += radius * math.sin(theta)
-        out.append(TimedSample(s.t_ms, EnuPoint(x, y)))
-    return out, 0
 
 
 def _leg_sigmas(leg_dict: dict, leg: trajgen.LegSpec, defaults: dict) -> NoiseSigmas:
@@ -160,7 +141,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
         raise RunError(f"rf_interval_ms ({interval}) must be a multiple of truth_dt_ms ({dt_ms})")
     seed = int(sim["seed"])
     if sim["noise_model"] == "position":
-        rf, dropped = _position_noise_flight(
+        rf, dropped = tdoa.position_noise_flight(
             truth, float(sim["position_sigma_m"]), seed, interval,
             float(sim["outlier_rate"]), float(sim["outlier_max_m"]),
         )
@@ -183,7 +164,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     dataio.write_position_log(out_dir / "truth.csv", _to_geo(truth, origin))
     dataio.write_position_log(out_dir / "rf.csv", _to_geo(rf, origin))
     dataio.write_segments(out_dir / "segments.json", segments)
-    write_resolved(out_dir / "resolved_config.json", cfg)
+    dataio.write_json(out_dir / "resolved_config.json", cfg.data)
     return {
         "command": "simulate",
         "n_truth": len(truth),
@@ -197,25 +178,16 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
 # track
 
 
-def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False, parallel: int = 1) -> dict:
-    uav_geo = dataio.parse_uav_log(cfg.input_path("truth"))
-    rf_geo = dataio.parse_rf_log(cfg.input_path("rf"))
-    origin = _resolve_origin(cfg, uav_geo)
-
-    pairs = dataio.align(
-        dataio.to_local(uav_geo, origin),
-        dataio.to_local(rf_geo, origin),
-        int(cfg.data["align"]["tol_ms"]),
-    )
+def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False) -> dict:
+    pairs, origin = _aligned_pairs(cfg, cfg.input_path("truth"), cfg.input_path("rf"))
     if not pairs:
         raise RunError("no aligned pairs: timestamps never match within tolerance")
 
     if raw:
-        kept, kept_idx = list(pairs), list(range(len(pairs)))
+        kept_idx = range(len(pairs))
     else:
-        threshold = float(cfg.data["clean"]["threshold_m"])
-        kept_idx = [i for i, p in enumerate(pairs) if p.error_m() <= threshold]
-        kept = [pairs[i] for i in kept_idx]
+        kept_idx = dataio.kept_indices(pairs, float(cfg.data["clean"]["threshold_m"]))
+    kept = [pairs[i] for i in kept_idx]
     if not kept:
         raise RunError("all pairs removed by cleaning: nothing to track")
 
@@ -228,22 +200,18 @@ def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False, parallel: int = 
         accel_var=float(fcfg["accel_var"]),
         omega_var=float(fcfg["omega_var"]),
     )
-    results, warnings = ekf.run_trajectory(
-        segments, kept, filter_cfg, indices=kept_idx, max_workers=parallel
-    )
+    results, warnings = ekf.run_trajectory(segments, kept, filter_cfg, indices=kept_idx)
     for w in warnings:
         log.warning("%s", w)
 
-    by_index = dict(zip(kept_idx, kept))
+    all_rf = metrics.euclidean_errors([p.uav for p in kept], [p.rf for p in kept])
     rf_err: dict[str, np.ndarray] = {}
     ekf_err: dict[str, np.ndarray] = {}
     track_lines = ["t_ms,segment,x,y,lat_deg,lon_deg"]
     for seg, track in results:
-        seg_pairs = [by_index[i] for i in sorted(by_index) if seg.start_idx <= i <= seg.end_idx]
-        rf_err[seg.id] = metrics.euclidean_errors([p.uav for p in seg_pairs], [p.rf for p in seg_pairs])
-        ekf_err[seg.id] = metrics.euclidean_errors(
-            [p.uav for p in seg_pairs], [tp.pos for tp in track]
-        )
+        sl = dataio.segment_slice(seg, kept_idx)
+        rf_err[seg.id] = all_rf[sl]
+        ekf_err[seg.id] = metrics.euclidean_errors([p.uav for p in kept[sl]], [tp.pos for tp in track])
         for tp in track:
             g = from_enu(tp.pos, origin)
             track_lines.append(
@@ -251,7 +219,6 @@ def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False, parallel: int = 
             )
 
     rows = metrics.segment_report(segments, rf_err, ekf_err)
-    all_rf = metrics.euclidean_errors([p.uav for p in kept], [p.rf for p in kept])
     all_ekf = np.concatenate([ekf_err[s.id] for s, _ in results]) if results else np.array([])
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -260,7 +227,7 @@ def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False, parallel: int = 
     _write_lines(out_dir / "cdf_rf.csv", metrics.cdf_to_csv_rows(metrics.cdf(all_rf)))
     if all_ekf.size:
         _write_lines(out_dir / "cdf_ekf.csv", metrics.cdf_to_csv_rows(metrics.cdf(all_ekf)))
-    write_resolved(out_dir / "resolved_config.json", cfg)
+    dataio.write_json(out_dir / "resolved_config.json", cfg.data)
     return {
         "command": "track",
         "raw": raw,
@@ -277,14 +244,7 @@ def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False, parallel: int = 
 def cmd_evaluate(
     truth_path, est_path, segments_path, out_dir: Path, cfg: RunConfig
 ) -> dict:
-    truth_geo = dataio.parse_uav_log(truth_path)
-    est_geo = dataio.parse_rf_log(est_path)
-    origin = _resolve_origin(cfg, truth_geo)
-    pairs = dataio.align(
-        dataio.to_local(truth_geo, origin),
-        dataio.to_local(est_geo, origin),
-        int(cfg.data["align"]["tol_ms"]),
-    )
+    pairs, _ = _aligned_pairs(cfg, truth_path, est_path)
     if not pairs:
         raise RunError("no aligned pairs between truth and estimate logs")
 
@@ -292,27 +252,22 @@ def cmd_evaluate(
     st = metrics.stats(errors)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(
+    dataio.write_json(
         out_dir / "stats.json",
         {"min_m": st.min_m, "max_m": st.max_m, "mean_m": st.mean_m, "std_m": st.std_m, "n": st.n},
     )
     _write_lines(out_dir / "cdf.csv", metrics.cdf_to_csv_rows(metrics.cdf(errors)))
 
-    n_segments = 0
+    segments = []
     if segments_path:
         segments = dataio.load_segments(segments_path, K=len(pairs))
         lines = ["segment,mm,stat,value_m"]
         for seg in segments:
-            seg_e = errors[seg.start_idx : seg.end_idx + 1]
-            if seg_e.size == 0:
-                log.warning("segment %s has no data, omitted", seg.id)
-                continue
-            s = metrics.stats(seg_e)
-            for stat in ("min", "max", "mean", "std"):
-                lines.append(f"{seg.id},{seg.mm.value},{stat},{getattr(s, stat + '_m'):.4f}")
-            n_segments += 1
+            seg_e = errors[dataio.segment_slice(seg, range(len(pairs)))]
+            for stat, value in metrics.stat_items(seg_e):
+                lines.append(f"{seg.id},{seg.mm.value},{stat},{value:.4f}")
         _write_lines(out_dir / "segment_stats.csv", lines)
-    return {"command": "evaluate", "k_aligned": len(pairs), "n_segments": n_segments}
+    return {"command": "evaluate", "k_aligned": len(pairs), "n_segments": len(segments)}
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +275,7 @@ def cmd_evaluate(
 
 
 def cmd_convert(input_path, out_path, cfg: RunConfig) -> dict:
-    samples = dataio.parse_uav_log(input_path)
+    samples = dataio.parse_position_log(input_path)
     origin = _resolve_origin(cfg, samples)
     local = dataio.to_local(samples, origin)
     lines = ["t_ms,x,y"]
@@ -331,14 +286,7 @@ def cmd_convert(input_path, out_path, cfg: RunConfig) -> dict:
 
 
 def cmd_align(uav_path, rf_path, out_path, cfg: RunConfig) -> dict:
-    uav_geo = dataio.parse_uav_log(uav_path)
-    rf_geo = dataio.parse_rf_log(rf_path)
-    origin = _resolve_origin(cfg, uav_geo)
-    pairs = dataio.align(
-        dataio.to_local(uav_geo, origin),
-        dataio.to_local(rf_geo, origin),
-        int(cfg.data["align"]["tol_ms"]),
-    )
+    pairs, _ = _aligned_pairs(cfg, uav_path, rf_path)
     _write_aligned_csv(out_path, pairs)
     return {"command": "align", "n_pairs": len(pairs)}
 
@@ -365,8 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-ms", type=int, help="override align.tol_ms")
     parser.add_argument("--threshold-m", type=float, help="override clean.threshold_m")
     parser.add_argument("--r-mode", choices=["mean", "mse"], help="override filter.r_mode")
-    parser.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="worker threads for per-segment filtering")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("simulate", help="generate truth/RF logs and a segment file")
@@ -414,41 +360,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = RunConfig.load(args.config) if args.config else RunConfig.from_dict({})
         _apply_overrides(cfg, args)
-        out_dir = args.out
-
         if args.command == "simulate":
-            summary = cmd_simulate(cfg, out_dir)
+            summary = cmd_simulate(cfg, args.out)
         elif args.command == "track":
-            summary = cmd_track(cfg, out_dir, raw=args.raw, parallel=args.parallel)
+            summary = cmd_track(cfg, args.out, raw=args.raw)
         elif args.command == "evaluate":
-            summary = cmd_evaluate(args.truth, args.estimate, args.segments, out_dir, cfg)
+            summary = cmd_evaluate(args.truth, args.estimate, args.segments, args.out, cfg)
         elif args.command == "convert":
-            return _run_utility(lambda: cmd_convert(args.input, args.output, cfg), counter)
+            summary = cmd_convert(args.input, args.output, cfg)
         elif args.command == "align":
-            return _run_utility(lambda: cmd_align(args.uav, args.rf, args.output, cfg), counter)
-        elif args.command == "clean":
-            return _run_utility(lambda: cmd_clean(args.input, args.output, cfg), counter)
-        else:  # pragma: no cover
-            raise RunError(f"unknown command {args.command!r}")
+            summary = cmd_align(args.uav, args.rf, args.output, cfg)
+        else:
+            summary = cmd_clean(args.input, args.output, cfg)
     except (RunError, ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     summary["warnings"] = counter.count
-    summary["errors"] = 0
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "summary.json", summary)
-    return 0
-
-
-def _run_utility(fn, counter) -> int:
-    try:
-        summary = fn()
-    except (RunError, ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    summary["warnings"] = counter.count
-    log.info("%s", json.dumps(summary, sort_keys=True))
+    if args.command in ("convert", "align", "clean"):
+        # utilities write one --output file and report on the log instead
+        log.info("%s", json.dumps(summary, sort_keys=True))
+    else:
+        summary["errors"] = 0
+        dataio.write_json(args.out / "summary.json", summary)
     return 0
 
 

@@ -127,12 +127,3 @@ class RunConfig:
         """Input file path, resolved relative to the config location."""
         p = Path(self.data["paths"][key])
         return p if p.is_absolute() else self.base_dir / p
-
-    def resolved(self) -> dict:
-        return copy.deepcopy(self.data)
-
-
-def write_resolved(path, cfg: RunConfig) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as f:
-        json.dump(cfg.resolved(), f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -68,7 +68,8 @@ class Segment:
     sigmas: NoiseSigmas
 
 
-def _parse_position_log(path) -> list[TimedSample]:
+def parse_position_log(path) -> list[TimedSample]:
+    """Geodetic position log (ground truth or RF estimates), sorted by time."""
     path = Path(path)
     samples: dict[int, TimedSample] = {}
     with open(path, newline="", encoding="utf-8") as f:
@@ -95,16 +96,6 @@ def _parse_position_log(path) -> list[TimedSample]:
     if not samples:
         raise EmptyInputError(f"{path}: no data rows")
     return [samples[t] for t in sorted(samples)]
-
-
-def parse_uav_log(path) -> list[TimedSample]:
-    """Ground-truth GPS log (~10 Hz)."""
-    return _parse_position_log(path)
-
-
-def parse_rf_log(path) -> list[TimedSample]:
-    """RF-sensor estimate log (~1 Hz)."""
-    return _parse_position_log(path)
 
 
 def write_position_log(path, samples: Sequence[TimedSample]) -> None:
@@ -145,13 +136,20 @@ def align(
     return pairs
 
 
+def kept_indices(
+    pairs: Sequence[AlignedPair], threshold_m: float = DEFAULT_CLEAN_THRESHOLD_M
+) -> list[int]:
+    """Ascending indices of the pairs whose error is at most ``threshold_m``."""
+    if not threshold_m > 0:
+        raise ValueError(f"threshold_m must be positive, got {threshold_m}")
+    return [i for i, p in enumerate(pairs) if p.error_m() <= threshold_m]
+
+
 def clean(
     pairs: Sequence[AlignedPair], threshold_m: float = DEFAULT_CLEAN_THRESHOLD_M
 ) -> list[AlignedPair]:
     """Drop pairs whose localization error is strictly above ``threshold_m``."""
-    if not threshold_m > 0:
-        raise ValueError(f"threshold_m must be positive, got {threshold_m}")
-    return [p for p in pairs if p.error_m() <= threshold_m]
+    return [pairs[i] for i in kept_indices(pairs, threshold_m)]
 
 
 def _sigmas_from_dict(d: dict) -> NoiseSigmas:
@@ -210,6 +208,18 @@ def write_segments(path, segments: Sequence[Segment]) -> None:
         }
         for s in segments
     ]
+    write_json(path, payload)
+
+
+def segment_slice(seg: Segment, indices: Sequence[int]) -> slice:
+    """Positions in ``indices`` (strictly ascending) that fall inside ``seg``."""
+    return slice(
+        bisect.bisect_left(indices, seg.start_idx), bisect.bisect_right(indices, seg.end_idx)
+    )
+
+
+def write_json(path, payload) -> None:
+    """Indented, key-sorted JSON with a trailing newline (deterministic bytes)."""
     with open(path, "w", newline="\n", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")

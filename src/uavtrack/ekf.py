@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataio import AlignedPair, Segment
+from .dataio import AlignedPair, Segment, segment_slice
 from .geodesy import EnuPoint
 from .motionmodels import (
     ModelKind,
@@ -175,42 +175,30 @@ def run_trajectory(
     pairs: Sequence[AlignedPair],
     cfg: FilterConfig,
     indices: Optional[Sequence[int]] = None,
-    max_workers: int = 1,
 ) -> tuple[list[tuple[Segment, Track]], list[str]]:
     """Run each segment independently; no state carries across segments.
 
     ``indices`` maps each pair to its position in the aligned sequence the
-    segment indices refer to (identity when cleaning removed nothing).
+    segment indices refer to (identity when cleaning removed nothing); it
+    must be strictly ascending and as long as ``pairs``, else ValueError.
     Returns (per-segment tracks, warning messages); failed segments warn
     and are omitted.
     """
     if indices is None:
         indices = range(len(pairs))
-    by_index = list(zip(indices, pairs))
-    segments = sorted(segments, key=lambda s: s.start_idx)
-
-    def _run(seg: Segment):
-        seg_pairs = [p for i, p in by_index if seg.start_idx <= i <= seg.end_idx]
-        try:
-            return run_segment(seg, seg_pairs, cfg)
-        except FilterError as exc:
-            return exc
+    elif len(indices) != len(pairs) or any(b <= a for a, b in zip(indices, indices[1:])):
+        raise ValueError("indices must be strictly ascending, one per pair")
 
     warnings: list[str] = []
     results: list[tuple[Segment, Track]] = []
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(_run, segments))
-    else:
-        outcomes = [_run(seg) for seg in segments]
-
-    for seg, track in zip(segments, outcomes):
+    for seg in sorted(segments, key=lambda s: s.start_idx):
+        try:
+            track = run_segment(seg, pairs[segment_slice(seg, indices)], cfg)
+        except FilterError as exc:
+            warnings.append(f"segment {seg.id}: {exc}")
+            continue
         if track is None:
             warnings.append(f"segment {seg.id}: too few pairs, skipped")
-        elif isinstance(track, FilterError):
-            warnings.append(f"segment {seg.id}: {track}")
         else:
             results.append((seg, track))
     return results, warnings

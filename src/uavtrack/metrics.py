@@ -64,6 +64,12 @@ def stats(errors: Sequence[float]) -> ErrorStats:
     return ErrorStats(float(e.min()), float(e.max()), float(e.mean()), std, int(e.size))
 
 
+def stat_items(errors: Sequence[float]) -> list[tuple[str, float]]:
+    """``(stat, value)`` for min, max, mean and std, in report order."""
+    s = stats(errors)
+    return [(stat, getattr(s, stat + "_m")) for stat in _STATS]
+
+
 def cdf(errors: Sequence[float]) -> CdfCurve:
     """Empirical staircase CDF at each distinct sorted error value."""
     e = np.asarray(errors, dtype=float)
@@ -99,10 +105,7 @@ def segment_report(
         if rf is None or ekf is None or len(rf) == 0 or len(ekf) == 0:
             log.warning("segment %s has no data, omitted from report", seg.id)
             continue
-        rs, es = stats(rf), stats(ekf)
-        for stat in _STATS:
-            rv = getattr(rs, stat + "_m")
-            ev = getattr(es, stat + "_m")
+        for (stat, rv), (_, ev) in zip(stat_items(rf), stat_items(ekf)):
             better = "tie" if rv == ev else ("ekf" if ev < rv else "rf")
             rows.append(SegmentReportRow(seg.id, seg.mm.value, stat, rv, ev, better))
     return rows

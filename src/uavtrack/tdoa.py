@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -192,20 +192,20 @@ def _epoch_rng(seed: int, t_ms: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, t_ms]))
 
 
-def simulate_flight(
+def _simulate_epochs(
     truth: Sequence[TimedSample],
-    arr: SensorArray,
-    sigma_t: float,
+    measure: Callable[[TimedSample, np.random.Generator, Optional[EnuPoint]], EnuPoint],
     rng_seed: int,
-    decimate_ms: Optional[int] = None,
-    outlier_rate: float = 0.0,
-    outlier_max_m: float = 200.0,
+    decimate_ms: Optional[int],
+    outlier_rate: float,
+    outlier_max_m: float,
 ) -> tuple[list[TimedSample], int]:
-    """Run the measurement chain over a ground-truth flight.
+    """Measurement loop shared by every noise model.
 
-    Per epoch: simulate a TDoA measurement, then solve for position with
-    the previous solution as the initialization (array centroid first).
-    ``decimate_ms`` keeps only epochs on that grid (~1 Hz sensor rate).
+    ``measure(sample, rng, prev_fix)`` returns one position fix for a truth
+    sample, warm-started from the previous fix (None on the first epoch),
+    or raises :class:`GeometryError` to drop the epoch. ``decimate_ms``
+    keeps only epochs at least that far after the last kept one.
     ``outlier_rate`` injects uniform-in-disk position glitches emulating
     foreign RF sources. Per-epoch RNG streams are derived from
     ``(rng_seed, t_ms)``, so results are order-independent and repeatable.
@@ -215,26 +215,68 @@ def simulate_flight(
         raise ValueError("empty ground-truth trajectory")
     out: list[TimedSample] = []
     dropped = 0
-    init = arr.centroid
+    fix = None
     last_kept = None
     for s in truth:
         if decimate_ms is not None:
             if last_kept is not None and s.t_ms - last_kept < decimate_ms:
                 continue
         rng = _epoch_rng(rng_seed, s.t_ms)
-        meas = simulate_tdoa(arr, s.pos, sigma_t, rng, t_ms=s.t_ms)
         try:
-            fix = solve_position(arr, meas, init)
+            fix = measure(s, rng, fix)
         except GeometryError as exc:
             log.warning("epoch %d: %s, dropping", s.t_ms, exc)
             dropped += 1
             continue
-        pos = fix.pos
+        pos = fix
         if outlier_rate > 0 and rng.random() < outlier_rate:
             theta = rng.uniform(0.0, 2.0 * np.pi)
             radius = outlier_max_m * np.sqrt(rng.random())
             pos = EnuPoint(pos.x + radius * np.cos(theta), pos.y + radius * np.sin(theta))
         out.append(TimedSample(s.t_ms, pos))
-        init = fix.pos
         last_kept = s.t_ms
     return out, dropped
+
+
+def simulate_flight(
+    truth: Sequence[TimedSample],
+    arr: SensorArray,
+    sigma_t: float,
+    rng_seed: int,
+    decimate_ms: Optional[int] = None,
+    outlier_rate: float = 0.0,
+    outlier_max_m: float = 200.0,
+) -> tuple[list[TimedSample], int]:
+    """Run the TDoA measurement chain over a ground-truth flight.
+
+    Per epoch: simulate a TDoA measurement, then solve for position with
+    the previous solution as the initialization (array centroid first).
+    ``decimate_ms`` keeps only epochs on that grid (~1 Hz sensor rate).
+    See :func:`_simulate_epochs` for outliers, RNG streams and the result.
+    """
+
+    def measure(s: TimedSample, rng: np.random.Generator, prev: Optional[EnuPoint]) -> EnuPoint:
+        meas = simulate_tdoa(arr, s.pos, sigma_t, rng, t_ms=s.t_ms)
+        return solve_position(arr, meas, arr.centroid if prev is None else prev).pos
+
+    return _simulate_epochs(truth, measure, rng_seed, decimate_ms, outlier_rate, outlier_max_m)
+
+
+def position_noise_flight(
+    truth: Sequence[TimedSample],
+    sigma_m: float,
+    rng_seed: int,
+    decimate_ms: int,
+    outlier_rate: float,
+    outlier_max_m: float,
+) -> tuple[list[TimedSample], int]:
+    """Direct position-noise measurement model that bypasses the TDoA chain.
+
+    Each fix is the true position plus i.i.d. Gaussian noise of ``sigma_m``
+    per axis; otherwise as :func:`simulate_flight`.
+    """
+
+    def measure(s: TimedSample, rng: np.random.Generator, prev: Optional[EnuPoint]) -> EnuPoint:
+        return EnuPoint(s.pos.x + rng.normal(0.0, sigma_m), s.pos.y + rng.normal(0.0, sigma_m))
+
+    return _simulate_epochs(truth, measure, rng_seed, decimate_ms, outlier_rate, outlier_max_m)

@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import chi2
 
 from uavtrack import dataio, ekf, metrics, trajgen
-from uavtrack.cli import _position_noise_flight, _segments_from_boundaries, main
+from uavtrack.cli import _segments_from_boundaries, main
 from uavtrack.dataio import AlignedPair, TimedSample
 from uavtrack.ekf import FilterState, MeasurementModel, predict, update
 from uavtrack.geodesy import EnuPoint
@@ -22,6 +22,7 @@ from uavtrack.motionmodels import (
     transition,
 )
 from uavtrack.tdoa import SPEED_OF_LIGHT, SensorArray, simulate_flight, simulate_tdoa, solve_position
+from uavtrack.tdoa import position_noise_flight as _position_noise_flight
 
 CORNERS = SensorArray(np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0], [100.0, 100.0]]))
 

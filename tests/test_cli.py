@@ -125,11 +125,12 @@ class TestTrack:
         main(["--config", str(cfg), "--out", str(tmp_path / "r2"), "track"])
         assert _read_bytes(tmp_path / "r1") == _read_bytes(tmp_path / "r2")
 
-    def test_parallel_matches_sequential(self, tmp_path):
+    @pytest.mark.parametrize("threshold", ["0", "-1", "nan"])
+    def test_bad_threshold_rejected(self, tmp_path, capsys, threshold):
         cfg = self._simulate(tmp_path)
-        main(["--config", str(cfg), "--out", str(tmp_path / "seq"), "track"])
-        main(["--config", str(cfg), "--out", str(tmp_path / "par"), "--parallel", "4", "track"])
-        assert _read_bytes(tmp_path / "seq") == _read_bytes(tmp_path / "par")
+        args = ["--config", str(cfg), "--out", str(tmp_path / "run"), f"--threshold-m={threshold}"]
+        assert main(args + ["track"]) == 1
+        assert "threshold_m must be positive" in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -11,7 +11,7 @@ from uavtrack.dataio import (
     align,
     clean,
     load_segments,
-    parse_uav_log,
+    parse_position_log,
     write_position_log,
 )
 from uavtrack.geodesy import EnuPoint, GeoPoint
@@ -30,35 +30,35 @@ def _enu(t_ms, x, y):
 class TestParsing:
     def test_well_formed_rows(self, tmp_path):
         p = _write(tmp_path / "a.csv", "t_ms,lat_deg,lon_deg\n100,35.8,-78.7\n200,35.81,-78.71\n300,35.82,-78.72\n")
-        samples = parse_uav_log(p)
+        samples = parse_position_log(p)
         assert [s.t_ms for s in samples] == [100, 200, 300]
         assert samples[0].pos == GeoPoint(35.8, -78.7)
 
     def test_out_of_order_rows_sorted(self, tmp_path):
         p = _write(tmp_path / "a.csv", "t_ms,lat_deg,lon_deg\n300,35.8,-78.7\n100,35.81,-78.71\n")
-        assert [s.t_ms for s in parse_uav_log(p)] == [100, 300]
+        assert [s.t_ms for s in parse_position_log(p)] == [100, 300]
 
     def test_bad_latitude_names_line(self, tmp_path):
         p = _write(tmp_path / "a.csv", "t_ms,lat_deg,lon_deg\n100,35.8,-78.7\n200,91.0,-78.7\n")
         with pytest.raises(ParseError) as exc:
-            parse_uav_log(p)
+            parse_position_log(p)
         assert exc.value.line_no == 3
 
     def test_malformed_row_names_line(self, tmp_path):
         p = _write(tmp_path / "a.csv", "t_ms,lat_deg,lon_deg\n100,35.8\n")
         with pytest.raises(ParseError) as exc:
-            parse_uav_log(p)
+            parse_position_log(p)
         assert exc.value.line_no == 2
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(EmptyInputError):
-            parse_uav_log(_write(tmp_path / "a.csv", ""))
+            parse_position_log(_write(tmp_path / "a.csv", ""))
         with pytest.raises(EmptyInputError):
-            parse_uav_log(_write(tmp_path / "b.csv", "t_ms,lat_deg,lon_deg\n"))
+            parse_position_log(_write(tmp_path / "b.csv", "t_ms,lat_deg,lon_deg\n"))
 
     def test_duplicate_timestamps_keep_first(self, tmp_path):
         p = _write(tmp_path / "a.csv", "t_ms,lat_deg,lon_deg\n100,35.8,-78.7\n100,35.9,-78.7\n")
-        samples = parse_uav_log(p)
+        samples = parse_position_log(p)
         assert len(samples) == 1
         assert samples[0].pos.lat_deg == 35.8
 
@@ -66,7 +66,7 @@ class TestParsing:
         samples = [TimedSample(100, GeoPoint(35.8, -78.7)), TimedSample(200, GeoPoint(35.81, -78.71))]
         p = tmp_path / "log.csv"
         write_position_log(p, samples)
-        assert parse_uav_log(p) == samples
+        assert parse_position_log(p) == samples
 
 
 class TestAlign:

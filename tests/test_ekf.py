@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from uavtrack.dataio import AlignedPair, Segment
+from uavtrack.dataio import AlignedPair, Segment, segment_slice
 from uavtrack.ekf import (
     FilterConfig,
     FilterError,
@@ -207,6 +208,31 @@ class TestRunTrajectory:
         assert [seg.id for seg, _ in a] == [seg.id for seg, _ in b]
         for (_, ta), (_, tb) in zip(a, b):
             assert all(np.array_equal(x.state.s, y.state.s) for x, y in zip(ta, tb))
+
+    @given(
+        st.sets(st.integers(0, 300), max_size=50).map(sorted),
+        st.integers(-3, 303),
+        st.integers(0, 40),
+    )
+    @example([0, 5, 10], 1, 3)  # segment inside a gap: no pairs
+    @example([0, 5, 10], 5, 0)  # one-pair segment
+    @example([], 0, 10)
+    def test_segment_partition_matches_brute_force(self, indices, start, span):
+        seg = Segment("S1", start, start + span, ModelKind.CV, NoiseSigmas(accel=0.2))
+        brute = [i for i in indices if seg.start_idx <= i <= seg.end_idx]
+        assert indices[segment_slice(seg, indices)] == brute
+
+        pairs = _pairs_from_arrays([1000 * i for i in indices], [(0, 0)] * len(indices),
+                                   [(float(i), 0.0) for i in indices])
+        cfg = FilterConfig(R=np.eye(2))
+        results, warnings = run_trajectory([seg], pairs, cfg, indices=indices)
+        tracked = [tp.t_ms for tp in results[0][1]] if results else []
+        assert tracked == ([1000 * i for i in brute] if len(brute) >= 2 else [])
+        assert len(warnings) == (len(brute) < 2)
+        if len(indices) >= 2:
+            for bad in (indices[::-1], [indices[0]] + indices[:-1]):
+                with pytest.raises(ValueError, match="strictly ascending"):
+                    run_trajectory([seg], pairs, cfg, indices=bad)
 
     def test_truncation_equivalence(self):
         # causal: estimate at epoch k ignores later measurements
