@@ -123,22 +123,24 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     leg_dicts = sim["legs"]
     if not leg_dicts:
         raise RunError("sim.legs is empty: nothing to simulate")
+    interval = int(sim["rf_interval_ms"])
+    if interval <= 0:
+        raise RunError(f"rf_interval_ms must be positive, got {interval}")
     legs = [trajgen.leg_from_dict(d) for d in leg_dicts]
     origin = cfg.sim_origin()
 
     start = EnuPoint(float(sim["start"]["x"]), float(sim["start"]["y"]))
+    dt_ms = int(sim["truth_dt_ms"])
     truth, boundaries = trajgen.generate_truth(
         legs,
         start=start,
         heading_deg=float(sim["heading_deg"]),
         speed=float(sim["speed"]),
-        dt_ms=int(sim["truth_dt_ms"]),
+        dt_ms=dt_ms,
     )
-
-    interval = int(sim["rf_interval_ms"])
-    dt_ms = int(sim["truth_dt_ms"])
     if interval % dt_ms != 0:
         raise RunError(f"rf_interval_ms ({interval}) must be a multiple of truth_dt_ms ({dt_ms})")
+    truth_geo = _to_geo(truth, origin)  # fails past the 50 km limit before the RF simulation
     seed = int(sim["seed"])
     if sim["noise_model"] == "position":
         rf, dropped = tdoa.position_noise_flight(
@@ -161,7 +163,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     )
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataio.write_position_log(out_dir / "truth.csv", _to_geo(truth, origin))
+    dataio.write_position_log(out_dir / "truth.csv", truth_geo)
     dataio.write_position_log(out_dir / "rf.csv", _to_geo(rf, origin))
     dataio.write_segments(out_dir / "segments.json", segments)
     dataio.write_json(out_dir / "resolved_config.json", cfg.data)
@@ -195,7 +197,6 @@ def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False) -> dict:
     fcfg = cfg.data["filter"]
     filter_cfg = ekf.FilterConfig(
         R=ekf.estimate_R(kept, fcfg["r_mode"]),
-        r_mode=fcfg["r_mode"],
         v_max=float(fcfg["v_max"]),
         accel_var=float(fcfg["accel_var"]),
         omega_var=float(fcfg["omega_var"]),
@@ -375,6 +376,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (RunError, ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logging.getLogger().removeHandler(counter)
 
     summary["warnings"] = counter.count
     if args.command in ("convert", "align", "clean"):

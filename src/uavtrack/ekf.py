@@ -58,20 +58,14 @@ Track = list  # list[TrackPoint]
 class FilterConfig:
     """Filter tuning shared across segments.
 
-    ``r_mode`` selects how :func:`estimate_R` summarizes the RF error:
-    ``"mean"`` (mean Euclidean error on the diagonal) or ``"mse"``
-    (per-axis mean squared errors). An explicit ``R`` overrides both.
+    ``R`` is the 2 x 2 measurement-noise covariance used by every
+    segment, typically :func:`estimate_R` over the whole flight.
     """
 
-    R: Optional[np.ndarray] = None
-    r_mode: str = "mean"
+    R: np.ndarray
     v_max: float = 20.0
     accel_var: float = 25.0
     omega_var: float = 1.0
-
-    def __post_init__(self):
-        if self.r_mode not in ("mean", "mse"):
-            raise FilterError(f"unknown R mode: {self.r_mode!r}")
 
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
@@ -155,10 +149,9 @@ def run_segment(
     if len(pairs) < 2:
         log.warning("segment %s has %d pair(s), skipping", seg.id, len(pairs))
         return None
-    R = cfg.R if cfg.R is not None else estimate_R(pairs, cfg.r_mode)
-    meas = MeasurementModel(measurement_matrix(seg.mm), R)
+    meas = MeasurementModel(measurement_matrix(seg.mm), cfg.R)
 
-    fs = _initial_state(seg, pairs[0], R, cfg)
+    fs = _initial_state(seg, pairs[0], cfg.R, cfg)
     track: Track = [TrackPoint(fs.t_ms, EnuPoint(fs.s[0], fs.s[1]), fs)]
     for prev, cur in zip(pairs, pairs[1:]):
         T = (cur.t_ms - prev.t_ms) / 1000.0

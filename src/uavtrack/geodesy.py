@@ -59,19 +59,24 @@ def _geodetic_to_ecef(lat_rad: float, lon_rad: float) -> tuple[float, float, flo
     return x, y, z
 
 
-def _ecef_to_geodetic(x: float, y: float, z: float) -> tuple[float, float]:
-    lon = math.atan2(y, x)
-    p = math.hypot(x, y)
-    lat = math.atan2(z, p * (1.0 - _E2))
-    for _ in range(8):
-        sin_lat = math.sin(lat)
-        n = _A / math.sqrt(1.0 - _E2 * sin_lat * sin_lat)
-        lat_new = math.atan2(z + _E2 * n * sin_lat, p)
-        if abs(lat_new - lat) < 1e-14:
-            lat = lat_new
-            break
-        lat = lat_new
-    return lat, lon
+Vec3 = tuple[float, float, float]
+
+
+def _origin_frame(origin: GeoPoint) -> tuple[Vec3, Vec3, Vec3, Vec3]:
+    """ECEF position of ``origin`` and its east, north and up unit vectors."""
+    lat0 = math.radians(origin.lat_deg)
+    lon0 = math.radians(origin.lon_deg)
+    sin_lat0, cos_lat0 = math.sin(lat0), math.cos(lat0)
+    sin_lon0, cos_lon0 = math.sin(lon0), math.cos(lon0)
+    east = (-sin_lon0, cos_lon0, 0.0)
+    north = (-sin_lat0 * cos_lon0, -sin_lat0 * sin_lon0, cos_lat0)
+    up = (cos_lat0 * cos_lon0, cos_lat0 * sin_lon0, sin_lat0)
+    return _geodetic_to_ecef(lat0, lon0), east, north, up
+
+
+def _ellipsoid_dot(u: Vec3, v: Vec3) -> float:
+    """Inner product under which the ellipsoid is the sphere of radius ``_A``."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] / (1.0 - _E2)
 
 
 def to_enu(p: GeoPoint, origin: GeoPoint) -> EnuPoint:
@@ -80,16 +85,11 @@ def to_enu(p: GeoPoint, origin: GeoPoint) -> EnuPoint:
     ECEF delta rotated into the tangent plane at the origin; the up
     component is discarded (2-D tracking).
     """
-    lat0 = math.radians(origin.lat_deg)
-    lon0 = math.radians(origin.lon_deg)
-    x0, y0, z0 = _geodetic_to_ecef(lat0, lon0)
-    x1, y1, z1 = _geodetic_to_ecef(math.radians(p.lat_deg), math.radians(p.lon_deg))
-    dx, dy, dz = x1 - x0, y1 - y0, z1 - z0
-
-    sin_lat0, cos_lat0 = math.sin(lat0), math.cos(lat0)
-    sin_lon0, cos_lon0 = math.sin(lon0), math.cos(lon0)
-    e = -sin_lon0 * dx + cos_lon0 * dy
-    n = -sin_lat0 * cos_lon0 * dx - sin_lat0 * sin_lon0 * dy + cos_lat0 * dz
+    x0, east, north, _ = _origin_frame(origin)
+    x1 = _geodetic_to_ecef(math.radians(p.lat_deg), math.radians(p.lon_deg))
+    dx, dy, dz = x1[0] - x0[0], x1[1] - x0[1], x1[2] - x0[2]
+    e = east[0] * dx + east[1] * dy
+    n = north[0] * dx + north[1] * dy + north[2] * dz
     if math.hypot(e, n) > MAX_RANGE_M:
         raise GeodesyError(
             f"points separated by more than {MAX_RANGE_M / 1000:.0f} km"
@@ -100,35 +100,28 @@ def to_enu(p: GeoPoint, origin: GeoPoint) -> EnuPoint:
 def from_enu(p: EnuPoint, origin: GeoPoint) -> GeoPoint:
     """Geodetic point whose :func:`to_enu` image at ``origin`` is ``p``.
 
-    Starts from the tangent-plane back-projection and refines with a few
-    Newton steps so the round trip closes well below 1e-9 degrees.
+    Exact inverse, no iteration. The surface point is ``X0 + d + u*up``,
+    where ``X0`` is the origin in ECEF and ``d = p.x*east + p.y*north``.
+    ``X0`` lies on the ellipsoid and its normal there is ``up``, so
+    ``u`` is the small root of ``a*u^2 + b*u + c = 0`` with
+    ``a = <up, up>``, ``b = 2<X0 + d, up>`` and ``c = <d, d>`` in the
+    ellipsoid's own metric; it is taken in the form that does not cancel.
+    The latitude of a surface point is ``atan2(z, (1 - e^2) * hypot(x, y))``.
     """
     if math.hypot(p.x, p.y) > MAX_RANGE_M:
         raise GeodesyError(f"offset exceeds {MAX_RANGE_M / 1000:.0f} km")
 
-    lat0 = math.radians(origin.lat_deg)
-    lon0 = math.radians(origin.lon_deg)
-    x0, y0, z0 = _geodetic_to_ecef(lat0, lon0)
-    sin_lat0, cos_lat0 = math.sin(lat0), math.cos(lat0)
-    sin_lon0, cos_lon0 = math.sin(lon0), math.cos(lon0)
-
-    # tangent-plane point lifted back to ECEF (up component zero)
-    dx = -sin_lon0 * p.x - sin_lat0 * cos_lon0 * p.y
-    dy = cos_lon0 * p.x - sin_lat0 * sin_lon0 * p.y
-    dz = cos_lat0 * p.y
-    lat, lon = _ecef_to_geodetic(x0 + dx, y0 + dy, z0 + dz)
-
-    # Newton refinement against the forward projection
-    for _ in range(10):
-        g = GeoPoint(math.degrees(lat), math.degrees(lon))
-        img = to_enu(g, origin)
-        rx, ry = p.x - img.x, p.y - img.y
-        if abs(rx) < 1e-10 and abs(ry) < 1e-10:
-            break
-        sin_lat = math.sin(lat)
-        w = math.sqrt(1.0 - _E2 * sin_lat * sin_lat)
-        m_per_rad_lat = _A * (1.0 - _E2) / w**3
-        m_per_rad_lon = _A * math.cos(lat) / w
-        lat += ry / m_per_rad_lat
-        lon += rx / m_per_rad_lon
-    return GeoPoint(math.degrees(lat), math.degrees(lon))
+    x0, east, north, up = _origin_frame(origin)
+    d = (
+        p.x * east[0] + p.y * north[0],
+        p.x * east[1] + p.y * north[1],
+        p.x * east[2] + p.y * north[2],
+    )
+    s = (x0[0] + d[0], x0[1] + d[1], x0[2] + d[2])
+    a = _ellipsoid_dot(up, up)
+    b = 2.0 * _ellipsoid_dot(s, up)
+    c = _ellipsoid_dot(d, d)
+    u = -2.0 * c / (b + math.sqrt(b * b - 4.0 * a * c))
+    x, y, z = s[0] + u * up[0], s[1] + u * up[1], s[2] + u * up[2]
+    lat = math.atan2(z, (1.0 - _E2) * math.hypot(x, y))
+    return GeoPoint(math.degrees(lat), math.degrees(math.atan2(y, x)))

@@ -1,5 +1,5 @@
-"""Evaluation artifacts: per-epoch errors, summary statistics, CDFs,
-per-segment comparison tables, and velocity summaries."""
+"""Evaluation artifacts: per-epoch errors, summary statistics, CDFs and
+per-segment comparison tables."""
 
 from __future__ import annotations
 
@@ -9,8 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataio import Segment, TimedSample
-from .motionmodels import ModelKind
+from .dataio import Segment
 
 log = logging.getLogger(__name__)
 
@@ -118,51 +117,8 @@ def report_to_csv_rows(rows: Sequence[SegmentReportRow]) -> list[str]:
     return out
 
 
-def report_to_text(rows: Sequence[SegmentReportRow]) -> str:
-    """Aligned plain-text table; '*' marks the lower of the two columns."""
-    lines = [f"{'segment':<9}{'mm':<5}{'stat':<6}{'RF (m)':>12}{'EKF (m)':>12}"]
-    for r in rows:
-        rf = f"{r.rf_m:.2f}" + ("*" if r.better == "rf" else "")
-        ekf = f"{r.ekf_m:.2f}" + ("*" if r.better == "ekf" else "")
-        lines.append(f"{r.segment:<9}{r.mm:<5}{r.stat:<6}{rf:>12}{ekf:>12}")
-    return "\n".join(lines)
-
-
 def cdf_to_csv_rows(curve: CdfCurve) -> list[str]:
     out = ["error_m,fraction"]
     for e, f in zip(curve.errors_m, curve.fractions):
         out.append(f"{e:.6f},{f:.8f}")
-    return out
-
-
-def velocity_profile(
-    truth: Sequence[TimedSample], segments: Sequence[Segment]
-) -> dict[str, dict[str, float]]:
-    """Per-segment speed mean/std (plus acceleration stats for CA segments).
-
-    ``truth`` must be in the local frame and indexed consistently with the
-    segment definitions. Single-sample segments are omitted with a warning.
-    """
-    t = np.array([s.t_ms for s in truth], dtype=float) / 1000.0
-    pos = np.array([[s.pos.x, s.pos.y] for s in truth], dtype=float)
-    out: dict[str, dict[str, float]] = {}
-    for seg in segments:
-        sl = slice(seg.start_idx, seg.end_idx + 1)
-        ts, ps = t[sl], pos[sl]
-        if ts.size < 2:
-            log.warning("segment %s has fewer than 2 samples, omitted", seg.id)
-            continue
-        dt = np.diff(ts)
-        v = np.diff(ps, axis=0) / dt[:, None]
-        speed = np.linalg.norm(v, axis=1)
-        entry = {
-            "speed_mean": float(speed.mean()),
-            "speed_std": float(np.std(speed, ddof=1)) if speed.size > 1 else 0.0,
-        }
-        if seg.mm is ModelKind.CA and v.shape[0] >= 2:
-            dt_mid = 0.5 * (dt[1:] + dt[:-1])
-            acc = np.linalg.norm(np.diff(v, axis=0) / dt_mid[:, None], axis=1)
-            entry["accel_mean"] = float(acc.mean())
-            entry["accel_std"] = float(np.std(acc, ddof=1)) if acc.size > 1 else 0.0
-        out[seg.id] = entry
     return out

@@ -26,10 +26,6 @@ class ModelError(ValueError):
     """Dimension or parameter contract violation."""
 
 
-class EstimationError(ValueError):
-    """Not enough data to estimate noise parameters."""
-
-
 class ModelKind(str, enum.Enum):
     CV = "CV"
     CA = "CA"
@@ -190,49 +186,3 @@ def measurement_matrix(mm: ModelKind) -> np.ndarray:
     H[0, 0] = 1.0
     H[1, 1] = 1.0
     return H
-
-
-def estimate_process_sigmas(
-    t_s: Sequence[float], pos: Sequence[Sequence[float]], mm: ModelKind
-) -> NoiseSigmas:
-    """Estimate process-noise sigmas from a ground-truth segment.
-
-    ``t_s``: sample times in seconds; ``pos``: matching (x, y) positions.
-    Finite-difference velocities (and accelerations / heading rates as the
-    model requires), then the spread of their per-step changes scaled by
-    the mean step duration.
-    """
-    t = np.asarray(t_s, dtype=float)
-    p = np.asarray(pos, dtype=float)
-    if t.ndim != 1 or p.shape != (t.size, 2):
-        raise ModelError("expected 1-D times and matching (n, 2) positions")
-    if t.size < 3:
-        raise EstimationError(f"need at least 3 samples, got {t.size}")
-
-    dt = np.diff(t)
-    if np.any(dt <= 0):
-        raise ModelError("sample times must be strictly increasing")
-    mean_dt = float(dt.mean())
-    v = np.diff(p, axis=0) / dt[:, None]
-
-    def _axis_rms_std(x: np.ndarray) -> float:
-        return float(np.sqrt(np.mean(np.var(x, axis=0))))
-
-    if mm is ModelKind.CA:
-        if t.size < 4:
-            raise EstimationError("CA estimation needs at least 4 samples")
-        dt_mid = 0.5 * (dt[1:] + dt[:-1])
-        a = np.diff(v, axis=0) / dt_mid[:, None]
-        if a.shape[0] < 2:
-            raise EstimationError("CA estimation needs at least 2 acceleration samples")
-        da = np.diff(a, axis=0)
-        return NoiseSigmas(jerk=_axis_rms_std(da) / mean_dt)
-
-    dv = np.diff(v, axis=0)
-    accel = _axis_rms_std(dv) / mean_dt
-    if mm is ModelKind.CV:
-        return NoiseSigmas(accel=accel)
-
-    heading = np.unwrap(np.arctan2(v[:, 1], v[:, 0]))
-    rate = np.diff(heading) / (0.5 * (dt[1:] + dt[:-1]))
-    return NoiseSigmas(accel=accel, omega=float(np.std(rate)))

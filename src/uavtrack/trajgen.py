@@ -62,7 +62,6 @@ def generate_truth(
     heading_deg: float = 0.0,
     speed: float = 10.0,
     dt_ms: int = 100,
-    t0_ms: int = 0,
 ) -> tuple[list[TimedSample], list[tuple[LegSpec, int, int]]]:
     """Sample the leg chain on a ``dt_ms`` grid.
 
@@ -79,9 +78,9 @@ def generate_truth(
     vx, vy = speed * math.cos(h), speed * math.sin(h)
     dt = dt_ms / 1000.0
 
-    samples: list[TimedSample] = [TimedSample(t0_ms, EnuPoint(x, y))]
+    samples: list[TimedSample] = [TimedSample(0, EnuPoint(x, y))]
     boundaries: list[tuple[LegSpec, int, int]] = []
-    t_ms = t0_ms
+    t_ms = 0
     for leg in legs:
         if leg.speed is not None:
             v = math.hypot(vx, vy)

@@ -1,10 +1,12 @@
 import csv
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from uavtrack import tdoa
 from uavtrack.cli import main
 from uavtrack.dataio import write_position_log, TimedSample
 from uavtrack.geodesy import GeoPoint
@@ -76,6 +78,23 @@ class TestSimulate:
         data["sim"]["legs"] = []
         cfg.write_text(json.dumps(data))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "simulate"]) == 1
+
+    @pytest.mark.parametrize("interval", [0, -1000])
+    def test_non_positive_rf_interval_rejected(self, tmp_path, capsys, interval):
+        cfg = _write_config(tmp_path, sim={"rf_interval_ms": interval})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "simulate"]) == 1
+        assert "rf_interval_ms must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_flight_past_50km_rejected_before_rf_simulation(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            pytest.fail("RF simulation ran on a flight beyond the geodesy limit")
+
+        monkeypatch.setattr(tdoa, "simulate_flight", fail)
+        cfg = _write_config(tmp_path, sim={"legs": [{"mm": "CV", "duration_s": 520, "speed": 100}]})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "simulate"]) == 1
+        assert "50 km" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestTrack:
@@ -165,6 +184,17 @@ class TestEvaluate:
         stats = json.loads((out / "stats.json").read_text())
         assert stats["mean_m"] == pytest.approx(5.0, abs=1e-3)
         assert stats["std_m"] == pytest.approx(0.0, abs=1e-3)
+
+
+def test_main_leaves_root_handlers_unchanged(tmp_path):
+    truth = [TimedSample(1000 * k, GeoPoint(35.8, -78.7)) for k in range(3)]
+    write_position_log(tmp_path / "truth.csv", truth)
+    args = ["convert", str(tmp_path / "truth.csv"), "--output", str(tmp_path / "local.csv")]
+    main(args)  # the first call may install the basicConfig handler
+    before = list(logging.getLogger().handlers)
+    assert main(args) == 0
+    assert main(args) == 0
+    assert logging.getLogger().handlers == before
 
 
 class TestUtilities:

@@ -150,7 +150,7 @@ class TestRunSegment:
         truth = [(2.0 * k, 1.0 * k) for k in range(n)]
         pairs = _pairs_from_arrays(t, truth, truth)
         seg = self._segment(n=n)
-        track = run_segment(seg, pairs, FilterConfig())  # R estimated: zero error
+        track = run_segment(seg, pairs, FilterConfig(R=estimate_R(pairs)))  # zero error
         for tp, (x, y) in zip(track, truth):
             assert np.hypot(tp.pos.x - x, tp.pos.y - y) < 1e-6
 

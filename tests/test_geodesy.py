@@ -1,9 +1,9 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from uavtrack.geodesy import EnuPoint, GeoPoint, GeodesyError, from_enu, to_enu
+from uavtrack.geodesy import MAX_RANGE_M, EnuPoint, GeoPoint, GeodesyError, from_enu, to_enu
 
 ORIGIN = GeoPoint(35.8, -78.7)
 
@@ -55,6 +55,23 @@ def test_round_trip_within_5km(dlat, dlon):
     back = from_enu(e, ORIGIN)
     assert abs(back.lat_deg - g.lat_deg) < 1e-9
     assert abs(back.lon_deg - g.lon_deg) < 1e-9
+
+
+@given(
+    lat=st.floats(-89.99, 89.99),
+    lon=st.floats(-180.0, 180.0),
+    x=st.floats(-MAX_RANGE_M, MAX_RANGE_M),
+    y=st.floats(-MAX_RANGE_M, MAX_RANGE_M),
+)
+@example(lat=89.99, lon=0.0, x=0.0, y=5000.0)
+@example(lat=89.99, lon=0.0, x=3000.0, y=3000.0)
+def test_enu_round_trip_anywhere_within_50km(lat, lon, x, y):
+    # 1 mm inside the limit, so that the image of an offset on the limit
+    # itself cannot trip the 50 km guard of to_enu by a rounding error
+    assume(math.hypot(x, y) <= MAX_RANGE_M - 1e-3)
+    origin = GeoPoint(lat, lon)
+    e = to_enu(from_enu(EnuPoint(x, y), origin), origin)
+    assert math.hypot(e.x - x, e.y - y) < 1e-6
 
 
 def test_local_monotonicity():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from uavtrack.dataio import Segment, TimedSample
+from uavtrack.dataio import Segment
 from uavtrack.geodesy import EnuPoint
 from uavtrack.metrics import (
     MetricsError,
@@ -13,10 +13,8 @@ from uavtrack.metrics import (
     euclidean_errors,
     quantile,
     report_to_csv_rows,
-    report_to_text,
     segment_report,
     stats,
-    velocity_profile,
 )
 from uavtrack.motionmodels import ModelKind, NoiseSigmas
 
@@ -138,8 +136,6 @@ class TestSegmentReport:
         assert by_stat["min"].better == "ekf"
         assert by_stat["max"].ekf_m == pytest.approx(13.88)
         assert by_stat["max"].better == "ekf"
-        text = report_to_text(rows)
-        assert "0.23*" in text and "14.25" in text
         csv_rows = report_to_csv_rows(rows)
         assert csv_rows[0] == "segment,mm,stat,rf_m,ekf_m,better"
         assert any(row.startswith("S1,CT,min,1.0800,0.2300,ekf") for row in csv_rows)
@@ -147,33 +143,6 @@ class TestSegmentReport:
     def test_empty_segment_omitted(self):
         rows = segment_report([_seg("S1", 0, 1), _seg("S2", 2, 3)], {"S1": [1.0]}, {"S1": [1.0]})
         assert {r.segment for r in rows} == {"S1"}
-
-
-class TestVelocityProfile:
-    def _samples(self, coords, dt_ms=1000):
-        return [TimedSample(k * dt_ms, EnuPoint(x, y)) for k, (x, y) in enumerate(coords)]
-
-    def test_uniform_straight_line(self):
-        truth = self._samples([(3.0 * k, 0.0) for k in range(10)])
-        prof = velocity_profile(truth, [_seg("S1", 0, 9)])
-        assert prof["S1"]["speed_mean"] == pytest.approx(3.0)
-        assert prof["S1"]["speed_std"] == pytest.approx(0.0, abs=1e-12)
-
-    def test_two_samples(self):
-        truth = self._samples([(0, 0), (10, 0)], dt_ms=2000)
-        prof = velocity_profile(truth, [_seg("S1", 0, 1)])
-        assert prof["S1"]["speed_mean"] == pytest.approx(5.0)
-
-    def test_ca_acceleration_stats(self):
-        # closed-form kinematics: x = t^2 / 2 at a = 1 m/s^2, sampled 1 Hz
-        truth = self._samples([(0.5 * t * t, 0.0) for t in range(11)])
-        prof = velocity_profile(truth, [_seg("S1", 0, 10, ModelKind.CA)])
-        assert prof["S1"]["accel_mean"] == pytest.approx(1.0, rel=0.05)
-
-    def test_single_sample_segment_omitted(self):
-        truth = self._samples([(0, 0), (1, 0)])
-        prof = velocity_profile(truth, [_seg("S1", 0, 0)])
-        assert prof == {}
 
 
 class TestCdfCsv:

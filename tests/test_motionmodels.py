@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from uavtrack.motionmodels import (
-    EstimationError,
     ModelError,
     ModelKind,
     NoiseSigmas,
-    estimate_process_sigmas,
     jacobian,
     measurement_matrix,
     process_noise,
@@ -148,36 +146,3 @@ class TestMeasurementMatrix:
         assert np.allclose(measurement_matrix(ModelKind.CV) @ [1, 2, 3, 4], [1, 2])
         assert np.allclose(measurement_matrix(ModelKind.CA) @ [1, 2, 3, 4, 5, 6], [1, 2])
         assert np.allclose(measurement_matrix(ModelKind.CT) @ [7, 8, 0, 0, 1], [7, 8])
-
-
-class TestEstimateSigmas:
-    def test_constant_velocity_gives_zero(self):
-        t = np.arange(100, dtype=float)
-        pos = np.column_stack([3.0 * t, -1.0 * t])
-        sig = estimate_process_sigmas(t, pos, ModelKind.CV)
-        assert sig.accel == pytest.approx(0.0, abs=1e-12)
-
-    def test_recovers_injected_acceleration_noise(self):
-        # Monte-Carlo oracle: velocity random walk with per-step
-        # acceleration draws of known sigma
-        rng = np.random.default_rng(42)
-        sigma = 0.5
-        n = 1000
-        dt = 1.0
-        v = np.cumsum(rng.normal(0, sigma, (n, 2)) * dt, axis=0)
-        pos = np.vstack([[0, 0], np.cumsum(v * dt, axis=0)])
-        t = np.arange(n + 1) * dt
-        sig = estimate_process_sigmas(t, pos, ModelKind.CV)
-        assert sig.accel == pytest.approx(sigma, rel=0.15)
-
-    def test_ct_turn_rate(self):
-        # constant-rate circle: heading-rate estimates are all omega
-        w, speed, dt = 0.2, 5.0, 0.5
-        t = np.arange(0, 60, dt)
-        pos = np.column_stack([speed / w * np.sin(w * t), speed / w * (1 - np.cos(w * t))])
-        sig = estimate_process_sigmas(t, pos, ModelKind.CT)
-        assert sig.omega == pytest.approx(0.0, abs=1e-6)
-
-    def test_too_few_samples(self):
-        with pytest.raises(EstimationError):
-            estimate_process_sigmas([0.0, 1.0], [[0, 0], [1, 1]], ModelKind.CV)
