@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -18,6 +18,8 @@ from .dataio import TimedSample
 from .geodesy import EnuPoint
 
 log = logging.getLogger(__name__)
+
+_M = TypeVar("_M")  # one epoch's measurement
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -96,96 +98,162 @@ def simulate_tdoa(
     return TdoaMeasurement(t_ms, tuple(deltas))
 
 
-def _residuals(arr: SensorArray, m: TdoaMeasurement, p: np.ndarray) -> np.ndarray:
-    """Range-difference residuals c*dtau - (|p - s_i| - |p - s_ref|), meters."""
-    ref = arr.positions[arr.reference_idx]
-    d_ref = np.linalg.norm(p - ref)
-    out = np.empty(len(m.deltas))
-    for k, (i, dtau) in enumerate(m.deltas):
-        out[k] = SPEED_OF_LIGHT * dtau - (np.linalg.norm(p - arr.positions[i]) - d_ref)
-    return out
+def _range_differences(meas: Sequence[TdoaMeasurement]) -> tuple[list[int], np.ndarray]:
+    """Sensor indices and range differences c*dtau, shape (E, m), of measurements over one sensor set."""
+    idx = [i for i, _ in meas[0].deltas]
+    rd = np.array([[dt for _, dt in m.deltas] for m in meas], dtype=float).reshape(len(meas), len(idx))
+    return idx, SPEED_OF_LIGHT * rd
+
+
+def _distances(sensors: np.ndarray, ref: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances from points p (N, 2) to each sensor (N, m) and to the reference (N,)."""
+    d = np.hypot(p[:, None, 0] - sensors[:, 0], p[:, None, 1] - sensors[:, 1])
+    return d, np.hypot(p[:, 0] - ref[0], p[:, 1] - ref[1])
+
+
+def _range_residuals(sensors: np.ndarray, ref: np.ndarray, rd: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Residuals rd - (|p - s_k| - |p - s_ref|) in meters, for points p (N, 2) and rd (N, m)."""
+    d, d_ref = _distances(sensors, ref, p)
+    return rd - (d - d_ref[:, None])
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    """Unit vectors along v (..., 2); zero where v is zero (p on a sensor)."""
+    d = np.hypot(v[..., 0], v[..., 1])
+    return v / np.where(d > 0, d, 1.0)[..., None]
+
+
+def _jacobian(sensors: np.ndarray, ref: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """d residual / d p, shape (N, m, 2): u_ref - u_k for unit vectors u from each sensor to p."""
+    return _unit(p - ref)[:, None, :] - _unit(p[:, None, :] - sensors)
 
 
 def cost(arr: SensorArray, m: TdoaMeasurement, p: EnuPoint) -> float:
     """Sum of squared range-difference residuals at ``p``."""
-    r = _residuals(arr, m, np.array([p.x, p.y]))
-    return float(r @ r)
+    idx, rd = _range_differences([m])
+    r = _range_residuals(arr.positions[idx], arr.positions[arr.reference_idx], rd, np.array([[p.x, p.y]]))
+    return float(np.sum(r * r))
 
 
-def _descend(arr: SensorArray, m: TdoaMeasurement, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Gauss-Newton descent from one start; returns (point, residuals, converged)."""
-    ref = arr.positions[arr.reference_idx]
-    converged = False
-    r = _residuals(arr, m, p)
+def _solve_batch(
+    sensors: np.ndarray, ref: np.ndarray, rd: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Multi-start Gauss-Newton over every epoch and start at once.
+
+    ``rd`` (E, m) holds each epoch's range differences to ``sensors``
+    (m, 2) against ``ref``, and ``starts`` (E, S, 2) its start points.
+    Every epoch x start descends on its own: a thin SVD of the Jacobian
+    gives the rank test and the least-squares step, and step halving (at
+    most 25 halvings) enforces descent. An element leaves the active set
+    when its Jacobian is rank-deficient (the start is then excluded), when
+    its accepted step is below 1e-6 m (converged), when its halving runs
+    out (converged if at the floating-point floor of the cost, see below)
+    or after 100 iterations (not converged). Per epoch the lowest-cost
+    start wins, the first on a tie.
+
+    Returns per epoch the winning point (E, 2), its cost (E,), converged
+    flag (E,) and start index (E,), which is -1 where every start was
+    rank-deficient.
+    """
+    n_epochs, n_starts, _ = starts.shape
+    rd = np.repeat(rd, n_starts, axis=0)
+    p = starts.reshape(-1, 2).astype(float)
+    r = _range_residuals(sensors, ref, rd, p)
+    c = np.sum(r * r, axis=1)
+    converged = np.zeros(c.shape, dtype=bool)
+    usable = np.full(c.shape, rd.shape[1] >= 2)  # rank(J) <= m
+    active = np.flatnonzero(usable)
     for _ in range(_MAX_ITER):
-        d_ref = np.linalg.norm(p - ref)
-        u_ref = (p - ref) / d_ref if d_ref > 0 else np.zeros(2)
-        J = np.empty((len(m.deltas), 2))
-        for k, (i, _) in enumerate(m.deltas):
-            d_i = np.linalg.norm(p - arr.positions[i])
-            u_i = (p - arr.positions[i]) / d_i if d_i > 0 else np.zeros(2)
-            J[k] = -(u_i - u_ref)  # d residual / d p
+        if active.size == 0:
+            break
+        U, sv, Vt = np.linalg.svd(_jacobian(sensors, ref, p[active]), full_matrices=False)
+        full_rank = sv[:, -1] >= 1e-9 * np.maximum(sv[:, 0], 1.0)
+        usable[active[~full_rank]] = False
+        active, U, sv, Vt = active[full_rank], U[full_rank], sv[full_rank], Vt[full_rank]
+        g = np.sum(U * r[active, :, None], axis=1)  # U^T r
+        step = -np.sum((g / sv)[:, :, None] * Vt, axis=1)  # least-squares solution of J step = -r
 
-        sv = np.linalg.svd(J, compute_uv=False)
-        if sv[-1] < 1e-9 * max(sv[0], 1.0):
-            raise GeometryError("rank-deficient geometry at iterate (collinear sensors?)")
-
-        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        c0 = float(r @ r)
-        accepted = False
+        trying = np.arange(active.size)
         for _ in range(_MAX_HALVINGS):
-            trial = p + step
-            r_trial = _residuals(arr, m, trial)
-            if float(r_trial @ r_trial) <= c0:
-                p, r = trial, r_trial
-                accepted = True
+            e = active[trying]
+            trial = p[e] + step[trying]
+            r_trial = _range_residuals(sensors, ref, rd[e], trial)
+            c_trial = np.sum(r_trial * r_trial, axis=1)
+            ok = c_trial <= c[e]
+            e_ok = e[ok]
+            p[e_ok], r[e_ok], c[e_ok] = trial[ok], r_trial[ok], c_trial[ok]
+            trying = trying[~ok]
+            if trying.size == 0:
                 break
-            step = 0.5 * step
-        if not accepted:
-            break
-        if np.linalg.norm(step) < _STEP_TOL_M:
-            converged = True
-            break
-    return p, r, converged
+            step[trying] *= 0.5
+
+        stalled = np.zeros(active.size, dtype=bool)
+        stalled[trying] = True
+        small = np.hypot(step[:, 0], step[:, 1]) < _STEP_TOL_M
+        converged[active] = small & ~stalled
+        # Halving runs out at the floating-point floor of the cost: each
+        # residual cancels distances, so it is off by up to about
+        # 2 eps (d_k + d_ref) and the cost by 4 eps sum |r_k| (d_k + d_ref).
+        # A start is at its minimum as closely as the cost can tell when the
+        # decrease the Gauss-Newton model predicts for the full step, |U^T r|^2
+        # (the gradient J^T r in the (J^T J)^-1 norm), is below that.
+        e = active[stalled]
+        d, d_ref = _distances(sensors, ref, p[e])
+        floor = 4.0 * np.finfo(float).eps * np.sum(np.abs(r[e]) * (d + d_ref[:, None]), axis=1)
+        converged[e] = np.sum(g[stalled] ** 2, axis=1) <= floor
+        active = active[~(stalled | small)]
+
+    best = np.argmin(np.where(usable, c, np.inf).reshape(n_epochs, n_starts), axis=1)
+    k = np.arange(n_epochs) * n_starts + best
+    best = np.where(usable[k], best, -1)
+    return p[k], c[k], converged[k], best
+
+
+def _starts(arr: SensorArray, init: np.ndarray) -> np.ndarray:
+    """Start points (E, 1 + n, 2): each epoch's ``init`` (E, 2), then a
+    point a quarter of the way from each sensor to the centroid."""
+    pos = arr.positions
+    sensor_starts = pos + 0.25 * (pos.mean(axis=0) - pos)
+    return np.concatenate([init[:, None, :], np.broadcast_to(sensor_starts, (len(init),) + pos.shape)], axis=1)
+
+
+def _fixes(arr: SensorArray, idx: list[int], rd: np.ndarray, init: np.ndarray) -> list[Optional[TdoaFix]]:
+    """Solve epochs ``rd`` (E, m) over sensors ``idx``, each from :func:`_starts`.
+
+    None marks an epoch at which every start is rank-deficient.
+    """
+    pos = arr.positions
+    points, costs, converged, best = _solve_batch(pos[idx], pos[arr.reference_idx], rd, _starts(arr, init))
+    rms = np.sqrt(costs / len(idx))
+    fixes: list[Optional[TdoaFix]] = []
+    for p, res, ok, b in zip(points, rms, converged, best):
+        if b < 0:
+            fixes.append(None)
+            continue
+        if not ok:
+            log.warning("Gauss-Newton did not converge, returning best iterate")
+        fixes.append(TdoaFix(EnuPoint(float(p[0]), float(p[1])), float(res), bool(ok)))
+    return fixes
 
 
 def solve_position(arr: SensorArray, m: TdoaMeasurement, init: EnuPoint) -> TdoaFix:
     """Gauss-Newton minimizer of the range-difference least-squares cost.
 
-    Step halving enforces descent; convergence when the accepted step is
-    below 1e-6 m. The cost has spurious local minima near the array edge,
-    so descent restarts from points between each sensor and the centroid
-    and the lowest-cost minimum wins. Collinear geometry raises
-    :class:`GeometryError`.
+    The cost has spurious local minima near the array edge, so descent
+    also starts from points between each sensor and the centroid, and the
+    lowest-cost minimum wins; see :func:`_solve_batch`. Fewer than two
+    deltas or collinear geometry raise :class:`GeometryError`.
     """
     if len(m.deltas) < 2:
         raise GeometryError(f"need at least 2 deltas for a 2-D fix, got {len(m.deltas)}")
     p0 = np.array([init.x, init.y], dtype=float)
     if not np.all(np.isfinite(p0)):
         raise ValueError(f"non-finite initialization: {init}")
-
-    c = np.array([arr.centroid.x, arr.centroid.y])
-    starts = [p0] + [s + 0.25 * (c - s) for s in arr.positions]
-    best = None
-    error: Optional[GeometryError] = None
-    for start in starts:
-        try:
-            p, r, converged = _descend(arr, m, np.array(start, dtype=float))
-        except GeometryError as exc:
-            error = exc
-            continue
-        cost_val = float(r @ r)
-        if best is None or cost_val < best[0]:
-            best = (cost_val, p, r, converged)
-        if cost_val < 1e-12:
-            break
-    if best is None:
-        raise error if error is not None else GeometryError("no usable start point")
-    _, p, r, converged = best
-    if not converged:
-        log.warning("Gauss-Newton did not converge, returning best iterate")
-    rms = float(np.sqrt(np.mean(r**2)))
-    return TdoaFix(EnuPoint(float(p[0]), float(p[1])), rms, converged)
+    idx, rd = _range_differences([m])
+    fix = _fixes(arr, idx, rd, p0[None])[0]
+    if fix is None:
+        raise GeometryError("rank-deficient geometry at every start (collinear sensors?)")
+    return fix
 
 
 def _epoch_rng(seed: int, t_ms: int) -> np.random.Generator:
@@ -194,7 +262,8 @@ def _epoch_rng(seed: int, t_ms: int) -> np.random.Generator:
 
 def _simulate_epochs(
     truth: Sequence[TimedSample],
-    measure: Callable[[TimedSample, np.random.Generator, Optional[EnuPoint]], EnuPoint],
+    measure: Callable[[TimedSample, np.random.Generator], _M],
+    locate: Callable[[list[_M]], list[Optional[EnuPoint]]],
     rng_seed: int,
     decimate_ms: Optional[int],
     outlier_rate: float,
@@ -202,39 +271,45 @@ def _simulate_epochs(
 ) -> tuple[list[TimedSample], int]:
     """Measurement loop shared by every noise model.
 
-    ``measure(sample, rng, prev_fix)`` returns one position fix for a truth
-    sample, warm-started from the previous fix (None on the first epoch),
-    or raises :class:`GeometryError` to drop the epoch. ``decimate_ms``
-    keeps only epochs at least that far after the last kept one.
-    ``outlier_rate`` injects uniform-in-disk position glitches emulating
-    foreign RF sources. Per-epoch RNG streams are derived from
-    ``(rng_seed, t_ms)``, so results are order-independent and repeatable.
-    Returns (estimate samples, dropped epoch count).
+    ``decimate_ms`` first picks the epoch grid: every truth sample at least
+    that far after the previous grid epoch (every sample when None), so a
+    dropped epoch leaves a gap and never shifts the grid. Each epoch gets
+    its own RNG stream from ``(rng_seed, t_ms)``, so results are
+    order-independent and repeatable. From it, ``measure(sample, rng)``
+    draws the epoch's measurement, then ``outlier_rate`` decides on a
+    uniform-in-disk position glitch emulating a foreign RF source.
+    ``locate(measurements)`` turns all measurements into position fixes at
+    once, None to drop an epoch. Returns (estimate samples, dropped epoch
+    count).
     """
     if not truth:
         raise ValueError("empty ground-truth trajectory")
-    out: list[TimedSample] = []
-    dropped = 0
-    fix = None
-    last_kept = None
+    epochs: list[TimedSample] = []
     for s in truth:
-        if decimate_ms is not None:
-            if last_kept is not None and s.t_ms - last_kept < decimate_ms:
-                continue
+        if decimate_ms is None or not epochs or s.t_ms - epochs[-1].t_ms >= decimate_ms:
+            epochs.append(s)
+    measurements: list[_M] = []
+    glitches: list[Optional[tuple[float, float]]] = []
+    for s in epochs:
         rng = _epoch_rng(rng_seed, s.t_ms)
-        try:
-            fix = measure(s, rng, fix)
-        except GeometryError as exc:
-            log.warning("epoch %d: %s, dropping", s.t_ms, exc)
-            dropped += 1
-            continue
-        pos = fix
+        measurements.append(measure(s, rng))
+        glitch = None
         if outlier_rate > 0 and rng.random() < outlier_rate:
             theta = rng.uniform(0.0, 2.0 * np.pi)
             radius = outlier_max_m * np.sqrt(rng.random())
-            pos = EnuPoint(pos.x + radius * np.cos(theta), pos.y + radius * np.sin(theta))
+            glitch = (radius * np.cos(theta), radius * np.sin(theta))
+        glitches.append(glitch)
+
+    out: list[TimedSample] = []
+    dropped = 0
+    for s, pos, glitch in zip(epochs, locate(measurements), glitches):
+        if pos is None:
+            log.warning("epoch %d: rank-deficient geometry at every start, dropping", s.t_ms)
+            dropped += 1
+            continue
+        if glitch is not None:
+            pos = EnuPoint(pos.x + glitch[0], pos.y + glitch[1])
         out.append(TimedSample(s.t_ms, pos))
-        last_kept = s.t_ms
     return out, dropped
 
 
@@ -249,17 +324,23 @@ def simulate_flight(
 ) -> tuple[list[TimedSample], int]:
     """Run the TDoA measurement chain over a ground-truth flight.
 
-    Per epoch: simulate a TDoA measurement, then solve for position with
-    the previous solution as the initialization (array centroid first).
-    ``decimate_ms`` keeps only epochs on that grid (~1 Hz sensor rate).
-    See :func:`_simulate_epochs` for outliers, RNG streams and the result.
+    Simulates a TDoA measurement per epoch, then solves every epoch in one
+    batched multi-start descent, each from the array centroid and the
+    sensor starts (no warm start from the previous fix). ``decimate_ms``
+    keeps only epochs on that grid (~1 Hz sensor rate). See
+    :func:`_simulate_epochs` for the grid, outliers, RNG streams and the
+    result.
     """
 
-    def measure(s: TimedSample, rng: np.random.Generator, prev: Optional[EnuPoint]) -> EnuPoint:
-        meas = simulate_tdoa(arr, s.pos, sigma_t, rng, t_ms=s.t_ms)
-        return solve_position(arr, meas, arr.centroid if prev is None else prev).pos
+    def measure(s: TimedSample, rng: np.random.Generator) -> TdoaMeasurement:
+        return simulate_tdoa(arr, s.pos, sigma_t, rng, t_ms=s.t_ms)
 
-    return _simulate_epochs(truth, measure, rng_seed, decimate_ms, outlier_rate, outlier_max_m)
+    def locate(meas: list[TdoaMeasurement]) -> list[Optional[EnuPoint]]:
+        idx, rd = _range_differences(meas)
+        init = np.tile(arr.positions.mean(axis=0), (len(meas), 1))
+        return [None if fix is None else fix.pos for fix in _fixes(arr, idx, rd, init)]
+
+    return _simulate_epochs(truth, measure, locate, rng_seed, decimate_ms, outlier_rate, outlier_max_m)
 
 
 def position_noise_flight(
@@ -276,7 +357,10 @@ def position_noise_flight(
     per axis; otherwise as :func:`simulate_flight`.
     """
 
-    def measure(s: TimedSample, rng: np.random.Generator, prev: Optional[EnuPoint]) -> EnuPoint:
+    def measure(s: TimedSample, rng: np.random.Generator) -> EnuPoint:
         return EnuPoint(s.pos.x + rng.normal(0.0, sigma_m), s.pos.y + rng.normal(0.0, sigma_m))
 
-    return _simulate_epochs(truth, measure, rng_seed, decimate_ms, outlier_rate, outlier_max_m)
+    def locate(fixes: list[EnuPoint]) -> list[Optional[EnuPoint]]:
+        return list(fixes)
+
+    return _simulate_epochs(truth, measure, locate, rng_seed, decimate_ms, outlier_rate, outlier_max_m)

@@ -156,6 +156,14 @@ class TestSimulateFlight:
         rf, _ = simulate_flight(truth, SQUARE, 0.0, rng_seed=1, decimate_ms=1000)
         assert [s.t_ms for s in rf] == list(range(0, 10000, 1000))
 
+    def test_dropped_epochs_leave_gaps_in_the_grid(self):
+        # truth on the line of a collinear array: every start is rank-deficient
+        arr = SensorArray(np.array([[0.0, 0], [100, 0], [200, 0]]))
+        truth = [TimedSample(100 * k, EnuPoint(50 + 0.5 * k, 0)) for k in range(50)]
+        rf, dropped = simulate_flight(truth, arr, 1e-9, rng_seed=1, decimate_ms=1000)
+        assert rf == []
+        assert dropped == 5  # grid epochs 0, 1000, ..., 4000
+
     def test_outlier_injection(self):
         rf, _ = simulate_flight(
             self._truth(100), SQUARE, 0.0, rng_seed=3, outlier_rate=0.5, outlier_max_m=200.0
