@@ -8,7 +8,6 @@ and a machine-readable summary into the output directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -21,7 +20,7 @@ from . import dataio, ekf, metrics, tdoa, trajgen
 from .config import ConfigError, RunConfig
 from .dataio import AlignedPair, Segment, TimedSample
 from .geodesy import EnuPoint, GeoPoint, from_enu
-from .motionmodels import ModelKind, NoiseSigmas
+from .motionmodels import NoiseSigmas
 
 log = logging.getLogger("uavtrack")
 
@@ -43,28 +42,6 @@ def _write_lines(path, lines: Sequence[str]) -> None:
     with open(path, "w", newline="\n", encoding="utf-8") as f:
         for line in lines:
             f.write(line + "\n")
-
-
-def _write_aligned_csv(path, pairs: Sequence[AlignedPair]) -> None:
-    lines = ["t_ms,uav_x,uav_y,rf_x,rf_y"]
-    for p in pairs:
-        lines.append(f"{p.t_ms},{p.uav.x:.6f},{p.uav.y:.6f},{p.rf.x:.6f},{p.rf.y:.6f}")
-    _write_lines(path, lines)
-
-
-def _read_aligned_csv(path) -> list[AlignedPair]:
-    pairs = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            pairs.append(
-                AlignedPair(
-                    int(row["t_ms"]),
-                    EnuPoint(float(row["uav_x"]), float(row["uav_y"])),
-                    EnuPoint(float(row["rf_x"]), float(row["rf_y"])),
-                )
-            )
-    return pairs
 
 
 def _to_geo(samples: Sequence[TimedSample], origin: GeoPoint) -> list[TimedSample]:
@@ -93,14 +70,7 @@ def _aligned_pairs(cfg: RunConfig, uav_path, rf_path) -> tuple[list[AlignedPair]
 
 
 def _leg_sigmas(leg_dict: dict, leg: trajgen.LegSpec, defaults: dict) -> NoiseSigmas:
-    d = dict(leg_dict.get("sigmas", {}))
-    if leg.mm is ModelKind.CA:
-        d.setdefault("jerk", defaults["jerk"])
-    else:
-        d.setdefault("accel", defaults["accel"])
-    if leg.mm is ModelKind.CT:
-        d.setdefault("omega", defaults["omega"])
-    return NoiseSigmas(**{k: float(v) for k, v in d.items()})
+    return NoiseSigmas.from_dict({k: defaults[k] for k in leg.mm.noise_keys} | leg_dict.get("sigmas", {}))
 
 
 def _segments_from_boundaries(boundaries, leg_dicts, step: int, defaults: dict) -> list[Segment]:
@@ -126,11 +96,17 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     interval = int(sim["rf_interval_ms"])
     if interval <= 0:
         raise RunError(f"rf_interval_ms must be positive, got {interval}")
+    dt_ms = int(sim["truth_dt_ms"])
+    if dt_ms <= 0:
+        raise RunError(f"truth_dt_ms must be positive, got {dt_ms}")
+    if interval % dt_ms != 0:
+        raise RunError(f"rf_interval_ms ({interval}) must be a multiple of truth_dt_ms ({dt_ms})")
+    if sim["noise_model"] not in ("position", "tdoa"):
+        raise RunError(f"unknown noise model: {sim['noise_model']!r}")
     legs = [trajgen.leg_from_dict(d) for d in leg_dicts]
     origin = cfg.sim_origin()
 
     start = EnuPoint(float(sim["start"]["x"]), float(sim["start"]["y"]))
-    dt_ms = int(sim["truth_dt_ms"])
     truth, boundaries = trajgen.generate_truth(
         legs,
         start=start,
@@ -138,8 +114,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
         speed=float(sim["speed"]),
         dt_ms=dt_ms,
     )
-    if interval % dt_ms != 0:
-        raise RunError(f"rf_interval_ms ({interval}) must be a multiple of truth_dt_ms ({dt_ms})")
     truth_geo = _to_geo(truth, origin)  # fails past the 50 km limit before the RF simulation
     seed = int(sim["seed"])
     if sim["noise_model"] == "position":
@@ -147,7 +121,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
             truth, float(sim["position_sigma_m"]), seed, interval,
             float(sim["outlier_rate"]), float(sim["outlier_max_m"]),
         )
-    elif sim["noise_model"] == "tdoa":
+    else:
         arr = cfg.sensor_array(origin)
         rf, dropped = tdoa.simulate_flight(
             truth, arr, float(sim["sigma_t"]), seed,
@@ -155,8 +129,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
             outlier_rate=float(sim["outlier_rate"]),
             outlier_max_m=float(sim["outlier_max_m"]),
         )
-    else:
-        raise RunError(f"unknown noise model: {sim['noise_model']!r}")
 
     segments = _segments_from_boundaries(
         boundaries, leg_dicts, interval // dt_ms, cfg.data["filter"]["sigma_defaults"]
@@ -288,14 +260,14 @@ def cmd_convert(input_path, out_path, cfg: RunConfig) -> dict:
 
 def cmd_align(uav_path, rf_path, out_path, cfg: RunConfig) -> dict:
     pairs, _ = _aligned_pairs(cfg, uav_path, rf_path)
-    _write_aligned_csv(out_path, pairs)
+    dataio.write_aligned_log(out_path, pairs)
     return {"command": "align", "n_pairs": len(pairs)}
 
 
 def cmd_clean(input_path, out_path, cfg: RunConfig) -> dict:
-    pairs = _read_aligned_csv(input_path)
+    pairs = dataio.parse_aligned_log(input_path)
     kept = dataio.clean(pairs, float(cfg.data["clean"]["threshold_m"]))
-    _write_aligned_csv(out_path, kept)
+    dataio.write_aligned_log(out_path, kept)
     return {"command": "clean", "n_in": len(pairs), "n_out": len(kept)}
 
 

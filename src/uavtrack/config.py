@@ -56,13 +56,21 @@ DEFAULTS: dict[str, Any] = {
 DEFAULT_SIM_ORIGIN = {"lat_deg": 35.8, "lon_deg": -78.7}
 
 
-def _merge(defaults: Any, override: Any) -> Any:
-    if isinstance(defaults, dict) and isinstance(override, dict):
-        out = copy.deepcopy(defaults)
-        for k, v in override.items():
-            out[k] = _merge(defaults.get(k), v) if k in defaults else copy.deepcopy(v)
-        return out
-    return copy.deepcopy(override)
+def _merge(defaults: Any, override: Any, where: str = "") -> Any:
+    """Lay ``override`` over ``defaults``. A section whose default is a dict
+    is closed (an unknown key is a ConfigError naming the dotted key); any
+    other default, such as ``sensors`` or ``sim.legs``, is replaced whole."""
+    if not isinstance(defaults, dict):
+        return copy.deepcopy(override)
+    if not isinstance(override, dict):
+        raise ConfigError(f"{where.rstrip('.') or 'config'} must be a JSON object")
+    unknown = sorted(set(override) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {[where + k for k in unknown]}")
+    out = copy.deepcopy(defaults)
+    for k, v in override.items():
+        out[k] = _merge(defaults[k], v, f"{where}{k}.")
+    return out
 
 
 class RunConfig:
@@ -82,12 +90,10 @@ class RunConfig:
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(user, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        unknown = set(user) - set(DEFAULTS)
-        if unknown:
-            raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
-        return cls(_merge(DEFAULTS, user), path.parent)
+        try:
+            return cls(_merge(DEFAULTS, user), path.parent)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     @classmethod
     def from_dict(cls, user: dict, base_dir=".") -> "RunConfig":

@@ -2,6 +2,7 @@
 
 File formats:
     UAV / RF logs: CSV with header ``t_ms,lat_deg,lon_deg``.
+    Aligned log:   CSV with header ``t_ms,uav_x,uav_y,rf_x,rf_y`` (local frame).
     Segment file:  JSON array of ``{id, start_idx, end_idx, mm, sigmas}``.
 """
 
@@ -13,16 +14,17 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Any, Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .geodesy import EnuPoint, GeoPoint, GeodesyError, to_enu
+from .geodesy import EnuPoint, GeoPoint, to_enu
 from .motionmodels import ModelKind, NoiseSigmas
 
 log = logging.getLogger(__name__)
 
 LOG_HEADER = ["t_ms", "lat_deg", "lon_deg"]
+ALIGNED_HEADER = ["t_ms", "uav_x", "uav_y", "rf_x", "rf_y"]
 DEFAULT_CLEAN_THRESHOLD_M = 60.0
 
 
@@ -68,31 +70,51 @@ class Segment:
     sigmas: NoiseSigmas
 
 
+def _csv_rows(
+    path: Path, header: list[str], parse_row: Callable[[list[str]], Any]
+) -> Iterator[tuple[int, Any]]:
+    """Yield ``(line_no, parse_row(fields))`` for each non-blank data row.
+
+    The first line must be ``header`` and every row must have one field per
+    column. A violation, or a ValueError from ``parse_row``, raises
+    :class:`ParseError` naming the file and line.
+    """
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        first = next(reader, None)
+        if first is None:
+            raise EmptyInputError(f"{path}: empty file")
+        if [h.strip() for h in first] != header:
+            raise ParseError(path, 1, f"expected header {','.join(header)}, got {','.join(first)}")
+        for line_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise ParseError(path, line_no, f"expected {len(header)} fields, got {len(row)}")
+            try:
+                item = parse_row(row)
+            except ValueError as exc:  # GeodesyError included
+                raise ParseError(path, line_no, str(exc)) from exc
+            yield line_no, item
+
+
+def _timed_sample(r: list[str]) -> TimedSample:
+    return TimedSample(int(r[0]), GeoPoint(float(r[1]), float(r[2])))
+
+
+def _aligned_pair(r: list[str]) -> AlignedPair:
+    return AlignedPair(int(r[0]), EnuPoint(float(r[1]), float(r[2])), EnuPoint(float(r[3]), float(r[4])))
+
+
 def parse_position_log(path) -> list[TimedSample]:
     """Geodetic position log (ground truth or RF estimates), sorted by time."""
     path = Path(path)
     samples: dict[int, TimedSample] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyInputError(f"{path}: empty file")
-        if [h.strip() for h in header] != LOG_HEADER:
-            raise ParseError(path, 1, f"expected header {','.join(LOG_HEADER)}, got {','.join(header)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ParseError(path, line_no, f"expected 3 fields, got {len(row)}")
-            try:
-                t_ms = int(row[0])
-                pos = GeoPoint(float(row[1]), float(row[2]))
-            except (ValueError, GeodesyError) as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-            if t_ms in samples:
-                log.warning("%s:%d: duplicate timestamp %d, keeping first", path, line_no, t_ms)
-                continue
-            samples[t_ms] = TimedSample(t_ms, pos)
+    for line_no, sample in _csv_rows(path, LOG_HEADER, _timed_sample):
+        if sample.t_ms in samples:
+            log.warning("%s:%d: duplicate timestamp %d, keeping first", path, line_no, sample.t_ms)
+            continue
+        samples[sample.t_ms] = sample
     if not samples:
         raise EmptyInputError(f"{path}: no data rows")
     return [samples[t] for t in sorted(samples)]
@@ -104,6 +126,19 @@ def write_position_log(path, samples: Sequence[TimedSample]) -> None:
         f.write(",".join(LOG_HEADER) + "\n")
         for s in samples:
             f.write(f"{s.t_ms},{s.pos.lat_deg:.10f},{s.pos.lon_deg:.10f}\n")
+
+
+def parse_aligned_log(path) -> list[AlignedPair]:
+    """Aligned-pair log in the local frame, in file order (may have no rows)."""
+    return [pair for _, pair in _csv_rows(Path(path), ALIGNED_HEADER, _aligned_pair)]
+
+
+def write_aligned_log(path, pairs: Sequence[AlignedPair]) -> None:
+    """Write aligned pairs in the local frame (deterministic bytes)."""
+    with open(path, "w", newline="\n", encoding="utf-8") as f:
+        f.write(",".join(ALIGNED_HEADER) + "\n")
+        for p in pairs:
+            f.write(f"{p.t_ms},{p.uav.x:.6f},{p.uav.y:.6f},{p.rf.x:.6f},{p.rf.y:.6f}\n")
 
 
 def to_local(samples: Sequence[TimedSample], origin: GeoPoint) -> list[TimedSample]:
@@ -152,14 +187,6 @@ def clean(
     return [pairs[i] for i in kept_indices(pairs, threshold_m)]
 
 
-def _sigmas_from_dict(d: dict) -> NoiseSigmas:
-    known = {"accel", "jerk", "omega"}
-    unknown = set(d) - known
-    if unknown:
-        raise SegmentError(f"unknown sigma keys: {sorted(unknown)}")
-    return NoiseSigmas(**{k: float(v) for k, v in d.items()})
-
-
 def load_segments(path, K: int) -> list[Segment]:
     """Load and validate the segment file against an aligned sequence of length ``K``.
 
@@ -177,7 +204,7 @@ def load_segments(path, K: int) -> list[Segment]:
             start = int(entry["start_idx"])
             end = int(entry["end_idx"])
             mm_label = entry["mm"]
-            sigmas = _sigmas_from_dict(entry.get("sigmas", {}))
+            sigmas = NoiseSigmas.from_dict(entry.get("sigmas", {}))
         except (KeyError, TypeError, ValueError) as exc:
             raise SegmentError(f"{path}: malformed segment entry {entry!r}: {exc}") from exc
         try:

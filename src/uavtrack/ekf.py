@@ -7,7 +7,6 @@ the Joseph form and are re-symmetrized after every step.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -17,14 +16,11 @@ from .dataio import AlignedPair, Segment, segment_slice
 from .geodesy import EnuPoint
 from .motionmodels import (
     ModelKind,
-    NoiseSigmas,
     jacobian,
     measurement_matrix,
     process_noise,
     transition,
 )
-
-log = logging.getLogger(__name__)
 
 
 class FilterError(ValueError):
@@ -124,18 +120,13 @@ def estimate_R(pairs: Sequence[AlignedPair], mode: str = "mean") -> np.ndarray:
     raise FilterError(f"unknown R mode: {mode!r}")
 
 
-def _initial_state(seg: Segment, first: AlignedPair, R: np.ndarray, cfg: FilterConfig) -> FilterState:
-    n = seg.mm.state_dim
-    s = np.zeros(n)
+def _initial_state(seg: Segment, first: AlignedPair, cfg: FilterConfig) -> FilterState:
+    s = np.zeros(seg.mm.state_dim)
     s[0], s[1] = first.rf.x, first.rf.y
-    diag = np.zeros(n)
-    diag[0], diag[1] = R[0, 0], R[1, 1]
-    diag[2] = diag[3] = cfg.v_max**2
-    if seg.mm is ModelKind.CA:
-        diag[4] = diag[5] = cfg.accel_var
-    elif seg.mm is ModelKind.CT:
-        diag[4] = cfg.omega_var
-    return FilterState(s, np.diag(diag), first.t_ms)
+    var = {"x": cfg.R[0, 0], "y": cfg.R[1, 1], "vx": cfg.v_max**2, "vy": cfg.v_max**2,
+           "ax": cfg.accel_var, "ay": cfg.accel_var, "omega": cfg.omega_var}
+    P = np.diag(np.array([var[k] for k in seg.mm.states], dtype=float))
+    return FilterState(s, P, first.t_ms)
 
 
 def run_segment(
@@ -147,11 +138,10 @@ def run_segment(
     zero velocity (and acceleration / turn rate) under inflated covariance.
     """
     if len(pairs) < 2:
-        log.warning("segment %s has %d pair(s), skipping", seg.id, len(pairs))
         return None
     meas = MeasurementModel(measurement_matrix(seg.mm), cfg.R)
 
-    fs = _initial_state(seg, pairs[0], cfg.R, cfg)
+    fs = _initial_state(seg, pairs[0], cfg)
     track: Track = [TrackPoint(fs.t_ms, EnuPoint(fs.s[0], fs.s[1]), fs)]
     for prev, cur in zip(pairs, pairs[1:]):
         T = (cur.t_ms - prev.t_ms) / 1000.0

@@ -3,7 +3,6 @@ per-segment comparison tables."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -11,7 +10,6 @@ import numpy as np
 
 from .dataio import Segment
 
-log = logging.getLogger(__name__)
 
 _STATS = ("min", "max", "mean", "std")
 
@@ -95,14 +93,13 @@ def segment_report(
     """Per-segment RF vs EKF error statistics with lower-is-better flags.
 
     Errors are passed pre-partitioned by segment id; segments without data
-    are omitted with a warning.
+    are omitted (the caller reports why they have none).
     """
     rows: list[SegmentReportRow] = []
     for seg in segments:
         rf = rf_errors.get(seg.id)
         ekf = ekf_errors.get(seg.id)
         if rf is None or ekf is None or len(rf) == 0 or len(ekf) == 0:
-            log.warning("segment %s has no data, omitted from report", seg.id)
             continue
         for (stat, rv), (_, ev) in zip(stat_items(rf), stat_items(ekf)):
             better = "tie" if rv == ev else ("ekf" if ev < rv else "rf")

@@ -2,18 +2,14 @@
 
 Each model provides its state transition, transition Jacobian,
 process-noise covariance, and the position-selecting measurement matrix.
-State layouts (SI units throughout):
-
-    CV: [x, y, vx, vy]
-    CA: [x, y, vx, vy, ax, ay]
-    CT: [x, y, vx, vy, omega]
+``ModelKind.states`` gives each state layout (SI units throughout).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -32,17 +28,28 @@ class ModelKind(str, enum.Enum):
     CT = "CT"
 
     @property
+    def states(self) -> tuple[str, ...]:
+        """Names of the state components, in state-vector order."""
+        tail = {ModelKind.CV: (), ModelKind.CA: ("ax", "ay"), ModelKind.CT: ("omega",)}[self]
+        return ("x", "y", "vx", "vy") + tail
+
+    @property
     def state_dim(self) -> int:
-        return {ModelKind.CV: 4, ModelKind.CA: 6, ModelKind.CT: 5}[self]
+        return len(self.states)
+
+    @property
+    def noise_keys(self) -> tuple[str, ...]:
+        """The :class:`NoiseSigmas` fields that drive this model's process noise."""
+        return {ModelKind.CV: ("accel",), ModelKind.CA: ("jerk",), ModelKind.CT: ("accel", "omega")}[self]
 
 
 @dataclass(frozen=True)
 class NoiseSigmas:
     """Process-noise standard deviations.
 
-    ``accel`` (m/s^2) drives CV and CT position/velocity diffusion,
-    ``jerk`` (m/s^3) drives CA, ``omega`` (rad/s) is the CT turn-rate
-    random walk per step.
+    ``accel`` (m/s^2) and ``jerk`` (m/s^3) drive position/velocity
+    diffusion, ``omega`` (rad/s) is the turn-rate random walk per step;
+    ``ModelKind.noise_keys`` says which ones each model uses.
     """
 
     accel: float = 0.0
@@ -52,6 +59,14 @@ class NoiseSigmas:
     def __post_init__(self):
         if self.accel < 0 or self.jerk < 0 or self.omega < 0:
             raise ModelError(f"negative noise sigma: {self}")
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "NoiseSigmas":
+        """Sigmas from a ``{field: value}`` mapping; an unknown field is a ModelError."""
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ModelError(f"unknown sigma keys: {sorted(unknown)}")
+        return cls(**{k: float(v) for k, v in d.items()})
 
 
 def _check_state(mm: ModelKind, s: np.ndarray) -> np.ndarray:
@@ -67,21 +82,27 @@ def _check_dt(T: float) -> float:
     return float(T)
 
 
+def _per_axis(block: np.ndarray, n: int) -> np.ndarray:
+    """n x n matrix holding the per-axis ``block`` on the x and on the y states.
+
+    The layout interleaves the axes, ``[x, y, vx, vy, (ax, ay)]``: a block
+    over ``[pos, vel, (acc)]`` lands on the even indices for x and on the
+    odd ones for y, with no cross-axis terms.
+    """
+    m = 2 * len(block)
+    M = np.zeros((n, n))
+    M[0:m:2, 0:m:2] = block
+    M[1:m:2, 1:m:2] = block
+    return M
+
+
 def _linear_matrix(mm: ModelKind, T: float) -> np.ndarray:
+    """CV/CA transition matrix: the per-axis kinematic chain on both axes."""
     if mm is ModelKind.CV:
-        return np.array(
-            [[1, 0, T, 0],
-             [0, 1, 0, T],
-             [0, 0, 1, 0],
-             [0, 0, 0, 1]], dtype=float)
-    h = 0.5 * T * T
-    return np.array(
-        [[1, 0, T, 0, h, 0],
-         [0, 1, 0, T, 0, h],
-         [0, 0, 1, 0, T, 0],
-         [0, 0, 0, 1, 0, T],
-         [0, 0, 0, 0, 1, 0],
-         [0, 0, 0, 0, 0, 1]], dtype=float)
+        chain = np.array([[1.0, T], [0.0, 1.0]])
+    else:
+        chain = np.array([[1.0, T, 0.5 * T * T], [0.0, 1.0, T], [0.0, 0.0, 1.0]])
+    return _per_axis(chain, mm.state_dim)
 
 
 def _turn_coeffs(w: float, T: float) -> tuple[float, float, float, float]:
@@ -158,23 +179,10 @@ def process_noise(mm: ModelKind, T: float, sig: NoiseSigmas) -> np.ndarray:
     """
     T = _check_dt(T)
     if mm is ModelKind.CA:
-        g = np.array([0.5 * T * T, T, 1.0])
-        block = sig.jerk**2 * np.outer(g, g)  # [pos, vel, acc] per axis
-        Q = np.zeros((6, 6))
-        for i in range(3):
-            for j in range(3):
-                Q[2 * i, 2 * j] = block[i, j]
-                Q[2 * i + 1, 2 * j + 1] = block[i, j]
-        return Q
-
-    g = np.array([0.5 * T * T, T])
-    block = sig.accel**2 * np.outer(g, g)  # [pos, vel] per axis
-    n = mm.state_dim
-    Q = np.zeros((n, n))
-    for i in range(2):
-        for j in range(2):
-            Q[2 * i, 2 * j] = block[i, j]
-            Q[2 * i + 1, 2 * j + 1] = block[i, j]
+        g, sigma = np.array([0.5 * T * T, T, 1.0]), sig.jerk  # [pos, vel, acc] per axis
+    else:
+        g, sigma = np.array([0.5 * T * T, T]), sig.accel  # [pos, vel] per axis
+    Q = _per_axis(sigma**2 * np.outer(g, g), mm.state_dim)
     if mm is ModelKind.CT:
         Q[4, 4] = sig.omega**2 * T * T
     return Q
@@ -182,7 +190,4 @@ def process_noise(mm: ModelKind, T: float, sig: NoiseSigmas) -> np.ndarray:
 
 def measurement_matrix(mm: ModelKind) -> np.ndarray:
     """2 x state_dim selector of the (x, y) position components."""
-    H = np.zeros((2, mm.state_dim))
-    H[0, 0] = 1.0
-    H[1, 1] = 1.0
-    return H
+    return np.eye(2, mm.state_dim)

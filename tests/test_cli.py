@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uavtrack import tdoa
+from uavtrack import tdoa, trajgen
 from uavtrack.cli import main
 from uavtrack.dataio import write_position_log, TimedSample
 from uavtrack.geodesy import GeoPoint
@@ -96,6 +96,32 @@ class TestSimulate:
         assert "50 km" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "sim, message",
+        [
+            ({"noise_model": "gaussian"}, "unknown noise model"),
+            ({"rf_interval_ms": 1050}, "must be a multiple of truth_dt_ms"),
+            ({"truth_dt_ms": 0}, "truth_dt_ms must be positive"),
+        ],
+        ids=["noise_model", "interval_multiple", "zero_truth_dt"],
+    )
+    def test_bad_sim_config_rejected_before_truth(self, tmp_path, capsys, monkeypatch, sim, message):
+        def fail(*args, **kwargs):
+            pytest.fail("ground truth generated for a config that cannot be simulated")
+
+        monkeypatch.setattr(trajgen, "generate_truth", fail)
+        cfg = _write_config(tmp_path, sim=sim)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "simulate"]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_unknown_leg_sigma_key_rejected(self, tmp_path, capsys):
+        legs = [dict(LEGS[0], sigmas={"acel": 0.3}), *LEGS[1:]]
+        cfg = _write_config(tmp_path, sim={"legs": legs})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "simulate"]) == 1
+        assert "unknown sigma keys: ['acel']" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrack:
     def _simulate(self, tmp_path, **overrides):
@@ -143,6 +169,21 @@ class TestTrack:
         main(["--config", str(cfg), "--out", str(tmp_path / "r1"), "track"])
         main(["--config", str(cfg), "--out", str(tmp_path / "r2"), "track"])
         assert _read_bytes(tmp_path / "r1") == _read_bytes(tmp_path / "r2")
+
+    def test_skipped_segment_warns_once(self, tmp_path, caplog):
+        cfg = self._simulate(tmp_path)
+        seg_path = tmp_path / "data/segments.json"
+        segs = json.loads(seg_path.read_text())
+        segs[0]["end_idx"] = segs[0]["start_idx"]  # S1 keeps one pair
+        seg_path.write_text(json.dumps(segs))
+        run = tmp_path / "run"
+        with caplog.at_level(logging.WARNING):
+            assert main(["--config", str(cfg), "--out", str(run), "track"]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1 and "S1" in warnings[0]
+        summary = json.loads((run / "summary.json").read_text())
+        assert summary["warnings"] == 1
+        assert summary["n_segments_tracked"] == 2
 
     @pytest.mark.parametrize("threshold", ["0", "-1", "nan"])
     def test_bad_threshold_rejected(self, tmp_path, capsys, threshold):
@@ -235,3 +276,20 @@ class TestUtilities:
         out = tmp_path / "c.csv"
         assert main(["--threshold-m", "80", "clean", str(aligned), "--output", str(out)]) == 0
         assert sum(1 for _ in open(out)) - 1 == 2
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("t_ms,uav_x,uav_y,rf_x\n0,0,0,50\n", ":1: expected header"),
+            ("t_ms,uav_x,uav_y,rf_x,rf_y\n0,0,0,50,0\n1000,0,0,x70,0\n", ":3: could not convert"),
+            ("t_ms,uav_x,uav_y,rf_x,rf_y\n0,0,0,50,0\n1000,0,0,70\n", ":3: expected 5 fields"),
+        ],
+        ids=["missing_column", "non_numeric_field", "short_row"],
+    )
+    def test_clean_malformed_aligned_csv_names_line(self, tmp_path, capsys, text, where):
+        aligned = tmp_path / "a.csv"
+        aligned.write_text(text)
+        out = tmp_path / "c.csv"
+        assert main(["clean", str(aligned), "--output", str(out)]) == 1
+        assert f"{aligned}{where}" in capsys.readouterr().err
+        assert not out.exists()

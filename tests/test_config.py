@@ -1,0 +1,100 @@
+import json
+from pathlib import Path
+
+import pytest
+
+from uavtrack.config import ConfigError, RunConfig
+
+README_CONFIG = {
+    "sensors": {
+        "reference_idx": 0,
+        "sensors": [
+            {"x": -200.0, "y": -200.0}, {"x": 200.0, "y": -200.0},
+            {"x": -200.0, "y": 200.0}, {"x": 200.0, "y": 200.0},
+        ],
+    },
+    "sim": {
+        "seed": 7,
+        "sigma_t": 3.3e-9,
+        "legs": [
+            {"mm": "CT", "duration_s": 30, "omega": 0.2, "speed": 8},
+            {"mm": "CV", "duration_s": 20},
+            {"mm": "CA", "duration_s": 15, "accel": 0.5},
+        ],
+    },
+    "paths": {"truth": "data/truth.csv", "rf": "data/rf.csv", "segments": "data/segments.json"},
+}
+
+# one misspelled key per closed section, as (override, dotted name)
+TYPOS = [
+    ({"sim_": {}}, "sim_"),
+    ({"align": {"tol": 2}}, "align.tol"),
+    ({"clean": {"threshold": 50.0}}, "clean.threshold"),
+    ({"sim": {"sigma_tt": 1e-9}}, "sim.sigma_tt"),
+    ({"sim": {"start": {"x": 0.0, "z": 1.0}}}, "sim.start.z"),
+    ({"filter": {"vmax": 10.0}}, "filter.vmax"),
+    ({"filter": {"sigma_defaults": {"jerkk": 0.2}}}, "filter.sigma_defaults.jerkk"),
+    ({"paths": {"truths": "t.csv"}}, "paths.truths"),
+]
+
+
+def _write(tmp_path, data) -> Path:
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("override, key", TYPOS, ids=[k for _, k in TYPOS])
+def test_unknown_key_rejected_by_load(tmp_path, override, key):
+    path = _write(tmp_path, override)
+    with pytest.raises(ConfigError, match=rf"^{path}: unknown config keys: \['{key}'\]$"):
+        RunConfig.load(path)
+
+
+@pytest.mark.parametrize("override, key", TYPOS, ids=[k for _, k in TYPOS])
+def test_unknown_key_rejected_by_from_dict(override, key):
+    with pytest.raises(ConfigError, match=rf"unknown config keys: \['{key}'\]"):
+        RunConfig.from_dict(override)
+
+
+@pytest.mark.parametrize(
+    "override, where", [({"sim": 3}, "sim"), ({"sim": {"start": [0, 0]}}, "sim.start")], ids=["sim", "sim.start"]
+)
+def test_section_must_be_object(override, where):
+    with pytest.raises(ConfigError, match=rf"^{where} must be a JSON object$"):
+        RunConfig.from_dict(override)
+
+
+def test_top_level_must_be_object(tmp_path):
+    with pytest.raises(ConfigError, match="config must be a JSON object"):
+        RunConfig.load(_write(tmp_path, [1, 2]))
+
+
+def test_free_form_sections_accept_any_keys():
+    cfg = RunConfig.from_dict({
+        "origin": {"lat_deg": 35.8, "lon_deg": -78.7, "note": "field site"},
+        "sensors": {"sensors": [{"x": 0.0, "y": 0.0, "label": "a"}], "site": "b"},
+        "sim": {"legs": [{"mm": "CV", "duration_s": 5, "comment": "leg entries are not checked here"}]},
+    })
+    assert cfg.data["sensors"]["site"] == "b"
+    assert cfg.data["sim"]["legs"][0]["comment"].startswith("leg")
+
+
+def test_nested_override_keeps_sibling_defaults():
+    cfg = RunConfig.from_dict({"filter": {"sigma_defaults": {"jerk": 0.5}}, "sim": {"start": {"y": 3.0}}})
+    assert cfg.data["filter"]["sigma_defaults"] == {"accel": 0.2, "jerk": 0.5, "omega": 0.02}
+    assert cfg.data["filter"]["v_max"] == 20.0
+    assert cfg.data["sim"]["start"] == {"x": 0.0, "y": 3.0}
+
+
+def test_readme_config_loads(tmp_path):
+    cfg = RunConfig.load(_write(tmp_path, README_CONFIG))
+    assert cfg.data["sim"]["seed"] == 7
+
+
+@pytest.mark.parametrize("workload", ["tdoa_loiter", "dense_segments", "long_legs_10hz"])
+def test_benchmark_workload_configs_load(tmp_path, monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    RunConfig.load(_write(tmp_path, workloads.generate(workload, seed=1)))

@@ -167,3 +167,10 @@ class TestSegments:
         ])
         with pytest.raises(SegmentError, match="S1"):
             load_segments(p, K=30)
+
+    def test_unknown_sigma_key(self, tmp_path):
+        p = self._write_segments(tmp_path, [
+            {"id": "S1", "start_idx": 0, "end_idx": 10, "mm": "CV", "sigmas": {"acel": 0.5}},
+        ])
+        with pytest.raises(SegmentError, match=r"unknown sigma keys: \['acel'\]"):
+            load_segments(p, K=30)

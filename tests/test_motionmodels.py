@@ -146,3 +146,152 @@ class TestMeasurementMatrix:
         assert np.allclose(measurement_matrix(ModelKind.CV) @ [1, 2, 3, 4], [1, 2])
         assert np.allclose(measurement_matrix(ModelKind.CA) @ [1, 2, 3, 4, 5, 6], [1, 2])
         assert np.allclose(measurement_matrix(ModelKind.CT) @ [7, 8, 0, 0, 1], [7, 8])
+
+
+# CV/CA transition matrices and CV/CA/CT process-noise matrices, entry by
+# entry, for sigmas accel=0.3, jerk=0.7, omega=0.05. Each value is the
+# float the construction Q = sigma^2 * g g^T (g = [T^2/2, T] or
+# [T^2/2, T, 1] per axis, axes interleaved [x, y, vx, vy, (ax, ay)])
+# rounds to, so the comparison below is exact.
+FROZEN_SIGMAS = NoiseSigmas(accel=0.3, jerk=0.7, omega=0.05)
+FROZEN = {
+    0.1: {
+        "F_CV": [
+            [1.0, 0, 0.1, 0],
+            [0, 1.0, 0, 0.1],
+            [0, 0, 1.0, 0],
+            [0, 0, 0, 1.0],
+        ],
+        "F_CA": [
+            [1.0, 0, 0.1, 0, 0.005000000000000001, 0],
+            [0, 1.0, 0, 0.1, 0, 0.005000000000000001],
+            [0, 0, 1.0, 0, 0.1, 0],
+            [0, 0, 0, 1.0, 0, 0.1],
+            [0, 0, 0, 0, 1.0, 0],
+            [0, 0, 0, 0, 0, 1.0],
+        ],
+        "Q_CV": [
+            [2.250000000000001e-06, 0, 4.500000000000001e-05, 0],
+            [0, 2.250000000000001e-06, 0, 4.500000000000001e-05],
+            [4.500000000000001e-05, 0, 0.0009000000000000002, 0],
+            [0, 4.500000000000001e-05, 0, 0.0009000000000000002],
+        ],
+        "Q_CA": [
+            [1.2250000000000005e-05, 0, 0.00024500000000000005, 0, 0.0024500000000000004, 0],
+            [0, 1.2250000000000005e-05, 0, 0.00024500000000000005, 0, 0.0024500000000000004],
+            [0.00024500000000000005, 0, 0.004900000000000001, 0, 0.048999999999999995, 0],
+            [0, 0.00024500000000000005, 0, 0.004900000000000001, 0, 0.048999999999999995],
+            [0.0024500000000000004, 0, 0.048999999999999995, 0, 0.48999999999999994, 0],
+            [0, 0.0024500000000000004, 0, 0.048999999999999995, 0, 0.48999999999999994],
+        ],
+        "Q_CT": [
+            [2.250000000000001e-06, 0, 4.500000000000001e-05, 0, 0],
+            [0, 2.250000000000001e-06, 0, 4.500000000000001e-05, 0],
+            [4.500000000000001e-05, 0, 0.0009000000000000002, 0, 0],
+            [0, 4.500000000000001e-05, 0, 0.0009000000000000002, 0],
+            [0, 0, 0, 0, 2.5000000000000008e-05],
+        ],
+    },
+    1.0: {
+        "F_CV": [
+            [1.0, 0, 1.0, 0],
+            [0, 1.0, 0, 1.0],
+            [0, 0, 1.0, 0],
+            [0, 0, 0, 1.0],
+        ],
+        "F_CA": [
+            [1.0, 0, 1.0, 0, 0.5, 0],
+            [0, 1.0, 0, 1.0, 0, 0.5],
+            [0, 0, 1.0, 0, 1.0, 0],
+            [0, 0, 0, 1.0, 0, 1.0],
+            [0, 0, 0, 0, 1.0, 0],
+            [0, 0, 0, 0, 0, 1.0],
+        ],
+        "Q_CV": [
+            [0.0225, 0, 0.045, 0],
+            [0, 0.0225, 0, 0.045],
+            [0.045, 0, 0.09, 0],
+            [0, 0.045, 0, 0.09],
+        ],
+        "Q_CA": [
+            [0.12249999999999998, 0, 0.24499999999999997, 0, 0.24499999999999997, 0],
+            [0, 0.12249999999999998, 0, 0.24499999999999997, 0, 0.24499999999999997],
+            [0.24499999999999997, 0, 0.48999999999999994, 0, 0.48999999999999994, 0],
+            [0, 0.24499999999999997, 0, 0.48999999999999994, 0, 0.48999999999999994],
+            [0.24499999999999997, 0, 0.48999999999999994, 0, 0.48999999999999994, 0],
+            [0, 0.24499999999999997, 0, 0.48999999999999994, 0, 0.48999999999999994],
+        ],
+        "Q_CT": [
+            [0.0225, 0, 0.045, 0, 0],
+            [0, 0.0225, 0, 0.045, 0],
+            [0.045, 0, 0.09, 0, 0],
+            [0, 0.045, 0, 0.09, 0],
+            [0, 0, 0, 0, 0.0025000000000000005],
+        ],
+    },
+    2.5: {
+        "F_CV": [
+            [1.0, 0, 2.5, 0],
+            [0, 1.0, 0, 2.5],
+            [0, 0, 1.0, 0],
+            [0, 0, 0, 1.0],
+        ],
+        "F_CA": [
+            [1.0, 0, 2.5, 0, 3.125, 0],
+            [0, 1.0, 0, 2.5, 0, 3.125],
+            [0, 0, 1.0, 0, 2.5, 0],
+            [0, 0, 0, 1.0, 0, 2.5],
+            [0, 0, 0, 0, 1.0, 0],
+            [0, 0, 0, 0, 0, 1.0],
+        ],
+        "Q_CV": [
+            [0.87890625, 0, 0.703125, 0],
+            [0, 0.87890625, 0, 0.703125],
+            [0.703125, 0, 0.5625, 0],
+            [0, 0.703125, 0, 0.5625],
+        ],
+        "Q_CA": [
+            [4.785156249999999, 0, 3.8281249999999996, 0, 1.5312499999999998, 0],
+            [0, 4.785156249999999, 0, 3.8281249999999996, 0, 1.5312499999999998],
+            [3.8281249999999996, 0, 3.0624999999999996, 0, 1.2249999999999999, 0],
+            [0, 3.8281249999999996, 0, 3.0624999999999996, 0, 1.2249999999999999],
+            [1.5312499999999998, 0, 1.2249999999999999, 0, 0.48999999999999994, 0],
+            [0, 1.5312499999999998, 0, 1.2249999999999999, 0, 0.48999999999999994],
+        ],
+        "Q_CT": [
+            [0.87890625, 0, 0.703125, 0, 0],
+            [0, 0.87890625, 0, 0.703125, 0],
+            [0.703125, 0, 0.5625, 0, 0],
+            [0, 0.703125, 0, 0.5625, 0],
+            [0, 0, 0, 0, 0.015625000000000003],
+        ],
+    },
+}
+FROZEN_H = {
+    ModelKind.CV: [[1.0, 0, 0, 0], [0, 1.0, 0, 0]],
+    ModelKind.CA: [[1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0]],
+    ModelKind.CT: [[1.0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0]],
+}
+
+
+class TestFrozenMatrices:
+    @pytest.mark.parametrize("T", sorted(FROZEN))
+    @pytest.mark.parametrize("mm", [ModelKind.CV, ModelKind.CA])
+    def test_transition_matrix(self, mm, T):
+        rng = np.random.default_rng(2)
+        F = jacobian(mm, rng.normal(0, 10, mm.state_dim), T)
+        assert F.dtype == float
+        assert np.array_equal(F, FROZEN[T][f"F_{mm.value}"])
+
+    @pytest.mark.parametrize("T", sorted(FROZEN))
+    @pytest.mark.parametrize("mm", ALL_MODELS)
+    def test_process_noise(self, mm, T):
+        Q = process_noise(mm, T, FROZEN_SIGMAS)
+        assert Q.dtype == float
+        assert np.array_equal(Q, FROZEN[T][f"Q_{mm.value}"])
+
+    @pytest.mark.parametrize("mm", ALL_MODELS)
+    def test_measurement_matrix(self, mm):
+        H = measurement_matrix(mm)
+        assert H.dtype == float
+        assert np.array_equal(H, FROZEN_H[mm])
