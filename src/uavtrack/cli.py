@@ -19,7 +19,7 @@ import numpy as np
 from . import dataio, ekf, metrics, tdoa, trajgen
 from .config import ConfigError, RunConfig
 from .dataio import AlignedPair, Segment, TimedSample
-from .geodesy import EnuPoint, GeoPoint, from_enu
+from .geodesy import EnuPoint, GeoPoint, from_enu_array, to_enu_array
 from .motionmodels import NoiseSigmas
 
 log = logging.getLogger("uavtrack")
@@ -44,24 +44,24 @@ def _write_lines(path, lines: Sequence[str]) -> None:
             f.write(line + "\n")
 
 
-def _to_geo(samples: Sequence[TimedSample], origin: GeoPoint) -> list[TimedSample]:
-    return [TimedSample(s.t_ms, from_enu(s.pos, origin)) for s in samples]
-
-
-def _resolve_origin(cfg: RunConfig, uav_geo: Sequence[TimedSample]) -> GeoPoint:
-    return cfg.origin() or uav_geo[0].pos
+def _to_geo_columns(samples: Sequence[TimedSample], origin: GeoPoint) -> tuple[list[int], np.ndarray]:
+    """Timestamps and geodetic ``(lat_deg, lon_deg)`` rows of local-frame samples."""
+    xy = np.array([(s.pos.x, s.pos.y) for s in samples], dtype=float).reshape(-1, 2)
+    return [s.t_ms for s in samples], from_enu_array(xy, origin)
 
 
 def _aligned_pairs(cfg: RunConfig, uav_path, rf_path) -> tuple[list[AlignedPair], GeoPoint]:
     """Parse both logs, move them to the local frame and timestamp-match them."""
-    uav_geo = dataio.parse_position_log(uav_path)
-    rf_geo = dataio.parse_position_log(rf_path)
-    origin = _resolve_origin(cfg, uav_geo)
-    pairs = dataio.align(
-        dataio.to_local(uav_geo, origin),
-        dataio.to_local(rf_geo, origin),
-        int(cfg.data["align"]["tol_ms"]),
-    )
+    uav_t, uav_geo = dataio.parse_position_log(uav_path)
+    rf_t, rf_geo = dataio.parse_position_log(rf_path)
+    origin = cfg.origin() or GeoPoint(*uav_geo[0].tolist())
+    uav_xy = to_enu_array(uav_geo, origin)
+    rf_xy = to_enu_array(rf_geo, origin)
+    rf_idx, uav_idx = dataio.match_times(uav_t, rf_t, int(cfg.data["align"]["tol_ms"]))
+    pairs = [
+        AlignedPair(t, EnuPoint(*u), EnuPoint(*r))
+        for t, u, r in zip(rf_t[rf_idx].tolist(), uav_xy[uav_idx].tolist(), rf_xy[rf_idx].tolist())
+    ]
     return pairs, origin
 
 
@@ -104,7 +104,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     if sim["noise_model"] not in ("position", "tdoa"):
         raise RunError(f"unknown noise model: {sim['noise_model']!r}")
     legs = [trajgen.leg_from_dict(d) for d in leg_dicts]
+    sigma_defaults = cfg.data["filter"]["sigma_defaults"]
+    for leg, leg_dict in zip(legs, leg_dicts):  # segments use them only after the flight
+        _leg_sigmas(leg_dict, leg, sigma_defaults)
     origin = cfg.sim_origin()
+    arr = cfg.sensor_array(origin) if sim["noise_model"] == "tdoa" else None
 
     start = EnuPoint(float(sim["start"]["x"]), float(sim["start"]["y"]))
     truth, boundaries = trajgen.generate_truth(
@@ -114,7 +118,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
         speed=float(sim["speed"]),
         dt_ms=dt_ms,
     )
-    truth_geo = _to_geo(truth, origin)  # fails past the 50 km limit before the RF simulation
+    truth_geo = _to_geo_columns(truth, origin)  # fails past the 50 km limit before the RF simulation
     seed = int(sim["seed"])
     if sim["noise_model"] == "position":
         rf, dropped = tdoa.position_noise_flight(
@@ -122,7 +126,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
             float(sim["outlier_rate"]), float(sim["outlier_max_m"]),
         )
     else:
-        arr = cfg.sensor_array(origin)
         rf, dropped = tdoa.simulate_flight(
             truth, arr, float(sim["sigma_t"]), seed,
             decimate_ms=interval,
@@ -130,13 +133,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
             outlier_max_m=float(sim["outlier_max_m"]),
         )
 
-    segments = _segments_from_boundaries(
-        boundaries, leg_dicts, interval // dt_ms, cfg.data["filter"]["sigma_defaults"]
-    )
+    rf_geo = _to_geo_columns(rf, origin)
+    segments = _segments_from_boundaries(boundaries, leg_dicts, interval // dt_ms, sigma_defaults)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataio.write_position_log(out_dir / "truth.csv", truth_geo)
-    dataio.write_position_log(out_dir / "rf.csv", _to_geo(rf, origin))
+    dataio.write_position_log(out_dir / "truth.csv", *truth_geo)
+    dataio.write_position_log(out_dir / "rf.csv", *rf_geo)
     dataio.write_segments(out_dir / "segments.json", segments)
     dataio.write_json(out_dir / "resolved_config.json", cfg.data)
     return {
@@ -180,16 +182,16 @@ def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False) -> dict:
     all_rf = metrics.euclidean_errors([p.uav for p in kept], [p.rf for p in kept])
     rf_err: dict[str, np.ndarray] = {}
     ekf_err: dict[str, np.ndarray] = {}
-    track_lines = ["t_ms,segment,x,y,lat_deg,lon_deg"]
     for seg, track in results:
         sl = dataio.segment_slice(seg, kept_idx)
         rf_err[seg.id] = all_rf[sl]
         ekf_err[seg.id] = metrics.euclidean_errors([p.uav for p in kept[sl]], [tp.pos for tp in track])
-        for tp in track:
-            g = from_enu(tp.pos, origin)
-            track_lines.append(
-                f"{tp.t_ms},{seg.id},{tp.pos.x:.6f},{tp.pos.y:.6f},{g.lat_deg:.10f},{g.lon_deg:.10f}"
-            )
+    points = [(seg.id, tp) for seg, track in results for tp in track]
+    xy = np.array([(tp.pos.x, tp.pos.y) for _, tp in points], dtype=float).reshape(-1, 2)
+    track_lines = ["t_ms,segment,x,y,lat_deg,lon_deg"] + [
+        f"{tp.t_ms},{sid},{tp.pos.x:.6f},{tp.pos.y:.6f},{lat:.10f},{lon:.10f}"
+        for (sid, tp), (lat, lon) in zip(points, from_enu_array(xy, origin).tolist())
+    ]
 
     rows = metrics.segment_report(segments, rf_err, ekf_err)
     all_ekf = np.concatenate([ekf_err[s.id] for s, _ in results]) if results else np.array([])
@@ -248,14 +250,11 @@ def cmd_evaluate(
 
 
 def cmd_convert(input_path, out_path, cfg: RunConfig) -> dict:
-    samples = dataio.parse_position_log(input_path)
-    origin = _resolve_origin(cfg, samples)
-    local = dataio.to_local(samples, origin)
-    lines = ["t_ms,x,y"]
-    for s in local:
-        lines.append(f"{s.t_ms},{s.pos.x:.6f},{s.pos.y:.6f}")
-    _write_lines(out_path, lines)
-    return {"command": "convert", "n": len(samples)}
+    t_ms, latlon = dataio.parse_position_log(input_path)
+    xy = to_enu_array(latlon, cfg.origin() or GeoPoint(*latlon[0].tolist()))
+    lines = [f"{t},{x:.6f},{y:.6f}" for t, (x, y) in zip(t_ms.tolist(), xy.tolist())]
+    _write_lines(out_path, ["t_ms,x,y"] + lines)
+    return {"command": "convert", "n": len(t_ms)}
 
 
 def cmd_align(uav_path, rf_path, out_path, cfg: RunConfig) -> dict:

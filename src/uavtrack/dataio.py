@@ -14,11 +14,11 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence, Union
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .geodesy import EnuPoint, GeoPoint, to_enu
+from .geodesy import EnuPoint, GeoPoint
 from .motionmodels import ModelKind, NoiseSigmas
 
 log = logging.getLogger(__name__)
@@ -46,7 +46,7 @@ class SegmentError(ValueError):
 @dataclass(frozen=True)
 class TimedSample:
     t_ms: int
-    pos: Union[GeoPoint, EnuPoint]
+    pos: EnuPoint
 
 
 @dataclass(frozen=True)
@@ -98,34 +98,52 @@ def _csv_rows(
             yield line_no, item
 
 
-def _timed_sample(r: list[str]) -> TimedSample:
-    return TimedSample(int(r[0]), GeoPoint(float(r[1]), float(r[2])))
+def _geo_row(r: list[str]) -> tuple[int, float, float]:
+    t_ms, lat, lon = int(r[0]), float(r[1]), float(r[2])
+    if not -(2**63) <= t_ms < 2**63:
+        raise ValueError(f"timestamp {t_ms} outside the int64 range")
+    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        GeoPoint(lat, lon)  # raises GeodesyError naming the bad coordinate
+    return t_ms, lat, lon
 
 
 def _aligned_pair(r: list[str]) -> AlignedPair:
     return AlignedPair(int(r[0]), EnuPoint(float(r[1]), float(r[2])), EnuPoint(float(r[3]), float(r[4])))
 
 
-def parse_position_log(path) -> list[TimedSample]:
-    """Geodetic position log (ground truth or RF estimates), sorted by time."""
+def parse_position_log(path) -> tuple[np.ndarray, np.ndarray]:
+    """Geodetic position log (ground truth or RF estimates), sorted by time.
+
+    Returns ``t_ms`` (int64, shape (K,), strictly increasing) and ``latlon``
+    (degrees, shape (K, 2)). Of rows sharing a timestamp the first is kept
+    and each later one logs a warning.
+    """
     path = Path(path)
-    samples: dict[int, TimedSample] = {}
-    for line_no, sample in _csv_rows(path, LOG_HEADER, _timed_sample):
-        if sample.t_ms in samples:
-            log.warning("%s:%d: duplicate timestamp %d, keeping first", path, line_no, sample.t_ms)
+    t_ms: list[int] = []
+    latlon: list[tuple[float, float]] = []
+    seen: set[int] = set()
+    for line_no, (t, lat, lon) in _csv_rows(path, LOG_HEADER, _geo_row):
+        if t in seen:
+            log.warning("%s:%d: duplicate timestamp %d, keeping first", path, line_no, t)
             continue
-        samples[sample.t_ms] = sample
-    if not samples:
+        seen.add(t)
+        t_ms.append(t)
+        latlon.append((lat, lon))
+    if not t_ms:
         raise EmptyInputError(f"{path}: no data rows")
-    return [samples[t] for t in sorted(samples)]
+    t = np.array(t_ms, dtype=np.int64)
+    order = np.argsort(t)
+    return t[order], np.array(latlon, dtype=float)[order]
 
 
-def write_position_log(path, samples: Sequence[TimedSample]) -> None:
-    """Write geodetic samples in the standard log schema (deterministic bytes)."""
+def write_position_log(path, t_ms: np.ndarray, latlon: np.ndarray) -> None:
+    """Write ``t_ms`` (K,) and geodetic ``latlon`` (K, 2) in the standard log schema (deterministic bytes)."""
     with open(path, "w", newline="\n", encoding="utf-8") as f:
         f.write(",".join(LOG_HEADER) + "\n")
-        for s in samples:
-            f.write(f"{s.t_ms},{s.pos.lat_deg:.10f},{s.pos.lon_deg:.10f}\n")
+        f.writelines(
+            f"{t},{lat:.10f},{lon:.10f}\n"
+            for t, (lat, lon) in zip(np.asarray(t_ms).tolist(), np.asarray(latlon).tolist())
+        )
 
 
 def parse_aligned_log(path) -> list[AlignedPair]:
@@ -141,34 +159,41 @@ def write_aligned_log(path, pairs: Sequence[AlignedPair]) -> None:
             f.write(f"{p.t_ms},{p.uav.x:.6f},{p.uav.y:.6f},{p.rf.x:.6f},{p.rf.y:.6f}\n")
 
 
-def to_local(samples: Sequence[TimedSample], origin: GeoPoint) -> list[TimedSample]:
-    """Convert geodetic samples to the local east/north frame."""
-    return [TimedSample(s.t_ms, to_enu(s.pos, origin)) for s in samples]
+def match_times(uav_t: np.ndarray, rf_t: np.ndarray, tol_ms: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Match each RF timestamp to the nearest unused UAV timestamp within ``tol_ms``.
+
+    Both arrays must be sorted. RF samples are taken in order; each picks,
+    among the UAV samples within ``tol_ms`` that no earlier RF sample took,
+    the nearest one, the lower index on a tie, and goes unmatched if there
+    is none. Returns ``(rf_idx, uav_idx)``, int arrays of the matched
+    positions with ``rf_idx`` ascending.
+    """
+    if tol_ms < 0:
+        raise ValueError(f"tol_ms must be >= 0, got {tol_ms}")
+    uav_t = np.asarray(uav_t, dtype=np.int64)
+    rf_t = np.asarray(rf_t, dtype=np.int64)
+    lo = np.searchsorted(uav_t, rf_t - tol_ms, side="left").tolist()
+    hi = np.searchsorted(uav_t, rf_t + tol_ms, side="right").tolist()
+    ut = uav_t.tolist()
+    used: set[int] = set()
+    rf_idx: list[int] = []
+    uav_idx: list[int] = []
+    for i, t in enumerate(rf_t.tolist()):
+        free = [(abs(ut[j] - t), j) for j in range(lo[i], hi[i]) if j not in used]
+        if free:
+            j = min(free)[1]
+            used.add(j)
+            rf_idx.append(i)
+            uav_idx.append(j)
+    return np.array(rf_idx, dtype=np.intp), np.array(uav_idx, dtype=np.intp)
 
 
 def align(
     uav: Sequence[TimedSample], rf: Sequence[TimedSample], tol_ms: int = 1
 ) -> list[AlignedPair]:
-    """Match each RF sample to the nearest UAV sample within ``tol_ms``.
-
-    RF samples without a match are dropped; each UAV sample is used at
-    most once. Inputs must be sorted by timestamp and in the local frame.
-    """
-    if tol_ms < 0:
-        raise ValueError(f"tol_ms must be >= 0, got {tol_ms}")
-    uav_t = [s.t_ms for s in uav]
-    used: set[int] = set()
-    pairs: list[AlignedPair] = []
-    for r in rf:
-        lo = bisect.bisect_left(uav_t, r.t_ms - tol_ms)
-        hi = bisect.bisect_right(uav_t, r.t_ms + tol_ms)
-        candidates = sorted((abs(uav_t[j] - r.t_ms), j) for j in range(lo, hi))
-        for _, j in candidates:
-            if j not in used:
-                used.add(j)
-                pairs.append(AlignedPair(r.t_ms, uav=uav[j].pos, rf=r.pos))
-                break
-    return pairs
+    """:func:`match_times` over in-memory samples, sorted by time and in the local frame."""
+    rf_idx, uav_idx = match_times([s.t_ms for s in uav], [s.t_ms for s in rf], tol_ms)
+    return [AlignedPair(rf[i].t_ms, uav=uav[j].pos, rf=rf[i].pos) for i, j in zip(rf_idx, uav_idx)]
 
 
 def kept_indices(

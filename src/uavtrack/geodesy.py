@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # WGS-84 ellipsoid
 _A = 6378137.0
 _F = 1.0 / 298.257223563
@@ -125,3 +127,54 @@ def from_enu(p: EnuPoint, origin: GeoPoint) -> GeoPoint:
     x, y, z = s[0] + u * up[0], s[1] + u * up[1], s[2] + u * up[2]
     lat = math.atan2(z, (1.0 - _E2) * math.hypot(x, y))
     return GeoPoint(math.degrees(lat), math.degrees(math.atan2(y, x)))
+
+
+def to_enu_array(latlon: np.ndarray, origin: GeoPoint) -> np.ndarray:
+    """:func:`to_enu` of every ``(lat_deg, lon_deg)`` row of ``latlon``, shape (K, 2).
+
+    Same arithmetic in the same order as the scalar form, with the origin
+    frame computed once; the rows must be valid geodetic coordinates (as
+    :func:`uavtrack.dataio.parse_position_log` returns them).
+    """
+    x0, east, north, _ = _origin_frame(origin)
+    lat = np.radians(latlon[:, 0])
+    lon = np.radians(latlon[:, 1])
+    sin_lat, cos_lat = np.sin(lat), np.cos(lat)
+    n = _A / np.sqrt(1.0 - _E2 * sin_lat * sin_lat)
+    dx = n * cos_lat * np.cos(lon) - x0[0]
+    dy = n * cos_lat * np.sin(lon) - x0[1]
+    dz = n * (1.0 - _E2) * sin_lat - x0[2]
+    enu = np.column_stack([east[0] * dx + east[1] * dy, north[0] * dx + north[1] * dy + north[2] * dz])
+    if np.any(np.hypot(enu[:, 0], enu[:, 1]) > MAX_RANGE_M):
+        raise GeodesyError(f"points separated by more than {MAX_RANGE_M / 1000:.0f} km")
+    if not np.isfinite(enu).all():
+        raise GeodesyError("non-finite ENU coordinate")
+    return enu
+
+
+def from_enu_array(xy: np.ndarray, origin: GeoPoint) -> np.ndarray:
+    """:func:`from_enu` of every ``(x, y)`` row of ``xy``: ``(lat_deg, lon_deg)`` rows, shape (K, 2).
+
+    The closed form of the scalar function with the origin frame computed
+    once. ``hypot`` and ``atan2`` run element by element through :mod:`math`,
+    whose results numpy's vectorised versions miss by an ulp, so each row
+    is bit-identical to the scalar form and written logs do not change.
+    """
+    if not np.isfinite(xy).all():
+        raise GeodesyError("non-finite ENU coordinate")
+    if np.any(np.hypot(xy[:, 0], xy[:, 1]) > MAX_RANGE_M):
+        raise GeodesyError(f"offset exceeds {MAX_RANGE_M / 1000:.0f} km")
+
+    x0, east, north, up = _origin_frame(origin)
+    e, n = xy[:, 0], xy[:, 1]
+    d = (e * east[0] + n * north[0], e * east[1] + n * north[1], e * east[2] + n * north[2])
+    s = (x0[0] + d[0], x0[1] + d[1], x0[2] + d[2])
+    a = _ellipsoid_dot(up, up)
+    b = 2.0 * _ellipsoid_dot(s, up)
+    c = _ellipsoid_dot(d, d)
+    u = -2.0 * c / (b + np.sqrt(b * b - 4.0 * a * c))
+    x, y, z = (s[0] + u * up[0]).tolist(), (s[1] + u * up[1]).tolist(), (s[2] + u * up[2]).tolist()
+    horiz = (1.0 - _E2) * np.array(list(map(math.hypot, x, y)))
+    lat = np.array(list(map(math.atan2, z, horiz.tolist())))
+    lon = np.array(list(map(math.atan2, y, x)))
+    return np.column_stack([np.degrees(lat), np.degrees(lon)])

@@ -8,7 +8,7 @@ import pytest
 
 from uavtrack import tdoa, trajgen
 from uavtrack.cli import main
-from uavtrack.dataio import write_position_log, TimedSample
+from uavtrack.dataio import write_position_log
 from uavtrack.geodesy import GeoPoint
 
 LEGS = [
@@ -102,8 +102,9 @@ class TestSimulate:
             ({"noise_model": "gaussian"}, "unknown noise model"),
             ({"rf_interval_ms": 1050}, "must be a multiple of truth_dt_ms"),
             ({"truth_dt_ms": 0}, "truth_dt_ms must be positive"),
+            ({"legs": [*LEGS[:-1], dict(LEGS[-1], sigmas={"acel": 0.3})]}, "unknown sigma keys: ['acel']"),
         ],
-        ids=["noise_model", "interval_multiple", "zero_truth_dt"],
+        ids=["noise_model", "interval_multiple", "zero_truth_dt", "last_leg_sigma"],
     )
     def test_bad_sim_config_rejected_before_truth(self, tmp_path, capsys, monkeypatch, sim, message):
         def fail(*args, **kwargs):
@@ -113,6 +114,19 @@ class TestSimulate:
         cfg = _write_config(tmp_path, sim=sim)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "simulate"]) == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_tdoa_without_sensors_rejected_before_truth(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            pytest.fail("ground truth generated for a TDoA config with no sensor array")
+
+        monkeypatch.setattr(trajgen, "generate_truth", fail)
+        cfg = _write_config(tmp_path)
+        data = json.loads(cfg.read_text())
+        del data["sensors"]
+        cfg.write_text(json.dumps(data))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "simulate"]) == 1
+        assert "config has no sensor array" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_unknown_leg_sigma_key_rejected(self, tmp_path, capsys):
@@ -196,20 +210,16 @@ class TestTrack:
 class TestEvaluate:
     def _logs(self, tmp_path, shift=(0.0, 0.0)):
         origin = GeoPoint(35.8, -78.7)
-        truth = [TimedSample(1000 * k, GeoPoint(35.8 + 1e-5 * k, -78.7)) for k in range(20)]
-        write_position_log(tmp_path / "truth.csv", truth)
+        t_ms = [1000 * k for k in range(20)]
+        truth = np.array([(35.8 + 1e-5 * k, -78.7) for k in range(20)])
+        write_position_log(tmp_path / "truth.csv", t_ms, truth)
         if shift == (0.0, 0.0):
             est = truth
         else:
-            from uavtrack.geodesy import from_enu, to_enu
+            from uavtrack.geodesy import from_enu_array, to_enu_array
 
-            est = []
-            for s in truth:
-                e = to_enu(s.pos, origin)
-                from uavtrack.geodesy import EnuPoint
-
-                est.append(TimedSample(s.t_ms, from_enu(EnuPoint(e.x + shift[0], e.y + shift[1]), origin)))
-        write_position_log(tmp_path / "est.csv", est)
+            est = from_enu_array(to_enu_array(truth, origin) + shift, origin)
+        write_position_log(tmp_path / "est.csv", t_ms, est)
 
     def test_identical_logs_zero_stats(self, tmp_path):
         self._logs(tmp_path)
@@ -228,8 +238,7 @@ class TestEvaluate:
 
 
 def test_main_leaves_root_handlers_unchanged(tmp_path):
-    truth = [TimedSample(1000 * k, GeoPoint(35.8, -78.7)) for k in range(3)]
-    write_position_log(tmp_path / "truth.csv", truth)
+    write_position_log(tmp_path / "truth.csv", [1000 * k for k in range(3)], [(35.8, -78.7)] * 3)
     args = ["convert", str(tmp_path / "truth.csv"), "--output", str(tmp_path / "local.csv")]
     main(args)  # the first call may install the basicConfig handler
     before = list(logging.getLogger().handlers)
@@ -240,8 +249,8 @@ def test_main_leaves_root_handlers_unchanged(tmp_path):
 
 class TestUtilities:
     def test_convert(self, tmp_path):
-        truth = [TimedSample(1000 * k, GeoPoint(35.8 + 1e-5 * k, -78.7)) for k in range(5)]
-        write_position_log(tmp_path / "truth.csv", truth)
+        write_position_log(tmp_path / "truth.csv", [1000 * k for k in range(5)],
+                           [(35.8 + 1e-5 * k, -78.7) for k in range(5)])
         out = tmp_path / "local.csv"
         assert main(["convert", str(tmp_path / "truth.csv"), "--output", str(out)]) == 0
         with open(out) as f:
@@ -250,10 +259,10 @@ class TestUtilities:
         assert float(rows[1]["y"]) == pytest.approx(1.11, abs=0.01)
 
     def test_align_and_clean(self, tmp_path):
-        truth = [TimedSample(1000 * k, GeoPoint(35.8 + 1e-5 * k, -78.7)) for k in range(10)]
-        est = [TimedSample(1000 * k, GeoPoint(35.8 + 1e-5 * k, -78.7 + 1e-3)) for k in range(0, 10, 2)]
-        write_position_log(tmp_path / "truth.csv", truth)
-        write_position_log(tmp_path / "est.csv", est)
+        write_position_log(tmp_path / "truth.csv", [1000 * k for k in range(10)],
+                           [(35.8 + 1e-5 * k, -78.7) for k in range(10)])
+        write_position_log(tmp_path / "est.csv", [1000 * k for k in range(0, 10, 2)],
+                           [(35.8 + 1e-5 * k, -78.7 + 1e-3) for k in range(0, 10, 2)])
         aligned = tmp_path / "aligned.csv"
         assert main(["align", "--uav", str(tmp_path / "truth.csv"), "--rf", str(tmp_path / "est.csv"),
                      "--output", str(aligned)]) == 0
@@ -268,8 +277,7 @@ class TestUtilities:
 
     def test_clean_custom_threshold(self, tmp_path):
         self_test = TestUtilities()
-        truth = [TimedSample(1000 * k, GeoPoint(35.8, -78.7)) for k in range(3)]
-        write_position_log(tmp_path / "t.csv", truth)
+        write_position_log(tmp_path / "t.csv", [1000 * k for k in range(3)], [(35.8, -78.7)] * 3)
         # duplicate timestamps collapse; just check the flag plumbs through
         aligned = tmp_path / "a.csv"
         aligned.write_text("t_ms,uav_x,uav_y,rf_x,rf_y\n0,0,0,50,0\n1000,0,0,70,0\n")

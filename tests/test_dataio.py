@@ -1,6 +1,8 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from uavtrack.dataio import (
     AlignedPair,
@@ -11,6 +13,7 @@ from uavtrack.dataio import (
     align,
     clean,
     load_segments,
+    match_times,
     parse_position_log,
     write_position_log,
 )
@@ -30,13 +33,13 @@ def _enu(t_ms, x, y):
 class TestParsing:
     def test_well_formed_rows(self, tmp_path):
         p = _write(tmp_path / "a.csv", "t_ms,lat_deg,lon_deg\n100,35.8,-78.7\n200,35.81,-78.71\n300,35.82,-78.72\n")
-        samples = parse_position_log(p)
-        assert [s.t_ms for s in samples] == [100, 200, 300]
-        assert samples[0].pos == GeoPoint(35.8, -78.7)
+        t_ms, latlon = parse_position_log(p)
+        assert t_ms.tolist() == [100, 200, 300]
+        assert GeoPoint(*latlon[0]) == GeoPoint(35.8, -78.7)
 
     def test_out_of_order_rows_sorted(self, tmp_path):
         p = _write(tmp_path / "a.csv", "t_ms,lat_deg,lon_deg\n300,35.8,-78.7\n100,35.81,-78.71\n")
-        assert [s.t_ms for s in parse_position_log(p)] == [100, 300]
+        assert parse_position_log(p)[0].tolist() == [100, 300]
 
     def test_bad_latitude_names_line(self, tmp_path):
         p = _write(tmp_path / "a.csv", "t_ms,lat_deg,lon_deg\n100,35.8,-78.7\n200,91.0,-78.7\n")
@@ -58,15 +61,16 @@ class TestParsing:
 
     def test_duplicate_timestamps_keep_first(self, tmp_path):
         p = _write(tmp_path / "a.csv", "t_ms,lat_deg,lon_deg\n100,35.8,-78.7\n100,35.9,-78.7\n")
-        samples = parse_position_log(p)
-        assert len(samples) == 1
-        assert samples[0].pos.lat_deg == 35.8
+        t_ms, latlon = parse_position_log(p)
+        assert len(t_ms) == 1
+        assert latlon[0, 0] == 35.8
 
     def test_write_read_round_trip(self, tmp_path):
-        samples = [TimedSample(100, GeoPoint(35.8, -78.7)), TimedSample(200, GeoPoint(35.81, -78.71))]
+        t_ms, latlon = np.array([100, 200]), np.array([(35.8, -78.7), (35.81, -78.71)])
         p = tmp_path / "log.csv"
-        write_position_log(p, samples)
-        assert parse_position_log(p) == samples
+        write_position_log(p, t_ms, latlon)
+        back_t, back_latlon = parse_position_log(p)
+        assert back_t.tolist() == t_ms.tolist() and back_latlon.tolist() == latlon.tolist()
 
 
 class TestAlign:
@@ -101,6 +105,39 @@ class TestAlign:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             align([], [], tol_ms=-1)
+
+
+def _greedy_match(uav_t, rf_t, tol_ms):
+    """Brute force: each RF sample in order takes the nearest unused UAV sample in the window."""
+    used = set()
+    pairs = []
+    for i, t in enumerate(rf_t):
+        free = [(abs(u - t), j) for j, u in enumerate(uav_t) if abs(u - t) <= tol_ms and j not in used]
+        if free:
+            j = min(free)[1]  # lower index on a tie
+            used.add(j)
+            pairs.append((i, j))
+    return pairs
+
+
+_times = st.lists(st.integers(0, 3000), unique=True, max_size=60).map(sorted)
+# in-memory sample lists given to align may repeat a timestamp
+_times_with_repeats = st.lists(st.integers(0, 300).map(lambda k: 10 * k), max_size=60).map(sorted)
+
+
+class TestMatchTimes:
+    @settings(max_examples=300, deadline=None)
+    @given(uav_t=st.one_of(_times, _times_with_repeats), rf_t=_times, tol_ms=st.integers(0, 150))
+    @example(uav_t=[900, 1100], rf_t=[1000], tol_ms=100)  # tie goes to the lower index
+    @example(uav_t=[1000], rf_t=[999, 1001], tol_ms=5)  # second RF sample finds its only candidate taken
+    @example(uav_t=[], rf_t=[1000], tol_ms=10)
+    @example(uav_t=[990, 990, 1010], rf_t=[1000, 1001], tol_ms=10)  # the first of equal times goes first
+    def test_equals_brute_force_greedy(self, uav_t, rf_t, tol_ms):
+        rf_idx, uav_idx = match_times(np.array(uav_t, dtype=np.int64), np.array(rf_t, dtype=np.int64), tol_ms)
+        pairs = list(zip(rf_idx.tolist(), uav_idx.tolist()))
+        assert pairs == _greedy_match(uav_t, rf_t, tol_ms)
+        assert len(set(rf_idx.tolist())) == len(pairs) == len(set(uav_idx.tolist()))
+        assert all(abs(uav_t[j] - rf_t[i]) <= tol_ms for i, j in pairs)
 
 
 class TestClean:

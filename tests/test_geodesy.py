@@ -1,9 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from uavtrack.geodesy import MAX_RANGE_M, EnuPoint, GeoPoint, GeodesyError, from_enu, to_enu
+from uavtrack.geodesy import (
+    MAX_RANGE_M,
+    EnuPoint,
+    GeoPoint,
+    GeodesyError,
+    from_enu,
+    from_enu_array,
+    to_enu,
+    to_enu_array,
+)
 
 ORIGIN = GeoPoint(35.8, -78.7)
 
@@ -114,3 +124,57 @@ def test_far_apart_points_rejected():
 def test_non_finite_enu_rejected():
     with pytest.raises(GeodesyError):
         EnuPoint(float("nan"), 0.0)
+
+
+_offsets = st.lists(
+    st.tuples(st.floats(-MAX_RANGE_M, MAX_RANGE_M), st.floats(-MAX_RANGE_M, MAX_RANGE_M)), min_size=1, max_size=16
+)
+
+
+@given(lat=st.floats(-89.99, 89.99), lon=st.floats(-180.0, 180.0), xy=_offsets)
+@example(lat=89.99, lon=0.0, xy=[(0.0, 5000.0), (3000.0, 3000.0)])
+@example(lat=0.0, lon=180.0, xy=[(1000.0, 0.0), (-1000.0, 0.0)])
+def test_array_forms_match_scalar(lat, lon, xy):
+    # the input space of test_enu_round_trip_anywhere_within_50km, a batch at a time
+    xy = [p for p in xy if math.hypot(*p) <= MAX_RANGE_M - 1e-3]
+    assume(xy)
+    origin = GeoPoint(lat, lon)
+    geo = from_enu_array(np.array(xy), origin)
+    assert geo.shape == (len(xy), 2)
+    for (x, y), (g_lat, g_lon) in zip(xy, geo.tolist()):
+        g = from_enu(EnuPoint(x, y), origin)
+        assert abs(g_lat - g.lat_deg) <= 1e-12 and abs(g_lon - g.lon_deg) <= 1e-12
+    enu = to_enu_array(geo, origin)
+    assert enu.shape == (len(xy), 2)
+    for (g_lat, g_lon), (e_x, e_y) in zip(geo.tolist(), enu.tolist()):
+        e = to_enu(GeoPoint(g_lat, g_lon), origin)
+        assert abs(e_x - e.x) <= 1e-9 and abs(e_y - e.y) <= 1e-9
+
+
+@given(
+    lat=st.floats(-80.0, 80.0),
+    lon=st.floats(-180.0, 180.0),
+    r=st.floats(MAX_RANGE_M + 1.0, 3 * MAX_RANGE_M),
+    theta=st.floats(0.0, 2 * math.pi),
+)
+def test_array_forms_reject_past_50km_like_scalar(lat, lon, r, theta):
+    origin = GeoPoint(lat, lon)
+    far = (r * math.cos(theta), r * math.sin(theta))
+    with pytest.raises(GeodesyError):
+        from_enu(EnuPoint(*far), origin)
+    with pytest.raises(GeodesyError):
+        from_enu_array(np.array([(0.0, 0.0), far]), origin)
+    # due north by an arc of r over a radius below the least meridian radius
+    # (6,335 km), so at least 0.5% past r in the tangent plane
+    far_geo = GeoPoint(lat + math.degrees(r / 6.3e6), lon)
+    with pytest.raises(GeodesyError):
+        to_enu(far_geo, origin)
+    with pytest.raises(GeodesyError):
+        to_enu_array(np.array([(lat, lon), (far_geo.lat_deg, far_geo.lon_deg)]), origin)
+
+
+def test_array_forms_reject_non_finite():
+    with pytest.raises(GeodesyError):
+        to_enu_array(np.array([(35.8, -78.7), (float("nan"), -78.7)]), ORIGIN)
+    with pytest.raises(GeodesyError):
+        from_enu_array(np.array([(0.0, 0.0), (0.0, float("inf"))]), ORIGIN)
