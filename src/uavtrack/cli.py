@@ -50,19 +50,19 @@ def _to_geo_columns(samples: Sequence[TimedSample], origin: GeoPoint) -> tuple[l
     return [s.t_ms for s in samples], from_enu_array(xy, origin)
 
 
-def _aligned_pairs(cfg: RunConfig, uav_path, rf_path) -> tuple[list[AlignedPair], GeoPoint]:
-    """Parse both logs, move them to the local frame and timestamp-match them."""
+def _aligned_pairs(cfg: RunConfig, uav_path, rf_path) -> tuple[np.ndarray, np.ndarray, np.ndarray, GeoPoint]:
+    """Parse both logs, move them to the local frame and timestamp-match them.
+
+    Returns the matched ``t_ms`` (K,), truth ``uav`` (K, 2) and ``rf`` (K, 2)
+    local positions, and the origin of the local frame.
+    """
     uav_t, uav_geo = dataio.parse_position_log(uav_path)
     rf_t, rf_geo = dataio.parse_position_log(rf_path)
     origin = cfg.origin() or GeoPoint(*uav_geo[0].tolist())
     uav_xy = to_enu_array(uav_geo, origin)
     rf_xy = to_enu_array(rf_geo, origin)
     rf_idx, uav_idx = dataio.match_times(uav_t, rf_t, int(cfg.data["align"]["tol_ms"]))
-    pairs = [
-        AlignedPair(t, EnuPoint(*u), EnuPoint(*r))
-        for t, u, r in zip(rf_t[rf_idx].tolist(), uav_xy[uav_idx].tolist(), rf_xy[rf_idx].tolist())
-    ]
-    return pairs, origin
+    return rf_t[rf_idx], uav_xy[uav_idx], rf_xy[rf_idx], origin
 
 
 # ---------------------------------------------------------------------------
@@ -155,46 +155,47 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
 
 
 def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False) -> dict:
-    pairs, origin = _aligned_pairs(cfg, cfg.input_path("truth"), cfg.input_path("rf"))
-    if not pairs:
+    t_ms, uav, rf, origin = _aligned_pairs(cfg, cfg.input_path("truth"), cfg.input_path("rf"))
+    if not t_ms.size:
         raise RunError("no aligned pairs: timestamps never match within tolerance")
 
     if raw:
-        kept_idx = range(len(pairs))
+        keep = np.ones(t_ms.size, dtype=bool)
     else:
-        kept_idx = dataio.kept_indices(pairs, float(cfg.data["clean"]["threshold_m"]))
-    kept = [pairs[i] for i in kept_idx]
-    if not kept:
+        keep = dataio.kept_mask(uav, rf, float(cfg.data["clean"]["threshold_m"]))
+    kept_idx = np.flatnonzero(keep)
+    if not kept_idx.size:
         raise RunError("all pairs removed by cleaning: nothing to track")
+    t_ms, uav, rf = t_ms[keep], uav[keep], rf[keep]
 
-    segments = dataio.load_segments(cfg.input_path("segments"), K=len(pairs))
+    segments = dataio.load_segments(cfg.input_path("segments"), K=keep.size)
     fcfg = cfg.data["filter"]
     filter_cfg = ekf.FilterConfig(
-        R=ekf.estimate_R(kept, fcfg["r_mode"]),
+        R=ekf.estimate_R_arrays(uav, rf, fcfg["r_mode"]),
         v_max=float(fcfg["v_max"]),
         accel_var=float(fcfg["accel_var"]),
         omega_var=float(fcfg["omega_var"]),
     )
-    results, warnings = ekf.run_trajectory(segments, kept, filter_cfg, indices=kept_idx)
+    tracks, warnings = ekf.filter_segments(segments, t_ms, rf, kept_idx, filter_cfg)
     for w in warnings:
         log.warning("%s", w)
 
-    all_rf = metrics.euclidean_errors([p.uav for p in kept], [p.rf for p in kept])
-    rf_err: dict[str, np.ndarray] = {}
-    ekf_err: dict[str, np.ndarray] = {}
-    for seg, track in results:
-        sl = dataio.segment_slice(seg, kept_idx)
-        rf_err[seg.id] = all_rf[sl]
-        ekf_err[seg.id] = metrics.euclidean_errors([p.uav for p in kept[sl]], [tp.pos for tp in track])
-    points = [(seg.id, tp) for seg, track in results for tp in track]
-    xy = np.array([(tp.pos.x, tp.pos.y) for _, tp in points], dtype=float).reshape(-1, 2)
-    track_lines = ["t_ms,segment,x,y,lat_deg,lon_deg"] + [
-        f"{tp.t_ms},{sid},{tp.pos.x:.6f},{tp.pos.y:.6f},{lat:.10f},{lon:.10f}"
-        for (sid, tp), (lat, lon) in zip(points, from_enu_array(xy, origin).tolist())
-    ]
-
+    # one error formula for both sides: each track starts at its segment's first RF fix
+    all_rf = metrics.euclidean_errors(uav, rf)
+    rf_err = {tr.segment.id: all_rf[tr.rows] for tr in tracks}
+    ekf_err = {tr.segment.id: metrics.euclidean_errors(uav[tr.rows], tr.states[:, :2]) for tr in tracks}
     rows = metrics.segment_report(segments, rf_err, ekf_err)
-    all_ekf = np.concatenate([ekf_err[s.id] for s, _ in results]) if results else np.array([])
+    all_ekf = np.concatenate(list(ekf_err.values())) if tracks else np.array([])
+
+    xy = np.concatenate([tr.states[:, :2] for tr in tracks]) if tracks else np.empty((0, 2))
+    t_track = np.concatenate([t_ms[tr.rows] for tr in tracks]) if tracks else np.empty(0, np.int64)
+    ids = np.repeat([tr.segment.id for tr in tracks], [len(tr.states) for tr in tracks])
+    track_lines = ["t_ms,segment,x,y,lat_deg,lon_deg"] + [
+        f"{t},{sid},{x:.6f},{y:.6f},{lat:.10f},{lon:.10f}"
+        for t, sid, (x, y), (lat, lon) in zip(
+            t_track.tolist(), ids.tolist(), xy.tolist(), from_enu_array(xy, origin).tolist()
+        )
+    ]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_lines(out_dir / "track.csv", track_lines)
@@ -206,9 +207,9 @@ def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False) -> dict:
     return {
         "command": "track",
         "raw": raw,
-        "k_aligned": len(pairs),
-        "k_used": len(kept),
-        "n_segments_tracked": len(results),
+        "k_aligned": keep.size,
+        "k_used": kept_idx.size,
+        "n_segments_tracked": len(tracks),
     }
 
 
@@ -219,11 +220,11 @@ def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False) -> dict:
 def cmd_evaluate(
     truth_path, est_path, segments_path, out_dir: Path, cfg: RunConfig
 ) -> dict:
-    pairs, _ = _aligned_pairs(cfg, truth_path, est_path)
-    if not pairs:
+    _, uav, est, _ = _aligned_pairs(cfg, truth_path, est_path)
+    if not len(uav):
         raise RunError("no aligned pairs between truth and estimate logs")
 
-    errors = metrics.euclidean_errors([p.uav for p in pairs], [p.rf for p in pairs])
+    errors = metrics.euclidean_errors(uav, est)
     st = metrics.stats(errors)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -235,14 +236,14 @@ def cmd_evaluate(
 
     segments = []
     if segments_path:
-        segments = dataio.load_segments(segments_path, K=len(pairs))
+        segments = dataio.load_segments(segments_path, K=len(errors))
         lines = ["segment,mm,stat,value_m"]
         for seg in segments:
-            seg_e = errors[dataio.segment_slice(seg, range(len(pairs)))]
+            seg_e = errors[seg.start_idx:seg.end_idx + 1]
             for stat, value in metrics.stat_items(seg_e):
                 lines.append(f"{seg.id},{seg.mm.value},{stat},{value:.4f}")
         _write_lines(out_dir / "segment_stats.csv", lines)
-    return {"command": "evaluate", "k_aligned": len(pairs), "n_segments": len(segments)}
+    return {"command": "evaluate", "k_aligned": len(errors), "n_segments": len(segments)}
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +259,11 @@ def cmd_convert(input_path, out_path, cfg: RunConfig) -> dict:
 
 
 def cmd_align(uav_path, rf_path, out_path, cfg: RunConfig) -> dict:
-    pairs, _ = _aligned_pairs(cfg, uav_path, rf_path)
+    t_ms, uav, rf, _ = _aligned_pairs(cfg, uav_path, rf_path)
+    pairs = [
+        AlignedPair(t, EnuPoint(*u), EnuPoint(*r))
+        for t, u, r in zip(t_ms.tolist(), uav.tolist(), rf.tolist())
+    ]
     dataio.write_aligned_log(out_path, pairs)
     return {"command": "align", "n_pairs": len(pairs)}
 

@@ -196,13 +196,25 @@ def align(
     return [AlignedPair(rf[i].t_ms, uav=uav[j].pos, rf=rf[i].pos) for i, j in zip(rf_idx, uav_idx)]
 
 
+def kept_mask(
+    uav: np.ndarray, rf: np.ndarray, threshold_m: float = DEFAULT_CLEAN_THRESHOLD_M
+) -> np.ndarray:
+    """True where the matched ``(K, 2)`` positions are at most ``threshold_m`` apart.
+
+    The distance is :meth:`AlignedPair.error_m`'s, so the kept set is the same.
+    """
+    if not threshold_m > 0:
+        raise ValueError(f"threshold_m must be positive, got {threshold_m}")
+    return np.hypot(uav[:, 0] - rf[:, 0], uav[:, 1] - rf[:, 1]) <= threshold_m
+
+
 def kept_indices(
     pairs: Sequence[AlignedPair], threshold_m: float = DEFAULT_CLEAN_THRESHOLD_M
 ) -> list[int]:
     """Ascending indices of the pairs whose error is at most ``threshold_m``."""
-    if not threshold_m > 0:
-        raise ValueError(f"threshold_m must be positive, got {threshold_m}")
-    return [i for i, p in enumerate(pairs) if p.error_m() <= threshold_m]
+    uav = np.array([(p.uav.x, p.uav.y) for p in pairs], dtype=float).reshape(-1, 2)
+    rf = np.array([(p.rf.x, p.rf.y) for p in pairs], dtype=float).reshape(-1, 2)
+    return np.flatnonzero(kept_mask(uav, rf, threshold_m)).tolist()
 
 
 def clean(

@@ -3,23 +3,30 @@
 Predict with the segment's motion model over the actual inter-sample
 interval, update with the RF position measurement. Covariance updates use
 the Joseph form and are re-symmetrized after every step.
+
+The filter runs batched: :func:`filter_segments` groups the segments by
+motion model and sweeps each group once, stepping every segment still
+running on ``(B, n)`` states and ``(B, n, n)`` covariances. The scalar
+:func:`predict` and :func:`update` are batches of one over the same step
+kernels, and a segment's result does not depend on the batch it ran in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dataio import AlignedPair, Segment, segment_slice
+from .dataio import AlignedPair, Segment
 from .geodesy import EnuPoint
 from .motionmodels import (
     ModelKind,
-    jacobian,
+    _check_dt,
     measurement_matrix,
-    process_noise,
-    transition,
+    process_noise_batch,
+    propagate_batch,
+    sigma_rows,
 )
 
 
@@ -64,8 +71,44 @@ class FilterConfig:
     omega_var: float = 1.0
 
 
+@dataclass(frozen=True)
+class SegmentTrack:
+    """One filtered segment: its rows of the filtered arrays and the EKF output there."""
+
+    segment: Segment
+    rows: slice
+    states: np.ndarray  # (K_seg, n)
+    covs: np.ndarray  # (K_seg, n, n)
+
+
 def _symmetrize(P: np.ndarray) -> np.ndarray:
-    return 0.5 * (P + P.T)
+    return 0.5 * (P + P.swapaxes(-1, -2))
+
+
+def _predict_step(mm: ModelKind, s: np.ndarray, P: np.ndarray, T: np.ndarray, Q: np.ndarray):
+    """Time update of (B, n) states and (B, n, n) covariances over steps ``T`` (B,)."""
+    s, F = propagate_batch(mm, s, T)
+    return s, _symmetrize(F @ P @ F.swapaxes(1, 2) + Q)
+
+
+def _update_step(s: np.ndarray, P: np.ndarray, z: np.ndarray, H: np.ndarray, R: np.ndarray):
+    """Joseph-form measurement update of (B, n) states with (B, 2) fixes.
+
+    Returns the updated states and covariances, the (B, 2, 2) innovation
+    covariances S and a (B,) flag that is False where S is singular or not
+    finite; the rows so flagged hold no usable estimate.
+    """
+    PHt = P @ H.T
+    S = H @ PHt + R
+    det = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
+    ok = np.isfinite(det) & (det != 0.0)
+    adj = np.stack([S[:, 1, 1], -S[:, 0, 1], -S[:, 1, 0], S[:, 0, 0]], axis=1)
+    S_inv = (adj / det[:, None]).reshape(-1, 2, 2)  # closed-form 2 x 2 inverse
+    K = PHt @ S_inv
+    s = s + (K @ (z - (H @ s[:, :, None])[:, :, 0])[:, :, None])[:, :, 0]
+    ImKH = np.eye(H.shape[1]) - K @ H
+    P = _symmetrize(ImKH @ P @ ImKH.swapaxes(1, 2) + K @ R @ K.swapaxes(1, 2))
+    return s, P, S, ok
 
 
 def predict(fs: FilterState, mm: ModelKind, T: float, Q: np.ndarray) -> FilterState:
@@ -76,10 +119,8 @@ def predict(fs: FilterState, mm: ModelKind, T: float, Q: np.ndarray) -> FilterSt
         raise FilterError(
             f"inconsistent dimensions for {mm.value}: s{fs.s.shape} P{fs.P.shape} Q{Q.shape}"
         )
-    F = jacobian(mm, fs.s, T)
-    s_pred = transition(mm, fs.s, T)
-    P_pred = _symmetrize(F @ fs.P @ F.T + Q)
-    return FilterState(s_pred, P_pred, fs.t_ms + round(T * 1000))
+    s, P = _predict_step(mm, fs.s[None].astype(float), fs.P[None], np.array([_check_dt(T)]), Q[None])
+    return FilterState(s[0], P[0], fs.t_ms + round(T * 1000))
 
 
 def update(fs_pred: FilterState, z: EnuPoint, meas: MeasurementModel) -> FilterState:
@@ -89,29 +130,25 @@ def update(fs_pred: FilterState, z: EnuPoint, meas: MeasurementModel) -> FilterS
     n = fs_pred.s.shape[0]
     if H.shape != (2, n) or R.shape != (2, 2):
         raise FilterError(f"inconsistent measurement dimensions: H{H.shape} R{R.shape}")
-
-    zv = np.array([z.x, z.y])
-    S = H @ fs_pred.P @ H.T + R
-    try:
-        K = np.linalg.solve(S.T, (fs_pred.P @ H.T).T).T
-    except np.linalg.LinAlgError as exc:
-        raise FilterError(f"singular innovation covariance: {S}") from exc
-    s = fs_pred.s + K @ (zv - H @ fs_pred.s)
-    ImKH = np.eye(n) - K @ H
-    P = _symmetrize(ImKH @ fs_pred.P @ ImKH.T + K @ R @ K.T)
-    return FilterState(s, P, fs_pred.t_ms)
+    with np.errstate(all="ignore"):
+        s, P, S, ok = _update_step(
+            fs_pred.s[None].astype(float), fs_pred.P[None], np.array([[z.x, z.y]]), H, R
+        )
+    if not ok[0]:
+        raise FilterError(f"singular innovation covariance: {S[0]}")
+    return FilterState(s[0], P[0], fs_pred.t_ms)
 
 
-def estimate_R(pairs: Sequence[AlignedPair], mode: str = "mean") -> np.ndarray:
-    """Measurement-noise covariance from the aligned RF errors.
+def estimate_R_arrays(uav: np.ndarray, rf: np.ndarray, mode: str = "mean") -> np.ndarray:
+    """Measurement-noise covariance from matched ``(K, 2)`` truth and RF positions.
 
     ``"mean"`` puts the mean Euclidean error (meters) on both diagonal
     entries; ``"mse"`` uses per-axis mean squared errors (meters^2).
     """
-    if not pairs:
+    if len(uav) == 0:
         raise FilterError("cannot estimate R from empty input")
-    dx = np.array([p.rf.x - p.uav.x for p in pairs])
-    dy = np.array([p.rf.y - p.uav.y for p in pairs])
+    dx = rf[:, 0] - uav[:, 0]
+    dy = rf[:, 1] - uav[:, 1]
     if mode == "mean":
         m = float(np.mean(np.hypot(dx, dy)))
         return np.diag([m, m])
@@ -120,13 +157,146 @@ def estimate_R(pairs: Sequence[AlignedPair], mode: str = "mean") -> np.ndarray:
     raise FilterError(f"unknown R mode: {mode!r}")
 
 
-def _initial_state(seg: Segment, first: AlignedPair, cfg: FilterConfig) -> FilterState:
-    s = np.zeros(seg.mm.state_dim)
-    s[0], s[1] = first.rf.x, first.rf.y
+def _pair_arrays(pairs: Sequence[AlignedPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``t_ms`` (K,), truth (K, 2) and RF (K, 2) columns of aligned pairs."""
+    t = np.array([p.t_ms for p in pairs], dtype=np.int64)
+    uav = np.array([(p.uav.x, p.uav.y) for p in pairs], dtype=float).reshape(-1, 2)
+    rf = np.array([(p.rf.x, p.rf.y) for p in pairs], dtype=float).reshape(-1, 2)
+    return t, uav, rf
+
+
+def estimate_R(pairs: Sequence[AlignedPair], mode: str = "mean") -> np.ndarray:
+    """:func:`estimate_R_arrays` over aligned pairs."""
+    _, uav, rf = _pair_arrays(pairs)
+    return estimate_R_arrays(uav, rf, mode)
+
+
+def _initial_covariance(mm: ModelKind, cfg: FilterConfig) -> np.ndarray:
     var = {"x": cfg.R[0, 0], "y": cfg.R[1, 1], "vx": cfg.v_max**2, "vy": cfg.v_max**2,
            "ax": cfg.accel_var, "ay": cfg.accel_var, "omega": cfg.omega_var}
-    P = np.diag(np.array([var[k] for k in seg.mm.states], dtype=float))
-    return FilterState(s, P, first.t_ms)
+    return np.diag(np.array([var[k] for k in mm.states], dtype=float))
+
+
+def _run_batch(
+    segs: Sequence[Segment], t_ms: np.ndarray, z: np.ndarray, slices: Sequence[slice],
+    cfg: FilterConfig,
+) -> list[Union[tuple[np.ndarray, np.ndarray], FilterError]]:
+    """Filter same-model segments, each over its rows of ``t_ms`` (K,) and ``z`` (K, 2).
+
+    Every segment needs at least two rows. It starts at its first fix with
+    zero velocity (and acceleration / turn rate) under the prior of
+    :func:`_initial_covariance`. The segments are sorted longest first, so
+    the ones still running at step k are a prefix of the batch; each step
+    predicts and updates that prefix in one array operation. Rows past a
+    segment's end are NaN, so reading them poisons that segment alone.
+
+    Returns, per segment in input order, its ``(K_seg, n)`` states and
+    ``(K_seg, n, n)`` covariances, or the FilterError that stops it: the
+    first non-increasing timestamp or singular innovation covariance, in
+    step order.
+    """
+    mm = segs[0].mm
+    n = mm.state_dim
+    starts = np.array([sl.start for sl in slices], dtype=np.intp)
+    lengths = np.array([sl.stop - sl.start for sl in slices], dtype=np.intp)
+
+    # a non-increasing timestamp ends the segment before that step
+    bad_t = np.append(np.flatnonzero(np.diff(t_ms) <= 0), len(t_ms))
+    first_bad = bad_t[np.searchsorted(bad_t, starts)]
+    halted = first_bad < starts + lengths - 1
+    run_len = np.where(halted, first_bad - starts + 1, lengths)
+
+    order = np.argsort(-run_len, kind="stable")
+    run_len, first = run_len[order], starts[order]
+    B, L = len(segs), int(run_len[0])
+    steps = np.arange(L)[:, None]
+    live = steps < run_len  # (L, B)
+    rows = np.where(live, first + steps, 0)
+    n_active = live.sum(axis=1)
+    z_pad = np.where(live[:, :, None], z[rows], np.nan)
+    T_pad = np.where(live[1:], np.diff(t_ms[rows], axis=0) / 1000.0, np.nan)
+    sig = sigma_rows([segs[i].sigmas for i in order])
+    H = measurement_matrix(mm)
+
+    states = np.empty((L, B, n))
+    covs = np.empty((L, B, n, n))
+    states[0] = 0.0
+    states[0, :, :2] = z_pad[0]
+    covs[0] = _initial_covariance(mm, cfg)
+    failed = np.zeros(B, dtype=bool)
+    S_failed = np.empty((B, 2, 2))
+    s, P = states[0], covs[0]
+    with np.errstate(all="ignore"):  # rows that fail are flagged and dropped
+        for k in range(1, L):
+            b = n_active[k]
+            T = T_pad[k - 1, :b]
+            s, P = _predict_step(mm, s[:b], P[:b], T, process_noise_batch(mm, T, sig[:b]))
+            s, P, S, ok = _update_step(s, P, z_pad[k, :b], H, cfg.R)
+            new = ~ok & ~failed[:b]
+            S_failed[:b][new] = S[new]
+            failed[:b] |= new
+            states[k, :b] = s
+            covs[k, :b] = P
+
+    out: list = [None] * B
+    for j, i in enumerate(order):
+        if failed[j]:
+            out[i] = FilterError(f"singular innovation covariance: {S_failed[j]}")
+        elif halted[i]:
+            out[i] = FilterError(
+                f"segment {segs[i].id}: non-increasing timestamps at {t_ms[first_bad[i] + 1]}"
+            )
+        else:
+            out[i] = (states[:run_len[j], j].copy(), covs[:run_len[j], j].copy())
+    return out
+
+
+def filter_segments(
+    segments: Sequence[Segment],
+    t_ms: np.ndarray,
+    z: np.ndarray,
+    indices: Sequence[int],
+    cfg: FilterConfig,
+) -> tuple[list[SegmentTrack], list[str]]:
+    """Run each segment independently over the fixes ``z`` (K, 2) at ``t_ms`` (K,).
+
+    ``indices`` (K,), strictly ascending, gives each row's position in the
+    aligned sequence the segment indices refer to. Returns the tracked
+    segments and the warning messages, both in ``start_idx`` order; a
+    segment with fewer than two rows or a failed filter step warns and is
+    omitted.
+    """
+    ordered = sorted(segments, key=lambda s: s.start_idx)
+    idx = np.asarray(indices, dtype=np.int64)
+    lo = np.searchsorted(idx, [s.start_idx for s in ordered], side="left").tolist()
+    hi = np.searchsorted(idx, [s.end_idx for s in ordered], side="right").tolist()
+    slices = [slice(a, b) for a, b in zip(lo, hi)]
+
+    outcome: dict[int, Union[tuple[np.ndarray, np.ndarray], FilterError]] = {}
+    for mm in ModelKind:
+        group = [i for i, s in enumerate(ordered) if s.mm is mm and hi[i] - lo[i] >= 2]
+        if group:
+            results = _run_batch([ordered[i] for i in group], t_ms, z, [slices[i] for i in group], cfg)
+            outcome.update(zip(group, results))
+
+    tracks: list[SegmentTrack] = []
+    warnings: list[str] = []
+    for i, seg in enumerate(ordered):
+        res = outcome.get(i)
+        if res is None:
+            warnings.append(f"segment {seg.id}: too few pairs, skipped")
+        elif isinstance(res, FilterError):
+            warnings.append(f"segment {seg.id}: {res}")
+        else:
+            tracks.append(SegmentTrack(seg, slices[i], *res))
+    return tracks, warnings
+
+
+def _track_points(t_ms: np.ndarray, states: np.ndarray, covs: np.ndarray) -> Track:
+    return [
+        TrackPoint(t, EnuPoint(s[0], s[1]), FilterState(s, P, t))
+        for t, s, P in zip(t_ms.tolist(), states, covs)
+    ]
 
 
 def run_segment(
@@ -139,18 +309,11 @@ def run_segment(
     """
     if len(pairs) < 2:
         return None
-    meas = MeasurementModel(measurement_matrix(seg.mm), cfg.R)
-
-    fs = _initial_state(seg, pairs[0], cfg)
-    track: Track = [TrackPoint(fs.t_ms, EnuPoint(fs.s[0], fs.s[1]), fs)]
-    for prev, cur in zip(pairs, pairs[1:]):
-        T = (cur.t_ms - prev.t_ms) / 1000.0
-        if T <= 0:
-            raise FilterError(f"segment {seg.id}: non-increasing timestamps at {cur.t_ms}")
-        Q = process_noise(seg.mm, T, seg.sigmas)
-        fs = update(predict(fs, seg.mm, T, Q), cur.rf, meas)
-        track.append(TrackPoint(cur.t_ms, EnuPoint(fs.s[0], fs.s[1]), fs))
-    return track
+    t, _, rf = _pair_arrays(pairs)
+    res = _run_batch([seg], t, rf, [slice(0, len(pairs))], cfg)[0]
+    if isinstance(res, FilterError):
+        raise res
+    return _track_points(t, *res)
 
 
 def run_trajectory(
@@ -171,17 +334,6 @@ def run_trajectory(
         indices = range(len(pairs))
     elif len(indices) != len(pairs) or any(b <= a for a, b in zip(indices, indices[1:])):
         raise ValueError("indices must be strictly ascending, one per pair")
-
-    warnings: list[str] = []
-    results: list[tuple[Segment, Track]] = []
-    for seg in sorted(segments, key=lambda s: s.start_idx):
-        try:
-            track = run_segment(seg, pairs[segment_slice(seg, indices)], cfg)
-        except FilterError as exc:
-            warnings.append(f"segment {seg.id}: {exc}")
-            continue
-        if track is None:
-            warnings.append(f"segment {seg.id}: too few pairs, skipped")
-        else:
-            results.append((seg, track))
-    return results, warnings
+    t, _, rf = _pair_arrays(pairs)
+    tracks, warnings = filter_segments(segments, t, rf, indices, cfg)
+    return [(tr.segment, _track_points(t[tr.rows], tr.states, tr.covs)) for tr in tracks], warnings

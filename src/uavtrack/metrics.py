@@ -43,10 +43,18 @@ class SegmentReportRow:
     better: str  # "rf" | "ekf" | "tie"
 
 
-def euclidean_errors(truth: Sequence, est: Sequence) -> np.ndarray:
-    """Per-epoch Euclidean distance between matched position sequences."""
-    a = np.array([[p.x, p.y] for p in truth], dtype=float)
-    b = np.array([[p.x, p.y] for p in est], dtype=float)
+def _xy(points) -> np.ndarray:
+    if isinstance(points, np.ndarray):
+        return points.astype(float, copy=False)
+    return np.array([[p.x, p.y] for p in points], dtype=float)
+
+
+def euclidean_errors(truth, est) -> np.ndarray:
+    """Per-epoch Euclidean distance between matched positions.
+
+    Each side is a ``(K, 2)`` array or a sequence of points with ``x`` and ``y``.
+    """
+    a, b = _xy(truth), _xy(est)
     if a.shape != b.shape:
         raise MetricsError(f"length mismatch: {a.shape[0]} truth vs {b.shape[0]} estimates")
     return np.linalg.norm(a - b, axis=1)

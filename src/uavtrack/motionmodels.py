@@ -8,7 +8,6 @@ process-noise covariance, and the position-selecting measurement matrix.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -83,109 +82,120 @@ def _check_dt(T: float) -> float:
 
 
 def _per_axis(block: np.ndarray, n: int) -> np.ndarray:
-    """n x n matrix holding the per-axis ``block`` on the x and on the y states.
+    """(B, n, n) matrices holding each per-axis ``block`` on the x and on the y states.
 
-    The layout interleaves the axes, ``[x, y, vx, vy, (ax, ay)]``: a block
-    over ``[pos, vel, (acc)]`` lands on the even indices for x and on the
-    odd ones for y, with no cross-axis terms.
+    The layout interleaves the axes, ``[x, y, vx, vy, (ax, ay)]``: a (B, m, m)
+    block over ``[pos, vel, (acc)]`` lands on the even indices for x and on
+    the odd ones for y, with no cross-axis terms.
     """
-    m = 2 * len(block)
-    M = np.zeros((n, n))
-    M[0:m:2, 0:m:2] = block
-    M[1:m:2, 1:m:2] = block
+    m = 2 * block.shape[-1]
+    M = np.zeros((block.shape[0], n, n))
+    M[:, 0:m:2, 0:m:2] = block
+    M[:, 1:m:2, 1:m:2] = block
     return M
 
 
-def _linear_matrix(mm: ModelKind, T: float) -> np.ndarray:
-    """CV/CA transition matrix: the per-axis kinematic chain on both axes."""
-    if mm is ModelKind.CV:
-        chain = np.array([[1.0, T], [0.0, 1.0]])
-    else:
-        chain = np.array([[1.0, T, 0.5 * T * T], [0.0, 1.0, T], [0.0, 0.0, 1.0]])
-    return _per_axis(chain, mm.state_dim)
+# CV/CA transition matrix F = I + T D1 (+ T^2/2 D2): the per-axis kinematic
+# chain [[1, T, T^2/2], [0, 1, T], [0, 0, 1]] on both axes, as 0/1 masks
+_CHAIN_MASKS = {
+    mm: [_per_axis(np.eye(m, k=k)[None], mm.state_dim)[0] for k in range(m)]
+    for mm, m in ((ModelKind.CV, 2), (ModelKind.CA, 3))
+}
 
 
-def _turn_coeffs(w: float, T: float) -> tuple[float, float, float, float]:
-    """(sin(wT)/w, (1-cos(wT))/w, cos(wT), sin(wT)) with small-angle series."""
+def _turn_coeffs(w: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, ...]:
+    """CT coefficients at turn rates ``w`` over steps ``T`` (arrays of one shape).
+
+    Returns ``sin(wT)/w``, ``(1-cos(wT))/w``, ``cos(wT)``, ``sin(wT)`` and
+    the w-derivatives of the first two, with second-order series below
+    ``|wT| < _SMALL_TURN``.
+    """
     a = w * T
-    c, s = math.cos(a), math.sin(a)
-    if abs(a) < _SMALL_TURN:
-        # second-order series; limit is the CV update
-        swt_w = T - w * w * T**3 / 6.0
-        cwt_w = w * T * T / 2.0 - w**3 * T**4 / 24.0
-    else:
-        swt_w = s / w
-        cwt_w = (1.0 - c) / w
-    return swt_w, cwt_w, c, s
+    c, sn = np.cos(a), np.sin(a)
+    small = np.abs(a) < _SMALL_TURN
+    w_div = np.where(small, 1.0, w)  # the closed forms are discarded there
+    ww = w_div * w_div
+    coeffs = [sn / w_div, (1.0 - c) / w_div, (a * c - sn) / ww, (a * sn - (1.0 - c)) / ww]
+    if small.any():
+        # limit is the CV update
+        series = [
+            T - w * w * T**3 / 6.0,
+            w * T * T / 2.0 - w**3 * T**4 / 24.0,
+            -w * T**3 / 3.0,
+            T * T / 2.0 - w * w * T**4 / 8.0,
+        ]
+        coeffs = [np.where(small, x, y) for x, y in zip(series, coeffs)]
+    swt_w, cwt_w, dswt_dw, dcwt_dw = coeffs
+    return swt_w, cwt_w, c, sn, dswt_dw, dcwt_dw
 
 
-def transition(mm: ModelKind, s: Sequence[float], T: float) -> np.ndarray:
-    """Propagate state ``s`` over ``T`` seconds under model ``mm``."""
-    s = _check_state(mm, s)
-    T = _check_dt(T)
+def propagate_batch(mm: ModelKind, s: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of the (B, n) states ``s`` propagated over its step ``T[b]`` seconds,
+    and the (B, n, n) transition Jacobians df/ds there."""
     if mm is not ModelKind.CT:
-        return _linear_matrix(mm, T) @ s
+        F = np.eye(mm.state_dim) + T[:, None, None] * _CHAIN_MASKS[mm][1]
+        if mm is ModelKind.CA:
+            F += (0.5 * T * T)[:, None, None] * _CHAIN_MASKS[mm][2]
+        return (F @ s[:, :, None])[:, :, 0], F
 
-    x, y, vx, vy, w = s
-    swt_w, cwt_w, c, sn = _turn_coeffs(w, T)
-    return np.array([
+    x, y, vx, vy, w = s.T
+    swt_w, cwt_w, c, sn, dswt_dw, dcwt_dw = _turn_coeffs(w, T)
+    f = np.stack([
         x + vx * swt_w - vy * cwt_w,
         y + vx * cwt_w + vy * swt_w,
         vx * c - vy * sn,
         vx * sn + vy * c,
         w,
-    ])
+    ], axis=1)
+    one, zero = np.ones_like(w), np.zeros_like(w)
+    J = np.stack([
+        one, zero, swt_w, -cwt_w, vx * dswt_dw - vy * dcwt_dw,
+        zero, one, cwt_w, swt_w, vx * dcwt_dw + vy * dswt_dw,
+        zero, zero, c, -sn, T * (-vx * sn - vy * c),
+        zero, zero, sn, c, T * (vx * c - vy * sn),
+        zero, zero, zero, zero, one,
+    ], axis=1).reshape(-1, 5, 5)
+    return f, J
+
+
+def process_noise_batch(mm: ModelKind, T: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """(B, n, n) process-noise covariances for steps ``T`` and sigma rows ``sig``.
+
+    ``sig`` is (B, 3): the :class:`NoiseSigmas` fields ``accel``, ``jerk``
+    and ``omega`` of each row. Piecewise-constant white-noise construction:
+    per-axis outer products, no cross-axis correlation.
+    """
+    half = 0.5 * T * T
+    if mm is ModelKind.CA:
+        g, sigma = np.stack([half, T, np.ones_like(T)], axis=1), sig[:, 1]  # [pos, vel, acc] per axis
+    else:
+        g, sigma = np.stack([half, T], axis=1), sig[:, 0]  # [pos, vel] per axis
+    Q = _per_axis((sigma**2)[:, None, None] * (g[:, :, None] * g[:, None, :]), mm.state_dim)
+    if mm is ModelKind.CT:
+        Q[:, 4, 4] = sig[:, 2] ** 2 * T * T
+    return Q
+
+
+def transition(mm: ModelKind, s: Sequence[float], T: float) -> np.ndarray:
+    """Propagate state ``s`` over ``T`` seconds under model ``mm``."""
+    s = _check_state(mm, s)
+    return propagate_batch(mm, s[None], np.array([_check_dt(T)]))[0][0]
 
 
 def jacobian(mm: ModelKind, s: Sequence[float], T: float) -> np.ndarray:
     """Transition Jacobian df/ds evaluated at ``s``."""
     s = _check_state(mm, s)
-    T = _check_dt(T)
-    if mm is not ModelKind.CT:
-        return _linear_matrix(mm, T)
-
-    _, _, vx, vy, w = s
-    swt_w, cwt_w, c, sn = _turn_coeffs(w, T)
-    a = w * T
-    if abs(a) < _SMALL_TURN:
-        dswt_dw = -w * T**3 / 3.0
-        dcwt_dw = T * T / 2.0 - w * w * T**4 / 8.0
-    else:
-        dswt_dw = (a * c - sn) / (w * w)
-        dcwt_dw = (a * sn - (1.0 - c)) / (w * w)
-
-    J = np.zeros((5, 5))
-    J[0, 0] = J[1, 1] = J[4, 4] = 1.0
-    J[0, 2] = swt_w
-    J[0, 3] = -cwt_w
-    J[0, 4] = vx * dswt_dw - vy * dcwt_dw
-    J[1, 2] = cwt_w
-    J[1, 3] = swt_w
-    J[1, 4] = vx * dcwt_dw + vy * dswt_dw
-    J[2, 2] = c
-    J[2, 3] = -sn
-    J[2, 4] = T * (-vx * sn - vy * c)
-    J[3, 2] = sn
-    J[3, 3] = c
-    J[3, 4] = T * (vx * c - vy * sn)
-    return J
+    return propagate_batch(mm, s[None], np.array([_check_dt(T)]))[1][0]
 
 
 def process_noise(mm: ModelKind, T: float, sig: NoiseSigmas) -> np.ndarray:
-    """Process-noise covariance Q for one step of length ``T``.
+    """Process-noise covariance Q for one step of length ``T``."""
+    return process_noise_batch(mm, np.array([_check_dt(T)]), sigma_rows([sig]))[0]
 
-    Piecewise-constant white-noise construction: per-axis outer products,
-    no cross-axis correlation.
-    """
-    T = _check_dt(T)
-    if mm is ModelKind.CA:
-        g, sigma = np.array([0.5 * T * T, T, 1.0]), sig.jerk  # [pos, vel, acc] per axis
-    else:
-        g, sigma = np.array([0.5 * T * T, T]), sig.accel  # [pos, vel] per axis
-    Q = _per_axis(sigma**2 * np.outer(g, g), mm.state_dim)
-    if mm is ModelKind.CT:
-        Q[4, 4] = sig.omega**2 * T * T
-    return Q
+
+def sigma_rows(sigmas: Sequence[NoiseSigmas]) -> np.ndarray:
+    """(B, 3) array of the ``accel``, ``jerk`` and ``omega`` sigmas, one row per entry."""
+    return np.array([(s.accel, s.jerk, s.omega) for s in sigmas], dtype=float).reshape(-1, 3)
 
 
 def measurement_matrix(mm: ModelKind) -> np.ndarray:

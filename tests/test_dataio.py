@@ -12,6 +12,7 @@ from uavtrack.dataio import (
     TimedSample,
     align,
     clean,
+    kept_mask,
     load_segments,
     match_times,
     parse_position_log,
@@ -166,6 +167,19 @@ class TestClean:
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
             clean([], 0)
+        with pytest.raises(ValueError, match="threshold_m must be positive"):
+            kept_mask(np.zeros((1, 2)), np.zeros((1, 2)), float("nan"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-3, 100.0))
+    def test_mask_keeps_what_error_m_keeps(self, seed, threshold_m):
+        rng = np.random.default_rng(seed)
+        uav = rng.normal(0, 1e3, (50, 2))
+        rf = uav + rng.normal(0, threshold_m, (50, 2))
+        rf[:5] = uav[:5] + [threshold_m, 0.0]  # on the threshold
+        pairs = [AlignedPair(i, EnuPoint(*u), EnuPoint(*r)) for i, (u, r) in enumerate(zip(uav, rf))]
+        mask = kept_mask(uav, rf, threshold_m)
+        assert mask.tolist() == [p.error_m() <= threshold_m for p in pairs]
 
 
 class TestSegments:
