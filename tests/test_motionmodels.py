@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uavtrack.motionmodels import (
+    _SMALL_TURN,
     ModelError,
     ModelKind,
     NoiseSigmas,
     jacobian,
     measurement_matrix,
     process_noise,
+    propagate_batch,
     transition,
 )
 
@@ -103,6 +106,42 @@ class TestJacobian:
             J = jacobian(mm, s, T)
             fd = _fd_jacobian(mm, s, T)
             assert np.allclose(J, fd, rtol=1e-5, atol=1e-5)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    T=st.floats(0.05, 3.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ct_continuous_across_small_turn_switch(T, sign, seed):
+    rng = np.random.default_rng(seed)
+    s = rng.normal(0, 10, 5)
+    below, above, zero = s.copy(), s.copy(), s.copy()
+    below[4] = sign * _SMALL_TURN * (1 - 1e-9) / T  # Taylor series
+    above[4] = sign * _SMALL_TURN * (1 + 1e-9) / T  # closed form
+    zero[4] = 0.0
+    assert abs(below[4] * T) < _SMALL_TURN <= abs(above[4] * T)
+
+    for fn in (transition, jacobian):
+        lo, hi = fn(ModelKind.CT, below, T), fn(ModelKind.CT, above, T)
+        assert np.allclose(lo, hi, rtol=1e-9, atol=1e-9 * np.abs(hi).max())
+
+    # each row of a batch is the scalar form, bit for bit
+    batch = np.vstack([below, above, zero, rng.normal(0, 10, (5, 5))])
+    steps = np.r_[T, T, T, rng.uniform(0.05, 3.0, 5)]
+    f, J = propagate_batch(ModelKind.CT, batch, steps)
+    for row, dt, f_row, J_row in zip(batch, steps, f, J):
+        assert np.array_equal(f_row, transition(ModelKind.CT, row, dt))
+        assert np.array_equal(J_row, jacobian(ModelKind.CT, row, dt))
+
+    # omega -> 0 is the CV step; at the switch CT is within first order of it
+    cv = transition(ModelKind.CV, s[:4], T)
+    assert np.allclose(transition(ModelKind.CT, zero, T)[:4], cv, rtol=1e-12, atol=1e-12 * np.abs(cv).max())
+    assert np.array_equal(jacobian(ModelKind.CT, zero, T)[:4, :4], jacobian(ModelKind.CV, s[:4], T))
+    speed = np.hypot(s[2], s[3])
+    for state in (below, above):
+        assert np.abs(transition(ModelKind.CT, state, T)[:4] - cv).max() <= 2 * _SMALL_TURN * speed * max(T, 1.0)
 
 
 class TestProcessNoise:
