@@ -46,7 +46,7 @@ DEFAULTS: dict[str, Any] = {
         "r_mode": "mean",
         "v_max": 20.0,
         "accel_var": 25.0,
-        "omega_var": 1.0,
+        "omega_var": 0.01,  # (rad/s)^2 initial turn-rate variance of a CT segment
         "sigma_defaults": {"accel": 0.2, "jerk": 0.1, "omega": 0.02},
     },
     "paths": {"truth": "truth.csv", "rf": "rf.csv", "segments": "segments.json"},

@@ -63,12 +63,16 @@ class FilterConfig:
 
     ``R`` is the 2 x 2 measurement-noise covariance used by every
     segment, typically :func:`estimate_R` over the whole flight.
+    ``omega_var`` is the initial turn-rate variance of a CT segment in
+    (rad/s)^2: 0.01, a 6 deg/s standard deviation, bounds the prior by the
+    platform's turn rates. A 1.0 prior (57 deg/s) lets long CT segments
+    diverge from noisy fixes.
     """
 
     R: np.ndarray
     v_max: float = 20.0
     accel_var: float = 25.0
-    omega_var: float = 1.0
+    omega_var: float = 0.01
 
 
 @dataclass(frozen=True)
