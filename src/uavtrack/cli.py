@@ -50,7 +50,9 @@ def _to_geo_columns(samples: Sequence[TimedSample], origin: GeoPoint) -> tuple[l
     return [s.t_ms for s in samples], from_enu_array(xy, origin)
 
 
-def _aligned_pairs(cfg: RunConfig, uav_path, rf_path) -> tuple[np.ndarray, np.ndarray, np.ndarray, GeoPoint]:
+def _aligned_pairs(
+    cfg: RunConfig, uav_path, rf_path
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, GeoPoint]:
     """Parse both logs, move them to the local frame and timestamp-match them.
 
     Returns the matched ``t_ms`` (K,), truth ``uav`` (K, 2) and ``rf`` (K, 2)
@@ -176,14 +178,16 @@ def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False) -> dict:
         accel_var=float(fcfg["accel_var"]),
         omega_var=float(fcfg["omega_var"]),
     )
-    tracks, warnings = ekf.filter_segments(segments, t_ms, rf, kept_idx, filter_cfg)
+    tracks, warnings = ekf.filter_segments(segments, t_ms, rf, kept_idx.tolist(), filter_cfg)
     for w in warnings:
         log.warning("%s", w)
 
     # one error formula for both sides: each track starts at its segment's first RF fix
     all_rf = metrics.euclidean_errors(uav, rf)
     rf_err = {tr.segment.id: all_rf[tr.rows] for tr in tracks}
-    ekf_err = {tr.segment.id: metrics.euclidean_errors(uav[tr.rows], tr.states[:, :2]) for tr in tracks}
+    ekf_err = {
+        tr.segment.id: metrics.euclidean_errors(uav[tr.rows], tr.states[:, :2]) for tr in tracks
+    }
     rows = metrics.segment_report(segments, rf_err, ekf_err)
     all_ekf = np.concatenate(list(ekf_err.values())) if tracks else np.array([])
 
@@ -239,7 +243,7 @@ def cmd_evaluate(
         segments = dataio.load_segments(segments_path, K=len(errors))
         lines = ["segment,mm,stat,value_m"]
         for seg in segments:
-            seg_e = errors[seg.start_idx:seg.end_idx + 1]
+            seg_e = errors[dataio.segment_slice(seg, range(len(errors)))]
             for stat, value in metrics.stat_items(seg_e):
                 lines.append(f"{seg.id},{seg.mm.value},{stat},{value:.4f}")
         _write_lines(out_dir / "segment_stats.csv", lines)

@@ -159,6 +159,14 @@ def write_aligned_log(path, pairs: Sequence[AlignedPair]) -> None:
             f.write(f"{p.t_ms},{p.uav.x:.6f},{p.uav.y:.6f},{p.rf.x:.6f},{p.rf.y:.6f}\n")
 
 
+def pair_columns(pairs: Sequence[AlignedPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``t_ms`` (K,), truth ``uav`` (K, 2) and ``rf`` (K, 2) columns of aligned pairs."""
+    t_ms = np.array([p.t_ms for p in pairs], dtype=np.int64)
+    uav = np.array([(p.uav.x, p.uav.y) for p in pairs], dtype=float).reshape(-1, 2)
+    rf = np.array([(p.rf.x, p.rf.y) for p in pairs], dtype=float).reshape(-1, 2)
+    return t_ms, uav, rf
+
+
 def match_times(uav_t: np.ndarray, rf_t: np.ndarray, tol_ms: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Match each RF timestamp to the nearest unused UAV timestamp within ``tol_ms``.
 
@@ -212,8 +220,7 @@ def kept_indices(
     pairs: Sequence[AlignedPair], threshold_m: float = DEFAULT_CLEAN_THRESHOLD_M
 ) -> list[int]:
     """Ascending indices of the pairs whose error is at most ``threshold_m``."""
-    uav = np.array([(p.uav.x, p.uav.y) for p in pairs], dtype=float).reshape(-1, 2)
-    rf = np.array([(p.rf.x, p.rf.y) for p in pairs], dtype=float).reshape(-1, 2)
+    _, uav, rf = pair_columns(pairs)
     return np.flatnonzero(kept_mask(uav, rf, threshold_m)).tolist()
 
 

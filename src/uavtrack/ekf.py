@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dataio import AlignedPair, Segment
+from .dataio import AlignedPair, Segment, pair_columns, segment_slice
 from .geodesy import EnuPoint
 from .motionmodels import (
     ModelKind,
@@ -123,7 +123,8 @@ def predict(fs: FilterState, mm: ModelKind, T: float, Q: np.ndarray) -> FilterSt
         raise FilterError(
             f"inconsistent dimensions for {mm.value}: s{fs.s.shape} P{fs.P.shape} Q{Q.shape}"
         )
-    s, P = _predict_step(mm, fs.s[None].astype(float), fs.P[None], np.array([_check_dt(T)]), Q[None])
+    s = np.asarray(fs.s, dtype=float)[None]
+    s, P = _predict_step(mm, s, fs.P[None], np.array([_check_dt(T)]), Q[None])
     return FilterState(s[0], P[0], fs.t_ms + round(T * 1000))
 
 
@@ -136,7 +137,7 @@ def update(fs_pred: FilterState, z: EnuPoint, meas: MeasurementModel) -> FilterS
         raise FilterError(f"inconsistent measurement dimensions: H{H.shape} R{R.shape}")
     with np.errstate(all="ignore"):
         s, P, S, ok = _update_step(
-            fs_pred.s[None].astype(float), fs_pred.P[None], np.array([[z.x, z.y]]), H, R
+            np.asarray(fs_pred.s, dtype=float)[None], fs_pred.P[None], np.array([[z.x, z.y]]), H, R
         )
     if not ok[0]:
         raise FilterError(f"singular innovation covariance: {S[0]}")
@@ -161,17 +162,9 @@ def estimate_R_arrays(uav: np.ndarray, rf: np.ndarray, mode: str = "mean") -> np
     raise FilterError(f"unknown R mode: {mode!r}")
 
 
-def _pair_arrays(pairs: Sequence[AlignedPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``t_ms`` (K,), truth (K, 2) and RF (K, 2) columns of aligned pairs."""
-    t = np.array([p.t_ms for p in pairs], dtype=np.int64)
-    uav = np.array([(p.uav.x, p.uav.y) for p in pairs], dtype=float).reshape(-1, 2)
-    rf = np.array([(p.rf.x, p.rf.y) for p in pairs], dtype=float).reshape(-1, 2)
-    return t, uav, rf
-
-
 def estimate_R(pairs: Sequence[AlignedPair], mode: str = "mean") -> np.ndarray:
     """:func:`estimate_R_arrays` over aligned pairs."""
-    _, uav, rf = _pair_arrays(pairs)
+    _, uav, rf = pair_columns(pairs)
     return estimate_R_arrays(uav, rf, mode)
 
 
@@ -271,17 +264,17 @@ def filter_segments(
     omitted.
     """
     ordered = sorted(segments, key=lambda s: s.start_idx)
-    idx = np.asarray(indices, dtype=np.int64)
-    lo = np.searchsorted(idx, [s.start_idx for s in ordered], side="left").tolist()
-    hi = np.searchsorted(idx, [s.end_idx for s in ordered], side="right").tolist()
-    slices = [slice(a, b) for a, b in zip(lo, hi)]
+    slices = [segment_slice(seg, indices) for seg in ordered]
 
     outcome: dict[int, Union[tuple[np.ndarray, np.ndarray], FilterError]] = {}
     for mm in ModelKind:
-        group = [i for i, s in enumerate(ordered) if s.mm is mm and hi[i] - lo[i] >= 2]
+        group = [
+            i for i, seg in enumerate(ordered)
+            if seg.mm is mm and slices[i].stop - slices[i].start >= 2
+        ]
         if group:
-            results = _run_batch([ordered[i] for i in group], t_ms, z, [slices[i] for i in group], cfg)
-            outcome.update(zip(group, results))
+            segs = [ordered[i] for i in group]
+            outcome.update(zip(group, _run_batch(segs, t_ms, z, [slices[i] for i in group], cfg)))
 
     tracks: list[SegmentTrack] = []
     warnings: list[str] = []
@@ -313,7 +306,7 @@ def run_segment(
     """
     if len(pairs) < 2:
         return None
-    t, _, rf = _pair_arrays(pairs)
+    t, _, rf = pair_columns(pairs)
     res = _run_batch([seg], t, rf, [slice(0, len(pairs))], cfg)[0]
     if isinstance(res, FilterError):
         raise res
@@ -338,6 +331,6 @@ def run_trajectory(
         indices = range(len(pairs))
     elif len(indices) != len(pairs) or any(b <= a for a, b in zip(indices, indices[1:])):
         raise ValueError("indices must be strictly ascending, one per pair")
-    t, _, rf = _pair_arrays(pairs)
+    t, _, rf = pair_columns(pairs)
     tracks, warnings = filter_segments(segments, t, rf, indices, cfg)
     return [(tr.segment, _track_points(t[tr.rows], tr.states, tr.covs)) for tr in tracks], warnings

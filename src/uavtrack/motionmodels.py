@@ -171,7 +171,8 @@ def process_noise_batch(mm: ModelKind, T: np.ndarray, sig: np.ndarray) -> np.nda
     """
     half = 0.5 * T * T
     if mm is ModelKind.CA:
-        g, sigma = np.stack([half, T, np.ones_like(T)], axis=1), sig[:, 1]  # [pos, vel, acc] per axis
+        # [pos, vel, acc] per axis
+        g, sigma = np.stack([half, T, np.ones_like(T)], axis=1), sig[:, 1]
     else:
         g, sigma = np.stack([half, T], axis=1), sig[:, 0]  # [pos, vel] per axis
     Q = _per_axis((sigma**2)[:, None, None] * (g[:, :, None] * g[:, None, :]), mm.state_dim)
