@@ -216,19 +216,12 @@ def kept_mask(
     return np.hypot(uav[:, 0] - rf[:, 0], uav[:, 1] - rf[:, 1]) <= threshold_m
 
 
-def kept_indices(
-    pairs: Sequence[AlignedPair], threshold_m: float = DEFAULT_CLEAN_THRESHOLD_M
-) -> list[int]:
-    """Ascending indices of the pairs whose error is at most ``threshold_m``."""
-    _, uav, rf = pair_columns(pairs)
-    return np.flatnonzero(kept_mask(uav, rf, threshold_m)).tolist()
-
-
 def clean(
     pairs: Sequence[AlignedPair], threshold_m: float = DEFAULT_CLEAN_THRESHOLD_M
 ) -> list[AlignedPair]:
     """Drop pairs whose localization error is strictly above ``threshold_m``."""
-    return [pairs[i] for i in kept_indices(pairs, threshold_m)]
+    _, uav, rf = pair_columns(pairs)
+    return [p for p, keep in zip(pairs, kept_mask(uav, rf, threshold_m).tolist()) if keep]
 
 
 def load_segments(path, K: int) -> list[Segment]:
