@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dataio, ekf, metrics, tdoa, trajgen
 from .config import ConfigError, RunConfig
-from .dataio import AlignedPair, Segment, TimedSample
+from .dataio import Segment
 from .geodesy import EnuPoint, GeoPoint, from_enu_array, to_enu_array
 from .motionmodels import NoiseSigmas
 
@@ -42,12 +42,6 @@ def _write_lines(path, lines: Sequence[str]) -> None:
     with open(path, "w", newline="\n", encoding="utf-8") as f:
         for line in lines:
             f.write(line + "\n")
-
-
-def _to_geo_columns(samples: Sequence[TimedSample], origin: GeoPoint) -> tuple[list[int], np.ndarray]:
-    """Timestamps and geodetic ``(lat_deg, lon_deg)`` rows of local-frame samples."""
-    xy = np.array([(s.pos.x, s.pos.y) for s in samples], dtype=float).reshape(-1, 2)
-    return [s.t_ms for s in samples], from_enu_array(xy, origin)
 
 
 def _aligned_pairs(
@@ -105,6 +99,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
         raise RunError(f"rf_interval_ms ({interval}) must be a multiple of truth_dt_ms ({dt_ms})")
     if sim["noise_model"] not in ("position", "tdoa"):
         raise RunError(f"unknown noise model: {sim['noise_model']!r}")
+    sigma_key = "position_sigma_m" if sim["noise_model"] == "position" else "sigma_t"
+    sigma = float(sim[sigma_key])
+    if not sigma >= 0:
+        raise RunError(f"sim.{sigma_key} must be >= 0, got {sigma}")
     legs = [trajgen.leg_from_dict(d) for d in leg_dicts]
     sigma_defaults = cfg.data["filter"]["sigma_defaults"]
     for leg, leg_dict in zip(legs, leg_dicts):  # segments use them only after the flight
@@ -113,40 +111,26 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     arr = cfg.sensor_array(origin) if sim["noise_model"] == "tdoa" else None
 
     start = EnuPoint(float(sim["start"]["x"]), float(sim["start"]["y"]))
-    truth, boundaries = trajgen.generate_truth(
-        legs,
-        start=start,
-        heading_deg=float(sim["heading_deg"]),
-        speed=float(sim["speed"]),
-        dt_ms=dt_ms,
+    t_ms, xy, boundaries = trajgen.truth_columns(
+        legs, start, float(sim["heading_deg"]), float(sim["speed"]), dt_ms
     )
-    truth_geo = _to_geo_columns(truth, origin)  # fails past the 50 km limit before the RF simulation
-    seed = int(sim["seed"])
-    if sim["noise_model"] == "position":
-        rf, dropped = tdoa.position_noise_flight(
-            truth, float(sim["position_sigma_m"]), seed, interval,
-            float(sim["outlier_rate"]), float(sim["outlier_max_m"]),
-        )
-    else:
-        rf, dropped = tdoa.simulate_flight(
-            truth, arr, float(sim["sigma_t"]), seed,
-            decimate_ms=interval,
-            outlier_rate=float(sim["outlier_rate"]),
-            outlier_max_m=float(sim["outlier_max_m"]),
-        )
-
-    rf_geo = _to_geo_columns(rf, origin)
+    truth_geo = from_enu_array(xy, origin)  # fails past the 50 km limit before the RF simulation
+    rf_t, rf_xy, dropped = tdoa.simulate_columns(
+        t_ms, xy, sigma, int(sim["seed"]), interval,
+        float(sim["outlier_rate"]), float(sim["outlier_max_m"]), arr=arr,
+    )
+    rf_geo = from_enu_array(rf_xy, origin)
     segments = _segments_from_boundaries(boundaries, leg_dicts, interval // dt_ms, sigma_defaults)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataio.write_position_log(out_dir / "truth.csv", *truth_geo)
-    dataio.write_position_log(out_dir / "rf.csv", *rf_geo)
+    dataio.write_position_log(out_dir / "truth.csv", t_ms, truth_geo)
+    dataio.write_position_log(out_dir / "rf.csv", rf_t, rf_geo)
     dataio.write_segments(out_dir / "segments.json", segments)
     dataio.write_json(out_dir / "resolved_config.json", cfg.data)
     return {
         "command": "simulate",
-        "n_truth": len(truth),
-        "n_rf": len(rf),
+        "n_truth": len(t_ms),
+        "n_rf": len(rf_t),
         "n_segments": len(segments),
         "dropped_epochs": dropped,
     }
@@ -264,19 +248,15 @@ def cmd_convert(input_path, out_path, cfg: RunConfig) -> dict:
 
 def cmd_align(uav_path, rf_path, out_path, cfg: RunConfig) -> dict:
     t_ms, uav, rf, _ = _aligned_pairs(cfg, uav_path, rf_path)
-    pairs = [
-        AlignedPair(t, EnuPoint(*u), EnuPoint(*r))
-        for t, u, r in zip(t_ms.tolist(), uav.tolist(), rf.tolist())
-    ]
-    dataio.write_aligned_log(out_path, pairs)
-    return {"command": "align", "n_pairs": len(pairs)}
+    dataio.write_aligned_log(out_path, t_ms, uav, rf)
+    return {"command": "align", "n_pairs": len(t_ms)}
 
 
 def cmd_clean(input_path, out_path, cfg: RunConfig) -> dict:
-    pairs = dataio.parse_aligned_log(input_path)
-    kept = dataio.clean(pairs, float(cfg.data["clean"]["threshold_m"]))
-    dataio.write_aligned_log(out_path, kept)
-    return {"command": "clean", "n_in": len(pairs), "n_out": len(kept)}
+    t_ms, uav, rf = dataio.parse_aligned_log(input_path)
+    keep = dataio.kept_mask(uav, rf, float(cfg.data["clean"]["threshold_m"]))
+    dataio.write_aligned_log(out_path, t_ms[keep], uav[keep], rf[keep])
+    return {"command": "clean", "n_in": len(t_ms), "n_out": int(keep.sum())}
 
 
 # ---------------------------------------------------------------------------

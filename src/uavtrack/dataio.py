@@ -98,17 +98,23 @@ def _csv_rows(
             yield line_no, item
 
 
-def _geo_row(r: list[str]) -> tuple[int, float, float]:
-    t_ms, lat, lon = int(r[0]), float(r[1]), float(r[2])
+def _check_timestamp(t_ms: int) -> None:
     if not -(2**63) <= t_ms < 2**63:
         raise ValueError(f"timestamp {t_ms} outside the int64 range")
+
+
+def _geo_row(r: list[str]) -> tuple[int, float, float]:
+    t_ms, lat, lon = int(r[0]), float(r[1]), float(r[2])
+    _check_timestamp(t_ms)
     if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
         GeoPoint(lat, lon)  # raises GeodesyError naming the bad coordinate
     return t_ms, lat, lon
 
 
-def _aligned_pair(r: list[str]) -> AlignedPair:
-    return AlignedPair(int(r[0]), EnuPoint(float(r[1]), float(r[2])), EnuPoint(float(r[3]), float(r[4])))
+def _aligned_row(r: list[str]) -> tuple[int, float, float, float, float]:
+    t_ms, uav, rf = int(r[0]), EnuPoint(float(r[1]), float(r[2])), EnuPoint(float(r[3]), float(r[4]))
+    _check_timestamp(t_ms)
+    return t_ms, uav.x, uav.y, rf.x, rf.y
 
 
 def parse_position_log(path) -> tuple[np.ndarray, np.ndarray]:
@@ -146,17 +152,40 @@ def write_position_log(path, t_ms: np.ndarray, latlon: np.ndarray) -> None:
         )
 
 
-def parse_aligned_log(path) -> list[AlignedPair]:
-    """Aligned-pair log in the local frame, in file order (may have no rows)."""
-    return [pair for _, pair in _csv_rows(Path(path), ALIGNED_HEADER, _aligned_pair)]
+def parse_aligned_log(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Aligned-pair log in the local frame, in file order (may have no rows).
+
+    Returns ``t_ms`` (int64, (K,)), truth ``uav`` (K, 2) and ``rf`` (K, 2).
+    """
+    rows = [row for _, row in _csv_rows(Path(path), ALIGNED_HEADER, _aligned_row)]
+    xy = np.array([row[1:] for row in rows], dtype=float).reshape(-1, 4)
+    return np.array([row[0] for row in rows], dtype=np.int64), xy[:, :2], xy[:, 2:]
 
 
-def write_aligned_log(path, pairs: Sequence[AlignedPair]) -> None:
-    """Write aligned pairs in the local frame (deterministic bytes)."""
+def write_aligned_log(path, t_ms: np.ndarray, uav: np.ndarray, rf: np.ndarray) -> None:
+    """Write ``t_ms`` (K,) with truth ``uav`` (K, 2) and ``rf`` (K, 2) local positions (deterministic bytes)."""
     with open(path, "w", newline="\n", encoding="utf-8") as f:
         f.write(",".join(ALIGNED_HEADER) + "\n")
-        for p in pairs:
-            f.write(f"{p.t_ms},{p.uav.x:.6f},{p.uav.y:.6f},{p.rf.x:.6f},{p.rf.y:.6f}\n")
+        f.writelines(
+            f"{t},{ux:.6f},{uy:.6f},{rx:.6f},{ry:.6f}\n"
+            for t, (ux, uy), (rx, ry) in zip(
+                np.asarray(t_ms).tolist(), np.asarray(uav).tolist(), np.asarray(rf).tolist()
+            )
+        )
+
+
+def sample_columns(samples: Sequence[TimedSample]) -> tuple[np.ndarray, np.ndarray]:
+    """``t_ms`` (K,) and local ``xy`` (K, 2) columns of timed samples."""
+    t_ms = np.array([s.t_ms for s in samples], dtype=np.int64)
+    return t_ms, np.array([(s.pos.x, s.pos.y) for s in samples], dtype=float).reshape(-1, 2)
+
+
+def timed_samples(t_ms: np.ndarray, xy: np.ndarray) -> list[TimedSample]:
+    """One :class:`TimedSample` per row of ``t_ms`` (K,) and local ``xy`` (K, 2)."""
+    return [
+        TimedSample(t, EnuPoint(x, y))
+        for t, (x, y) in zip(np.asarray(t_ms).tolist(), np.asarray(xy).tolist())
+    ]
 
 
 def pair_columns(pairs: Sequence[AlignedPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

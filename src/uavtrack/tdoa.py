@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataio import TimedSample
+from .dataio import TimedSample, sample_columns, timed_samples
 from .geodesy import EnuPoint
 
 log = logging.getLogger(__name__)
-
-_M = TypeVar("_M")  # one epoch's measurement
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -74,6 +72,19 @@ class TdoaFix:
     converged: bool
 
 
+def _arrival_differences(arr: SensorArray, xy: np.ndarray, jitter: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Sensor indices and arrival-time differences (E, m) for emitters at ``xy`` (E, 2).
+
+    Each row holds, per non-reference sensor in index order, its distance
+    minus the reference's over the speed of light, plus that row's
+    ``jitter`` (E, m) in seconds.
+    """
+    ref = arr.reference_idx
+    idx = [i for i in range(arr.positions.shape[0]) if i != ref]
+    dists = np.linalg.norm(arr.positions - xy[:, None, :], axis=-1)
+    return idx, (dists[:, idx] - dists[:, ref, None]) / SPEED_OF_LIGHT + jitter
+
+
 def simulate_tdoa(
     arr: SensorArray,
     p: EnuPoint,
@@ -84,18 +95,10 @@ def simulate_tdoa(
     """Arrival-time differences for an emitter at ``p`` with i.i.d. Gaussian jitter."""
     if sigma_t < 0:
         raise ValueError(f"sigma_t must be >= 0, got {sigma_t}")
-    target = np.array([p.x, p.y])
-    dists = np.linalg.norm(arr.positions - target, axis=1)
-    ref = arr.reference_idx
-    deltas = []
-    for i in range(arr.positions.shape[0]):
-        if i == ref:
-            continue
-        dt = (dists[i] - dists[ref]) / SPEED_OF_LIGHT
-        if sigma_t > 0:
-            dt += rng.normal(0.0, sigma_t)
-        deltas.append((i, dt))
-    return TdoaMeasurement(t_ms, tuple(deltas))
+    m = arr.positions.shape[0] - 1
+    jitter = rng.normal(0.0, sigma_t, size=m) if sigma_t > 0 else np.zeros(m)
+    idx, dt = _arrival_differences(arr, np.array([[p.x, p.y]]), jitter)
+    return TdoaMeasurement(t_ms, tuple(zip(idx, dt[0].tolist())))
 
 
 def _range_differences(meas: Sequence[TdoaMeasurement]) -> tuple[list[int], np.ndarray]:
@@ -217,23 +220,18 @@ def _starts(arr: SensorArray, init: np.ndarray) -> np.ndarray:
     return np.concatenate([init[:, None, :], np.broadcast_to(sensor_starts, (len(init),) + pos.shape)], axis=1)
 
 
-def _fixes(arr: SensorArray, idx: list[int], rd: np.ndarray, init: np.ndarray) -> list[Optional[TdoaFix]]:
+def _fixes(arr: SensorArray, idx: list[int], rd: np.ndarray, init: np.ndarray) -> tuple[np.ndarray, ...]:
     """Solve epochs ``rd`` (E, m) over sensors ``idx``, each from :func:`_starts`.
 
-    None marks an epoch at which every start is rank-deficient.
+    Returns the points (E, 2), NaN at an epoch where every start is
+    rank-deficient, their RMS residuals (E,) and converged flags (E,).
     """
     pos = arr.positions
     points, costs, converged, best = _solve_batch(pos[idx], pos[arr.reference_idx], rd, _starts(arr, init))
-    rms = np.sqrt(costs / len(idx))
-    fixes: list[Optional[TdoaFix]] = []
-    for p, res, ok, b in zip(points, rms, converged, best):
-        if b < 0:
-            fixes.append(None)
-            continue
-        if not ok:
-            log.warning("Gauss-Newton did not converge, returning best iterate")
-        fixes.append(TdoaFix(EnuPoint(float(p[0]), float(p[1])), float(res), bool(ok)))
-    return fixes
+    for _ in range(np.count_nonzero(~converged[best >= 0])):
+        log.warning("Gauss-Newton did not converge, returning best iterate")
+    points[best < 0] = np.nan
+    return points, np.sqrt(costs / len(idx)), converged
 
 
 def solve_position(arr: SensorArray, m: TdoaMeasurement, init: EnuPoint) -> TdoaFix:
@@ -250,67 +248,81 @@ def solve_position(arr: SensorArray, m: TdoaMeasurement, init: EnuPoint) -> Tdoa
     if not np.all(np.isfinite(p0)):
         raise ValueError(f"non-finite initialization: {init}")
     idx, rd = _range_differences([m])
-    fix = _fixes(arr, idx, rd, p0[None])[0]
-    if fix is None:
+    points, rms, converged = _fixes(arr, idx, rd, p0[None])
+    if np.isnan(points[0, 0]):
         raise GeometryError("rank-deficient geometry at every start (collinear sensors?)")
-    return fix
+    return TdoaFix(EnuPoint(*points[0].tolist()), float(rms[0]), bool(converged[0]))
 
 
 def _epoch_rng(seed: int, t_ms: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, t_ms]))
 
 
-def _simulate_epochs(
-    truth: Sequence[TimedSample],
-    measure: Callable[[TimedSample, np.random.Generator], _M],
-    locate: Callable[[list[_M]], list[Optional[EnuPoint]]],
+def simulate_columns(
+    t_ms: np.ndarray,
+    xy: np.ndarray,
+    sigma: float,
     rng_seed: int,
     decimate_ms: Optional[int],
     outlier_rate: float,
     outlier_max_m: float,
-) -> tuple[list[TimedSample], int]:
-    """Measurement loop shared by every noise model.
+    arr: Optional[SensorArray] = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Position fixes over a ground-truth flight ``t_ms`` (N,), ``xy`` (N, 2).
+
+    With a sensor array ``arr`` each epoch is a TDoA measurement with i.i.d.
+    Gaussian timing jitter of ``sigma`` seconds, and every epoch is solved
+    in one batched multi-start descent, each from the array centroid and
+    the sensor starts (no warm start from the previous fix). Without one, a
+    fix is the true position plus i.i.d. Gaussian noise of ``sigma`` meters
+    per axis.
 
     ``decimate_ms`` first picks the epoch grid: every truth sample at least
     that far after the previous grid epoch (every sample when None), so a
     dropped epoch leaves a gap and never shifts the grid. Each epoch gets
     its own RNG stream from ``(rng_seed, t_ms)``, so results are
-    order-independent and repeatable. From it, ``measure(sample, rng)``
-    draws the epoch's measurement, then ``outlier_rate`` decides on a
-    uniform-in-disk position glitch emulating a foreign RF source.
-    ``locate(measurements)`` turns all measurements into position fixes at
-    once, None to drop an epoch. Returns (estimate samples, dropped epoch
-    count).
+    order-independent and repeatable. From it the epoch draws its noise
+    (none for TDoA at zero ``sigma``), then ``outlier_rate`` decides on a
+    uniform-in-disk position glitch emulating a foreign RF source. An epoch
+    whose every start is rank-deficient is dropped with a warning.
+
+    Returns the kept epochs' ``t_ms`` (E,), fixes (E, 2) and the dropped
+    epoch count.
     """
-    if not truth:
+    if not sigma >= 0:
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    t_ms = np.asarray(t_ms, dtype=np.int64)
+    if not t_ms.size:
         raise ValueError("empty ground-truth trajectory")
-    epochs: list[TimedSample] = []
-    for s in truth:
-        if decimate_ms is None or not epochs or s.t_ms - epochs[-1].t_ms >= decimate_ms:
-            epochs.append(s)
-    measurements: list[_M] = []
-    glitches: list[Optional[tuple[float, float]]] = []
-    for s in epochs:
-        rng = _epoch_rng(rng_seed, s.t_ms)
-        measurements.append(measure(s, rng))
-        glitch = None
+    rows: list[int] = []
+    for i, t in enumerate(t_ms.tolist()):
+        if decimate_ms is None or not rows or t - last >= decimate_ms:
+            rows.append(i)
+            last = t
+    t_ms, xy = t_ms[rows], np.asarray(xy, dtype=float)[rows]
+
+    m = 2 if arr is None else arr.positions.shape[0] - 1
+    draws = arr is None or sigma > 0
+    noise, glitch = np.zeros((len(rows), m)), np.zeros((len(rows), 2))
+    for e, t in enumerate(t_ms.tolist()):
+        rng = _epoch_rng(rng_seed, t)
+        if draws:
+            noise[e] = rng.normal(0.0, sigma, size=m)
         if outlier_rate > 0 and rng.random() < outlier_rate:
             theta = rng.uniform(0.0, 2.0 * np.pi)
             radius = outlier_max_m * np.sqrt(rng.random())
-            glitch = (radius * np.cos(theta), radius * np.sin(theta))
-        glitches.append(glitch)
+            glitch[e] = radius * np.cos(theta), radius * np.sin(theta)
 
-    out: list[TimedSample] = []
-    dropped = 0
-    for s, pos, glitch in zip(epochs, locate(measurements), glitches):
-        if pos is None:
-            log.warning("epoch %d: rank-deficient geometry at every start, dropping", s.t_ms)
-            dropped += 1
-            continue
-        if glitch is not None:
-            pos = EnuPoint(pos.x + glitch[0], pos.y + glitch[1])
-        out.append(TimedSample(s.t_ms, pos))
-    return out, dropped
+    if arr is None:
+        fix, lost = xy + noise, np.zeros(len(rows), dtype=bool)
+    else:
+        idx, dt = _arrival_differences(arr, xy, noise)
+        init = np.tile(arr.positions.mean(axis=0), (len(rows), 1))
+        fix = _fixes(arr, idx, SPEED_OF_LIGHT * dt, init)[0]
+        lost = np.isnan(fix[:, 0])
+    for t in t_ms[lost].tolist():
+        log.warning("epoch %d: rank-deficient geometry at every start, dropping", t)
+    return t_ms[~lost], fix[~lost] + glitch[~lost], int(lost.sum())
 
 
 def simulate_flight(
@@ -324,23 +336,15 @@ def simulate_flight(
 ) -> tuple[list[TimedSample], int]:
     """Run the TDoA measurement chain over a ground-truth flight.
 
-    Simulates a TDoA measurement per epoch, then solves every epoch in one
-    batched multi-start descent, each from the array centroid and the
-    sensor starts (no warm start from the previous fix). ``decimate_ms``
-    keeps only epochs on that grid (~1 Hz sensor rate). See
-    :func:`_simulate_epochs` for the grid, outliers, RNG streams and the
-    result.
+    :func:`simulate_columns` with the sensor array ``arr`` and timing jitter
+    ``sigma_t``, over and into sample lists; ``decimate_ms`` keeps only
+    epochs on that grid (~1 Hz sensor rate).
     """
-
-    def measure(s: TimedSample, rng: np.random.Generator) -> TdoaMeasurement:
-        return simulate_tdoa(arr, s.pos, sigma_t, rng, t_ms=s.t_ms)
-
-    def locate(meas: list[TdoaMeasurement]) -> list[Optional[EnuPoint]]:
-        idx, rd = _range_differences(meas)
-        init = np.tile(arr.positions.mean(axis=0), (len(meas), 1))
-        return [None if fix is None else fix.pos for fix in _fixes(arr, idx, rd, init)]
-
-    return _simulate_epochs(truth, measure, locate, rng_seed, decimate_ms, outlier_rate, outlier_max_m)
+    t_ms, xy = sample_columns(truth)
+    t_ms, xy, dropped = simulate_columns(
+        t_ms, xy, sigma_t, rng_seed, decimate_ms, outlier_rate, outlier_max_m, arr=arr
+    )
+    return timed_samples(t_ms, xy), dropped
 
 
 def position_noise_flight(
@@ -353,14 +357,9 @@ def position_noise_flight(
 ) -> tuple[list[TimedSample], int]:
     """Direct position-noise measurement model that bypasses the TDoA chain.
 
-    Each fix is the true position plus i.i.d. Gaussian noise of ``sigma_m``
-    per axis; otherwise as :func:`simulate_flight`.
+    :func:`simulate_columns` with no sensor array: each fix is the true
+    position plus i.i.d. Gaussian noise of ``sigma_m`` per axis.
     """
-
-    def measure(s: TimedSample, rng: np.random.Generator) -> EnuPoint:
-        return EnuPoint(s.pos.x + rng.normal(0.0, sigma_m), s.pos.y + rng.normal(0.0, sigma_m))
-
-    def locate(fixes: list[EnuPoint]) -> list[Optional[EnuPoint]]:
-        return list(fixes)
-
-    return _simulate_epochs(truth, measure, locate, rng_seed, decimate_ms, outlier_rate, outlier_max_m)
+    t_ms, xy = sample_columns(truth)
+    t_ms, xy, dropped = simulate_columns(t_ms, xy, sigma_m, rng_seed, decimate_ms, outlier_rate, outlier_max_m)
+    return timed_samples(t_ms, xy), dropped

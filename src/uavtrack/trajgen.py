@@ -11,7 +11,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .dataio import TimedSample
+import numpy as np
+
+from .dataio import TimedSample, timed_samples
 from .geodesy import EnuPoint
 from .motionmodels import ModelKind
 
@@ -56,17 +58,17 @@ def leg_from_dict(d: dict) -> LegSpec:
         raise LegError(f"invalid leg spec {d!r}: {exc}") from exc
 
 
-def generate_truth(
+def truth_columns(
     legs: Sequence[LegSpec],
     start: EnuPoint = EnuPoint(0.0, 0.0),
     heading_deg: float = 0.0,
     speed: float = 10.0,
     dt_ms: int = 100,
-) -> tuple[list[TimedSample], list[tuple[LegSpec, int, int]]]:
+) -> tuple[np.ndarray, np.ndarray, list[tuple[LegSpec, int, int]]]:
     """Sample the leg chain on a ``dt_ms`` grid.
 
-    Returns (samples, boundaries) where each boundary is
-    (leg, first_sample_idx, last_sample_idx) into the returned sequence.
+    Returns ``t_ms`` (int64, (N,)), local positions ``xy`` (N, 2) and one
+    boundary (leg, first_sample_idx, last_sample_idx) per leg into them.
     """
     if not legs:
         raise LegError("at least one leg required")
@@ -78,9 +80,8 @@ def generate_truth(
     vx, vy = speed * math.cos(h), speed * math.sin(h)
     dt = dt_ms / 1000.0
 
-    samples: list[TimedSample] = [TimedSample(0, EnuPoint(x, y))]
+    xs, ys = [x], [y]
     boundaries: list[tuple[LegSpec, int, int]] = []
-    t_ms = 0
     for leg in legs:
         if leg.speed is not None:
             v = math.hypot(vx, vy)
@@ -93,7 +94,7 @@ def generate_truth(
             v = math.hypot(vx, vy)
             ux, uy = (vx / v, vy / v) if v > 0 else (1.0, 0.0)
             ax, ay = leg.accel * ux, leg.accel * uy
-        first = len(samples) - 1
+        first = len(xs) - 1
         n_steps = round(leg.duration_s * 1000 / dt_ms)
         for _ in range(max(n_steps, 1)):
             if leg.mm is ModelKind.CV:
@@ -110,7 +111,19 @@ def generate_truth(
                 x += (vx * swt - vy * (1.0 - cwt)) / w
                 y += (vx * (1.0 - cwt) + vy * swt) / w
                 vx, vy = vx * cwt - vy * swt, vx * swt + vy * cwt
-            t_ms += dt_ms
-            samples.append(TimedSample(t_ms, EnuPoint(x, y)))
-        boundaries.append((leg, first, len(samples) - 1))
-    return samples, boundaries
+            xs.append(x)
+            ys.append(y)
+        boundaries.append((leg, first, len(xs) - 1))
+    return np.arange(len(xs), dtype=np.int64) * dt_ms, np.column_stack([xs, ys]), boundaries
+
+
+def generate_truth(
+    legs: Sequence[LegSpec],
+    start: EnuPoint = EnuPoint(0.0, 0.0),
+    heading_deg: float = 0.0,
+    speed: float = 10.0,
+    dt_ms: int = 100,
+) -> tuple[list[TimedSample], list[tuple[LegSpec, int, int]]]:
+    """:func:`truth_columns` as one :class:`TimedSample` per sample."""
+    t_ms, xy, boundaries = truth_columns(legs, start, heading_deg, speed, dt_ms)
+    return timed_samples(t_ms, xy), boundaries

@@ -90,7 +90,7 @@ class TestSimulate:
         def fail(*args, **kwargs):
             pytest.fail("RF simulation ran on a flight beyond the geodesy limit")
 
-        monkeypatch.setattr(tdoa, "simulate_flight", fail)
+        monkeypatch.setattr(tdoa, "simulate_columns", fail)
         cfg = _write_config(tmp_path, sim={"legs": [{"mm": "CV", "duration_s": 520, "speed": 100}]})
         assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "simulate"]) == 1
         assert "50 km" in capsys.readouterr().err
@@ -103,14 +103,17 @@ class TestSimulate:
             ({"rf_interval_ms": 1050}, "must be a multiple of truth_dt_ms"),
             ({"truth_dt_ms": 0}, "truth_dt_ms must be positive"),
             ({"legs": [*LEGS[:-1], dict(LEGS[-1], sigmas={"acel": 0.3})]}, "unknown sigma keys: ['acel']"),
+            ({"sigma_t": -1e-9}, "sim.sigma_t must be >= 0"),
+            ({"noise_model": "position", "position_sigma_m": -1.0}, "sim.position_sigma_m must be >= 0"),
         ],
-        ids=["noise_model", "interval_multiple", "zero_truth_dt", "last_leg_sigma"],
+        ids=["noise_model", "interval_multiple", "zero_truth_dt", "last_leg_sigma", "negative_sigma_t",
+             "negative_position_sigma"],
     )
     def test_bad_sim_config_rejected_before_truth(self, tmp_path, capsys, monkeypatch, sim, message):
         def fail(*args, **kwargs):
             pytest.fail("ground truth generated for a config that cannot be simulated")
 
-        monkeypatch.setattr(trajgen, "generate_truth", fail)
+        monkeypatch.setattr(trajgen, "truth_columns", fail)
         cfg = _write_config(tmp_path, sim=sim)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "simulate"]) == 1
         assert message in capsys.readouterr().err
@@ -120,7 +123,7 @@ class TestSimulate:
         def fail(*args, **kwargs):
             pytest.fail("ground truth generated for a TDoA config with no sensor array")
 
-        monkeypatch.setattr(trajgen, "generate_truth", fail)
+        monkeypatch.setattr(trajgen, "truth_columns", fail)
         cfg = _write_config(tmp_path)
         data = json.loads(cfg.read_text())
         del data["sensors"]
@@ -291,8 +294,10 @@ class TestUtilities:
             ("t_ms,uav_x,uav_y,rf_x\n0,0,0,50\n", ":1: expected header"),
             ("t_ms,uav_x,uav_y,rf_x,rf_y\n0,0,0,50,0\n1000,0,0,x70,0\n", ":3: could not convert"),
             ("t_ms,uav_x,uav_y,rf_x,rf_y\n0,0,0,50,0\n1000,0,0,70\n", ":3: expected 5 fields"),
+            ("t_ms,uav_x,uav_y,rf_x,rf_y\n0,0,0,50,0\n1000,nan,0,70,0\n", ":3: non-finite ENU coordinate: (nan, 0.0)"),
+            ("t_ms,uav_x,uav_y,rf_x,rf_y\n0,0,0,50,0\n9223372036854775808,0,0,70,0\n", ":3: timestamp 9223372036854775808 outside the int64 range"),
         ],
-        ids=["missing_column", "non_numeric_field", "short_row"],
+        ids=["missing_column", "non_numeric_field", "short_row", "non_finite_coordinate", "timestamp_past_int64"],
     )
     def test_clean_malformed_aligned_csv_names_line(self, tmp_path, capsys, text, where):
         aligned = tmp_path / "a.csv"

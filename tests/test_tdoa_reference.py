@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from uavtrack import tdoa
+from uavtrack.dataio import TimedSample
 from uavtrack.geodesy import EnuPoint
-from uavtrack.tdoa import GeometryError, SensorArray, simulate_tdoa, solve_position
+from uavtrack.tdoa import GeometryError, SensorArray, TdoaFix, simulate_tdoa, solve_position
 
 ARRAY = SensorArray(np.array([[-200.0, -200], [200, -200], [-200, 200], [200, 200]]))
 SIGMA_T = 3.3e-9
@@ -156,5 +157,129 @@ def test_fix_independent_of_batch(targets, seed, data):
     meas = _measurements(targets, seed)
     k = data.draw(st.integers(0, len(meas) - 1))
     idx, rd = tdoa._range_differences(meas)
-    batch = tdoa._fixes(ARRAY, idx, rd, np.tile(ARRAY.positions.mean(axis=0), (len(meas), 1)))
-    assert batch[k] == solve_position(ARRAY, meas[k], ARRAY.centroid)
+    points, rms, converged = tdoa._fixes(ARRAY, idx, rd, np.tile(ARRAY.positions.mean(axis=0), (len(meas), 1)))
+    batch = TdoaFix(EnuPoint(*points[k].tolist()), float(rms[k]), bool(converged[k]))
+    assert batch == solve_position(ARRAY, meas[k], ARRAY.centroid)
+
+
+# --- frozen reference: the per-sensor forward model, one jitter draw per
+# sensor in index order, kept as it was; and the per-epoch measurement loop
+# with its measure/locate callbacks, reduced to one epoch at a time: each
+# epoch is solved on its own by solve_position, which
+# test_fix_independent_of_batch ties to the batched solve.
+
+
+def ref_simulate_tdoa(arr, p, sigma_t, rng, t_ms=0):
+    target = np.array([p.x, p.y])
+    dists = np.linalg.norm(arr.positions - target, axis=1)
+    ref = arr.reference_idx
+    deltas = []
+    for i in range(arr.positions.shape[0]):
+        if i == ref:
+            continue
+        dt = (dists[i] - dists[ref]) / tdoa.SPEED_OF_LIGHT
+        if sigma_t > 0:
+            dt += rng.normal(0.0, sigma_t)
+        deltas.append((i, dt))
+    return tdoa.TdoaMeasurement(t_ms, tuple(deltas))
+
+
+def ref_simulate_epochs(truth, measure, locate, rng_seed, decimate_ms, outlier_rate, outlier_max_m):
+    epochs = []
+    for s in truth:
+        if decimate_ms is None or not epochs or s.t_ms - epochs[-1].t_ms >= decimate_ms:
+            epochs.append(s)
+    out, dropped = [], 0
+    for s in epochs:
+        rng = np.random.default_rng(np.random.SeedSequence([rng_seed, s.t_ms]))
+        pos = locate(measure(s, rng))
+        glitch = None
+        if outlier_rate > 0 and rng.random() < outlier_rate:
+            theta = rng.uniform(0.0, 2.0 * np.pi)
+            radius = outlier_max_m * np.sqrt(rng.random())
+            glitch = (radius * np.cos(theta), radius * np.sin(theta))
+        if pos is None:
+            dropped += 1
+            continue
+        if glitch is not None:
+            pos = EnuPoint(pos.x + glitch[0], pos.y + glitch[1])
+        out.append((s.t_ms, pos.x, pos.y))
+    return out, dropped
+
+
+def _ref_locate(arr, m):
+    try:
+        return solve_position(arr, m, arr.centroid).pos
+    except GeometryError:
+        return None
+
+
+def _bits(v):
+    return float(v).hex()
+
+
+_sensor = st.tuples(st.floats(-500, 500), st.floats(-500, 500))
+
+
+def _array(data, n):
+    positions = np.array(data.draw(st.lists(_sensor, min_size=n, max_size=n)))
+    d = np.linalg.norm(positions[:, None] - positions[None], axis=-1)
+    np.fill_diagonal(d, np.inf)
+    assume(d.min() >= 1.0)
+    return SensorArray(positions, reference_idx=data.draw(st.integers(0, n - 1)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    n=st.integers(3, 6),
+    target=_sensor,
+    sigma=st.just(0.0) | st.floats(1e-12, 1e-6),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_forward_model_matches_frozen_per_sensor_loop(n, target, sigma, seed, data):
+    arr = _array(data, n)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = simulate_tdoa(arr, EnuPoint(*target), sigma, rng, t_ms=7)
+    want = ref_simulate_tdoa(arr, EnuPoint(*target), sigma, ref_rng, t_ms=7)
+    assert got.t_ms == want.t_ms
+    assert [(i, _bits(d)) for i, d in got.deltas] == [(i, _bits(d)) for i, d in want.deltas]
+    assert rng.random() == ref_rng.random()  # as many draws
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    steps=st.lists(st.tuples(st.integers(1, 700), _sensor), min_size=1, max_size=25),
+    tdoa_model=st.booleans(),
+    collinear=st.booleans(),
+    sigma_t=st.just(0.0) | st.floats(1e-10, 1e-7),
+    sigma_m=st.floats(0.0, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+    decimate_ms=st.none() | st.integers(1, 2000),
+    outlier_rate=st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_flight_matches_frozen_epoch_loop(
+    steps, tdoa_model, collinear, sigma_t, sigma_m, seed, decimate_ms, outlier_rate
+):
+    t = np.cumsum([0] + [dt for dt, _ in steps[1:]])
+    truth = [TimedSample(int(k), EnuPoint(*p)) for k, (_, p) in zip(t, steps)]
+    if tdoa_model:
+        arr = SensorArray(np.array([[0.0, 0], [100, 0], [200, 0]])) if collinear else ARRAY
+        got = tdoa.simulate_flight(truth, arr, sigma_t, seed, decimate_ms, outlier_rate, 150.0)
+        want = ref_simulate_epochs(
+            truth, lambda s, rng: ref_simulate_tdoa(arr, s.pos, sigma_t, rng, s.t_ms),
+            lambda m: _ref_locate(arr, m), seed, decimate_ms, outlier_rate, 150.0,
+        )
+    else:
+        decimate_ms = decimate_ms or 1
+        got = tdoa.position_noise_flight(truth, sigma_m, seed, decimate_ms, outlier_rate, 150.0)
+        want = ref_simulate_epochs(
+            truth,
+            lambda s, rng: EnuPoint(s.pos.x + rng.normal(0.0, sigma_m), s.pos.y + rng.normal(0.0, sigma_m)),
+            lambda p: p, seed, decimate_ms, outlier_rate, 150.0,
+        )
+    rows, dropped = got
+    assert dropped == want[1]
+    assert [(s.t_ms, _bits(s.pos.x), _bits(s.pos.y)) for s in rows] == [
+        (k, _bits(x), _bits(y)) for k, x, y in want[0]
+    ]
