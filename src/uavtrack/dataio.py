@@ -163,15 +163,11 @@ def parse_aligned_log(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def write_aligned_log(path, t_ms: np.ndarray, uav: np.ndarray, rf: np.ndarray) -> None:
-    """Write ``t_ms`` (K,) with truth ``uav`` (K, 2) and ``rf`` (K, 2) local positions (deterministic bytes)."""
+    """Write ``t_ms`` (K,), truth ``uav`` (K, 2) and ``rf`` (K, 2) local positions (deterministic bytes)."""
     with open(path, "w", newline="\n", encoding="utf-8") as f:
         f.write(",".join(ALIGNED_HEADER) + "\n")
-        f.writelines(
-            f"{t},{ux:.6f},{uy:.6f},{rx:.6f},{ry:.6f}\n"
-            for t, (ux, uy), (rx, ry) in zip(
-                np.asarray(t_ms).tolist(), np.asarray(uav).tolist(), np.asarray(rf).tolist()
-            )
-        )
+        for t, (ux, uy), (rx, ry) in zip(t_ms.tolist(), uav.tolist(), rf.tolist()):
+            f.write(f"{t},{ux:.6f},{uy:.6f},{rx:.6f},{ry:.6f}\n")
 
 
 def sample_columns(samples: Sequence[TimedSample]) -> tuple[np.ndarray, np.ndarray]:
@@ -182,10 +178,7 @@ def sample_columns(samples: Sequence[TimedSample]) -> tuple[np.ndarray, np.ndarr
 
 def timed_samples(t_ms: np.ndarray, xy: np.ndarray) -> list[TimedSample]:
     """One :class:`TimedSample` per row of ``t_ms`` (K,) and local ``xy`` (K, 2)."""
-    return [
-        TimedSample(t, EnuPoint(x, y))
-        for t, (x, y) in zip(np.asarray(t_ms).tolist(), np.asarray(xy).tolist())
-    ]
+    return [TimedSample(t, EnuPoint(x, y)) for t, (x, y) in zip(t_ms.tolist(), xy.tolist())]
 
 
 def pair_columns(pairs: Sequence[AlignedPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -72,7 +72,9 @@ class TdoaFix:
     converged: bool
 
 
-def _arrival_differences(arr: SensorArray, xy: np.ndarray, jitter: np.ndarray) -> tuple[list[int], np.ndarray]:
+def _arrival_differences(
+    arr: SensorArray, xy: np.ndarray, jitter: np.ndarray
+) -> tuple[list[int], np.ndarray]:
     """Sensor indices and arrival-time differences (E, m) for emitters at ``xy`` (E, 2).
 
     Each row holds, per non-reference sensor in index order, its distance
@@ -254,10 +256,6 @@ def solve_position(arr: SensorArray, m: TdoaMeasurement, init: EnuPoint) -> Tdoa
     return TdoaFix(EnuPoint(*points[0].tolist()), float(rms[0]), bool(converged[0]))
 
 
-def _epoch_rng(seed: int, t_ms: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, t_ms]))
-
-
 def simulate_columns(
     t_ms: np.ndarray,
     xy: np.ndarray,
@@ -305,7 +303,7 @@ def simulate_columns(
     draws = arr is None or sigma > 0
     noise, glitch = np.zeros((len(rows), m)), np.zeros((len(rows), 2))
     for e, t in enumerate(t_ms.tolist()):
-        rng = _epoch_rng(rng_seed, t)
+        rng = np.random.default_rng(np.random.SeedSequence([rng_seed, t]))
         if draws:
             noise[e] = rng.normal(0.0, sigma, size=m)
         if outlier_rate > 0 and rng.random() < outlier_rate:
@@ -340,9 +338,8 @@ def simulate_flight(
     ``sigma_t``, over and into sample lists; ``decimate_ms`` keeps only
     epochs on that grid (~1 Hz sensor rate).
     """
-    t_ms, xy = sample_columns(truth)
     t_ms, xy, dropped = simulate_columns(
-        t_ms, xy, sigma_t, rng_seed, decimate_ms, outlier_rate, outlier_max_m, arr=arr
+        *sample_columns(truth), sigma_t, rng_seed, decimate_ms, outlier_rate, outlier_max_m, arr=arr
     )
     return timed_samples(t_ms, xy), dropped
 
@@ -360,6 +357,7 @@ def position_noise_flight(
     :func:`simulate_columns` with no sensor array: each fix is the true
     position plus i.i.d. Gaussian noise of ``sigma_m`` per axis.
     """
-    t_ms, xy = sample_columns(truth)
-    t_ms, xy, dropped = simulate_columns(t_ms, xy, sigma_m, rng_seed, decimate_ms, outlier_rate, outlier_max_m)
+    t_ms, xy, dropped = simulate_columns(
+        *sample_columns(truth), sigma_m, rng_seed, decimate_ms, outlier_rate, outlier_max_m
+    )
     return timed_samples(t_ms, xy), dropped

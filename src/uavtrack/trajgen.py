@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataio import TimedSample, timed_samples
 from .geodesy import EnuPoint
-from .motionmodels import ModelKind
+from .motionmodels import ModelKind, propagate_batch
 
 
 class LegError(ValueError):
@@ -78,43 +78,28 @@ def truth_columns(
     x, y = start.x, start.y
     h = math.radians(heading_deg)
     vx, vy = speed * math.cos(h), speed * math.sin(h)
-    dt = dt_ms / 1000.0
 
-    xs, ys = [x], [y]
+    xy = [np.array([[x, y]])]
     boundaries: list[tuple[LegSpec, int, int]] = []
+    last = 0
     for leg in legs:
         if leg.speed is not None:
             v = math.hypot(vx, vy)
-            if v > 0:
-                vx, vy = vx / v * leg.speed, vy / v * leg.speed
-            else:
-                vx, vy = leg.speed, 0.0
-        # fixed acceleration vector along heading at leg entry
-        if leg.mm is ModelKind.CA:
+            vx, vy = (vx / v * leg.speed, vy / v * leg.speed) if v > 0 else (leg.speed, 0.0)
+        tail = [leg.omega] if leg.mm is ModelKind.CT else []
+        if leg.mm is ModelKind.CA:  # fixed acceleration vector along heading at leg entry
             v = math.hypot(vx, vy)
             ux, uy = (vx / v, vy / v) if v > 0 else (1.0, 0.0)
-            ax, ay = leg.accel * ux, leg.accel * uy
-        first = len(xs) - 1
-        n_steps = round(leg.duration_s * 1000 / dt_ms)
-        for _ in range(max(n_steps, 1)):
-            if leg.mm is ModelKind.CV:
-                x += vx * dt
-                y += vy * dt
-            elif leg.mm is ModelKind.CA:
-                x += vx * dt + 0.5 * ax * dt * dt
-                y += vy * dt + 0.5 * ay * dt * dt
-                vx += ax * dt
-                vy += ay * dt
-            else:  # CT: exact circular arc
-                w = leg.omega
-                swt, cwt = math.sin(w * dt), math.cos(w * dt)
-                x += (vx * swt - vy * (1.0 - cwt)) / w
-                y += (vx * (1.0 - cwt) + vy * swt) / w
-                vx, vy = vx * cwt - vy * swt, vx * swt + vy * cwt
-            xs.append(x)
-            ys.append(y)
-        boundaries.append((leg, first, len(xs) - 1))
-    return np.arange(len(xs), dtype=np.int64) * dt_ms, np.column_stack([xs, ys]), boundaries
+            tail = [leg.accel * ux, leg.accel * uy]
+        # every sample of the leg from its entry state: the transitions are exact
+        n = max(round(leg.duration_s * 1000 / dt_ms), 1)
+        entry = np.tile([x, y, vx, vy, *tail], (n, 1))
+        states = propagate_batch(leg.mm, entry, np.arange(1, n + 1) * dt_ms / 1000.0)[0]
+        x, y, vx, vy = states[-1, :4].tolist()
+        xy.append(states[:, :2])
+        boundaries.append((leg, last, last + n))
+        last += n
+    return np.arange(last + 1, dtype=np.int64) * dt_ms, np.concatenate(xy), boundaries
 
 
 def generate_truth(
