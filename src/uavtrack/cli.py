@@ -38,12 +38,6 @@ class _WarningCounter(logging.Handler):
         self.count += 1
 
 
-def _write_lines(path, lines: Sequence[str]) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as f:
-        for line in lines:
-            f.write(line + "\n")
-
-
 def _aligned_pairs(
     cfg: RunConfig, uav_path, rf_path
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, GeoPoint]:
@@ -178,19 +172,17 @@ def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False) -> dict:
     xy = np.concatenate([tr.states[:, :2] for tr in tracks]) if tracks else np.empty((0, 2))
     t_track = np.concatenate([t_ms[tr.rows] for tr in tracks]) if tracks else np.empty(0, np.int64)
     ids = np.repeat([tr.segment.id for tr in tracks], [len(tr.states) for tr in tracks])
-    track_lines = ["t_ms,segment,x,y,lat_deg,lon_deg"] + [
-        f"{t},{sid},{x:.6f},{y:.6f},{lat:.10f},{lon:.10f}"
-        for t, sid, (x, y), (lat, lon) in zip(
-            t_track.tolist(), ids.tolist(), xy.tolist(), from_enu_array(xy, origin).tolist()
-        )
-    ]
+    latlon = from_enu_array(xy, origin)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_lines(out_dir / "track.csv", track_lines)
-    _write_lines(out_dir / "report.csv", metrics.report_to_csv_rows(rows))
-    _write_lines(out_dir / "cdf_rf.csv", metrics.cdf_to_csv_rows(metrics.cdf(all_rf)))
+    dataio.write_csv(
+        out_dir / "track.csv", ["t_ms", "segment", "x", "y", "lat_deg", "lon_deg"],
+        "{},{},{:.6f},{:.6f},{:.10f},{:.10f}", t_track, ids, *xy.T, *latlon.T,
+    )
+    dataio.write_lines(out_dir / "report.csv", metrics.report_to_csv_rows(rows))
+    dataio.write_lines(out_dir / "cdf_rf.csv", metrics.cdf_to_csv_rows(metrics.cdf(all_rf)))
     if all_ekf.size:
-        _write_lines(out_dir / "cdf_ekf.csv", metrics.cdf_to_csv_rows(metrics.cdf(all_ekf)))
+        dataio.write_lines(out_dir / "cdf_ekf.csv", metrics.cdf_to_csv_rows(metrics.cdf(all_ekf)))
     dataio.write_json(out_dir / "resolved_config.json", cfg.data)
     return {
         "command": "track",
@@ -220,7 +212,7 @@ def cmd_evaluate(
         out_dir / "stats.json",
         {"min_m": st.min_m, "max_m": st.max_m, "mean_m": st.mean_m, "std_m": st.std_m, "n": st.n},
     )
-    _write_lines(out_dir / "cdf.csv", metrics.cdf_to_csv_rows(metrics.cdf(errors)))
+    dataio.write_lines(out_dir / "cdf.csv", metrics.cdf_to_csv_rows(metrics.cdf(errors)))
 
     segments = []
     if segments_path:
@@ -230,7 +222,7 @@ def cmd_evaluate(
             seg_e = errors[dataio.segment_slice(seg, range(len(errors)))]
             for stat, value in metrics.stat_items(seg_e):
                 lines.append(f"{seg.id},{seg.mm.value},{stat},{value:.4f}")
-        _write_lines(out_dir / "segment_stats.csv", lines)
+        dataio.write_lines(out_dir / "segment_stats.csv", lines)
     return {"command": "evaluate", "k_aligned": len(errors), "n_segments": len(segments)}
 
 
@@ -241,8 +233,7 @@ def cmd_evaluate(
 def cmd_convert(input_path, out_path, cfg: RunConfig) -> dict:
     t_ms, latlon = dataio.parse_position_log(input_path)
     xy = to_enu_array(latlon, cfg.origin() or GeoPoint(*latlon[0].tolist()))
-    lines = [f"{t},{x:.6f},{y:.6f}" for t, (x, y) in zip(t_ms.tolist(), xy.tolist())]
-    _write_lines(out_path, ["t_ms,x,y"] + lines)
+    dataio.write_csv(out_path, ["t_ms", "x", "y"], "{},{:.6f},{:.6f}", t_ms, *xy.T)
     return {"command": "convert", "n": len(t_ms)}
 
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 import json
 import logging
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
@@ -26,6 +28,11 @@ log = logging.getLogger(__name__)
 LOG_HEADER = ["t_ms", "lat_deg", "lon_deg"]
 ALIGNED_HEADER = ["t_ms", "uav_x", "uav_y", "rf_x", "rf_y"]
 DEFAULT_CLEAN_THRESHOLD_M = 60.0
+
+_GEO_DTYPE = [("t", "i8"), ("lat", "f8"), ("lon", "f8")]
+_ALIGNED_DTYPE = [("t", "i8"), ("xy", "f8", (4,))]
+_PLAIN_BYTES = b"0123456789+-.eE,\n"
+_WRITE_BLOCK_ROWS = 4096
 
 
 class ParseError(ValueError):
@@ -117,14 +124,57 @@ def _aligned_row(r: list[str]) -> tuple[int, float, float, float, float]:
     return t_ms, uav.x, uav.y, rf.x, rf.y
 
 
+def _load_columns(path: Path, header: list[str], dtype: list) -> np.ndarray | None:
+    """The data rows of a plain log as one structured ``dtype`` array, or None.
+
+    A log is plain when its first line is ``header`` exactly and the rest
+    holds only ASCII digits, signs, ``.``, ``e``/``E``, commas and line
+    feeds. For such text ``np.loadtxt``'s C parser reads each field as
+    ``int``/``float`` do, blank lines included, so every file it takes has
+    the values of the row-wise scan (:func:`_csv_rows`). Any other file, and
+    any file the C parser rejects, gives None: the caller then runs that
+    scan, which accepts or names the failing line as before.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    head = (",".join(header) + "\n").encode()
+    body = data[len(head):]
+    if not data.startswith(head) or not body.strip(b"\n") or body.translate(None, _PLAIN_BYTES):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x truncates a float-looking integer field with this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(
+                io.StringIO(body.decode("ascii")), delimiter=",", dtype=dtype, comments=None, ndmin=1
+            )
+    except (ValueError, DeprecationWarning):
+        return None
+
+
 def parse_position_log(path) -> tuple[np.ndarray, np.ndarray]:
     """Geodetic position log (ground truth or RF estimates), sorted by time.
 
     Returns ``t_ms`` (int64, shape (K,), strictly increasing) and ``latlon``
     (degrees, shape (K, 2)). Of rows sharing a timestamp the first is kept
     and each later one logs a warning.
+
+    A plain file (:func:`_load_columns`) whose coordinates are in range and
+    whose timestamps are distinct is read in one array pass; every other
+    file is scanned row by row, which names the line of any fault and warns
+    about duplicates in line order.
     """
     path = Path(path)
+    rows = _load_columns(path, LOG_HEADER, _GEO_DTYPE)
+    if rows is not None:
+        lat, lon = rows["lat"], rows["lon"]
+        order = np.argsort(rows["t"])
+        t = rows["t"][order]
+        if (
+            np.all((-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0))
+            and not np.any(t[1:] == t[:-1])
+        ):
+            return t, np.column_stack((lat, lon))[order]
     t_ms: list[int] = []
     latlon: list[tuple[float, float]] = []
     seen: set[int] = set()
@@ -144,30 +194,50 @@ def parse_position_log(path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_position_log(path, t_ms: np.ndarray, latlon: np.ndarray) -> None:
     """Write ``t_ms`` (K,) and geodetic ``latlon`` (K, 2) in the standard log schema (deterministic bytes)."""
-    with open(path, "w", newline="\n", encoding="utf-8") as f:
-        f.write(",".join(LOG_HEADER) + "\n")
-        f.writelines(
-            f"{t},{lat:.10f},{lon:.10f}\n"
-            for t, (lat, lon) in zip(np.asarray(t_ms).tolist(), np.asarray(latlon).tolist())
-        )
+    latlon = np.asarray(latlon, dtype=float).reshape(-1, 2)
+    write_csv(path, LOG_HEADER, "{},{:.10f},{:.10f}", t_ms, latlon[:, 0], latlon[:, 1])
 
 
 def parse_aligned_log(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Aligned-pair log in the local frame, in file order (may have no rows).
 
     Returns ``t_ms`` (int64, (K,)), truth ``uav`` (K, 2) and ``rf`` (K, 2).
+    A plain file (:func:`_load_columns`) with finite coordinates is read in
+    one array pass, any other row by row.
     """
-    rows = [row for _, row in _csv_rows(Path(path), ALIGNED_HEADER, _aligned_row)]
+    path = Path(path)
+    rows = _load_columns(path, ALIGNED_HEADER, _ALIGNED_DTYPE)
+    if rows is not None and np.isfinite(rows["xy"]).all():
+        return rows["t"], rows["xy"][:, :2], rows["xy"][:, 2:]
+    rows = [row for _, row in _csv_rows(path, ALIGNED_HEADER, _aligned_row)]
     xy = np.array([row[1:] for row in rows], dtype=float).reshape(-1, 4)
     return np.array([row[0] for row in rows], dtype=np.int64), xy[:, :2], xy[:, 2:]
 
 
 def write_aligned_log(path, t_ms: np.ndarray, uav: np.ndarray, rf: np.ndarray) -> None:
     """Write ``t_ms`` (K,), truth ``uav`` (K, 2) and ``rf`` (K, 2) local positions (deterministic bytes)."""
+    write_csv(path, ALIGNED_HEADER, "{},{:.6f},{:.6f},{:.6f},{:.6f}", t_ms, *uav.T, *rf.T)
+
+
+def write_csv(path, header: list[str], fmt: str, *columns) -> None:
+    """Write ``header`` and one ``fmt`` line per row of the equal-length ``columns`` (deterministic bytes).
+
+    Each block of rows is formatted from Python values, one ``tolist`` per
+    column, and written as one joined string; blocks keep the text of a long
+    log from sitting in memory whole.
+    """
+    line = (fmt + "\n").format
+    columns = [np.asarray(c) for c in columns]
     with open(path, "w", newline="\n", encoding="utf-8") as f:
-        f.write(",".join(ALIGNED_HEADER) + "\n")
-        for t, (ux, uy), (rx, ry) in zip(t_ms.tolist(), uav.tolist(), rf.tolist()):
-            f.write(f"{t},{ux:.6f},{uy:.6f},{rx:.6f},{ry:.6f}\n")
+        f.write(",".join(header) + "\n")
+        for i in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+            f.write("".join(map(line, *(c[i : i + _WRITE_BLOCK_ROWS].tolist() for c in columns))))
+
+
+def write_lines(path, lines: Sequence[str]) -> None:
+    """Write ``lines``, a header first, each ended by a line feed, as one string (deterministic bytes)."""
+    with open(path, "w", newline="\n", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def sample_columns(samples: Sequence[TimedSample]) -> tuple[np.ndarray, np.ndarray]:

@@ -123,7 +123,5 @@ def report_to_csv_rows(rows: Sequence[SegmentReportRow]) -> list[str]:
 
 
 def cdf_to_csv_rows(curve: CdfCurve) -> list[str]:
-    out = ["error_m,fraction"]
-    for e, f in zip(curve.errors_m, curve.fractions):
-        out.append(f"{e:.6f},{f:.8f}")
-    return out
+    rows = map("{:.6f},{:.8f}".format, curve.errors_m.tolist(), curve.fractions.tolist())
+    return ["error_m,fraction", *rows]

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataio import TimedSample, sample_columns, timed_samples
-from .geodesy import EnuPoint
+from .geodesy import MAX_RANGE_M, EnuPoint
 
 log = logging.getLogger(__name__)
 
@@ -95,7 +95,7 @@ def simulate_tdoa(
     t_ms: int = 0,
 ) -> TdoaMeasurement:
     """Arrival-time differences for an emitter at ``p`` with i.i.d. Gaussian jitter."""
-    if sigma_t < 0:
+    if not sigma_t >= 0:
         raise ValueError(f"sigma_t must be >= 0, got {sigma_t}")
     m = arr.positions.shape[0] - 1
     jitter = rng.normal(0.0, sigma_t, size=m) if sigma_t > 0 else np.zeros(m)
@@ -282,7 +282,9 @@ def simulate_columns(
     order-independent and repeatable. From it the epoch draws its noise
     (none for TDoA at zero ``sigma``), then ``outlier_rate`` decides on a
     uniform-in-disk position glitch emulating a foreign RF source. An epoch
-    whose every start is rank-deficient is dropped with a warning.
+    whose every start is rank-deficient, or whose fix (glitch included) lies
+    more than the geodesy limit ``MAX_RANGE_M`` from the local origin, is
+    dropped with a warning; the warnings come in epoch order.
 
     Returns the kept epochs' ``t_ms`` (E,), fixes (E, 2) and the dropped
     epoch count.
@@ -318,9 +320,15 @@ def simulate_columns(
         init = np.tile(arr.positions.mean(axis=0), (len(rows), 1))
         fix = _fixes(arr, idx, SPEED_OF_LIGHT * dt, init)[0]
         lost = np.isnan(fix[:, 0])
-    for t in t_ms[lost].tolist():
-        log.warning("epoch %d: rank-deficient geometry at every start, dropping", t)
-    return t_ms[~lost], fix[~lost] + glitch[~lost], int(lost.sum())
+    fix += glitch
+    far = np.hypot(fix[:, 0], fix[:, 1]) > MAX_RANGE_M  # False where lost (NaN)
+    drop = lost | far
+    for t, is_far in zip(t_ms[drop].tolist(), far[drop].tolist()):
+        if is_far:
+            log.warning("epoch %d: fix beyond %.0f km of the origin, dropping", t, MAX_RANGE_M / 1000)
+        else:
+            log.warning("epoch %d: rank-deficient geometry at every start, dropping", t)
+    return t_ms[~drop], fix[~drop], int(drop.sum())
 
 
 def simulate_flight(

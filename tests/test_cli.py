@@ -132,6 +132,20 @@ class TestSimulate:
         assert "config has no sensor array" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_wild_fixes_dropped_as_lost_epochs(self, tmp_path, caplog):
+        # at 2 us timing jitter a few fixes land past the 50 km geodesy limit
+        cfg = _write_config(tmp_path, sim={"sigma_t": 2e-6, "rf_interval_ms": 100})
+        with caplog.at_level(logging.WARNING, logger="uavtrack.tdoa"):
+            assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "simulate"]) == 0
+        summary = json.loads((tmp_path / "x" / "summary.json").read_text())
+        assert summary["dropped_epochs"] > 0
+        assert summary["n_rf"] + summary["dropped_epochs"] == summary["n_truth"]
+        drops = [r.getMessage() for r in caplog.records if r.getMessage().endswith("dropping")]
+        assert len(drops) == summary["dropped_epochs"]
+        assert any("beyond 50 km" in m for m in drops) and any("rank-deficient" in m for m in drops)
+        epochs = [int(m.split()[1].rstrip(":")) for m in drops]
+        assert epochs == sorted(epochs)  # one warning per epoch, in epoch order
+
     def test_unknown_leg_sigma_key_rejected(self, tmp_path, capsys):
         legs = [dict(LEGS[0], sigmas={"acel": 0.3}), *LEGS[1:]]
         cfg = _write_config(tmp_path, sim={"legs": legs})

@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,3 +227,47 @@ class TestSegments:
         ])
         with pytest.raises(SegmentError, match=r"unknown sigma keys: \['acel'\]"):
             load_segments(p, K=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    K=st.integers(1, 30),
+    spans=st.lists(st.tuples(st.integers(-2, 32), st.integers(-1, 6)), min_size=1, max_size=6),
+    models=st.lists(st.sampled_from(["CV", "CA", "CT"]), min_size=6, max_size=6),
+)
+def test_segment_file_properties(K, spans, models):
+    # file order is the draw order; ids are unique
+    entries = [
+        {"id": f"S{i}", "start_idx": a, "end_idx": a + n, "mm": mm, "sigmas": {}}
+        for i, ((a, n), mm) in enumerate(zip(spans, models))
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "segments.json"
+        path.write_text(json.dumps(entries), encoding="utf-8")
+        try:
+            segments = load_segments(path, K)
+        except SegmentError as exc:
+            error = str(exc)
+        else:
+            error = None
+
+    bad = [e for e in entries if not 0 <= e["start_idx"] <= e["end_idx"] < K]
+    overlapping = {
+        (a["id"], b["id"])
+        for a in entries for b in entries
+        if a is not b and a["start_idx"] <= b["end_idx"] and b["start_idx"] <= a["end_idx"]
+    }
+    if bad:
+        # range is checked entry by entry, before any overlap
+        e = bad[0]
+        assert error == f"segment {e['id']}: indices [{e['start_idx']}, {e['end_idx']}] out of range for K={K}"
+    elif overlapping:
+        assert error is not None
+        named = tuple(error.removeprefix("segments ").removesuffix(" overlap").split(" and "))
+        assert named in overlapping
+    else:
+        assert error is None
+        by_start = sorted(entries, key=lambda e: e["start_idx"])
+        assert [(s.id, s.start_idx, s.end_idx, s.mm.value) for s in segments] == [
+            (e["id"], e["start_idx"], e["end_idx"], e["mm"]) for e in by_start
+        ]

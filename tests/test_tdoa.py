@@ -1,14 +1,17 @@
+import logging
+
 import numpy as np
 import pytest
 
 from uavtrack.dataio import TimedSample
-from uavtrack.geodesy import EnuPoint
+from uavtrack.geodesy import MAX_RANGE_M, EnuPoint
 from uavtrack.tdoa import (
     SPEED_OF_LIGHT,
     ArrayError,
     GeometryError,
     SensorArray,
     cost,
+    position_noise_flight,
     simulate_flight,
     simulate_tdoa,
     solve_position,
@@ -57,6 +60,12 @@ class TestSimulateTdoa:
     def test_reference_excluded(self):
         m = simulate_tdoa(SQUARE, EnuPoint(5, 5), 0.0, _rng())
         assert all(i != SQUARE.reference_idx for i, _ in m.deltas)
+
+    @pytest.mark.parametrize("sigma_t", [-1e-9, float("nan")])
+    def test_bad_sigma_rejected(self, sigma_t):
+        # a NaN jitter sigma would otherwise give noiseless deltas
+        with pytest.raises(ValueError, match=f"sigma_t must be >= 0, got {sigma_t}"):
+            simulate_tdoa(SQUARE, EnuPoint(5, 5), sigma_t, _rng())
 
 
 class TestSolvePosition:
@@ -163,6 +172,19 @@ class TestSimulateFlight:
         rf, dropped = simulate_flight(truth, arr, 1e-9, rng_seed=1, decimate_ms=1000)
         assert rf == []
         assert dropped == 5  # grid epochs 0, 1000, ..., 4000
+
+    def test_fix_past_geodesy_limit_dropped(self, caplog):
+        # glitches of up to 2 km on a target 49.5 km out throw some fixes past 50 km
+        truth = [TimedSample(1000 * k, EnuPoint(49_500.0, 0.0)) for k in range(40)]
+        with caplog.at_level(logging.WARNING, logger="uavtrack.tdoa"):
+            rf, dropped = position_noise_flight(truth, 0.0, 5, 1000, 0.5, 2000.0)
+        kept = [r.t_ms for r in rf]
+        far = [s.t_ms for s in truth if s.t_ms not in kept]
+        assert far and dropped == len(far)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"epoch {t}: fix beyond 50 km of the origin, dropping" for t in far
+        ]
+        assert all(np.hypot(r.pos.x, r.pos.y) <= MAX_RANGE_M for r in rf)
 
     def test_outlier_injection(self):
         rf, _ = simulate_flight(
