@@ -63,12 +63,23 @@ def _leg_sigmas(leg_dict: dict, leg: trajgen.LegSpec, defaults: dict) -> NoiseSi
     return NoiseSigmas.from_dict({k: defaults[k] for k in leg.mm.noise_keys} | leg_dict.get("sigmas", {}))
 
 
-def _segments_from_boundaries(boundaries, leg_dicts, step: int, defaults: dict) -> list[Segment]:
+def _segments_from_boundaries(
+    boundaries, leg_dicts, step: int, defaults: dict, rows: Optional[np.ndarray] = None
+) -> list[Segment]:
+    """One segment per leg over the RF epochs whose truth sample lies in the leg.
+
+    ``rows`` holds the truth-sample index of each RF epoch kept in the RF
+    log, ascending; by default every ``step``-th sample is one. Segment
+    indices count kept epochs, so a dropped epoch shifts no later segment.
+    """
+    if rows is None:
+        rows = np.arange(0, boundaries[-1][2] + 1, step)
+    firsts = np.searchsorted(rows, [first for _, first, _ in boundaries]).tolist()
+    lasts = (np.searchsorted(rows, [last for _, _, last in boundaries], side="right") - 1).tolist()
     segments = []
     prev_end = -1
-    for i, (leg, first, last) in enumerate(boundaries):
-        start_rf = max(prev_end + 1, -(-first // step))  # ceil division
-        end_rf = last // step
+    for i, ((leg, _, _), first_rf, end_rf) in enumerate(zip(boundaries, firsts, lasts)):
+        start_rf = max(prev_end + 1, first_rf)
         if end_rf < start_rf:
             log.warning("leg %d too short for a segment at the RF rate, skipped", i + 1)
             continue
@@ -114,7 +125,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
         float(sim["outlier_rate"]), float(sim["outlier_max_m"]), arr=arr,
     )
     rf_geo = from_enu_array(rf_xy, origin)
-    segments = _segments_from_boundaries(boundaries, leg_dicts, interval // dt_ms, sigma_defaults)
+    segments = _segments_from_boundaries(
+        boundaries, leg_dicts, interval // dt_ms, sigma_defaults, np.searchsorted(t_ms, rf_t)
+    )
 
     out_dir.mkdir(parents=True, exist_ok=True)
     dataio.write_position_log(out_dir / "truth.csv", t_ms, truth_geo)
@@ -177,7 +190,7 @@ def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     dataio.write_csv(
         out_dir / "track.csv", ["t_ms", "segment", "x", "y", "lat_deg", "lon_deg"],
-        "{},{},{:.6f},{:.6f},{:.10f},{:.10f}", t_track, ids, *xy.T, *latlon.T,
+        "%s,%s,%.6f,%.6f,%.10f,%.10f", t_track, ids, *xy.T, *latlon.T,
     )
     dataio.write_lines(out_dir / "report.csv", metrics.report_to_csv_rows(rows))
     dataio.write_lines(out_dir / "cdf_rf.csv", metrics.cdf_to_csv_rows(metrics.cdf(all_rf)))
@@ -218,9 +231,9 @@ def cmd_evaluate(
     if segments_path:
         segments = dataio.load_segments(segments_path, K=len(errors))
         lines = ["segment,mm,stat,value_m"]
-        for seg in segments:
-            seg_e = errors[dataio.segment_slice(seg, range(len(errors)))]
-            for stat, value in metrics.stat_items(seg_e):
+        seg_stats = metrics.segment_stats([errors[seg.start_idx : seg.end_idx + 1] for seg in segments])
+        for seg, values in zip(segments, seg_stats.tolist()):
+            for stat, value in zip(metrics.STATS, values):
                 lines.append(f"{seg.id},{seg.mm.value},{stat},{value:.4f}")
         dataio.write_lines(out_dir / "segment_stats.csv", lines)
     return {"command": "evaluate", "k_aligned": len(errors), "n_segments": len(segments)}
@@ -233,7 +246,7 @@ def cmd_evaluate(
 def cmd_convert(input_path, out_path, cfg: RunConfig) -> dict:
     t_ms, latlon = dataio.parse_position_log(input_path)
     xy = to_enu_array(latlon, cfg.origin() or GeoPoint(*latlon[0].tolist()))
-    dataio.write_csv(out_path, ["t_ms", "x", "y"], "{},{:.6f},{:.6f}", t_ms, *xy.T)
+    dataio.write_csv(out_path, ["t_ms", "x", "y"], "%s,%.6f,%.6f", t_ms, *xy.T)
     return {"command": "convert", "n": len(t_ms)}
 
 

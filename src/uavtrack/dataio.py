@@ -195,7 +195,7 @@ def parse_position_log(path) -> tuple[np.ndarray, np.ndarray]:
 def write_position_log(path, t_ms: np.ndarray, latlon: np.ndarray) -> None:
     """Write ``t_ms`` (K,) and geodetic ``latlon`` (K, 2) in the standard log schema (deterministic bytes)."""
     latlon = np.asarray(latlon, dtype=float).reshape(-1, 2)
-    write_csv(path, LOG_HEADER, "{},{:.10f},{:.10f}", t_ms, latlon[:, 0], latlon[:, 1])
+    write_csv(path, LOG_HEADER, "%s,%.10f,%.10f", t_ms, latlon[:, 0], latlon[:, 1])
 
 
 def parse_aligned_log(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -216,22 +216,24 @@ def parse_aligned_log(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def write_aligned_log(path, t_ms: np.ndarray, uav: np.ndarray, rf: np.ndarray) -> None:
     """Write ``t_ms`` (K,), truth ``uav`` (K, 2) and ``rf`` (K, 2) local positions (deterministic bytes)."""
-    write_csv(path, ALIGNED_HEADER, "{},{:.6f},{:.6f},{:.6f},{:.6f}", t_ms, *uav.T, *rf.T)
+    write_csv(path, ALIGNED_HEADER, "%s,%.6f,%.6f,%.6f,%.6f", t_ms, *uav.T, *rf.T)
 
 
 def write_csv(path, header: list[str], fmt: str, *columns) -> None:
-    """Write ``header`` and one ``fmt`` line per row of the equal-length ``columns`` (deterministic bytes).
+    """Write ``header`` and one ``fmt % row`` line per row of the equal-length ``columns`` (deterministic bytes).
 
-    Each block of rows is formatted from Python values, one ``tolist`` per
-    column, and written as one joined string; blocks keep the text of a long
-    log from sitting in memory whole.
+    ``fmt`` is a printf-style format with one conversion per column, such as
+    ``"%s,%.6f"``. Each block of rows is formatted from Python values, one
+    ``tolist`` per column, and written as one joined string; blocks keep the
+    text of a long log from sitting in memory whole.
     """
-    line = (fmt + "\n").format
+    fmt += "\n"
     columns = [np.asarray(c) for c in columns]
     with open(path, "w", newline="\n", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
         for i in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
-            f.write("".join(map(line, *(c[i : i + _WRITE_BLOCK_ROWS].tolist() for c in columns))))
+            block = zip(*(c[i : i + _WRITE_BLOCK_ROWS].tolist() for c in columns))
+            f.write("".join([fmt % row for row in block]))
 
 
 def write_lines(path, lines: Sequence[str]) -> None:
@@ -267,25 +269,48 @@ def match_times(uav_t: np.ndarray, rf_t: np.ndarray, tol_ms: int = 1) -> tuple[n
     the nearest one, the lower index on a tie, and goes unmatched if there
     is none. Returns ``(rf_idx, uav_idx)``, int arrays of the matched
     positions with ``rf_idx`` ascending.
+
+    An RF sample whose window shares no UAV sample with its neighbours'
+    windows competes with no other, so it takes the nearest candidate in
+    its window directly; the nearest-unused rule runs, in order, only over
+    runs of overlapping windows, whose candidates no other window holds.
     """
     if tol_ms < 0:
         raise ValueError(f"tol_ms must be >= 0, got {tol_ms}")
     uav_t = np.asarray(uav_t, dtype=np.int64)
     rf_t = np.asarray(rf_t, dtype=np.int64)
-    lo = np.searchsorted(uav_t, rf_t - tol_ms, side="left").tolist()
-    hi = np.searchsorted(uav_t, rf_t + tol_ms, side="right").tolist()
+    if not uav_t.size:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    lo = np.searchsorted(uav_t, rf_t - tol_ms, side="left")
+    hi = np.searchsorted(uav_t, rf_t + tol_ms, side="right")
+
+    # nearest candidate of each window: the first sample at or after t, or
+    # the first of the equal samples just before t, which wins a tie
+    after = np.searchsorted(uav_t, rf_t, side="left")
+    before = np.searchsorted(uav_t, uav_t[np.maximum(after - 1, 0)], side="left")
+    has_after, has_before = after < hi, after > lo
+    closer_before = rf_t - uav_t[before] <= uav_t[np.minimum(after, uav_t.size - 1)] - rf_t
+    pick = np.where(has_before & (~has_after | closer_before), before, after)
+    matched = has_before | has_after
+
+    overlap = hi[:-1] > lo[1:]
+    shared = np.zeros(rf_t.size, dtype=bool)
+    shared[:-1] |= overlap
+    shared[1:] |= overlap
+    matched &= ~shared
     ut = uav_t.tolist()
     used: set[int] = set()
-    rf_idx: list[int] = []
-    uav_idx: list[int] = []
-    for i, t in enumerate(rf_t.tolist()):
-        free = [(abs(ut[j] - t), j) for j in range(lo[i], hi[i]) if j not in used]
+    for i, t, a, b in zip(
+        np.flatnonzero(shared).tolist(), rf_t[shared].tolist(), lo[shared].tolist(), hi[shared].tolist()
+    ):
+        free = [(abs(ut[j] - t), j) for j in range(a, b) if j not in used]
         if free:
             j = min(free)[1]
             used.add(j)
-            rf_idx.append(i)
-            uav_idx.append(j)
-    return np.array(rf_idx, dtype=np.intp), np.array(uav_idx, dtype=np.intp)
+            pick[i] = j
+            matched[i] = True
+    rf_idx = np.flatnonzero(matched)
+    return rf_idx, pick[rf_idx].astype(np.intp)
 
 
 def align(
@@ -377,5 +402,4 @@ def segment_slice(seg: Segment, indices: Sequence[int]) -> slice:
 def write_json(path, payload) -> None:
     """Indented, key-sorted JSON with a trailing newline (deterministic bytes)."""
     with open(path, "w", newline="\n", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

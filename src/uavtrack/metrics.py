@@ -11,7 +11,7 @@ import numpy as np
 from .dataio import Segment
 
 
-_STATS = ("min", "max", "mean", "std")
+STATS = ("min", "max", "mean", "std")  # report order
 
 
 class MetricsError(ValueError):
@@ -69,10 +69,28 @@ def stats(errors: Sequence[float]) -> ErrorStats:
     return ErrorStats(float(e.min()), float(e.max()), float(e.mean()), std, int(e.size))
 
 
-def stat_items(errors: Sequence[float]) -> list[tuple[str, float]]:
-    """``(stat, value)`` for min, max, mean and std, in report order."""
-    s = stats(errors)
-    return [(stat, getattr(s, stat + "_m")) for stat in _STATS]
+def segment_stats(groups: Sequence[Sequence[float]]) -> np.ndarray:
+    """Min, max, mean and sample std of each error sequence in ``groups``, shape (G, 4).
+
+    The columns follow :data:`STATS`. Sequences of one length L are stacked
+    into an (n_L, L) array and reduced along axis 1, which sums in the order
+    :func:`stats` does on each sequence alone, so every value is
+    bit-identical to it (std 0 for L = 1).
+    """
+    arrays = [np.asarray(g, dtype=float) for g in groups]
+    by_length: dict[int, list[int]] = {}
+    for i, a in enumerate(arrays):
+        by_length.setdefault(a.size, []).append(i)
+    if 0 in by_length:
+        raise MetricsError("empty error sequence")
+    out = np.empty((len(arrays), len(STATS)))
+    for length, rows in by_length.items():
+        stack = np.stack([arrays[i] for i in rows])
+        out[rows, 0] = stack.min(axis=1)
+        out[rows, 1] = stack.max(axis=1)
+        out[rows, 2] = stack.mean(axis=1)
+        out[rows, 3] = stack.std(axis=1, ddof=1) if length > 1 else 0.0
+    return out
 
 
 def cdf(errors: Sequence[float]) -> CdfCurve:
@@ -103,13 +121,12 @@ def segment_report(
     Errors are passed pre-partitioned by segment id; segments without data
     are omitted (the caller reports why they have none).
     """
+    present = [s for s in segments if len(rf_errors.get(s.id, ())) and len(ekf_errors.get(s.id, ()))]
+    rf = segment_stats([rf_errors[s.id] for s in present]).tolist()
+    ekf = segment_stats([ekf_errors[s.id] for s in present]).tolist()
     rows: list[SegmentReportRow] = []
-    for seg in segments:
-        rf = rf_errors.get(seg.id)
-        ekf = ekf_errors.get(seg.id)
-        if rf is None or ekf is None or len(rf) == 0 or len(ekf) == 0:
-            continue
-        for (stat, rv), (_, ev) in zip(stat_items(rf), stat_items(ekf)):
+    for seg, rf_row, ekf_row in zip(present, rf, ekf):
+        for stat, rv, ev in zip(STATS, rf_row, ekf_row):
             better = "tie" if rv == ev else ("ekf" if ev < rv else "rf")
             rows.append(SegmentReportRow(seg.id, seg.mm.value, stat, rv, ev, better))
     return rows

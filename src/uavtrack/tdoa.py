@@ -8,6 +8,7 @@ range-difference least-squares cost.
 
 from __future__ import annotations
 
+import bisect
 import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -266,7 +267,7 @@ def simulate_columns(
     outlier_max_m: float,
     arr: Optional[SensorArray] = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Position fixes over a ground-truth flight ``t_ms`` (N,), ``xy`` (N, 2).
+    """Position fixes over a ground-truth flight ``t_ms`` (N,), never decreasing, and ``xy`` (N, 2).
 
     With a sensor array ``arr`` each epoch is a TDoA measurement with i.i.d.
     Gaussian timing jitter of ``sigma`` seconds, and every epoch is solved
@@ -277,14 +278,18 @@ def simulate_columns(
 
     ``decimate_ms`` first picks the epoch grid: every truth sample at least
     that far after the previous grid epoch (every sample when None), so a
-    dropped epoch leaves a gap and never shifts the grid. Each epoch gets
-    its own RNG stream from ``(rng_seed, t_ms)``, so results are
-    order-independent and repeatable. From it the epoch draws its noise
-    (none for TDoA at zero ``sigma``), then ``outlier_rate`` decides on a
-    uniform-in-disk position glitch emulating a foreign RF source. An epoch
-    whose every start is rank-deficient, or whose fix (glitch included) lies
-    more than the geodesy limit ``MAX_RANGE_M`` from the local origin, is
-    dropped with a warning; the warnings come in epoch order.
+    dropped epoch leaves a gap and never shifts the grid. One generator,
+    ``default_rng(rng_seed)``, serves the whole flight and draws in a fixed
+    order: first the noise of every epoch as one (E, m) array, m the number
+    of non-reference sensors or 2 position axes (TDoA at zero ``sigma``
+    draws none); then, when ``outlier_rate`` > 0, per epoch the glitch flag
+    (uniform below ``outlier_rate``), the angle and the radius fraction as
+    three (E,) arrays. A flagged epoch gets a uniform-in-disk position
+    glitch of at most ``outlier_max_m``, emulating a foreign RF source.
+    The same seed and epoch grid give the same fixes. An epoch whose every
+    start is rank-deficient, or whose fix (glitch included) lies more than
+    the geodesy limit ``MAX_RANGE_M`` from the local origin, is dropped
+    with a warning after its draws; the warnings come in epoch order.
 
     Returns the kept epochs' ``t_ms`` (E,), fixes (E, 2) and the dropped
     epoch count.
@@ -294,30 +299,31 @@ def simulate_columns(
     t_ms = np.asarray(t_ms, dtype=np.int64)
     if not t_ms.size:
         raise ValueError("empty ground-truth trajectory")
-    rows: list[int] = []
-    for i, t in enumerate(t_ms.tolist()):
-        if decimate_ms is None or not rows or t - last >= decimate_ms:
+    if np.any(t_ms[1:] < t_ms[:-1]):
+        raise ValueError("ground-truth timestamps must not decrease")
+    if decimate_ms is None:
+        rows = list(range(t_ms.size))
+    else:
+        ts, rows = t_ms.tolist(), [0]
+        while (i := bisect.bisect_left(ts, ts[rows[-1]] + decimate_ms, rows[-1] + 1)) < len(ts):
             rows.append(i)
-            last = t
     t_ms, xy = t_ms[rows], np.asarray(xy, dtype=float)[rows]
 
-    m = 2 if arr is None else arr.positions.shape[0] - 1
-    draws = arr is None or sigma > 0
-    noise, glitch = np.zeros((len(rows), m)), np.zeros((len(rows), 2))
-    for e, t in enumerate(t_ms.tolist()):
-        rng = np.random.default_rng(np.random.SeedSequence([rng_seed, t]))
-        if draws:
-            noise[e] = rng.normal(0.0, sigma, size=m)
-        if outlier_rate > 0 and rng.random() < outlier_rate:
-            theta = rng.uniform(0.0, 2.0 * np.pi)
-            radius = outlier_max_m * np.sqrt(rng.random())
-            glitch[e] = radius * np.cos(theta), radius * np.sin(theta)
+    n, m = len(rows), 2 if arr is None else arr.positions.shape[0] - 1
+    rng = np.random.default_rng(rng_seed)
+    noise = rng.normal(0.0, sigma, size=(n, m)) if arr is None or sigma > 0 else np.zeros((n, m))
+    glitch = np.zeros((n, 2))
+    if outlier_rate > 0:
+        hit = rng.random(n) < outlier_rate
+        theta = rng.uniform(0.0, 2.0 * np.pi, n)
+        radius = outlier_max_m * np.sqrt(rng.random(n))
+        glitch[hit] = np.column_stack((radius * np.cos(theta), radius * np.sin(theta)))[hit]
 
     if arr is None:
-        fix, lost = xy + noise, np.zeros(len(rows), dtype=bool)
+        fix, lost = xy + noise, np.zeros(n, dtype=bool)
     else:
         idx, dt = _arrival_differences(arr, xy, noise)
-        init = np.tile(arr.positions.mean(axis=0), (len(rows), 1))
+        init = np.tile(arr.positions.mean(axis=0), (n, 1))
         fix = _fixes(arr, idx, SPEED_OF_LIGHT * dt, init)[0]
         lost = np.isnan(fix[:, 0])
     fix += glitch

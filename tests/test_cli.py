@@ -189,6 +189,22 @@ class TestTrack:
         assert raw_max > clean_max
         assert clean_max <= 60.0
 
+    def test_segments_count_kept_epochs(self, tmp_path):
+        # at 2 us timing jitter some epochs are dropped; each segment still
+        # holds exactly the RF fixes of its leg, so track runs on the outputs
+        cfg = self._simulate(tmp_path, sim={"sigma_t": 2e-6, "rf_interval_ms": 100})
+        assert json.loads((tmp_path / "data/summary.json").read_text())["dropped_epochs"] > 0
+        with open(tmp_path / "data/rf.csv") as f:
+            rf_t = [int(r["t_ms"]) for r in csv.DictReader(f)]
+        segs = json.loads((tmp_path / "data/segments.json").read_text())
+        ends_ms = np.cumsum([1000 * leg["duration_s"] for leg in LEGS]).tolist()
+        assert [s["id"] for s in segs] == ["S1", "S2", "S3"]
+        assert [s["start_idx"] for s in segs] == [0] + [s["end_idx"] + 1 for s in segs[:-1]]
+        assert segs[-1]["end_idx"] == len(rf_t) - 1
+        for seg, after_ms, end_ms in zip(segs, [-1] + ends_ms[:-1], ends_ms):
+            assert after_ms < rf_t[seg["start_idx"]] and rf_t[seg["end_idx"]] <= end_ms
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), "track"]) == 0
+
     def test_missing_segments_file_names_path(self, tmp_path, capsys):
         cfg = self._simulate(tmp_path)
         (tmp_path / "data/segments.json").unlink()

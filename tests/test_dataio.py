@@ -18,6 +18,7 @@ from uavtrack.dataio import (
     load_segments,
     match_times,
     parse_position_log,
+    write_csv,
     write_position_log,
 )
 from uavtrack.geodesy import EnuPoint, GeoPoint
@@ -74,6 +75,23 @@ class TestParsing:
         write_position_log(p, t_ms, latlon)
         back_t, back_latlon = parse_position_log(p)
         assert back_t.tolist() == t_ms.tolist() and back_latlon.tolist() == latlon.tolist()
+
+
+class TestWriteCsv:
+    def test_matches_str_format_bytes(self, tmp_path):
+        # the former writer's line format, one str.format per row
+        t = np.array([0, -5, 2**62, 7, 8, 9, 10])
+        ids = np.array(["S1", "S10", "x y", "", "S2", "S3", "S4"])
+        a = np.array([-0.0, np.nan, np.inf, -np.inf, 1.25e6, 9.87654321e15, -3.3e-7])
+        columns = [np.tile(c, 600) for c in (t, ids, a, a[::-1])]  # 4,200 rows: two blocks
+        p = tmp_path / "out.csv"
+        write_csv(p, ["t", "id", "a", "b"], "%s,%s,%.6f,%.10f", *columns)
+        lines = map("{},{},{:.6f},{:.10f}\n".format, *(c.tolist() for c in columns))
+        assert p.read_bytes() == ("t,id,a,b\n" + "".join(lines)).encode()
+
+    @given(st.floats(), st.integers(0, 12))
+    def test_float_conversion_matches_str_format(self, x, digits):
+        assert "%.*f" % (digits, x) == "{:.{}f}".format(x, digits)
 
 
 class TestAlign:
@@ -135,6 +153,12 @@ class TestMatchTimes:
     @example(uav_t=[1000], rf_t=[999, 1001], tol_ms=5)  # second RF sample finds its only candidate taken
     @example(uav_t=[], rf_t=[1000], tol_ms=10)
     @example(uav_t=[990, 990, 1010], rf_t=[1000, 1001], tol_ms=10)  # the first of equal times goes first
+    # runs of overlapping windows between disjoint ones: the runs take the
+    # nearest-unused rule, the disjoint windows their nearest candidate
+    @example(uav_t=[0, 10, 20, 30, 40, 100, 300], rf_t=[12, 14, 16, 95, 200, 290, 305], tol_ms=15)
+    @example(uav_t=[0, 5, 10, 100, 105], rf_t=[4, 6, 103], tol_ms=10)
+    @example(uav_t=[10, 10, 20, 20, 40], rf_t=[14, 16, 18, 41], tol_ms=10)  # repeats inside a run
+    @example(uav_t=[0, 20, 40, 60], rf_t=[10, 30, 50], tol_ms=10)  # neighbours share one candidate each
     def test_equals_brute_force_greedy(self, uav_t, rf_t, tol_ms):
         rf_idx, uav_idx = match_times(np.array(uav_t, dtype=np.int64), np.array(rf_t, dtype=np.int64), tol_ms)
         pairs = list(zip(rf_idx.tolist(), uav_idx.tolist()))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from uavtrack.dataio import Segment
 from uavtrack.geodesy import EnuPoint
@@ -14,6 +14,7 @@ from uavtrack.metrics import (
     quantile,
     report_to_csv_rows,
     segment_report,
+    segment_stats,
     stats,
 )
 from uavtrack.motionmodels import ModelKind, NoiseSigmas
@@ -143,6 +144,26 @@ class TestSegmentReport:
     def test_empty_segment_omitted(self):
         rows = segment_report([_seg("S1", 0, 1), _seg("S2", 2, 3)], {"S1": [1.0]}, {"S1": [1.0]})
         assert {r.segment for r in rows} == {"S1"}
+
+
+class TestSegmentStats:
+    # lengths on both sides of the 8-element unrolling and the 128-element
+    # block of numpy's pairwise sum, several segments per length
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lengths=st.lists(st.sampled_from([1, 2, 3, 7, 8, 9, 16, 127, 128, 129, 300]), min_size=1, max_size=25),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_stats(self, lengths, seed):
+        rng = np.random.default_rng(seed)
+        groups = [rng.gamma(2.0, 5.0, n) * rng.uniform(0.01, 100.0) for n in lengths]
+        for group, row in zip(groups, segment_stats(groups).tolist()):
+            s = stats(group)
+            assert row == [s.min_m, s.max_m, s.mean_m, s.std_m]
+
+    def test_empty_group_rejected(self):
+        with pytest.raises(MetricsError):
+            segment_stats([[1.0], []])
 
 
 class TestCdfCsv:

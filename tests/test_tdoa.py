@@ -12,6 +12,7 @@ from uavtrack.tdoa import (
     SensorArray,
     cost,
     position_noise_flight,
+    simulate_columns,
     simulate_flight,
     simulate_tdoa,
     solve_position,
@@ -165,6 +166,11 @@ class TestSimulateFlight:
         rf, _ = simulate_flight(truth, SQUARE, 0.0, rng_seed=1, decimate_ms=1000)
         assert [s.t_ms for s in rf] == list(range(0, 10000, 1000))
 
+    def test_decreasing_timestamps_rejected(self):
+        truth = [TimedSample(t, EnuPoint(0.0, 0.0)) for t in (0, 1000, 500)]
+        with pytest.raises(ValueError, match="must not decrease"):
+            simulate_flight(truth, SQUARE, 0.0, rng_seed=1)
+
     def test_dropped_epochs_leave_gaps_in_the_grid(self):
         # truth on the line of a collinear array: every start is rank-deficient
         arr = SensorArray(np.array([[0.0, 0], [100, 0], [200, 0]]))
@@ -193,3 +199,36 @@ class TestSimulateFlight:
         errs = [np.hypot(t.pos.x - r.pos.x, t.pos.y - r.pos.y) for t, r in zip(self._truth(100), rf)]
         assert max(errs) > 10  # some glitches injected
         assert max(errs) <= 200 + 1e-6
+
+
+class TestFlightStream:
+    """Statistics of the one generator per flight, over 20,000 position-noise epochs at the origin."""
+
+    N = 20_000
+    SIGMA = 4.0
+
+    def _fixes(self, outlier_rate):
+        t_ms = 1000 * np.arange(self.N, dtype=np.int64)
+        got_t, fix, dropped = simulate_columns(t_ms, np.zeros((self.N, 2)), self.SIGMA, 11, 1000, outlier_rate, 150.0)
+        assert dropped == 0 and got_t.tolist() == t_ms.tolist()
+        return fix
+
+    def test_noise_moments(self):
+        fix = self._fixes(0.0)
+        # five standard errors: sigma/sqrt(N) for a mean, about sigma/sqrt(2N) for a std
+        assert np.all(np.abs(fix.mean(axis=0)) < 5 * self.SIGMA / np.sqrt(self.N))
+        assert np.all(np.abs(fix.std(axis=0, ddof=1) - self.SIGMA) < 5 * self.SIGMA / np.sqrt(2 * self.N))
+        assert abs(np.corrcoef(fix.T)[0, 1]) < 5 / np.sqrt(self.N)
+
+    def test_glitches_drawn_after_the_noise(self):
+        rate, max_m = 0.3, 150.0
+        # the noise comes first in the stream, so the same seed without
+        # outliers gives the same noise and the difference is the glitch
+        offset = self._fixes(rate) - self._fixes(0.0)
+        hit = np.any(offset != 0.0, axis=1)
+        k = int(hit.sum())
+        assert abs(k - rate * self.N) < 5 * np.sqrt(self.N * rate * (1 - rate))
+        radius = np.hypot(offset[:, 0], offset[:, 1])
+        assert radius.max() <= max_m + 1e-9
+        # uniform in the disk: half the glitches lie within max_m / sqrt(2)
+        assert abs(np.count_nonzero(radius[hit] <= max_m / np.sqrt(2)) - k / 2) < 5 * np.sqrt(k / 4)

@@ -166,7 +166,10 @@ def test_fix_independent_of_batch(targets, seed, data):
 # sensor in index order, kept as it was; and the per-epoch measurement loop
 # with its measure/locate callbacks, reduced to one epoch at a time: each
 # epoch is solved on its own by solve_position, which
-# test_fix_independent_of_batch ties to the batched solve.
+# test_fix_independent_of_batch ties to the batched solve. The loop draws
+# from one generator per flight, one scalar at a time: every epoch's noise
+# in epoch order, then every epoch's glitch flag, then every angle, then
+# every radius fraction.
 
 
 def ref_simulate_tdoa(arr, p, sigma_t, rng, t_ms=0):
@@ -189,15 +192,20 @@ def ref_simulate_epochs(truth, measure, locate, rng_seed, decimate_ms, outlier_r
     for s in truth:
         if decimate_ms is None or not epochs or s.t_ms - epochs[-1].t_ms >= decimate_ms:
             epochs.append(s)
+    rng = np.random.default_rng(rng_seed)
+    measured = [measure(s, rng) for s in epochs]
+    glitches = [None] * len(epochs)
+    if outlier_rate > 0:
+        hits = [rng.random() < outlier_rate for _ in epochs]
+        thetas = [rng.uniform(0.0, 2.0 * np.pi) for _ in epochs]
+        radii = [outlier_max_m * np.sqrt(rng.random()) for _ in epochs]
+        glitches = [
+            (radius * np.cos(theta), radius * np.sin(theta)) if hit else None
+            for hit, theta, radius in zip(hits, thetas, radii)
+        ]
     out, dropped = [], 0
-    for s in epochs:
-        rng = np.random.default_rng(np.random.SeedSequence([rng_seed, s.t_ms]))
-        pos = locate(measure(s, rng))
-        glitch = None
-        if outlier_rate > 0 and rng.random() < outlier_rate:
-            theta = rng.uniform(0.0, 2.0 * np.pi)
-            radius = outlier_max_m * np.sqrt(rng.random())
-            glitch = (radius * np.cos(theta), radius * np.sin(theta))
+    for s, m, glitch in zip(epochs, measured, glitches):
+        pos = locate(m)
         if pos is None:
             dropped += 1
             continue
