@@ -66,13 +66,18 @@ class FilterConfig:
     ``omega_var`` is the initial turn-rate variance of a CT segment in
     (rad/s)^2: 0.01, a 6 deg/s standard deviation, bounds the prior by the
     platform's turn rates. A 1.0 prior (57 deg/s) lets long CT segments
-    diverge from noisy fixes.
+    diverge from noisy fixes. ``omega_max`` (rad/s) bounds the turn-rate
+    estimate: after each CT update it is projected onto
+    [-omega_max, omega_max] (estimate projection, D. Simon, IET Control
+    Theory & Applications 4(8), 2010), so a filter that noisy fixes drive
+    toward an ever faster turn cannot run away.
     """
 
     R: np.ndarray
     v_max: float = 20.0
     accel_var: float = 25.0
     omega_var: float = 0.01
+    omega_max: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -182,10 +187,11 @@ def _run_batch(
 
     Every segment needs at least two rows. It starts at its first fix with
     zero velocity (and acceleration / turn rate) under the prior of
-    :func:`_initial_covariance`. The segments are sorted longest first, so
-    the ones still running at step k are a prefix of the batch; each step
-    predicts and updates that prefix in one array operation. Rows past a
-    segment's end are NaN, so reading them poisons that segment alone.
+    :func:`_initial_covariance`; a CT turn rate is clipped to
+    ``cfg.omega_max`` after each update. The segments are sorted longest
+    first, so the ones still running at step k are a prefix of the batch;
+    each step predicts and updates that prefix in one array operation. Rows
+    past a segment's end are NaN, so reading them poisons that segment alone.
 
     Returns, per segment in input order, its ``(K_seg, n)`` states and
     ``(K_seg, n, n)`` covariances, or the FilterError that stops it: the
@@ -229,6 +235,8 @@ def _run_batch(
             T = T_pad[k - 1, :b]
             s, P = _predict_step(mm, s[:b], P[:b], T, process_noise_batch(mm, T, sig[:b]))
             s, P, S, ok = _update_step(s, P, z_pad[k, :b], H, cfg.R)
+            if mm is ModelKind.CT:
+                np.clip(s[:, 4], -cfg.omega_max, cfg.omega_max, out=s[:, 4])
             new = ~ok & ~failed[:b]
             S_failed[:b][new] = S[new]
             failed[:b] |= new

@@ -111,33 +111,94 @@ def _range_differences(meas: Sequence[TdoaMeasurement]) -> tuple[list[int], np.n
     return idx, SPEED_OF_LIGHT * rd
 
 
-def _distances(sensors: np.ndarray, ref: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distances from points p (N, 2) to each sensor (N, m) and to the reference (N,)."""
-    d = np.hypot(p[:, None, 0] - sensors[:, 0], p[:, None, 1] - sensors[:, 1])
-    return d, np.hypot(p[:, 0] - ref[0], p[:, 1] - ref[1])
+def _impossible(arr: SensorArray, idx: list[int], rd: np.ndarray) -> np.ndarray:
+    """(E,) True where an epoch of range differences ``rd`` (E, m) to sensors ``idx`` fits no point exactly.
+
+    A range difference |d_k - d_ref| is at most the baseline |s_k - s_ref|
+    (triangle inequality) and reaches it only on the baseline's extension,
+    so an epoch with |rd_k| >= |s_k - s_ref| for some k has no hyperbola
+    for that sensor. Its least-squares fix can still be finite: timing
+    noise on a target near the extension gives a small excess, and the
+    other sensors pin the fix. A large excess sends every start toward
+    infinity until its Jacobian degenerates; the check names that cause
+    when the epoch is lost.
+    """
+    pos = arr.positions
+    baseline = np.linalg.norm(pos[idx] - pos[arr.reference_idx], axis=1)
+    return np.any(np.abs(rd) >= baseline, axis=1)
 
 
-def _range_residuals(sensors: np.ndarray, ref: np.ndarray, rd: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Residuals rd - (|p - s_k| - |p - s_ref|) in meters, for points p (N, 2) and rd (N, m)."""
-    d, d_ref = _distances(sensors, ref, p)
-    return rd - (d - d_ref[:, None])
+def _range_residuals(
+    sensors: np.ndarray, ref: np.ndarray, rd: np.ndarray, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residuals rd - (|p - s_k| - |p - s_ref|) in meters (m, N), for points p (2, N) and rd (m, N).
+
+    Also returns the distances they were formed from: to each sensor (m, N)
+    and to the reference (N,).
+    """
+    dx, dy = p[0] - sensors[:, 0, None], p[1] - sensors[:, 1, None]
+    dx_ref, dy_ref = p[0] - ref[0], p[1] - ref[1]
+    d, d_ref = np.sqrt(dx * dx + dy * dy), np.sqrt(dx_ref * dx_ref + dy_ref * dy_ref)
+    return rd - (d - d_ref), d, d_ref
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    """Unit vectors along v (..., 2); zero where v is zero (p on a sensor)."""
-    d = np.hypot(v[..., 0], v[..., 1])
-    return v / np.where(d > 0, d, 1.0)[..., None]
+def _jacobian(
+    sensors: np.ndarray, ref: np.ndarray, p: np.ndarray, d: np.ndarray, d_ref: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """d residual / d p at points p (2, N) as its x and y columns, each (m, N).
+
+    Row k is u_ref - u_k for the unit vectors u from each sensor to p,
+    formed from the distances ``d`` (m, N) and ``d_ref`` (N,) at p; a unit
+    vector is zero where p is on its sensor.
+    """
+    u_ref = (p - ref[:, None]) / np.where(d_ref > 0, d_ref, 1.0)
+    d = np.where(d > 0, d, 1.0)
+    jx = u_ref[0] - (p[0] - sensors[:, 0, None]) / d
+    jy = u_ref[1] - (p[1] - sensors[:, 1, None]) / d
+    return jx, jy
 
 
-def _jacobian(sensors: np.ndarray, ref: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """d residual / d p, shape (N, m, 2): u_ref - u_k for unit vectors u from each sensor to p."""
-    return _unit(p - ref)[:, None, :] - _unit(p[:, None, :] - sensors)
+def _qr_step(jx: np.ndarray, jy: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank test and Gauss-Newton step of N Jacobians with columns ``jx``, ``jy`` (m, N) at residuals ``r``.
+
+    A closed-form thin QR by modified Gram-Schmidt, J = [q1 q2] [[r11, r12],
+    [0, r22]]: r11 = |jx|, q1 = jx / r11, r12 = q1 . jy and r22 q2 = jy - r12 q1.
+    J and R share their singular values, which follow exactly from
+    |R|_F^2 = s_max^2 + s_min^2 and r11 r22 = s_max s_min: (s_max +- s_min)^2
+    = |R|_F^2 +- 2 r11 r22 gives s_max, and s_min = r11 r22 / s_max keeps
+    its relative accuracy. J is full rank when s_min >= 1e-9 max(s_max, 1).
+
+    Returns the full-rank flag (N,), and for the F full-rank Jacobians, in
+    order, the least-squares solution of J step = -r from R step = -Q^T r
+    (2, F) and |Q^T r|^2 (F,), the decrease of the cost the Gauss-Newton
+    model predicts for that step.
+    """
+    r11 = np.sqrt(np.sum(jx * jx, axis=0))
+    q1 = jx / np.where(r11 > 0, r11, 1.0)
+    r12 = np.sum(q1 * jy, axis=0)
+    w = jy - r12 * q1  # r22 q2
+    r22 = np.sqrt(np.sum(w * w, axis=0))
+    det = r11 * r22
+    frob2 = r11 * r11 + r12 * r12 + r22 * r22
+    s_max = 0.5 * (np.sqrt(frob2 + 2.0 * det) + np.sqrt(np.maximum(frob2 - 2.0 * det, 0.0)))
+    s_min = det / np.where(s_max > 0, s_max, 1.0)
+    full_rank = s_min >= 1e-9 * np.maximum(s_max, 1.0)
+
+    if not full_rank.all():
+        r, q1, w = r[:, full_rank], q1[:, full_rank], w[:, full_rank]
+        r11, r12, r22 = r11[full_rank], r12[full_rank], r22[full_rank]
+    g1 = np.sum(q1 * r, axis=0)
+    g2 = np.sum(w * r, axis=0) / r22
+    step_y = -g2 / r22
+    step_x = -(g1 + r12 * step_y) / r11
+    return full_rank, np.stack((step_x, step_y)), g1 * g1 + g2 * g2
 
 
 def cost(arr: SensorArray, m: TdoaMeasurement, p: EnuPoint) -> float:
     """Sum of squared range-difference residuals at ``p``."""
     idx, rd = _range_differences([m])
-    r = _range_residuals(arr.positions[idx], arr.positions[arr.reference_idx], rd, np.array([[p.x, p.y]]))
+    pos = arr.positions
+    r = _range_residuals(pos[idx], pos[arr.reference_idx], rd.T, np.array([[p.x], [p.y]]))[0]
     return float(np.sum(r * r))
 
 
@@ -148,71 +209,77 @@ def _solve_batch(
 
     ``rd`` (E, m) holds each epoch's range differences to ``sensors``
     (m, 2) against ``ref``, and ``starts`` (E, S, 2) its start points.
-    Every epoch x start descends on its own: a thin SVD of the Jacobian
-    gives the rank test and the least-squares step, and step halving (at
-    most 25 halvings) enforces descent. An element leaves the active set
-    when its Jacobian is rank-deficient (the start is then excluded), when
-    its accepted step is below 1e-6 m (converged), when its halving runs
-    out (converged if at the floating-point floor of the cost, see below)
-    or after 100 iterations (not converged). Per epoch the lowest-cost
-    start wins, the first on a tie.
+    Every epoch x start descends on its own. Each iterate takes the
+    closed-form thin QR of its two-column Jacobian (:func:`_qr_step`, no
+    LAPACK call): the exact singular values of the 2 x 2 factor R give the
+    rank test, and back-substitution in R step = -Q^T r the least-squares
+    step. The Jacobian reuses the sensor and reference distances of the
+    element's last accepted trial. Step halving (at most 25 halvings)
+    enforces descent. An element leaves the active set when its Jacobian
+    is rank-deficient (the start is then excluded), when its accepted step
+    is below 1e-6 m (converged), when its halving runs out (converged if at
+    the floating-point floor of the cost, see below) or after 100
+    iterations (not converged). Per epoch the lowest-cost start wins, the
+    first on a tie. Elements are columns of (., E S) arrays, so every
+    reduction runs over a short leading axis.
 
     Returns per epoch the winning point (E, 2), its cost (E,), converged
     flag (E,) and start index (E,), which is -1 where every start was
     rank-deficient.
     """
     n_epochs, n_starts, _ = starts.shape
-    rd = np.repeat(rd, n_starts, axis=0)
-    p = starts.reshape(-1, 2).astype(float)
-    r = _range_residuals(sensors, ref, rd, p)
-    c = np.sum(r * r, axis=1)
+    rd = np.repeat(rd, n_starts, axis=0).T.copy()
+    p = starts.reshape(-1, 2).T.astype(float)  # (2, E S), a copy
+    r, d, d_ref = _range_residuals(sensors, ref, rd, p)
+    c = np.sum(r * r, axis=0)
     converged = np.zeros(c.shape, dtype=bool)
-    usable = np.full(c.shape, rd.shape[1] >= 2)  # rank(J) <= m
+    usable = np.full(c.shape, rd.shape[0] >= 2)  # rank(J) <= m
     active = np.flatnonzero(usable)
     for _ in range(_MAX_ITER):
         if active.size == 0:
             break
-        U, sv, Vt = np.linalg.svd(_jacobian(sensors, ref, p[active]), full_matrices=False)
-        full_rank = sv[:, -1] >= 1e-9 * np.maximum(sv[:, 0], 1.0)
-        usable[active[~full_rank]] = False
-        active, U, sv, Vt = active[full_rank], U[full_rank], sv[full_rank], Vt[full_rank]
-        g = np.sum(U * r[active, :, None], axis=1)  # U^T r
-        step = -np.sum((g / sv)[:, :, None] * Vt, axis=1)  # least-squares solution of J step = -r
+        full_rank, step, model_decrease = _qr_step(
+            *_jacobian(sensors, ref, p[:, active], d[:, active], d_ref[active]), r[:, active]
+        )
+        if not full_rank.all():
+            usable[active[~full_rank]] = False
+            active = active[full_rank]
 
         trying = np.arange(active.size)
         for _ in range(_MAX_HALVINGS):
             e = active[trying]
-            trial = p[e] + step[trying]
-            r_trial = _range_residuals(sensors, ref, rd[e], trial)
-            c_trial = np.sum(r_trial * r_trial, axis=1)
+            trial = p[:, e] + step[:, trying]
+            r_trial, d_trial, d_ref_trial = _range_residuals(sensors, ref, rd[:, e], trial)
+            c_trial = np.sum(r_trial * r_trial, axis=0)
             ok = c_trial <= c[e]
             e_ok = e[ok]
-            p[e_ok], r[e_ok], c[e_ok] = trial[ok], r_trial[ok], c_trial[ok]
+            p[:, e_ok], r[:, e_ok], d[:, e_ok] = trial[:, ok], r_trial[:, ok], d_trial[:, ok]
+            c[e_ok], d_ref[e_ok] = c_trial[ok], d_ref_trial[ok]
             trying = trying[~ok]
             if trying.size == 0:
                 break
-            step[trying] *= 0.5
+            step[:, trying] *= 0.5
 
         stalled = np.zeros(active.size, dtype=bool)
         stalled[trying] = True
-        small = np.hypot(step[:, 0], step[:, 1]) < _STEP_TOL_M
+        small = np.hypot(step[0], step[1]) < _STEP_TOL_M
         converged[active] = small & ~stalled
-        # Halving runs out at the floating-point floor of the cost: each
-        # residual cancels distances, so it is off by up to about
-        # 2 eps (d_k + d_ref) and the cost by 4 eps sum |r_k| (d_k + d_ref).
-        # A start is at its minimum as closely as the cost can tell when the
-        # decrease the Gauss-Newton model predicts for the full step, |U^T r|^2
-        # (the gradient J^T r in the (J^T J)^-1 norm), is below that.
-        e = active[stalled]
-        d, d_ref = _distances(sensors, ref, p[e])
-        floor = 4.0 * np.finfo(float).eps * np.sum(np.abs(r[e]) * (d + d_ref[:, None]), axis=1)
-        converged[e] = np.sum(g[stalled] ** 2, axis=1) <= floor
+        if trying.size:
+            # Halving runs out at the floating-point floor of the cost: each
+            # residual cancels distances, so it is off by up to about
+            # 2 eps (d_k + d_ref) and the cost by 4 eps sum |r_k| (d_k + d_ref).
+            # A start is at its minimum as closely as the cost can tell when
+            # the decrease the Gauss-Newton model predicts for the full step,
+            # |Q^T r|^2 (the gradient J^T r in the (J^T J)^-1 norm), is below that.
+            e = active[trying]
+            floor = 4.0 * np.finfo(float).eps * np.sum(np.abs(r[:, e]) * (d[:, e] + d_ref[e]), axis=0)
+            converged[e] = model_decrease[trying] <= floor
         active = active[~(stalled | small)]
 
     best = np.argmin(np.where(usable, c, np.inf).reshape(n_epochs, n_starts), axis=1)
     k = np.arange(n_epochs) * n_starts + best
     best = np.where(usable[k], best, -1)
-    return p[k], c[k], converged[k], best
+    return p[:, k].T, c[k], converged[k], best
 
 
 def _starts(arr: SensorArray, init: np.ndarray) -> np.ndarray:
@@ -243,7 +310,9 @@ def solve_position(arr: SensorArray, m: TdoaMeasurement, init: EnuPoint) -> Tdoa
     The cost has spurious local minima near the array edge, so descent
     also starts from points between each sensor and the centroid, and the
     lowest-cost minimum wins; see :func:`_solve_batch`. Fewer than two
-    deltas or collinear geometry raise :class:`GeometryError`.
+    deltas raise :class:`GeometryError`, and so does a rank-deficient
+    Jacobian at every start, with its cause: a range difference at or above
+    its sensor baseline (see :func:`_impossible`) or collinear geometry.
     """
     if len(m.deltas) < 2:
         raise GeometryError(f"need at least 2 deltas for a 2-D fix, got {len(m.deltas)}")
@@ -253,6 +322,8 @@ def solve_position(arr: SensorArray, m: TdoaMeasurement, init: EnuPoint) -> Tdoa
     idx, rd = _range_differences([m])
     points, rms, converged = _fixes(arr, idx, rd, p0[None])
     if np.isnan(points[0, 0]):
+        if _impossible(arr, idx, rd)[0]:
+            raise GeometryError("range difference exceeds sensor baseline: rank-deficient at every start")
         raise GeometryError("rank-deficient geometry at every start (collinear sensors?)")
     return TdoaFix(EnuPoint(*points[0].tolist()), float(rms[0]), bool(converged[0]))
 
@@ -289,7 +360,9 @@ def simulate_columns(
     The same seed and epoch grid give the same fixes. An epoch whose every
     start is rank-deficient, or whose fix (glitch included) lies more than
     the geodesy limit ``MAX_RANGE_M`` from the local origin, is dropped
-    with a warning after its draws; the warnings come in epoch order.
+    with a warning after its draws; the warnings come in epoch order. A
+    rank-deficient epoch's warning names a range difference at or above
+    its sensor baseline (see :func:`_impossible`) where there is one.
 
     Returns the kept epochs' ``t_ms`` (E,), fixes (E, 2) and the dropped
     epoch count.
@@ -319,19 +392,23 @@ def simulate_columns(
         radius = outlier_max_m * np.sqrt(rng.random(n))
         glitch[hit] = np.column_stack((radius * np.cos(theta), radius * np.sin(theta)))[hit]
 
+    no_fit = np.zeros(n, dtype=bool)
     if arr is None:
-        fix, lost = xy + noise, np.zeros(n, dtype=bool)
+        fix = xy + noise
     else:
         idx, dt = _arrival_differences(arr, xy, noise)
-        init = np.tile(arr.positions.mean(axis=0), (n, 1))
-        fix = _fixes(arr, idx, SPEED_OF_LIGHT * dt, init)[0]
-        lost = np.isnan(fix[:, 0])
+        rd = SPEED_OF_LIGHT * dt
+        fix = _fixes(arr, idx, rd, np.tile(arr.positions.mean(axis=0), (n, 1)))[0]
+        no_fit = _impossible(arr, idx, rd)
+    lost = np.isnan(fix[:, 0])
     fix += glitch
     far = np.hypot(fix[:, 0], fix[:, 1]) > MAX_RANGE_M  # False where lost (NaN)
     drop = lost | far
-    for t, is_far in zip(t_ms[drop].tolist(), far[drop].tolist()):
+    for t, is_far, is_no_fit in zip(t_ms[drop].tolist(), far[drop].tolist(), no_fit[drop].tolist()):
         if is_far:
             log.warning("epoch %d: fix beyond %.0f km of the origin, dropping", t, MAX_RANGE_M / 1000)
+        elif is_no_fit:
+            log.warning("epoch %d: range difference exceeds sensor baseline, dropping", t)
         else:
             log.warning("epoch %d: rank-deficient geometry at every start, dropping", t)
     return t_ms[~drop], fix[~drop], int(drop.sum())

@@ -112,3 +112,21 @@ def test_long_ct_leg_beats_raw_fixes_under_default_prior(seed):
 
 def test_config_default_prior_is_the_filter_default():
     assert RunConfig.from_dict({}).data["filter"]["omega_var"] == FilterConfig.omega_var == 0.01
+
+
+def test_config_default_turn_bound_is_the_filter_default():
+    assert RunConfig.from_dict({}).data["filter"]["omega_max"] == FilterConfig.omega_max == 1.0
+
+
+def test_ct_turn_rate_estimate_stays_within_bound():
+    # fixes that jump back and forth drive the turn-rate estimate hard; a
+    # loose prior lets it run to several rad/s without the bound
+    rng = np.random.default_rng(3)
+    t = np.arange(60, dtype=np.int64) * 500
+    z = rng.normal(0, 40, (60, 2))
+    seg = Segment("S1", 0, 59, ModelKind.CT, NoiseSigmas(accel=2.0, omega=0.5))
+    loose = FilterConfig(R=np.diag([4.0, 4.0]), omega_var=4.0, omega_max=np.inf)
+    free = ekf._run_batch([seg], t, z, [slice(0, 60)], loose)[0][0]
+    assert np.abs(free[:, 4]).max() > 1.0
+    bounded = ekf._run_batch([seg], t, z, [slice(0, 60)], FilterConfig(R=loose.R, omega_var=4.0))[0][0]
+    assert np.abs(bounded[:, 4]).max() == 1.0

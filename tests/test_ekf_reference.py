@@ -1,7 +1,7 @@
 """The batched EKF core against a frozen copy of the scalar filter it replaced."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from uavtrack import ekf
 from uavtrack.dataio import AlignedPair, Segment
@@ -19,8 +19,10 @@ from uavtrack.motionmodels import (
 
 # --- frozen reference: one predict and one update call per step, the gain
 # from np.linalg.solve, a Python loop over the segment. Kept as it was,
-# except for the function names; the motion-model matrices come from the
-# library, whose own tests pin them.
+# except for the function names and the turn-rate projection onto
+# [-omega_max, omega_max] after each CT update, which the filter gained
+# later; the motion-model matrices come from the library, whose own tests
+# pin them.
 
 
 def _symmetrize(P):
@@ -71,6 +73,10 @@ def ref_run_segment(seg, pairs, cfg):
             raise FilterError(f"segment {seg.id}: non-increasing timestamps at {cur.t_ms}")
         Q = process_noise(seg.mm, T, seg.sigmas)
         fs = ref_update(ref_predict(fs, seg.mm, T, Q), cur.rf, meas)
+        if seg.mm is ModelKind.CT:
+            s = fs.s.copy()
+            s[4] = min(max(s[4], -cfg.omega_max), cfg.omega_max)
+            fs = FilterState(s, fs.P, fs.t_ms)
         track.append(TrackPoint(cur.t_ms, EnuPoint(fs.s[0], fs.s[1]), fs))
     return track
 
@@ -119,6 +125,9 @@ def _assert_close(states, covs, ref_track):
     turn=st.floats(0.2, 5.0),
     seed=st.integers(0, 2**32 - 1),
 )
+# without the turn-rate bound this CT filter diverges (its estimate reaches
+# -5.4 rad/s) and the two paths part by 5.9e-9 m
+@example(mm=ModelKind.CT, lengths=[175, 175], mean_dt_ms=496, turn=1.0, seed=1)
 def test_batched_core_matches_frozen_scalar_filter(mm, lengths, mean_dt_ms, turn, seed):
     # the target turns at about ``turn`` times the rate where the CT step
     # switches to its series, so its estimate moves across the switch

@@ -14,12 +14,14 @@ from uavtrack.tdoa import (
     position_noise_flight,
     simulate_columns,
     simulate_flight,
+    TdoaMeasurement,
     simulate_tdoa,
     solve_position,
 )
 
 SQUARE = SensorArray(np.array([[-50.0, -50], [50, -50], [-50, 50], [50, 50]]))
 CORNERS = SensorArray(np.array([[0.0, 0], [100, 0], [0, 100], [100, 100]]))
+README_ARRAY = SensorArray(np.array([[-200.0, -200], [200, -200], [-200, 200], [200, 200]]))
 
 
 def _rng(seed=0):
@@ -132,6 +134,18 @@ class TestSolvePosition:
         with pytest.raises(GeometryError):
             solve_position(arr, m, EnuPoint(50, 0))
 
+    def test_target_on_a_baseline_extension_is_solved(self):
+        # beyond sensor 1 on the line through the reference, |rd_1| equals
+        # the baseline; with half a metre more no hyperbola of sensor 1
+        # exists, yet the other sensors pin the least-squares fix
+        m = simulate_tdoa(README_ARRAY, EnuPoint(400, -200), 0.0, _rng())
+        assert abs(m.deltas[0][1]) * SPEED_OF_LIGHT == 400.0
+        excess = TdoaMeasurement(0, ((1, m.deltas[0][1] - 0.5 / SPEED_OF_LIGHT),) + m.deltas[1:])
+        for meas in (m, excess):
+            fix = solve_position(README_ARRAY, meas, README_ARRAY.centroid)
+            assert fix.converged
+            assert np.hypot(fix.pos.x - 400, fix.pos.y + 200) < 1e-6
+
     def test_monotone_degradation_with_noise(self):
         rng = _rng(9)
         rmse = []
@@ -191,6 +205,44 @@ class TestSimulateFlight:
             f"epoch {t}: fix beyond 50 km of the origin, dropping" for t in far
         ]
         assert all(np.hypot(r.pos.x, r.pos.y) <= MAX_RANGE_M for r in rf)
+
+    def test_lost_epochs_name_their_cause(self, caplog):
+        # 600 m of timing noise on the README array: most lost epochs have a
+        # range difference beyond its sensor baseline, and their descent ran
+        # away; one is lost to rank-deficiency alone and one lands past 50 km
+        n = 100
+        xy = _rng(1).uniform(-600, 600, (n, 2))
+        t_ms = 1000 * np.arange(n)
+        with caplog.at_level(logging.WARNING, logger="uavtrack.tdoa"):
+            got_t, _, dropped = simulate_columns(t_ms, xy, 2e-6, 7, None, 0.0, 200.0, arr=README_ARRAY)
+        lost = sorted(set(t_ms.tolist()) - set(got_t.tolist()))
+        assert dropped == len(lost)
+
+        # the flight's noise is its first draw, one (E, m) array
+        pos = README_ARRAY.positions
+        d = np.linalg.norm(pos - xy[:, None, :], axis=-1)
+        dt = (d[:, 1:] - d[:, :1]) / SPEED_OF_LIGHT + _rng(7).normal(0.0, 2e-6, (n, 3))
+        beyond = np.any(np.abs(SPEED_OF_LIGHT * dt) >= np.linalg.norm(pos[1:] - pos[0], axis=1), axis=1)
+        causes = {}
+        for msg in (r.getMessage() for r in caplog.records):
+            if msg.startswith("epoch "):
+                t, cause = msg.removeprefix("epoch ").split(": ", 1)
+                causes[int(t)] = cause
+        assert sorted(causes) == lost
+        assert sum(c == "range difference exceeds sensor baseline, dropping" for c in causes.values()) == 27
+        for t, cause in causes.items():
+            k = t // 1000
+            if cause == "fix beyond 50 km of the origin, dropping":
+                continue
+            m = TdoaMeasurement(t, tuple(zip([1, 2, 3], dt[k].tolist())))
+            with pytest.raises(GeometryError) as exc:
+                solve_position(README_ARRAY, m, README_ARRAY.centroid)
+            if beyond[k]:
+                assert cause == "range difference exceeds sensor baseline, dropping"
+                assert str(exc.value).startswith("range difference exceeds sensor baseline")
+            else:
+                assert cause == "rank-deficient geometry at every start, dropping"
+                assert "collinear sensors?" in str(exc.value)
 
     def test_outlier_injection(self):
         rf, _ = simulate_flight(
