@@ -168,7 +168,6 @@ def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False) -> dict:
         v_max=float(fcfg["v_max"]),
         accel_var=float(fcfg["accel_var"]),
         omega_var=float(fcfg["omega_var"]),
-        omega_max=float(fcfg["omega_max"]),
     )
     tracks, warnings = ekf.filter_segments(segments, t_ms, rf, kept_idx.tolist(), filter_cfg)
     for w in warnings:

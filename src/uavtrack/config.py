@@ -47,7 +47,6 @@ DEFAULTS: dict[str, Any] = {
         "v_max": 20.0,
         "accel_var": 25.0,
         "omega_var": 0.01,  # (rad/s)^2 initial turn-rate variance of a CT segment
-        "omega_max": 1.0,  # rad/s bound on a CT segment's turn-rate estimate
         "sigma_defaults": {"accel": 0.2, "jerk": 0.1, "omega": 0.02},
     },
     "paths": {"truth": "truth.csv", "rf": "rf.csv", "segments": "segments.json"},
@@ -74,14 +73,6 @@ def _merge(defaults: Any, override: Any, where: str = "") -> Any:
     return out
 
 
-def _checked(data: dict) -> dict:
-    """``data`` once its values pass the checks that need no input file."""
-    omega_max = data["filter"]["omega_max"]
-    if isinstance(omega_max, bool) or not (isinstance(omega_max, (int, float)) and omega_max > 0):
-        raise ConfigError(f"filter.omega_max must be a number > 0, got {omega_max!r}")
-    return data
-
-
 class RunConfig:
     """Resolved configuration plus the directory it was loaded from."""
 
@@ -100,13 +91,13 @@ class RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         try:
-            return cls(_checked(_merge(DEFAULTS, user)), path.parent)
+            return cls(_merge(DEFAULTS, user), path.parent)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
 
     @classmethod
     def from_dict(cls, user: dict, base_dir=".") -> "RunConfig":
-        return cls(_checked(_merge(DEFAULTS, user)), Path(base_dir))
+        return cls(_merge(DEFAULTS, user), Path(base_dir))
 
     def origin(self) -> Optional[GeoPoint]:
         """Configured origin, or None for "auto" (first UAV sample)."""

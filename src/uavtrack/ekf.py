@@ -29,6 +29,12 @@ from .motionmodels import (
     sigma_rows,
 )
 
+# rad/s bound on a CT segment's turn-rate estimate, projected onto after each
+# update (estimate projection, D. Simon, "Kalman filtering with state
+# constraints", IET Control Theory & Applications 4(8), 2010); no workload
+# turns faster than 0.5 rad/s
+_OMEGA_MAX = 1.0
+
 
 class FilterError(ValueError):
     """Dimension mismatch or degenerate numerics in a filter step."""
@@ -66,18 +72,13 @@ class FilterConfig:
     ``omega_var`` is the initial turn-rate variance of a CT segment in
     (rad/s)^2: 0.01, a 6 deg/s standard deviation, bounds the prior by the
     platform's turn rates. A 1.0 prior (57 deg/s) lets long CT segments
-    diverge from noisy fixes. ``omega_max`` (rad/s) bounds the turn-rate
-    estimate: after each CT update it is projected onto
-    [-omega_max, omega_max] (estimate projection, D. Simon, IET Control
-    Theory & Applications 4(8), 2010), so a filter that noisy fixes drive
-    toward an ever faster turn cannot run away.
+    diverge from noisy fixes.
     """
 
     R: np.ndarray
     v_max: float = 20.0
     accel_var: float = 25.0
     omega_var: float = 0.01
-    omega_max: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -106,14 +107,27 @@ def _update_step(s: np.ndarray, P: np.ndarray, z: np.ndarray, H: np.ndarray, R: 
     Returns the updated states and covariances, the (B, 2, 2) innovation
     covariances S and a (B,) flag that is False where S is singular or not
     finite; the rows so flagged hold no usable estimate.
+
+    The gain solves S^T K^T = (P H^T)^T by LAPACK, one system per row, so a
+    row rounds exactly as a lone update and as the scalar filter it
+    replaced. A closed-form 2 x 2 inverse rounds differently, and a badly
+    tuned CT filter can grow that last-bit difference by a factor of about
+    1e8 within 200 steps.
     """
     PHt = P @ H.T
     S = H @ PHt + R
     det = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
     ok = np.isfinite(det) & (det != 0.0)
-    adj = np.stack([S[:, 1, 1], -S[:, 0, 1], -S[:, 1, 0], S[:, 0, 0]], axis=1)
-    S_inv = (adj / det[:, None]).reshape(-1, 2, 2)  # closed-form 2 x 2 inverse
-    K = PHt @ S_inv
+    try:
+        Kt = np.linalg.solve(S.swapaxes(1, 2), PHt.swapaxes(1, 2))
+    except np.linalg.LinAlgError:  # some S has an exactly zero pivot: row by row
+        Kt = np.full((len(S), PHt.shape[2], PHt.shape[1]), np.nan)
+        for i in np.flatnonzero(ok):
+            try:
+                Kt[i] = np.linalg.solve(S[i].T, PHt[i].T)
+            except np.linalg.LinAlgError:  # det != 0 although a pivot is 0
+                ok[i] = False
+    K = Kt.swapaxes(1, 2)
     s = s + (K @ (z - (H @ s[:, :, None])[:, :, 0])[:, :, None])[:, :, 0]
     ImKH = np.eye(H.shape[1]) - K @ H
     P = _symmetrize(ImKH @ P @ ImKH.swapaxes(1, 2) + K @ R @ K.swapaxes(1, 2))
@@ -188,7 +202,7 @@ def _run_batch(
     Every segment needs at least two rows. It starts at its first fix with
     zero velocity (and acceleration / turn rate) under the prior of
     :func:`_initial_covariance`; a CT turn rate is clipped to
-    ``cfg.omega_max`` after each update. The segments are sorted longest
+    ±``_OMEGA_MAX`` after each update. The segments are sorted longest
     first, so the ones still running at step k are a prefix of the batch;
     each step predicts and updates that prefix in one array operation. Rows
     past a segment's end are NaN, so reading them poisons that segment alone.
@@ -236,7 +250,7 @@ def _run_batch(
             s, P = _predict_step(mm, s[:b], P[:b], T, process_noise_batch(mm, T, sig[:b]))
             s, P, S, ok = _update_step(s, P, z_pad[k, :b], H, cfg.R)
             if mm is ModelKind.CT:
-                np.clip(s[:, 4], -cfg.omega_max, cfg.omega_max, out=s[:, 4])
+                np.clip(s[:, 4], -_OMEGA_MAX, _OMEGA_MAX, out=s[:, 4])
             new = ~ok & ~failed[:b]
             S_failed[:b][new] = S[new]
             failed[:b] |= new

@@ -392,25 +392,23 @@ def simulate_columns(
         radius = outlier_max_m * np.sqrt(rng.random(n))
         glitch[hit] = np.column_stack((radius * np.cos(theta), radius * np.sin(theta)))[hit]
 
-    no_fit = np.zeros(n, dtype=bool)
     if arr is None:
         fix = xy + noise
     else:
         idx, dt = _arrival_differences(arr, xy, noise)
         rd = SPEED_OF_LIGHT * dt
         fix = _fixes(arr, idx, rd, np.tile(arr.positions.mean(axis=0), (n, 1)))[0]
-        no_fit = _impossible(arr, idx, rd)
     lost = np.isnan(fix[:, 0])
     fix += glitch
     far = np.hypot(fix[:, 0], fix[:, 1]) > MAX_RANGE_M  # False where lost (NaN)
     drop = lost | far
-    for t, is_far, is_no_fit in zip(t_ms[drop].tolist(), far[drop].tolist(), no_fit[drop].tolist()):
-        if is_far:
-            log.warning("epoch %d: fix beyond %.0f km of the origin, dropping", t, MAX_RANGE_M / 1000)
-        elif is_no_fit:
-            log.warning("epoch %d: range difference exceeds sensor baseline, dropping", t)
+    for i in np.flatnonzero(drop).tolist():
+        if far[i]:
+            log.warning("epoch %d: fix beyond %.0f km of the origin, dropping", t_ms[i], MAX_RANGE_M / 1000)
+        elif _impossible(arr, idx, rd[i : i + 1])[0]:  # only TDoA loses epochs
+            log.warning("epoch %d: range difference exceeds sensor baseline, dropping", t_ms[i])
         else:
-            log.warning("epoch %d: rank-deficient geometry at every start, dropping", t)
+            log.warning("epoch %d: rank-deficient geometry at every start, dropping", t_ms[i])
     return t_ms[~drop], fix[~drop], int(drop.sum())
 
 

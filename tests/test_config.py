@@ -98,16 +98,3 @@ def test_benchmark_workload_configs_load(tmp_path, monkeypatch, workload):
     import workloads
 
     RunConfig.load(_write(tmp_path, workloads.generate(workload, seed=1)))
-
-
-@pytest.mark.parametrize("value", [0, -1.0, float("nan"), "1", None, True])
-def test_bad_omega_max_rejected_by_load(tmp_path, value):
-    path = _write(tmp_path, {"filter": {"omega_max": value}})
-    with pytest.raises(ConfigError, match=rf"^{path}: filter.omega_max must be a number > 0, got "):
-        RunConfig.load(path)
-
-
-def test_omega_max_accepts_a_positive_number():
-    assert RunConfig.from_dict({"filter": {"omega_max": 0.5}}).data["filter"]["omega_max"] == 0.5
-    with pytest.raises(ConfigError, match="filter.omega_max must be a number > 0, got 0.0"):
-        RunConfig.from_dict({"filter": {"omega_max": 0.0}})

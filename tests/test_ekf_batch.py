@@ -9,7 +9,7 @@ from uavtrack.config import RunConfig
 from uavtrack.dataio import AlignedPair, Segment
 from uavtrack.ekf import FilterConfig, run_trajectory
 from uavtrack.geodesy import EnuPoint
-from uavtrack.motionmodels import ModelKind, NoiseSigmas
+from uavtrack.motionmodels import ModelKind, NoiseSigmas, measurement_matrix
 from uavtrack.tdoa import position_noise_flight
 
 
@@ -67,6 +67,37 @@ def test_singular_segment_warns_once_and_spares_its_neighbour():
         assert np.array_equal(a.state.P, b.state.P)
 
 
+def _zero_pivot_matrix():
+    """A 2 x 2 matrix whose determinant is not 0 but whose LU meets an exactly zero pivot."""
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        c, a, b = np.sort(rng.uniform(1.0, 10.0, 3))  # |a| >= |c|: a is the first pivot
+        for d in ((c * (1.0 / a)) * b, (c / a) * b):
+            M = np.array([[a, b], [c, d]])
+            if M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0] != 0.0:
+                try:
+                    np.linalg.solve(M, np.eye(2))
+                except np.linalg.LinAlgError:
+                    return M
+    pytest.skip("LAPACK met no exactly zero pivot on these matrices")
+
+
+def test_zero_pivot_row_is_flagged_and_spares_its_neighbour():
+    # row 0 has P = 0, so its S is R, whose transpose the gain solve cannot
+    # factor although its determinant is not 0; row 1 has S = R + I
+    R = _zero_pivot_matrix().T
+    H = measurement_matrix(ModelKind.CV)
+    s = np.zeros((2, 4))
+    P = np.stack([np.zeros((4, 4)), np.eye(4)])
+    z = np.array([[1.0, 2.0], [1.0, 2.0]])
+    s_out, P_out, _, ok = ekf._update_step(s, P, z, H, R)
+    assert ok.tolist() == [False, True]
+    alone_s, alone_P, _, _ = ekf._update_step(s[1:], P[1:], z[1:], H, R)
+    assert np.array_equal(s_out[1:], alone_s) and np.array_equal(P_out[1:], alone_P)
+    with pytest.raises(ekf.FilterError, match="singular innovation covariance"):
+        ekf.update(ekf.FilterState(s[0], P[0], 0), EnuPoint(1.0, 2.0), ekf.MeasurementModel(H, R))
+
+
 def test_failures_warn_in_start_order_and_stop_at_the_first_bad_step():
     t = np.arange(30) * 1000
     t[25] = t[24]  # S3 meets a repeated timestamp
@@ -114,19 +145,16 @@ def test_config_default_prior_is_the_filter_default():
     assert RunConfig.from_dict({}).data["filter"]["omega_var"] == FilterConfig.omega_var == 0.01
 
 
-def test_config_default_turn_bound_is_the_filter_default():
-    assert RunConfig.from_dict({}).data["filter"]["omega_max"] == FilterConfig.omega_max == 1.0
-
-
-def test_ct_turn_rate_estimate_stays_within_bound():
+def test_ct_turn_rate_estimate_stays_within_bound(monkeypatch):
     # fixes that jump back and forth drive the turn-rate estimate hard; a
     # loose prior lets it run to several rad/s without the bound
     rng = np.random.default_rng(3)
     t = np.arange(60, dtype=np.int64) * 500
     z = rng.normal(0, 40, (60, 2))
     seg = Segment("S1", 0, 59, ModelKind.CT, NoiseSigmas(accel=2.0, omega=0.5))
-    loose = FilterConfig(R=np.diag([4.0, 4.0]), omega_var=4.0, omega_max=np.inf)
+    loose = FilterConfig(R=np.diag([4.0, 4.0]), omega_var=4.0)
+    bounded = ekf._run_batch([seg], t, z, [slice(0, 60)], loose)[0][0]
+    assert np.abs(bounded[:, 4]).max() == ekf._OMEGA_MAX == 1.0
+    monkeypatch.setattr(ekf, "_OMEGA_MAX", np.inf)
     free = ekf._run_batch([seg], t, z, [slice(0, 60)], loose)[0][0]
     assert np.abs(free[:, 4]).max() > 1.0
-    bounded = ekf._run_batch([seg], t, z, [slice(0, 60)], FilterConfig(R=loose.R, omega_var=4.0))[0][0]
-    assert np.abs(bounded[:, 4]).max() == 1.0

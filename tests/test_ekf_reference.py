@@ -20,9 +20,9 @@ from uavtrack.motionmodels import (
 # --- frozen reference: one predict and one update call per step, the gain
 # from np.linalg.solve, a Python loop over the segment. Kept as it was,
 # except for the function names and the turn-rate projection onto
-# [-omega_max, omega_max] after each CT update, which the filter gained
-# later; the motion-model matrices come from the library, whose own tests
-# pin them.
+# [-ekf._OMEGA_MAX, ekf._OMEGA_MAX] after each CT update, which the filter
+# gained later; the motion-model matrices come from the library, whose own
+# tests pin them.
 
 
 def _symmetrize(P):
@@ -75,7 +75,7 @@ def ref_run_segment(seg, pairs, cfg):
         fs = ref_update(ref_predict(fs, seg.mm, T, Q), cur.rf, meas)
         if seg.mm is ModelKind.CT:
             s = fs.s.copy()
-            s[4] = min(max(s[4], -cfg.omega_max), cfg.omega_max)
+            s[4] = min(max(s[4], -ekf._OMEGA_MAX), ekf._OMEGA_MAX)
             fs = FilterState(s, fs.P, fs.t_ms)
         track.append(TrackPoint(cur.t_ms, EnuPoint(fs.s[0], fs.s[1]), fs))
     return track
@@ -128,6 +128,11 @@ def _assert_close(states, covs, ref_track):
 # without the turn-rate bound this CT filter diverges (its estimate reaches
 # -5.4 rad/s) and the two paths part by 5.9e-9 m
 @example(mm=ModelKind.CT, lengths=[175, 175], mean_dt_ms=496, turn=1.0, seed=1)
+# these CT filters grow a 1e-10 m change of their first fix by factors of
+# 2.5e2, 8.5e5 and 9.5e7, so the two paths agree only while they round alike
+@example(mm=ModelKind.CT, lengths=[93, 2, 45, 200], mean_dt_ms=924, turn=4.0, seed=103)
+@example(mm=ModelKind.CT, lengths=[157, 57], mean_dt_ms=931, turn=1.0, seed=10570)
+@example(mm=ModelKind.CT, lengths=[183], mean_dt_ms=738, turn=2.2654339133495998, seed=3750758462)
 def test_batched_core_matches_frozen_scalar_filter(mm, lengths, mean_dt_ms, turn, seed):
     # the target turns at about ``turn`` times the rate where the CT step
     # switches to its series, so its estimate moves across the switch
