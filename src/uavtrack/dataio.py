@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import logging
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +34,23 @@ _GEO_DTYPE = [("t", "i8"), ("lat", "f8"), ("lon", "f8")]
 _ALIGNED_DTYPE = [("t", "i8"), ("xy", "f8", (4,))]
 _PLAIN_BYTES = b"0123456789+-.eE,\n"
 _WRITE_BLOCK_ROWS = 4096
+# one printf conversion of a line format, or a literal percent sign
+_CONVERSION = re.compile(r"(%%|%s|%\.\d+f)")
+_ZERO, _MINUS, _POINT = ord("0"), ord("-"), ord(".")
+
+
+def _digit_table() -> np.ndarray:
+    """ASCII digits of 0000 to 9999, the four bytes of each in one uint32 (40 kB)."""
+    d = np.arange(_ZERO, _ZERO + 10, dtype=np.uint8)
+    table = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    table[..., 0] = d[:, None, None, None]
+    table[..., 1] = d[:, None, None]
+    table[..., 2] = d[:, None]
+    table[..., 3] = d
+    return table.reshape(10_000, 4).view(np.uint32)[:, 0]
+
+
+_DIGITS4 = _digit_table()  # numbers are written four digits at a time
 
 
 class ParseError(ValueError):
@@ -223,17 +241,159 @@ def write_csv(path, header: list[str], fmt: str, *columns) -> None:
     """Write ``header`` and one ``fmt % row`` line per row of the equal-length ``columns`` (deterministic bytes).
 
     ``fmt`` is a printf-style format with one conversion per column, such as
-    ``"%s,%.6f"``. Each block of rows is formatted from Python values, one
-    ``tolist`` per column, and written as one joined string; blocks keep the
-    text of a long log from sitting in memory whole.
+    ``"%s,%.6f"``. Each block of rows is written as one byte string, so the
+    text of a long log never sits in memory whole. A block is built as one
+    NUL-padded ``uint8`` matrix, a row per line and a fixed-width slot per
+    field, with the NULs dropped on write (:func:`_block_text`). The text
+    equals the ``fmt % row`` join of the block's Python values byte for
+    byte; a block the matrix cannot represent exactly is formatted that
+    way instead.
     """
     fmt += "\n"
     columns = [np.asarray(c) for c in columns]
-    with open(path, "w", newline="\n", encoding="utf-8") as f:
-        f.write(",".join(header) + "\n")
+    fields = _line_fields(fmt, columns)
+    with open(path, "wb") as f:
+        f.write((",".join(header) + "\n").encode("utf-8"))
         for i in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
-            block = zip(*(c[i : i + _WRITE_BLOCK_ROWS].tolist() for c in columns))
-            f.write("".join([fmt % row for row in block]))
+            block = [c[i : i + _WRITE_BLOCK_ROWS] for c in columns]
+            text = _block_text(fields, block) if fields is not None else None
+            if text is None:
+                rows = zip(*(c.tolist() for c in block))
+                text = "".join([fmt % row for row in rows]).encode("utf-8")
+            f.write(text)
+
+
+def _line_fields(fmt: str, columns: list[np.ndarray]) -> list | None:
+    """``fmt`` as alternating literal bytes and one text converter per column.
+
+    None when the matrix form does not cover the format: a conversion other
+    than ``%s`` on an integer or string column or ``%.<d>f`` (d <= 15) on a
+    float column, a NUL in a literal, or a column count the format does not
+    take.
+    """
+    fields, literal, cols = [], b"", iter(columns)
+    for j, part in enumerate(_CONVERSION.split(fmt)):
+        if part == "%%":
+            literal += b"%"
+            continue
+        if j % 2 == 0:
+            if "%" in part or "\0" in part:
+                return None
+            literal += part.encode("utf-8")
+            continue
+        col = next(cols, None)
+        if col is None or col.ndim != 1:
+            return None
+        kind, size = col.dtype.kind, col.dtype.itemsize
+        if part == "%s" and kind in "iu" and size <= 8:
+            convert = _int_text
+        elif part == "%s" and kind == "U" and col.dtype.isnative:
+            convert = _str_text
+        elif part != "%s" and kind == "f" and size <= 8 and int(part[2:-1]) <= 15:
+            convert = _fixed_text(int(part[2:-1]))
+        else:
+            return None
+        fields += [literal, convert]
+        literal = b""
+    if next(cols, None) is not None:
+        return None
+    return fields + [literal]
+
+
+def _block_text(fields: list, block: list[np.ndarray]) -> bytes | None:
+    """The lines of ``block`` as bytes, or None if a field cannot be written exactly."""
+    n, cols, pieces = len(block[0]), iter(block), []
+    for field in fields:
+        if isinstance(field, bytes):
+            if field:
+                pieces.append(np.broadcast_to(np.frombuffer(field, np.uint8), (n, len(field))))
+            continue
+        text = field(next(cols))
+        if text is None:
+            return None
+        pieces += text
+    m = np.concatenate(pieces, axis=1)
+    return m[m != 0].tobytes()
+
+
+def _digits(mag: np.ndarray, width: int) -> np.ndarray:
+    """(K, width) ASCII digits of the non-negative integers ``mag``, zero-padded on the left."""
+    groups = -(-width // 4)
+    g = np.empty((len(mag), groups), dtype=np.intp)
+    mag = mag.astype(np.uint64)
+    for k in range(groups - 1, -1, -1):
+        rest = mag // 10_000
+        g[:, k] = mag - rest * 10_000
+        mag = rest
+    return _DIGITS4[g].view(np.uint8)[:, 4 * groups - width :]
+
+
+def _drop_leading_zeros(chars: np.ndarray) -> None:
+    """Replace the leading zero digits of each row of ``chars`` by NUL, keeping the last digit."""
+    lead = np.ones(len(chars), dtype=bool)
+    for j in range(chars.shape[1] - 1):
+        lead &= chars[:, j] == _ZERO
+        chars[lead, j] = 0
+
+
+def _sign(neg: np.ndarray) -> np.ndarray:
+    """(K, 1) minus signs where ``neg``, NUL elsewhere."""
+    return np.where(neg, np.uint8(_MINUS), np.uint8(0))[:, None]
+
+
+def _int_text(v: np.ndarray) -> list[np.ndarray]:
+    """``str(int)`` of each value: a minus sign, then the digits."""
+    neg = v < 0
+    mag = v.astype(np.uint64)
+    mag[neg] = -mag[neg]  # two's complement: |v|, the int64 minimum included
+    chars = _digits(mag, len(str(int(mag.max()))))
+    _drop_leading_zeros(chars)
+    return [_sign(neg), chars]
+
+
+def _str_text(v: np.ndarray) -> list[np.ndarray] | None:
+    """Each string's bytes; None unless every string is ASCII without a NUL."""
+    codes = np.ascontiguousarray(v).view(np.uint32).reshape(len(v), -1)
+    used = codes != 0
+    if (codes > 127).any() or (used[:, 1:] & ~used[:, :-1]).any():
+        return None
+    return [codes.astype(np.uint8)]
+
+
+def _fixed_text(digits: int) -> Callable[[np.ndarray], list[np.ndarray] | None]:
+    """Converter for ``%.<digits>f``: the value rounded to a multiple of 10^-digits.
+
+    ``p = |v|·10^digits`` is the exact product rounded once (10^digits is a
+    double). Below 2^52 every half-integer is a double too, and rounding
+    is monotone, so no half lies strictly between ``p`` and the exact
+    product: ``rint(p)`` is the correctly rounded integer unless ``p`` is
+    itself a half. Those ties, exact or made by the rounding, take their
+    digits from ``"%.*f" % (digits, v)``. The sign is that of ``v``, as in
+    printf's ``-0.000``. None for a block with a value that is not finite
+    or has ``p >= 2^52``.
+    """
+    scale = float(10**digits)
+
+    def convert(v: np.ndarray) -> list[np.ndarray] | None:
+        v = v.astype(np.float64, copy=False)
+        with np.errstate(over="ignore"):
+            p = np.abs(v) * scale
+        if not (p < 2.0**52).all():
+            return None
+        q = np.rint(p).astype(np.int64)
+        tie = p - np.floor(p) == 0.5
+        if tie.any():
+            at = np.flatnonzero(tie)
+            q[at] = [int(("%.*f" % (digits, x)).lstrip("-").replace(".", "")) for x in v[at].tolist()]
+        chars = _digits(q, max(len(str(int(q.max()))), digits + 1))
+        whole = chars[:, : chars.shape[1] - digits]
+        _drop_leading_zeros(whole)
+        if not digits:
+            return [_sign(np.signbit(v)), whole]
+        point = np.full((len(v), 1), _POINT, dtype=np.uint8)
+        return [_sign(np.signbit(v)), whole, point, chars[:, -digits:]]
+
+    return convert
 
 
 def write_lines(path, lines: Sequence[str]) -> None:

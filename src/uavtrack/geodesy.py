@@ -51,16 +51,6 @@ class EnuPoint:
             raise GeodesyError(f"non-finite ENU coordinate: ({self.x}, {self.y})")
 
 
-def _geodetic_to_ecef(lat_rad: float, lon_rad: float) -> tuple[float, float, float]:
-    sin_lat = math.sin(lat_rad)
-    cos_lat = math.cos(lat_rad)
-    n = _A / math.sqrt(1.0 - _E2 * sin_lat * sin_lat)
-    x = n * cos_lat * math.cos(lon_rad)
-    y = n * cos_lat * math.sin(lon_rad)
-    z = n * (1.0 - _E2) * sin_lat
-    return x, y, z
-
-
 Vec3 = tuple[float, float, float]
 
 
@@ -70,10 +60,12 @@ def _origin_frame(origin: GeoPoint) -> tuple[Vec3, Vec3, Vec3, Vec3]:
     lon0 = math.radians(origin.lon_deg)
     sin_lat0, cos_lat0 = math.sin(lat0), math.cos(lat0)
     sin_lon0, cos_lon0 = math.sin(lon0), math.cos(lon0)
+    n0 = _A / math.sqrt(1.0 - _E2 * sin_lat0 * sin_lat0)  # prime-vertical radius
+    x0 = (n0 * cos_lat0 * cos_lon0, n0 * cos_lat0 * sin_lon0, n0 * (1.0 - _E2) * sin_lat0)
     east = (-sin_lon0, cos_lon0, 0.0)
     north = (-sin_lat0 * cos_lon0, -sin_lat0 * sin_lon0, cos_lat0)
     up = (cos_lat0 * cos_lon0, cos_lat0 * sin_lon0, sin_lat0)
-    return _geodetic_to_ecef(lat0, lon0), east, north, up
+    return x0, east, north, up
 
 
 def _ellipsoid_dot(u: Vec3, v: Vec3) -> float:
@@ -82,59 +74,22 @@ def _ellipsoid_dot(u: Vec3, v: Vec3) -> float:
 
 
 def to_enu(p: GeoPoint, origin: GeoPoint) -> EnuPoint:
-    """East/north offsets of ``p`` relative to ``origin``.
-
-    ECEF delta rotated into the tangent plane at the origin; the up
-    component is discarded (2-D tracking).
-    """
-    x0, east, north, _ = _origin_frame(origin)
-    x1 = _geodetic_to_ecef(math.radians(p.lat_deg), math.radians(p.lon_deg))
-    dx, dy, dz = x1[0] - x0[0], x1[1] - x0[1], x1[2] - x0[2]
-    e = east[0] * dx + east[1] * dy
-    n = north[0] * dx + north[1] * dy + north[2] * dz
-    if math.hypot(e, n) > MAX_RANGE_M:
-        raise GeodesyError(
-            f"points separated by more than {MAX_RANGE_M / 1000:.0f} km"
-        )
-    return EnuPoint(e, n)
+    """East/north offsets of ``p`` relative to ``origin``: :func:`to_enu_array` of one row."""
+    return EnuPoint(*to_enu_array(np.array([[p.lat_deg, p.lon_deg]]), origin)[0].tolist())
 
 
 def from_enu(p: EnuPoint, origin: GeoPoint) -> GeoPoint:
-    """Geodetic point whose :func:`to_enu` image at ``origin`` is ``p``.
-
-    Exact inverse, no iteration. The surface point is ``X0 + d + u*up``,
-    where ``X0`` is the origin in ECEF and ``d = p.x*east + p.y*north``.
-    ``X0`` lies on the ellipsoid and its normal there is ``up``, so
-    ``u`` is the small root of ``a*u^2 + b*u + c = 0`` with
-    ``a = <up, up>``, ``b = 2<X0 + d, up>`` and ``c = <d, d>`` in the
-    ellipsoid's own metric; it is taken in the form that does not cancel.
-    The latitude of a surface point is ``atan2(z, (1 - e^2) * hypot(x, y))``.
-    """
-    if math.hypot(p.x, p.y) > MAX_RANGE_M:
-        raise GeodesyError(f"offset exceeds {MAX_RANGE_M / 1000:.0f} km")
-
-    x0, east, north, up = _origin_frame(origin)
-    d = (
-        p.x * east[0] + p.y * north[0],
-        p.x * east[1] + p.y * north[1],
-        p.x * east[2] + p.y * north[2],
-    )
-    s = (x0[0] + d[0], x0[1] + d[1], x0[2] + d[2])
-    a = _ellipsoid_dot(up, up)
-    b = 2.0 * _ellipsoid_dot(s, up)
-    c = _ellipsoid_dot(d, d)
-    u = -2.0 * c / (b + math.sqrt(b * b - 4.0 * a * c))
-    x, y, z = s[0] + u * up[0], s[1] + u * up[1], s[2] + u * up[2]
-    lat = math.atan2(z, (1.0 - _E2) * math.hypot(x, y))
-    return GeoPoint(math.degrees(lat), math.degrees(math.atan2(y, x)))
+    """Geodetic point whose :func:`to_enu` image at ``origin`` is ``p``: :func:`from_enu_array` of one row."""
+    return GeoPoint(*from_enu_array(np.array([[p.x, p.y]]), origin)[0].tolist())
 
 
 def to_enu_array(latlon: np.ndarray, origin: GeoPoint) -> np.ndarray:
-    """:func:`to_enu` of every ``(lat_deg, lon_deg)`` row of ``latlon``, shape (K, 2).
+    """East/north offsets of every ``(lat_deg, lon_deg)`` row of ``latlon`` from ``origin``, shape (K, 2).
 
-    Same arithmetic in the same order as the scalar form, with the origin
-    frame computed once; the rows must be valid geodetic coordinates (as
-    :func:`uavtrack.dataio.parse_position_log` returns them).
+    ECEF delta rotated into the tangent plane at the origin; the up
+    component is discarded (2-D tracking). The rows must be valid geodetic
+    coordinates (as :func:`uavtrack.dataio.parse_position_log` returns
+    them); a row more than ``MAX_RANGE_M`` from the origin is an error.
     """
     x0, east, north, _ = _origin_frame(origin)
     lat = np.radians(latlon[:, 0])
@@ -153,12 +108,17 @@ def to_enu_array(latlon: np.ndarray, origin: GeoPoint) -> np.ndarray:
 
 
 def from_enu_array(xy: np.ndarray, origin: GeoPoint) -> np.ndarray:
-    """:func:`from_enu` of every ``(x, y)`` row of ``xy``: ``(lat_deg, lon_deg)`` rows, shape (K, 2).
+    """Geodetic ``(lat_deg, lon_deg)`` rows whose :func:`to_enu_array` image at ``origin`` is ``xy``, shape (K, 2).
 
-    The closed form of the scalar function with the origin frame computed
-    once. ``hypot`` and ``atan2`` run element by element through :mod:`math`,
-    whose results numpy's vectorised versions miss by an ulp, so each row
-    is bit-identical to the scalar form and written logs do not change.
+    Exact inverse, no iteration. The surface point is ``X0 + d + u*up``,
+    where ``X0`` is the origin in ECEF and ``d = x*east + y*north``. ``X0``
+    lies on the ellipsoid and its normal there is ``up``, so ``u`` is the
+    small root of ``a*u^2 + b*u + c = 0`` with ``a = <up, up>``,
+    ``b = 2<X0 + d, up>`` and ``c = <d, d>`` in the ellipsoid's own metric;
+    it is taken in the form that does not cancel. The latitude of a surface
+    point is ``atan2(z, (1 - e^2) * hypot(x, y))``. numpy's ``hypot`` and
+    ``arctan2`` are within an ulp or so of :mod:`math`'s, about 1e-14
+    degrees, so a ``%.10f`` value can move by one unit in its last digit.
     """
     if not np.isfinite(xy).all():
         raise GeodesyError("non-finite ENU coordinate")
@@ -173,8 +133,6 @@ def from_enu_array(xy: np.ndarray, origin: GeoPoint) -> np.ndarray:
     b = 2.0 * _ellipsoid_dot(s, up)
     c = _ellipsoid_dot(d, d)
     u = -2.0 * c / (b + np.sqrt(b * b - 4.0 * a * c))
-    x, y, z = (s[0] + u * up[0]).tolist(), (s[1] + u * up[1]).tolist(), (s[2] + u * up[2]).tolist()
-    horiz = (1.0 - _E2) * np.array(list(map(math.hypot, x, y)))
-    lat = np.array(list(map(math.atan2, z, horiz.tolist())))
-    lon = np.array(list(map(math.atan2, y, x)))
-    return np.column_stack([np.degrees(lat), np.degrees(lon)])
+    x, y, z = s[0] + u * up[0], s[1] + u * up[1], s[2] + u * up[2]
+    lat = np.arctan2(z, (1.0 - _E2) * np.hypot(x, y))
+    return np.column_stack([np.degrees(lat), np.degrees(np.arctan2(y, x))])

@@ -133,6 +133,37 @@ def _turn_coeffs(w: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, ...]:
     return swt_w, cwt_w, c, sn, dswt_dw, dcwt_dw
 
 
+def _arc(x, y, vx, vy, w, swt_w, cwt_w, c, sn) -> list[np.ndarray]:
+    """The CT state columns after one step: the exact circular arc."""
+    return [x + vx * swt_w - vy * cwt_w, y + vx * cwt_w + vy * swt_w, vx * c - vy * sn, vx * sn + vy * c, w]
+
+
+def propagate_states(mm: ModelKind, s: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The states of :func:`propagate_batch`, without the Jacobians.
+
+    ``s`` (..., n) and the steps ``T`` broadcast against each other, so one
+    entry state (n,) over an array of elapsed times is that state's
+    trajectory. CV/CA take the per-axis chain ``p + T v (+ T^2/2 a)``, the
+    sums of the transition matrix applied to ``s`` without its zero terms
+    (the same bits as ``F @ s`` with numpy 2.4 on x86-64); CT takes the arc.
+    """
+    d = mm.state_dim
+    cols = [s[..., i] for i in range(d)]
+    if mm is ModelKind.CT:
+        out = _arc(*cols, *_turn_coeffs(cols[4], T)[:4])
+    elif mm is ModelKind.CV:
+        x, y, vx, vy = cols
+        out = [x + T * vx, y + T * vy, vx, vy]
+    else:
+        x, y, vx, vy, ax, ay = cols
+        half = 0.5 * T * T
+        out = [x + T * vx + half * ax, y + T * vy + half * ay, vx + T * ax, vy + T * ay, ax, ay]
+    f = np.empty(np.broadcast_shapes(s.shape[:-1], np.shape(T)) + (d,))
+    for i, col in enumerate(out):
+        f[..., i] = col
+    return f
+
+
 def propagate_batch(mm: ModelKind, s: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row of the (B, n) states ``s`` propagated over its step ``T[b]`` seconds,
     and the (B, n, n) transition Jacobians df/ds there."""
@@ -140,17 +171,11 @@ def propagate_batch(mm: ModelKind, s: np.ndarray, T: np.ndarray) -> tuple[np.nda
         F = np.eye(mm.state_dim) + T[:, None, None] * _CHAIN_MASKS[mm][1]
         if mm is ModelKind.CA:
             F += (0.5 * T * T)[:, None, None] * _CHAIN_MASKS[mm][2]
-        return (F @ s[:, :, None])[:, :, 0], F
+        return propagate_states(mm, s, T), F
 
     x, y, vx, vy, w = s.T
     swt_w, cwt_w, c, sn, dswt_dw, dcwt_dw = _turn_coeffs(w, T)
-    f = np.stack([
-        x + vx * swt_w - vy * cwt_w,
-        y + vx * cwt_w + vy * swt_w,
-        vx * c - vy * sn,
-        vx * sn + vy * c,
-        w,
-    ], axis=1)
+    f = np.stack(_arc(x, y, vx, vy, w, swt_w, cwt_w, c, sn), axis=1)
     one, zero = np.ones_like(w), np.zeros_like(w)
     J = np.stack([
         one, zero, swt_w, -cwt_w, vx * dswt_dw - vy * dcwt_dw,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataio import TimedSample, timed_samples
 from .geodesy import EnuPoint
-from .motionmodels import ModelKind, propagate_batch
+from .motionmodels import ModelKind, propagate_states
 
 
 class LegError(ValueError):
@@ -93,8 +93,8 @@ def truth_columns(
             tail = [leg.accel * ux, leg.accel * uy]
         # every sample of the leg from its entry state: the transitions are exact
         n = max(round(leg.duration_s * 1000 / dt_ms), 1)
-        entry = np.tile([x, y, vx, vy, *tail], (n, 1))
-        states = propagate_batch(leg.mm, entry, np.arange(1, n + 1) * dt_ms / 1000.0)[0]
+        entry = np.array([x, y, vx, vy, *tail])
+        states = propagate_states(leg.mm, entry, np.arange(1, n + 1) * dt_ms / 1000.0)
         x, y, vx, vy = states[-1, :4].tolist()
         xy.append(states[:, :2])
         boundaries.append((leg, last, last + n))

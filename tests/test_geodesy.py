@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from uavtrack.geodesy import (
+    _A,
+    _E2,
     MAX_RANGE_M,
     EnuPoint,
     GeoPoint,
@@ -16,6 +18,68 @@ from uavtrack.geodesy import (
 )
 
 ORIGIN = GeoPoint(35.8, -78.7)
+
+# --- frozen reference: the scalar conversions, one point at a time through
+# math, as they were before to_enu/from_enu became one-row calls of the
+# array forms. Kept as they were, except for the ref_ names.
+
+
+def ref_geodetic_to_ecef(lat_rad, lon_rad):
+    sin_lat = math.sin(lat_rad)
+    cos_lat = math.cos(lat_rad)
+    n = _A / math.sqrt(1.0 - _E2 * sin_lat * sin_lat)
+    x = n * cos_lat * math.cos(lon_rad)
+    y = n * cos_lat * math.sin(lon_rad)
+    z = n * (1.0 - _E2) * sin_lat
+    return x, y, z
+
+
+def ref_origin_frame(origin):
+    lat0 = math.radians(origin.lat_deg)
+    lon0 = math.radians(origin.lon_deg)
+    sin_lat0, cos_lat0 = math.sin(lat0), math.cos(lat0)
+    sin_lon0, cos_lon0 = math.sin(lon0), math.cos(lon0)
+    east = (-sin_lon0, cos_lon0, 0.0)
+    north = (-sin_lat0 * cos_lon0, -sin_lat0 * sin_lon0, cos_lat0)
+    up = (cos_lat0 * cos_lon0, cos_lat0 * sin_lon0, sin_lat0)
+    return ref_geodetic_to_ecef(lat0, lon0), east, north, up
+
+
+def ref_ellipsoid_dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] / (1.0 - _E2)
+
+
+def ref_to_enu(p, origin):
+    x0, east, north, _ = ref_origin_frame(origin)
+    x1 = ref_geodetic_to_ecef(math.radians(p.lat_deg), math.radians(p.lon_deg))
+    dx, dy, dz = x1[0] - x0[0], x1[1] - x0[1], x1[2] - x0[2]
+    e = east[0] * dx + east[1] * dy
+    n = north[0] * dx + north[1] * dy + north[2] * dz
+    if math.hypot(e, n) > MAX_RANGE_M:
+        raise GeodesyError(
+            f"points separated by more than {MAX_RANGE_M / 1000:.0f} km"
+        )
+    return EnuPoint(e, n)
+
+
+def ref_from_enu(p, origin):
+    if math.hypot(p.x, p.y) > MAX_RANGE_M:
+        raise GeodesyError(f"offset exceeds {MAX_RANGE_M / 1000:.0f} km")
+
+    x0, east, north, up = ref_origin_frame(origin)
+    d = (
+        p.x * east[0] + p.y * north[0],
+        p.x * east[1] + p.y * north[1],
+        p.x * east[2] + p.y * north[2],
+    )
+    s = (x0[0] + d[0], x0[1] + d[1], x0[2] + d[2])
+    a = ref_ellipsoid_dot(up, up)
+    b = 2.0 * ref_ellipsoid_dot(s, up)
+    c = ref_ellipsoid_dot(d, d)
+    u = -2.0 * c / (b + math.sqrt(b * b - 4.0 * a * c))
+    x, y, z = s[0] + u * up[0], s[1] + u * up[1], s[2] + u * up[2]
+    lat = math.atan2(z, (1.0 - _E2) * math.hypot(x, y))
+    return GeoPoint(math.degrees(lat), math.degrees(math.atan2(y, x)))
 
 # one milli-degree of latitude northward from the origin, computed
 # independently by quadrature of the WGS-84 meridian radius
@@ -142,13 +206,17 @@ def test_array_forms_match_scalar(lat, lon, xy):
     geo = from_enu_array(np.array(xy), origin)
     assert geo.shape == (len(xy), 2)
     for (x, y), (g_lat, g_lon) in zip(xy, geo.tolist()):
-        g = from_enu(EnuPoint(x, y), origin)
-        assert abs(g_lat - g.lat_deg) <= 1e-12 and abs(g_lon - g.lon_deg) <= 1e-12
+        g = ref_from_enu(EnuPoint(x, y), origin)
+        one = from_enu(EnuPoint(x, y), origin)
+        for lat_deg, lon_deg in ((g_lat, g_lon), (one.lat_deg, one.lon_deg)):
+            assert abs(lat_deg - g.lat_deg) <= 1e-12 and abs(lon_deg - g.lon_deg) <= 1e-12
     enu = to_enu_array(geo, origin)
     assert enu.shape == (len(xy), 2)
     for (g_lat, g_lon), (e_x, e_y) in zip(geo.tolist(), enu.tolist()):
-        e = to_enu(GeoPoint(g_lat, g_lon), origin)
-        assert abs(e_x - e.x) <= 1e-9 and abs(e_y - e.y) <= 1e-9
+        e = ref_to_enu(GeoPoint(g_lat, g_lon), origin)
+        one = to_enu(GeoPoint(g_lat, g_lon), origin)
+        for x, y in ((e_x, e_y), (one.x, one.y)):
+            assert abs(x - e.x) <= 1e-9 and abs(y - e.y) <= 1e-9
 
 
 @given(
@@ -161,12 +229,16 @@ def test_array_forms_reject_past_50km_like_scalar(lat, lon, r, theta):
     origin = GeoPoint(lat, lon)
     far = (r * math.cos(theta), r * math.sin(theta))
     with pytest.raises(GeodesyError):
+        ref_from_enu(EnuPoint(*far), origin)
+    with pytest.raises(GeodesyError):
         from_enu(EnuPoint(*far), origin)
     with pytest.raises(GeodesyError):
         from_enu_array(np.array([(0.0, 0.0), far]), origin)
     # due north by an arc of r over a radius below the least meridian radius
     # (6,335 km), so at least 0.5% past r in the tangent plane
     far_geo = GeoPoint(lat + math.degrees(r / 6.3e6), lon)
+    with pytest.raises(GeodesyError):
+        ref_to_enu(far_geo, origin)
     with pytest.raises(GeodesyError):
         to_enu(far_geo, origin)
     with pytest.raises(GeodesyError):

@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uavtrack.dataio import TimedSample
 from uavtrack.geodesy import MAX_RANGE_M, EnuPoint
@@ -121,6 +122,26 @@ class TestSolvePosition:
         f2 = solve_position(arr2, m2, arr2.centroid)
         assert f2.pos.x - f1.pos.x == pytest.approx(shift[0], abs=1e-9)
         assert f2.pos.y - f1.pos.y == pytest.approx(shift[1], abs=1e-9)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        theta=st.floats(0.0, 2 * np.pi),
+        target=st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)),
+        offset=st.tuples(st.floats(-1000.0, 1000.0), st.floats(-1000.0, 1000.0)),
+    )
+    def test_rotation_equivariance(self, theta, target, offset):
+        # rotating the array and the target about the centroid rotates the
+        # noiseless fix; the array is off the origin so the centroid matters
+        arr = SensorArray(README_ARRAY.positions + offset)
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        centroid = np.array([arr.centroid.x, arr.centroid.y])
+        turned = SensorArray((arr.positions - centroid) @ rot.T + centroid)
+        p = np.array(target) + centroid
+        p_turned = rot @ (p - centroid) + centroid
+        f1 = solve_position(arr, simulate_tdoa(arr, EnuPoint(*p), 0.0, _rng()), arr.centroid)
+        f2 = solve_position(turned, simulate_tdoa(turned, EnuPoint(*p_turned), 0.0, _rng()), turned.centroid)
+        expected = rot @ (np.array([f1.pos.x, f1.pos.y]) - centroid) + centroid
+        assert np.hypot(f2.pos.x - expected[0], f2.pos.y - expected[1]) <= 1e-6
 
     def test_two_sensors_degenerate(self):
         arr = SensorArray(np.array([[0.0, 0], [100, 0]]))
