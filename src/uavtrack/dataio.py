@@ -35,7 +35,7 @@ _ALIGNED_DTYPE = [("t", "i8"), ("xy", "f8", (4,))]
 _PLAIN_BYTES = b"0123456789+-.eE,\n"
 _WRITE_BLOCK_ROWS = 4096
 # one printf conversion of a line format, or a literal percent sign
-_CONVERSION = re.compile(r"(%%|%s|%\.\d+f)")
+_CONVERSION = re.compile(r"(%s|%\.\d+f)")
 _ZERO, _MINUS, _POINT = ord("0"), ord("-"), ord(".")
 
 
@@ -267,37 +267,27 @@ def _line_fields(fmt: str, columns: list[np.ndarray]) -> list | None:
     """``fmt`` as alternating literal bytes and one text converter per column.
 
     None when the matrix form does not cover the format: a conversion other
-    than ``%s`` on an integer or string column or ``%.<d>f`` (d <= 15) on a
-    float column, a NUL in a literal, or a column count the format does not
-    take.
+    than ``%s`` on an integer column or ``%.<d>f`` (d <= 15) on a float
+    column, a percent sign or NUL in a literal, or a column count the format
+    does not take.
     """
-    fields, literal, cols = [], b"", iter(columns)
-    for j, part in enumerate(_CONVERSION.split(fmt)):
-        if part == "%%":
-            literal += b"%"
-            continue
-        if j % 2 == 0:
-            if "%" in part or "\0" in part:
-                return None
-            literal += part.encode("utf-8")
-            continue
-        col = next(cols, None)
-        if col is None or col.ndim != 1:
+    parts = _CONVERSION.split(fmt)
+    literals, conversions = parts[::2], parts[1::2]
+    if len(conversions) != len(columns) or any("%" in s or "\0" in s for s in literals):
+        return None
+    fields = []
+    for literal, part, col in zip(literals, conversions, columns):
+        if col.ndim != 1:
             return None
         kind, size = col.dtype.kind, col.dtype.itemsize
         if part == "%s" and kind in "iu" and size <= 8:
             convert = _int_text
-        elif part == "%s" and kind == "U" and col.dtype.isnative:
-            convert = _str_text
         elif part != "%s" and kind == "f" and size <= 8 and int(part[2:-1]) <= 15:
             convert = _fixed_text(int(part[2:-1]))
         else:
             return None
-        fields += [literal, convert]
-        literal = b""
-    if next(cols, None) is not None:
-        return None
-    return fields + [literal]
+        fields += [literal.encode("utf-8"), convert]
+    return fields + [literals[-1].encode("utf-8")]
 
 
 def _block_text(fields: list, block: list[np.ndarray]) -> bytes | None:
@@ -349,15 +339,6 @@ def _int_text(v: np.ndarray) -> list[np.ndarray]:
     chars = _digits(mag, len(str(int(mag.max()))))
     _drop_leading_zeros(chars)
     return [_sign(neg), chars]
-
-
-def _str_text(v: np.ndarray) -> list[np.ndarray] | None:
-    """Each string's bytes; None unless every string is ASCII without a NUL."""
-    codes = np.ascontiguousarray(v).view(np.uint32).reshape(len(v), -1)
-    used = codes != 0
-    if (codes > 127).any() or (used[:, 1:] & ~used[:, :-1]).any():
-        return None
-    return [codes.astype(np.uint8)]
 
 
 def _fixed_text(digits: int) -> Callable[[np.ndarray], list[np.ndarray] | None]:

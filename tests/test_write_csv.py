@@ -92,40 +92,28 @@ def test_in_range_values_take_the_matrix(data, n):
     assert _written(["t", "a", "b"], "%s,%.6f,%.10f", columns) == _printf_text(["t", "a", "b"], "%s,%.6f,%.10f", columns)
 
 
-_ascii_ids = st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=12)
-
-
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(data=st.data(), n=_rows)
 def test_track_format_with_a_string_column(data, n):
+    # a string column is outside the matrix: the whole block is printf text
     t = data.draw(st.lists(st.integers(0, 10**10), min_size=n, max_size=n))
-    ids = data.draw(st.lists(_ascii_ids, min_size=n, max_size=n))
+    ids = data.draw(st.lists(st.text(max_size=12), min_size=n, max_size=n))  # non-ASCII included
     xy = data.draw(st.lists(st.floats(-5e4, 5e4), min_size=2 * n, max_size=2 * n))
     latlon = data.draw(st.lists(st.floats(-180.0, 180.0), min_size=2 * n, max_size=2 * n))
     columns = [np.array(t), np.array(ids), np.array(xy[:n]), np.array(xy[n:]), np.array(latlon[:n]), np.array(latlon[n:])]
     header = ["t_ms", "segment", "x", "y", "lat_deg", "lon_deg"]
-    assert _fast(TRACK_FMT, columns)
+    assert not _fast(TRACK_FMT, columns)
     assert _written(header, TRACK_FMT, columns) == _printf_text(header, TRACK_FMT, columns)
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    data=st.data(),
-    n=_rows,
-    odd=st.sampled_from([float("nan"), float("inf"), float("-inf"), "é", "\x00", "S\x001", "日本"]),
-)
-def test_non_finite_and_non_ascii_take_the_fallback(data, n, odd):
-    ids = data.draw(st.lists(_ascii_ids, min_size=n, max_size=n))
+@given(data=st.data(), n=_rows, odd=st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+def test_non_finite_values_take_the_fallback(data, n, odd):
     v = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
-    at = data.draw(st.integers(0, n - 1))
-    if isinstance(odd, str):
-        ids[at] += odd
-    else:
-        v[at] = odd
-    columns = [np.arange(n), np.array(ids), np.array(v)]
-    if isinstance(odd, float) or np.array(ids)[at] == ids[at]:  # numpy drops trailing NULs, as tolist does
-        assert not _fast("%s,%s,%.6f", columns)
-    assert _written(["t", "id", "v"], "%s,%s,%.6f", columns) == _printf_text(["t", "id", "v"], "%s,%s,%.6f", columns)
+    v[data.draw(st.integers(0, n - 1))] = odd
+    columns = [np.arange(n), np.array(v)]
+    assert not _fast("%s,%.6f", columns)
+    assert _written(["t", "v"], "%s,%.6f", columns) == _printf_text(["t", "v"], "%s,%.6f", columns)
 
 
 def test_one_row_and_empty_logs():
@@ -154,11 +142,11 @@ def test_formats_outside_the_matrix_match_printf():
         ("%s,%f", [t, v]),
         ("%s,%s", [t, v]),  # a float column at %s is its repr
         ("%.2f,%s", [t, ids]),  # an integer column at %f
-        ("%s%%,%.20f", [t, v]),  # a literal percent sign; 20 digits exceed the int64 path
+        ("%s%%,%.3f", [t, v]),  # a literal percent sign
+        ("%s,%.20f", [t, v]),  # 20 digits exceed the int64 path
+        ("%s,%s", [t, ids]),  # a string column
         ("%s,%s", [t, np.array([b"a", b"b"])]),  # bytes print as b'a'
         ("%s,%s", [t, np.array([True, False])]),
     ]:
         assert not _fast(fmt, columns), fmt
         assert _written(["x", "y"], fmt, columns) == _printf_text(["x", "y"], fmt, columns), fmt
-    assert _fast("%s%%,%.3f", [t, v])
-    assert _written(["x", "y"], "%s%%,%.3f", [t, v]) == b"x,y\n1%,0.125\n-2%,-2.500\n"
