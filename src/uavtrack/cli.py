@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -53,6 +54,31 @@ def _aligned_pairs(
     rf_xy = to_enu_array(rf_geo, origin)
     rf_idx, uav_idx = dataio.match_times(uav_t, rf_t, int(cfg.data["align"]["tol_ms"]))
     return rf_t[rf_idx], uav_xy[uav_idx], rf_xy[rf_idx], origin
+
+
+def _write_segment_table(path, segments: list[Segment], errors, ekf_errors) -> None:
+    """One row per segment and entry of ``metrics.STATS`` of each segment's ``errors``.
+
+    ``ekf_errors`` None gives a ``value_m`` column, else ``rf_m``, ``ekf_m`` and
+    ``better``, the side with the lower value (``tie`` where the two are equal).
+    """
+    n = len(metrics.STATS)
+    ids = np.repeat([seg.id for seg in segments], n)
+    mms = np.repeat([seg.mm.value for seg in segments], n)
+    st = metrics.segment_stats(errors).ravel()
+    if ekf_errors is None:
+        header, fmt, values = ["value_m"], "%.4f", [st]
+    else:
+        ekf = metrics.segment_stats(ekf_errors).ravel()
+        better = np.where(st == ekf, "tie", np.where(ekf < st, "ekf", "rf"))
+        header, fmt, values = ["rf_m", "ekf_m", "better"], "%.4f,%.4f,%s", [st, ekf, better]
+    stats = np.tile(metrics.STATS, len(segments))
+    dataio.write_csv(path, ["segment", "mm", "stat", *header], "%s,%s,%s," + fmt, ids, mms, stats, *values)
+
+
+def _write_cdf(path, errors: np.ndarray) -> None:
+    curve = metrics.cdf(errors)
+    dataio.write_csv(path, ["error_m", "fraction"], "%.6f,%.8f", curve.errors_m, curve.fractions)
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +195,13 @@ def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False) -> dict:
         accel_var=float(fcfg["accel_var"]),
         omega_var=float(fcfg["omega_var"]),
     )
-    tracks, warnings = ekf.filter_segments(segments, t_ms, rf, kept_idx.tolist(), filter_cfg)
+    tracks, warnings = ekf.filter_segments(segments, t_ms, rf, kept_idx, filter_cfg)
     for w in warnings:
         log.warning("%s", w)
 
     # one error formula for both sides: each track starts at its segment's first RF fix
     all_rf = metrics.euclidean_errors(uav, rf)
-    rf_err = {tr.segment.id: all_rf[tr.rows] for tr in tracks}
-    ekf_err = {
-        tr.segment.id: metrics.euclidean_errors(uav[tr.rows], tr.states[:, :2]) for tr in tracks
-    }
-    rows = metrics.segment_report(segments, rf_err, ekf_err)
-    all_ekf = np.concatenate(list(ekf_err.values())) if tracks else np.array([])
+    ekf_err = [metrics.euclidean_errors(uav[tr.rows], tr.states[:, :2]) for tr in tracks]
 
     xy = np.concatenate([tr.states[:, :2] for tr in tracks]) if tracks else np.empty((0, 2))
     t_track = np.concatenate([t_ms[tr.rows] for tr in tracks]) if tracks else np.empty(0, np.int64)
@@ -192,10 +213,12 @@ def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False) -> dict:
         out_dir / "track.csv", ["t_ms", "segment", "x", "y", "lat_deg", "lon_deg"],
         "%s,%s,%.6f,%.6f,%.10f,%.10f", t_track, ids, *xy.T, *latlon.T,
     )
-    dataio.write_lines(out_dir / "report.csv", metrics.report_to_csv_rows(rows))
-    dataio.write_lines(out_dir / "cdf_rf.csv", metrics.cdf_to_csv_rows(metrics.cdf(all_rf)))
-    if all_ekf.size:
-        dataio.write_lines(out_dir / "cdf_ekf.csv", metrics.cdf_to_csv_rows(metrics.cdf(all_ekf)))
+    _write_segment_table(
+        out_dir / "report.csv", [tr.segment for tr in tracks], [all_rf[tr.rows] for tr in tracks], ekf_err
+    )
+    _write_cdf(out_dir / "cdf_rf.csv", all_rf)
+    if tracks:
+        _write_cdf(out_dir / "cdf_ekf.csv", np.concatenate(ekf_err))
     dataio.write_json(out_dir / "resolved_config.json", cfg.data)
     return {
         "command": "track",
@@ -218,24 +241,16 @@ def cmd_evaluate(
         raise RunError("no aligned pairs between truth and estimate logs")
 
     errors = metrics.euclidean_errors(uav, est)
-    st = metrics.stats(errors)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataio.write_json(
-        out_dir / "stats.json",
-        {"min_m": st.min_m, "max_m": st.max_m, "mean_m": st.mean_m, "std_m": st.std_m, "n": st.n},
-    )
-    dataio.write_lines(out_dir / "cdf.csv", metrics.cdf_to_csv_rows(metrics.cdf(errors)))
+    dataio.write_json(out_dir / "stats.json", asdict(metrics.stats(errors)))
+    _write_cdf(out_dir / "cdf.csv", errors)
 
     segments = []
     if segments_path:
         segments = dataio.load_segments(segments_path, K=len(errors))
-        lines = ["segment,mm,stat,value_m"]
-        seg_stats = metrics.segment_stats([errors[seg.start_idx : seg.end_idx + 1] for seg in segments])
-        for seg, values in zip(segments, seg_stats.tolist()):
-            for stat, value in zip(metrics.STATS, values):
-                lines.append(f"{seg.id},{seg.mm.value},{stat},{value:.4f}")
-        dataio.write_lines(out_dir / "segment_stats.csv", lines)
+        groups = [errors[seg.start_idx : seg.end_idx + 1] for seg in segments]
+        _write_segment_table(out_dir / "segment_stats.csv", segments, groups, ekf_errors=None)
     return {"command": "evaluate", "k_aligned": len(errors), "n_segments": len(segments)}
 
 

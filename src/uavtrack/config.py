@@ -14,9 +14,8 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .geodesy import GeoPoint
+from .geodesy import GeoPoint, to_enu
 from .tdoa import SensorArray, ArrayError
-from .geodesy import to_enu
 
 
 class ConfigError(ValueError):

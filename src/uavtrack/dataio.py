@@ -8,7 +8,6 @@ File formats:
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import json
@@ -377,12 +376,6 @@ def _fixed_text(digits: int) -> Callable[[np.ndarray], list[np.ndarray] | None]:
     return convert
 
 
-def write_lines(path, lines: Sequence[str]) -> None:
-    """Write ``lines``, a header first, each ended by a line feed, as one string (deterministic bytes)."""
-    with open(path, "w", newline="\n", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-
-
 def sample_columns(samples: Sequence[TimedSample]) -> tuple[np.ndarray, np.ndarray]:
     """``t_ms`` (K,) and local ``xy`` (K, 2) columns of timed samples."""
     t_ms = np.array([s.t_ms for s in samples], dtype=np.int64)
@@ -531,13 +524,6 @@ def write_segments(path, segments: Sequence[Segment]) -> None:
         for s in segments
     ]
     write_json(path, payload)
-
-
-def segment_slice(seg: Segment, indices: Sequence[int]) -> slice:
-    """Positions in ``indices`` (strictly ascending) that fall inside ``seg``."""
-    return slice(
-        bisect.bisect_left(indices, seg.start_idx), bisect.bisect_right(indices, seg.end_idx)
-    )
 
 
 def write_json(path, payload) -> None:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dataio import AlignedPair, Segment, pair_columns, segment_slice
+from .dataio import AlignedPair, Segment, pair_columns
 from .geodesy import EnuPoint
 from .motionmodels import (
     ModelKind,
@@ -58,9 +58,6 @@ class TrackPoint:
     t_ms: int
     pos: EnuPoint
     state: FilterState
-
-
-Track = list  # list[TrackPoint]
 
 
 @dataclass(frozen=True)
@@ -262,9 +259,7 @@ def _run_batch(
         if failed[j]:
             out[i] = FilterError(f"singular innovation covariance: {S_failed[j]}")
         elif halted[i]:
-            out[i] = FilterError(
-                f"segment {segs[i].id}: non-increasing timestamps at {t_ms[first_bad[i] + 1]}"
-            )
+            out[i] = FilterError(f"non-increasing timestamps at {t_ms[first_bad[i] + 1]}")
         else:
             out[i] = (states[:run_len[j], j].copy(), covs[:run_len[j], j].copy())
     return out
@@ -274,7 +269,7 @@ def filter_segments(
     segments: Sequence[Segment],
     t_ms: np.ndarray,
     z: np.ndarray,
-    indices: Sequence[int],
+    indices: np.ndarray,
     cfg: FilterConfig,
 ) -> tuple[list[SegmentTrack], list[str]]:
     """Run each segment independently over the fixes ``z`` (K, 2) at ``t_ms`` (K,).
@@ -286,7 +281,10 @@ def filter_segments(
     omitted.
     """
     ordered = sorted(segments, key=lambda s: s.start_idx)
-    slices = [segment_slice(seg, indices) for seg in ordered]
+    indices = np.asarray(indices)
+    starts = np.searchsorted(indices, [seg.start_idx for seg in ordered]).tolist()
+    stops = np.searchsorted(indices, [seg.end_idx for seg in ordered], side="right").tolist()
+    slices = [slice(a, b) for a, b in zip(starts, stops)]
 
     outcome: dict[int, Union[tuple[np.ndarray, np.ndarray], FilterError]] = {}
     for mm in ModelKind:
@@ -311,36 +309,12 @@ def filter_segments(
     return tracks, warnings
 
 
-def _track_points(t_ms: np.ndarray, states: np.ndarray, covs: np.ndarray) -> Track:
-    return [
-        TrackPoint(t, EnuPoint(s[0], s[1]), FilterState(s, P, t))
-        for t, s, P in zip(t_ms.tolist(), states, covs)
-    ]
-
-
-def run_segment(
-    seg: Segment, pairs: Sequence[AlignedPair], cfg: FilterConfig
-) -> Optional[Track]:
-    """Filter one segment's aligned pairs; ``None`` signals a skipped segment.
-
-    Initializes position from the first RF measurement of the segment with
-    zero velocity (and acceleration / turn rate) under inflated covariance.
-    """
-    if len(pairs) < 2:
-        return None
-    t, _, rf = pair_columns(pairs)
-    res = _run_batch([seg], t, rf, [slice(0, len(pairs))], cfg)[0]
-    if isinstance(res, FilterError):
-        raise res
-    return _track_points(t, *res)
-
-
 def run_trajectory(
     segments: Sequence[Segment],
     pairs: Sequence[AlignedPair],
     cfg: FilterConfig,
     indices: Optional[Sequence[int]] = None,
-) -> tuple[list[tuple[Segment, Track]], list[str]]:
+) -> tuple[list[tuple[Segment, list[TrackPoint]]], list[str]]:
     """Run each segment independently; no state carries across segments.
 
     ``indices`` maps each pair to its position in the aligned sequence the
@@ -355,4 +329,8 @@ def run_trajectory(
         raise ValueError("indices must be strictly ascending, one per pair")
     t, _, rf = pair_columns(pairs)
     tracks, warnings = filter_segments(segments, t, rf, indices, cfg)
-    return [(tr.segment, _track_points(t[tr.rows], tr.states, tr.covs)) for tr in tracks], warnings
+    return [
+        (tr.segment, [TrackPoint(ts, EnuPoint(s[0], s[1]), FilterState(s, P, ts))
+                      for ts, s, P in zip(t[tr.rows].tolist(), tr.states, tr.covs)])
+        for tr in tracks
+    ], warnings

@@ -1,14 +1,12 @@
-"""Evaluation artifacts: per-epoch errors, summary statistics, CDFs and
-per-segment comparison tables."""
+"""Evaluation numbers: per-epoch errors, summary statistics, per-segment
+statistics and CDFs."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .dataio import Segment
 
 
 STATS = ("min", "max", "mean", "std")  # report order
@@ -31,16 +29,6 @@ class ErrorStats:
 class CdfCurve:
     errors_m: np.ndarray  # distinct, ascending
     fractions: np.ndarray  # strictly increasing, last == 1.0
-
-
-@dataclass(frozen=True)
-class SegmentReportRow:
-    segment: str
-    mm: str
-    stat: str
-    rf_m: float
-    ekf_m: float
-    better: str  # "rf" | "ekf" | "tie"
 
 
 def _xy(points) -> np.ndarray:
@@ -109,36 +97,3 @@ def quantile(curve: CdfCurve, q: float) -> float:
         raise MetricsError(f"quantile level must be in (0, 1], got {q}")
     idx = int(np.searchsorted(curve.fractions, q - 1e-12))
     return float(curve.errors_m[min(idx, curve.errors_m.size - 1)])
-
-
-def segment_report(
-    segments: Sequence[Segment],
-    rf_errors: Mapping[str, Sequence[float]],
-    ekf_errors: Mapping[str, Sequence[float]],
-) -> list[SegmentReportRow]:
-    """Per-segment RF vs EKF error statistics with lower-is-better flags.
-
-    Errors are passed pre-partitioned by segment id; segments without data
-    are omitted (the caller reports why they have none).
-    """
-    present = [s for s in segments if len(rf_errors.get(s.id, ())) and len(ekf_errors.get(s.id, ()))]
-    rf = segment_stats([rf_errors[s.id] for s in present]).tolist()
-    ekf = segment_stats([ekf_errors[s.id] for s in present]).tolist()
-    rows: list[SegmentReportRow] = []
-    for seg, rf_row, ekf_row in zip(present, rf, ekf):
-        for stat, rv, ev in zip(STATS, rf_row, ekf_row):
-            better = "tie" if rv == ev else ("ekf" if ev < rv else "rf")
-            rows.append(SegmentReportRow(seg.id, seg.mm.value, stat, rv, ev, better))
-    return rows
-
-
-def report_to_csv_rows(rows: Sequence[SegmentReportRow]) -> list[str]:
-    out = ["segment,mm,stat,rf_m,ekf_m,better"]
-    for r in rows:
-        out.append(f"{r.segment},{r.mm},{r.stat},{r.rf_m:.4f},{r.ekf_m:.4f},{r.better}")
-    return out
-
-
-def cdf_to_csv_rows(curve: CdfCurve) -> list[str]:
-    rows = map("{:.6f},{:.8f}".format, curve.errors_m.tolist(), curve.fractions.tolist())
-    return ["error_m,fraction", *rows]

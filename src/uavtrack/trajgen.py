@@ -8,6 +8,7 @@ matching a typical onboard GPS logger).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -58,6 +59,11 @@ def leg_from_dict(d: dict) -> LegSpec:
         raise LegError(f"invalid leg spec {d!r}: {exc}") from exc
 
 
+def _standstill(speed: float) -> float:
+    """0 for a speed (or speed change per sample) below the smallest normal double: no heading."""
+    return 0.0 if abs(speed) < sys.float_info.min else speed
+
+
 def truth_columns(
     legs: Sequence[LegSpec],
     start: EnuPoint = EnuPoint(0.0, 0.0),
@@ -76,21 +82,21 @@ def truth_columns(
         raise LegError(f"dt_ms must be positive, got {dt_ms}")
 
     x, y = start.x, start.y
-    h = math.radians(heading_deg)
-    vx, vy = speed * math.cos(h), speed * math.sin(h)
+    h, v = math.radians(heading_deg), _standstill(speed)
+    vx, vy = v * math.cos(h), v * math.sin(h)
 
     xy = [np.array([[x, y]])]
     boundaries: list[tuple[LegSpec, int, int]] = []
     last = 0
     for leg in legs:
         if leg.speed is not None:
-            v = math.hypot(vx, vy)
-            vx, vy = (vx / v * leg.speed, vy / v * leg.speed) if v > 0 else (leg.speed, 0.0)
+            v, s = math.hypot(vx, vy), _standstill(leg.speed)
+            vx, vy = (vx / v * s, vy / v * s) if v > 0 else (s, 0.0)
         tail = [leg.omega] if leg.mm is ModelKind.CT else []
         if leg.mm is ModelKind.CA:  # fixed acceleration vector along heading at leg entry
-            v = math.hypot(vx, vy)
+            v, a = math.hypot(vx, vy), _standstill(leg.accel * dt_ms / 1000) and leg.accel
             ux, uy = (vx / v, vy / v) if v > 0 else (1.0, 0.0)
-            tail = [leg.accel * ux, leg.accel * uy]
+            tail = [a * ux, a * uy]
         # every sample of the leg from its entry state: the transitions are exact
         n = max(round(leg.duration_s * 1000 / dt_ms), 1)
         entry = np.array([x, y, vx, vy, *tail])

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from uavtrack.dataio import AlignedPair, Segment, segment_slice
+from uavtrack import ekf
+from uavtrack.dataio import AlignedPair, Segment, pair_columns
 from uavtrack.ekf import (
     FilterConfig,
     FilterError,
     FilterState,
     MeasurementModel,
     estimate_R,
+    filter_segments,
     predict,
-    run_segment,
     run_trajectory,
     update,
 )
@@ -119,7 +120,15 @@ class TestEstimateR:
             estimate_R([])
 
 
+def _track(seg, pairs, cfg):
+    """The track points of one segment over all ``pairs``, or None when it is skipped."""
+    results, warnings = run_trajectory([seg], pairs, cfg)
+    assert len(results) + len(warnings) == 1
+    return results[0][1] if results else None
+
+
 class TestRunSegment:
+    # one segment through run_trajectory
     def _segment(self, mm=ModelKind.CV, n=50, sig=None):
         return Segment("S1", 0, n - 1, mm, sig or NoiseSigmas(accel=0.1))
 
@@ -128,7 +137,7 @@ class TestRunSegment:
         t = np.arange(n) * 1000
         pairs = _pairs_from_arrays(t, [(5, 5)] * n, [(5, 5)] * n)
         cfg = FilterConfig(R=np.diag([25.0, 25.0]))
-        track = run_segment(self._segment(n=n), pairs, cfg)
+        track = _track(self._segment(n=n), pairs, cfg)
         err = np.hypot(track[-1].pos.x - 5, track[-1].pos.y - 5)
         assert err < 0.01
 
@@ -139,7 +148,7 @@ class TestRunSegment:
         pairs = _pairs_from_arrays(t, [(5, 5)] * n, [(5, 5)] * n)
         pairs[0] = AlignedPair(0, EnuPoint(5, 5), EnuPoint(30.0, -20.0))
         cfg = FilterConfig(R=np.diag([25.0, 25.0]))
-        track = run_segment(self._segment(n=n), pairs, cfg)
+        track = _track(self._segment(n=n), pairs, cfg)
         errs = [np.hypot(tp.pos.x - 5, tp.pos.y - 5) for tp in track]
         assert errs[50] < 1.0
         assert errs[-1] < 0.01
@@ -150,17 +159,17 @@ class TestRunSegment:
         truth = [(2.0 * k, 1.0 * k) for k in range(n)]
         pairs = _pairs_from_arrays(t, truth, truth)
         seg = self._segment(n=n)
-        track = run_segment(seg, pairs, FilterConfig(R=estimate_R(pairs)))  # zero error
+        track = _track(seg, pairs, FilterConfig(R=estimate_R(pairs)))  # zero error
         for tp, (x, y) in zip(track, truth):
             assert np.hypot(tp.pos.x - x, tp.pos.y - y) < 1e-6
 
     def test_single_pair_skipped(self):
         pairs = _pairs_from_arrays([0], [(0, 0)], [(0, 0)])
-        assert run_segment(self._segment(n=1), pairs, FilterConfig(R=np.eye(2))) is None
+        assert _track(self._segment(n=1), pairs, FilterConfig(R=np.eye(2))) is None
 
     def test_initializes_at_first_rf_measurement(self):
         pairs = _pairs_from_arrays([0, 1000], [(0, 0), (1, 1)], [(9, 9), (10, 10)])
-        track = run_segment(
+        track = _track(
             Segment("S1", 0, 1, ModelKind.CV, NoiseSigmas(accel=0.1)),
             pairs,
             FilterConfig(R=np.eye(2)),
@@ -182,9 +191,10 @@ class TestRunTrajectory:
         cfg = FilterConfig(R=np.diag([4.0, 4.0]))
         results, warnings = run_trajectory([seg], pairs, cfg)
         assert not warnings
-        direct = run_segment(seg, pairs, cfg)
+        t, _, rf = pair_columns(pairs)  # the segment filtered directly, a batch of one
+        direct, _ = ekf._run_batch([seg], t, rf, [slice(0, len(pairs))], cfg)[0]
         assert all(
-            np.allclose(a.state.s, b.state.s) for a, b in zip(results[0][1], direct)
+            np.allclose(a.state.s, s) for a, s in zip(results[0][1], direct)
         )
 
     def test_segments_independent(self):
@@ -220,7 +230,10 @@ class TestRunTrajectory:
     def test_segment_partition_matches_brute_force(self, indices, start, span):
         seg = Segment("S1", start, start + span, ModelKind.CV, NoiseSigmas(accel=0.2))
         brute = [i for i in indices if seg.start_idx <= i <= seg.end_idx]
-        assert indices[segment_slice(seg, indices)] == brute
+        idx = np.array(indices, dtype=np.int64)  # as track passes the kept positions
+        z = np.c_[idx, np.zeros(len(idx))].astype(float)
+        tracks, _ = filter_segments([seg], 1000 * idx, z, idx, FilterConfig(R=np.eye(2)))
+        assert [idx[tr.rows].tolist() for tr in tracks] == ([brute] if len(brute) >= 2 else [])
 
         pairs = _pairs_from_arrays([1000 * i for i in indices], [(0, 0)] * len(indices),
                                    [(float(i), 0.0) for i in indices])
@@ -240,8 +253,8 @@ class TestRunTrajectory:
         seg_full = Segment("S1", 0, 39, ModelKind.CV, NoiseSigmas(accel=0.2))
         seg_half = Segment("S1", 0, 19, ModelKind.CV, NoiseSigmas(accel=0.2))
         cfg = FilterConfig(R=np.diag([4.0, 4.0]))
-        full = run_segment(seg_full, pairs, cfg)
-        half = run_segment(seg_half, pairs[:20], cfg)
+        full = _track(seg_full, pairs, cfg)
+        half = _track(seg_half, pairs[:20], cfg)
         for a, b in zip(full[:20], half):
             assert np.allclose(a.state.s, b.state.s)
 

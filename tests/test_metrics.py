@@ -1,22 +1,15 @@
+import csv
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavtrack.dataio import Segment
+from uavtrack import cli
+from uavtrack.dataio import Segment, write_position_log, write_segments
 from uavtrack.geodesy import EnuPoint
-from uavtrack.metrics import (
-    MetricsError,
-    cdf,
-    cdf_to_csv_rows,
-    euclidean_errors,
-    quantile,
-    report_to_csv_rows,
-    segment_report,
-    segment_stats,
-    stats,
-)
+from uavtrack.metrics import MetricsError, cdf, euclidean_errors, quantile, segment_stats, stats
 from uavtrack.motionmodels import ModelKind, NoiseSigmas
 
 
@@ -114,36 +107,46 @@ class TestQuantile:
             quantile(cdf([1]), 0.0)
 
 
+def _report(tmp_path, segments, rf_errors, ekf_errors):
+    """Lines of the report.csv that track writes for per-segment RF and EKF errors."""
+    cli._write_segment_table(tmp_path / "report.csv", segments, rf_errors, ekf_errors)
+    return (tmp_path / "report.csv").read_text().splitlines()
+
+
 class TestSegmentReport:
-    def test_identical_errors_no_flags(self):
-        rows = segment_report([_seg("S1", 0, 2)], {"S1": [1, 2, 3]}, {"S1": [1, 2, 3]})
-        assert all(r.better == "tie" for r in rows)
+    def test_identical_errors_no_flags(self, tmp_path):
+        lines = _report(tmp_path, [_seg("S1", 0, 2)], [[1, 2, 3]], [[1, 2, 3]])
+        assert all(r["better"] == "tie" for r in csv.DictReader(lines))
 
-    def test_halved_errors_favor_ekf(self):
+    def test_halved_errors_favor_ekf(self, tmp_path):
         rf = [2.0, 4.0, 6.0]
-        rows = segment_report([_seg("S1", 0, 2)], {"S1": rf}, {"S1": [e / 2 for e in rf]})
+        rows = list(csv.DictReader(_report(tmp_path, [_seg("S1", 0, 2)], [rf], [[e / 2 for e in rf]])))
         assert len(rows) == 4
-        assert all(r.better == "ekf" for r in rows)
+        assert all(r["better"] == "ekf" for r in rows)
 
-    def test_golden_rendering_fixture(self):
+    def test_golden_rendering_fixture(self, tmp_path):
         # reference values fed in as inputs: min 1.08 vs 0.23, max 14.25 vs 13.88
-        rows = segment_report(
-            [_seg("S1", 0, 1, ModelKind.CT)],
-            {"S1": [1.08, 14.25]},
-            {"S1": [0.23, 13.88]},
-        )
-        by_stat = {r.stat: r for r in rows}
-        assert by_stat["min"].rf_m == pytest.approx(1.08)
-        assert by_stat["min"].better == "ekf"
-        assert by_stat["max"].ekf_m == pytest.approx(13.88)
-        assert by_stat["max"].better == "ekf"
-        csv_rows = report_to_csv_rows(rows)
-        assert csv_rows[0] == "segment,mm,stat,rf_m,ekf_m,better"
-        assert any(row.startswith("S1,CT,min,1.0800,0.2300,ekf") for row in csv_rows)
+        lines = _report(tmp_path, [_seg("S1", 0, 1, ModelKind.CT)], [[1.08, 14.25]], [[0.23, 13.88]])
+        by_stat = {r["stat"]: r for r in csv.DictReader(lines)}
+        assert float(by_stat["min"]["rf_m"]) == pytest.approx(1.08)
+        assert by_stat["min"]["better"] == "ekf"
+        assert float(by_stat["max"]["ekf_m"]) == pytest.approx(13.88)
+        assert by_stat["max"]["better"] == "ekf"
+        assert lines[0] == "segment,mm,stat,rf_m,ekf_m,better"
+        assert any(row.startswith("S1,CT,min,1.0800,0.2300,ekf") for row in lines)
 
-    def test_empty_segment_omitted(self):
-        rows = segment_report([_seg("S1", 0, 1), _seg("S2", 2, 3)], {"S1": [1.0]}, {"S1": [1.0]})
-        assert {r.segment for r in rows} == {"S1"}
+    def test_empty_segment_omitted(self, tmp_path):
+        # S2 holds one pair, so track skips it and reports S1 alone
+        t_ms = np.arange(4) * 1000
+        latlon = np.c_[35.8 + 1e-5 * np.arange(4), np.full(4, -78.7)]
+        write_position_log(tmp_path / "truth.csv", t_ms, latlon)
+        write_position_log(tmp_path / "rf.csv", t_ms, latlon + 1e-6)
+        write_segments(tmp_path / "segments.json", [_seg("S1", 0, 2), _seg("S2", 3, 3)])
+        paths = {"truth": "truth.csv", "rf": "rf.csv", "segments": "segments.json"}
+        (tmp_path / "config.json").write_text(json.dumps({"paths": paths}))
+        assert cli.main(["--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "run"), "track"]) == 0
+        with open(tmp_path / "run/report.csv") as f:
+            assert {r["segment"] for r in csv.DictReader(f)} == {"S1"}
 
 
 class TestSegmentStats:
@@ -167,8 +170,9 @@ class TestSegmentStats:
 
 
 class TestCdfCsv:
-    def test_rows(self):
-        rows = cdf_to_csv_rows(cdf([1.5, 3.0]))
+    def test_rows(self, tmp_path):
+        cli._write_cdf(tmp_path / "cdf.csv", np.array([1.5, 3.0]))
+        rows = (tmp_path / "cdf.csv").read_text().splitlines()
         assert rows[0] == "error_m,fraction"
         assert rows[1] == "1.500000,0.50000000"
         assert rows[2] == "3.000000,1.00000000"

@@ -1,9 +1,10 @@
 """The truth generator against a frozen copy of the per-step loop it replaced."""
 
 import math
+import sys
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from uavtrack.geodesy import EnuPoint
 from uavtrack.motionmodels import ModelKind, propagate_batch
@@ -11,13 +12,21 @@ from uavtrack.trajgen import LegSpec, truth_columns
 
 # --- frozen reference: one Python step per sample with the CV/CA/CT
 # kinematics written out. Kept as it was, except that it returns
-# (t_ms, x, y) tuples instead of TimedSample objects.
+# (t_ms, x, y) tuples instead of TimedSample objects and that it takes
+# a speed, or a CA leg's speed change per sample, below the smallest
+# normal double as a standstill, as truth_columns does: the components of
+# such a speed round to a few subnormal steps, so a turn leaves each
+# generator with its own heading.
+
+
+def _standstill(speed):
+    return 0.0 if abs(speed) < sys.float_info.min else speed
 
 
 def ref_generate_truth(legs, start, heading_deg, speed, dt_ms):
     x, y = start.x, start.y
     h = math.radians(heading_deg)
-    vx, vy = speed * math.cos(h), speed * math.sin(h)
+    vx, vy = _standstill(speed) * math.cos(h), _standstill(speed) * math.sin(h)
     dt = dt_ms / 1000.0
 
     samples = [(0, x, y)]
@@ -27,14 +36,15 @@ def ref_generate_truth(legs, start, heading_deg, speed, dt_ms):
         if leg.speed is not None:
             v = math.hypot(vx, vy)
             if v > 0:
-                vx, vy = vx / v * leg.speed, vy / v * leg.speed
+                vx, vy = vx / v * _standstill(leg.speed), vy / v * _standstill(leg.speed)
             else:
-                vx, vy = leg.speed, 0.0
+                vx, vy = _standstill(leg.speed), 0.0
         # fixed acceleration vector along heading at leg entry
         if leg.mm is ModelKind.CA:
             v = math.hypot(vx, vy)
             ux, uy = (vx / v, vy / v) if v > 0 else (1.0, 0.0)
-            ax, ay = leg.accel * ux, leg.accel * uy
+            a = _standstill(leg.accel * dt_ms / 1000) and leg.accel
+            ax, ay = a * ux, a * uy
         first = len(samples) - 1
         n_steps = round(leg.duration_s * 1000 / dt_ms)
         for _ in range(max(n_steps, 1)):
@@ -72,6 +82,10 @@ _ct = st.builds(
 _ca_up = st.builds(
     LegSpec, st.just(ModelKind.CA), _duration, speed=st.one_of(st.none(), _speed), accel=st.floats(0.0, 0.5)
 )
+def _turn(speed):
+    return LegSpec(ModelKind.CT, 2.0, speed=speed, omega=0.5)
+
+
 _ca_down = st.builds(
     lambda d, a, margin: LegSpec(ModelKind.CA, d, speed=a * d + margin, accel=-a),
     _duration, st.floats(0.0, 0.5), st.floats(1.0, 10.0),
@@ -86,6 +100,17 @@ _ca_down = st.builds(
     speed=_speed,
     dt_ms=st.integers(10, 1000),
 )
+# turns at the smallest subnormal and the smallest normal speed: the next
+# leg's heading must not depend on how each generator rounds the turn
+@example([_turn(5e-324), LegSpec(ModelKind.CV, 2.0, speed=1.0)], (0.0, 0.0), 45.0, 1.0, 100)
+@example([_turn(5e-324), LegSpec(ModelKind.CA, 2.0, accel=0.5)], (0.0, 0.0), 100.0, 1.0, 10)
+@example([_turn(sys.float_info.min), LegSpec(ModelKind.CV, 2.0, speed=1.0)], (0.0, 0.0), 49.306207435723536, 1.0, 10)
+@example([LegSpec(ModelKind.CT, 2.0, omega=0.5), LegSpec(ModelKind.CA, 2.0, accel=0.5)], (0.0, 0.0), 45.0, 5e-324, 100)
+# a standstill whose CA leg adds 5e-324 m/s² for 2 s: the closed form ends
+# at 1e-323 m/s, while each per-step increment 5e-324 * 0.01 rounds to 0
+@example(
+    [LegSpec(ModelKind.CA, 2.0, accel=5e-324), _turn(None), LegSpec(ModelKind.CV, 2.0, speed=1.0)], (0.0, 0.0), 0.0, 0.0, 10
+)
 def test_matches_frozen_per_step_loop(legs, start, heading, speed, dt_ms):
     t_ms, xy, boundaries = truth_columns(legs, EnuPoint(*start), heading, speed, dt_ms)
     ref, ref_boundaries = ref_generate_truth(legs, EnuPoint(*start), heading, speed, dt_ms)
@@ -96,24 +121,25 @@ def test_matches_frozen_per_step_loop(legs, start, heading, speed, dt_ms):
 
 # --- the former sampling: each leg's entry state tiled over the leg's
 # samples and stepped by one propagate_batch call (kept as it was, except
-# that it returns the positions only)
+# that it returns the positions only and takes the standstill rules above)
 
 
 def tiled_truth_xy(legs, start, heading_deg, speed, dt_ms):
     x, y = start.x, start.y
     h = math.radians(heading_deg)
-    vx, vy = speed * math.cos(h), speed * math.sin(h)
+    vx, vy = _standstill(speed) * math.cos(h), _standstill(speed) * math.sin(h)
 
     xy = [np.array([[x, y]])]
     for leg in legs:
         if leg.speed is not None:
-            v = math.hypot(vx, vy)
-            vx, vy = (vx / v * leg.speed, vy / v * leg.speed) if v > 0 else (leg.speed, 0.0)
+            v, s = math.hypot(vx, vy), _standstill(leg.speed)
+            vx, vy = (vx / v * s, vy / v * s) if v > 0 else (s, 0.0)
         tail = [leg.omega] if leg.mm is ModelKind.CT else []
         if leg.mm is ModelKind.CA:
             v = math.hypot(vx, vy)
             ux, uy = (vx / v, vy / v) if v > 0 else (1.0, 0.0)
-            tail = [leg.accel * ux, leg.accel * uy]
+            a = _standstill(leg.accel * dt_ms / 1000) and leg.accel
+            tail = [a * ux, a * uy]
         n = max(round(leg.duration_s * 1000 / dt_ms), 1)
         entry = np.tile([x, y, vx, vy, *tail], (n, 1))
         states = propagate_batch(leg.mm, entry, np.arange(1, n + 1) * dt_ms / 1000.0)[0]
