@@ -199,26 +199,28 @@ def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False) -> dict:
     for w in warnings:
         log.warning("%s", w)
 
-    # one error formula for both sides: each track starts at its segment's first RF fix
+    # the tracked rows stacked once; both sides scored alike (a track starts at its first RF fix)
+    lengths = [len(tr.states) for tr in tracks]
+    rows = np.concatenate([np.arange(tr.rows.start, tr.rows.stop) for tr in tracks] + [np.empty(0, np.intp)])
+    xy = np.concatenate([tr.states[:, :2] for tr in tracks] + [np.empty((0, 2))])
     all_rf = metrics.euclidean_errors(uav, rf)
-    ekf_err = [metrics.euclidean_errors(uav[tr.rows], tr.states[:, :2]) for tr in tracks]
-
-    xy = np.concatenate([tr.states[:, :2] for tr in tracks]) if tracks else np.empty((0, 2))
-    t_track = np.concatenate([t_ms[tr.rows] for tr in tracks]) if tracks else np.empty(0, np.int64)
-    ids = np.repeat([tr.segment.id for tr in tracks], [len(tr.states) for tr in tracks])
+    ekf_err = metrics.euclidean_errors(uav[rows], xy)
+    ids = np.repeat([tr.segment.id for tr in tracks], lengths)
     latlon = from_enu_array(xy, origin)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     dataio.write_csv(
         out_dir / "track.csv", ["t_ms", "segment", "x", "y", "lat_deg", "lon_deg"],
-        "%s,%s,%.6f,%.6f,%.10f,%.10f", t_track, ids, *xy.T, *latlon.T,
+        "%s,%s,%.6f,%.6f,%.10f,%.10f", t_ms[rows], ids, *xy.T, *latlon.T,
     )
+    ends = np.cumsum(lengths, dtype=np.intp)  # np.split at every end leaves one empty last piece
     _write_segment_table(
-        out_dir / "report.csv", [tr.segment for tr in tracks], [all_rf[tr.rows] for tr in tracks], ekf_err
+        out_dir / "report.csv", [tr.segment for tr in tracks],
+        np.split(all_rf[rows], ends)[:-1], np.split(ekf_err, ends)[:-1],
     )
     _write_cdf(out_dir / "cdf_rf.csv", all_rf)
     if tracks:
-        _write_cdf(out_dir / "cdf_ekf.csv", np.concatenate(ekf_err))
+        _write_cdf(out_dir / "cdf_ekf.csv", ekf_err)
     dataio.write_json(out_dir / "resolved_config.json", cfg.data)
     return {
         "command": "track",
@@ -241,14 +243,12 @@ def cmd_evaluate(
         raise RunError("no aligned pairs between truth and estimate logs")
 
     errors = metrics.euclidean_errors(uav, est)
+    segments = dataio.load_segments(segments_path, K=len(errors)) if segments_path else []
 
     out_dir.mkdir(parents=True, exist_ok=True)
     dataio.write_json(out_dir / "stats.json", asdict(metrics.stats(errors)))
     _write_cdf(out_dir / "cdf.csv", errors)
-
-    segments = []
     if segments_path:
-        segments = dataio.load_segments(segments_path, K=len(errors))
         groups = [errors[seg.start_idx : seg.end_idx + 1] for seg in segments]
         _write_segment_table(out_dir / "segment_stats.csv", segments, groups, ekf_errors=None)
     return {"command": "evaluate", "k_aligned": len(errors), "n_segments": len(segments)}

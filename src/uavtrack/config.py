@@ -56,11 +56,12 @@ DEFAULT_SIM_ORIGIN = {"lat_deg": 35.8, "lon_deg": -78.7}
 
 
 def _merge(defaults: Any, override: Any, where: str = "") -> Any:
-    """Lay ``override`` over ``defaults``. A section whose default is a dict
-    is closed (an unknown key is a ConfigError naming the dotted key); any
-    other default, such as ``sensors`` or ``sim.legs``, is replaced whole."""
+    """Lay ``override`` over a copy of ``defaults``. A section whose default
+    is a dict is closed (an unknown key is a ConfigError naming the dotted
+    key); any other default, such as ``sensors`` or ``sim.legs``, is
+    replaced whole by the override's object itself, uncopied."""
     if not isinstance(defaults, dict):
-        return copy.deepcopy(override)
+        return override
     if not isinstance(override, dict):
         raise ConfigError(f"{where.rstrip('.') or 'config'} must be a JSON object")
     unknown = sorted(set(override) - set(defaults))
@@ -96,7 +97,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, user: dict, base_dir=".") -> "RunConfig":
-        return cls(_merge(DEFAULTS, user), Path(base_dir))
+        return cls(_merge(DEFAULTS, copy.deepcopy(user)), Path(base_dir))  # the caller keeps ``user``
 
     def origin(self) -> Optional[GeoPoint]:
         """Configured origin, or None for "auto" (first UAV sample)."""

@@ -14,13 +14,14 @@ import json
 import logging
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .geodesy import EnuPoint, GeoPoint
+from .metrics import euclidean_errors
 from .motionmodels import ModelKind, NoiseSigmas
 
 log = logging.getLogger(__name__)
@@ -80,7 +81,7 @@ class AlignedPair:
     rf: EnuPoint
 
     def error_m(self) -> float:
-        return float(np.hypot(self.uav.x - self.rf.x, self.uav.y - self.rf.y))
+        return float(euclidean_errors([self.uav], [self.rf])[0])
 
 
 @dataclass(frozen=True)
@@ -460,11 +461,11 @@ def kept_mask(
 ) -> np.ndarray:
     """True where the matched ``(K, 2)`` positions are at most ``threshold_m`` apart.
 
-    The distance is :meth:`AlignedPair.error_m`'s, so the kept set is the same.
+    The distance is :func:`metrics.euclidean_errors`, the one every error table reports.
     """
     if not threshold_m > 0:
         raise ValueError(f"threshold_m must be positive, got {threshold_m}")
-    return np.hypot(uav[:, 0] - rf[:, 0], uav[:, 1] - rf[:, 1]) <= threshold_m
+    return euclidean_errors(uav, rf) <= threshold_m
 
 
 def clean(
@@ -485,7 +486,7 @@ def load_segments(path, K: int) -> list[Segment]:
     if not isinstance(raw, list):
         raise SegmentError(f"{path}: expected a JSON array of segments")
 
-    segments = []
+    segments, ids = [], set()
     for entry in raw:
         try:
             sid = str(entry["id"])
@@ -499,6 +500,9 @@ def load_segments(path, K: int) -> list[Segment]:
             mm = ModelKind(mm_label)
         except ValueError:
             raise SegmentError(f"segment {sid}: unknown motion model {mm_label!r}") from None
+        if sid in ids:
+            raise SegmentError(f"{path}: duplicate segment id {sid!r}")
+        ids.add(sid)
         if not (0 <= start <= end < K):
             raise SegmentError(
                 f"segment {sid}: indices [{start}, {end}] out of range for K={K}"
@@ -513,17 +517,7 @@ def load_segments(path, K: int) -> list[Segment]:
 
 
 def write_segments(path, segments: Sequence[Segment]) -> None:
-    payload = [
-        {
-            "id": s.id,
-            "start_idx": s.start_idx,
-            "end_idx": s.end_idx,
-            "mm": s.mm.value,
-            "sigmas": {"accel": s.sigmas.accel, "jerk": s.sigmas.jerk, "omega": s.sigmas.omega},
-        }
-        for s in segments
-    ]
-    write_json(path, payload)
+    write_json(path, [asdict(s) for s in segments])  # ``mm`` is a str enum: its label
 
 
 def write_json(path, payload) -> None:

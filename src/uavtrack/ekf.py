@@ -20,6 +20,7 @@ import numpy as np
 
 from .dataio import AlignedPair, Segment, pair_columns
 from .geodesy import EnuPoint
+from .metrics import euclidean_errors
 from .motionmodels import (
     ModelKind,
     _check_dt,
@@ -168,12 +169,11 @@ def estimate_R_arrays(uav: np.ndarray, rf: np.ndarray, mode: str = "mean") -> np
     """
     if len(uav) == 0:
         raise FilterError("cannot estimate R from empty input")
-    dx = rf[:, 0] - uav[:, 0]
-    dy = rf[:, 1] - uav[:, 1]
     if mode == "mean":
-        m = float(np.mean(np.hypot(dx, dy)))
+        m = float(np.mean(euclidean_errors(uav, rf)))
         return np.diag([m, m])
     if mode == "mse":
+        dx, dy = (rf - uav).T
         return np.diag([float(np.mean(dx**2)), float(np.mean(dy**2))])
     raise FilterError(f"unknown R mode: {mode!r}")
 

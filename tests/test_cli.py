@@ -8,7 +8,7 @@ import pytest
 
 from uavtrack import tdoa, trajgen
 from uavtrack.cli import main
-from uavtrack.dataio import write_position_log
+from uavtrack.dataio import parse_position_log, write_position_log
 from uavtrack.geodesy import GeoPoint
 
 LEGS = [
@@ -239,6 +239,53 @@ class TestTrack:
         assert main(args + ["track"]) == 1
         assert "threshold_m must be positive" in capsys.readouterr().err
 
+    def test_duplicate_segment_id_rejected_before_tracking(self, tmp_path, capsys):
+        cfg = self._simulate(tmp_path)
+        _rename_segment(tmp_path / "data/segments.json", "S3", "S1")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), "track"]) == 1
+        assert "duplicate segment id 'S1'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_no_aligned_pairs_exit(self, tmp_path, capsys):
+        cfg = self._simulate(tmp_path)
+        _shift_log(tmp_path / "data/rf.csv", 50)  # halfway between two truth samples
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), "track"]) == 1
+        assert "no aligned pairs: timestamps never match within tolerance" in capsys.readouterr().err
+
+    def test_tol_ms_override(self, tmp_path):
+        cfg = self._simulate(tmp_path)
+        _shift_log(tmp_path / "data/rf.csv", 50)
+        run = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out", str(run), "--tol-ms", "50", "track"]) == 0
+        assert json.loads((run / "resolved_config.json").read_text())["align"]["tol_ms"] == 50
+        assert json.loads((run / "summary.json").read_text())["n_segments_tracked"] == 3
+
+    def test_all_pairs_removed_exit(self, tmp_path, capsys):
+        cfg = self._simulate(tmp_path)
+        args = ["--config", str(cfg), "--out", str(tmp_path / "run"), "--threshold-m", "1e-9", "track"]
+        assert main(args) == 1
+        assert "all pairs removed by cleaning: nothing to track" in capsys.readouterr().err
+
+    def test_r_mode_override(self, tmp_path):
+        cfg = self._simulate(tmp_path)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "mean"), "track"]) == 0
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "mse"), "--r-mode", "mse", "track"]) == 0
+        assert json.loads((tmp_path / "mse/resolved_config.json").read_text())["filter"]["r_mode"] == "mse"
+        assert (tmp_path / "mse/track.csv").read_bytes() != (tmp_path / "mean/track.csv").read_bytes()
+
+
+def _rename_segment(path: Path, old: str, new: str) -> None:
+    segs = json.loads(path.read_text())
+    for seg in segs:
+        if seg["id"] == old:
+            seg["id"] = new
+    path.write_text(json.dumps(segs))
+
+
+def _shift_log(path: Path, dt_ms: int) -> None:
+    t_ms, latlon = parse_position_log(path)
+    write_position_log(path, t_ms + dt_ms, latlon)
+
 
 class TestEvaluate:
     def _logs(self, tmp_path, shift=(0.0, 0.0)):
@@ -268,6 +315,44 @@ class TestEvaluate:
         stats = json.loads((out / "stats.json").read_text())
         assert stats["mean_m"] == pytest.approx(5.0, abs=1e-3)
         assert stats["std_m"] == pytest.approx(0.0, abs=1e-3)
+
+    def _simulate(self, tmp_path):
+        cfg = _write_config(tmp_path)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "data"), "simulate"]) == 0
+        return [str(tmp_path / "data" / name) for name in ("truth.csv", "rf.csv", "segments.json")]
+
+    def test_segments_write_segment_stats(self, tmp_path):
+        truth, rf, segments = self._simulate(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "evaluate", truth, rf, "--segments", segments]) == 0
+        assert json.loads((out / "summary.json").read_text())["n_segments"] == 3
+        with open(out / "segment_stats.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert list(rows[0]) == ["segment", "mm", "stat", "value_m"]
+        assert [(r["segment"], r["mm"], r["stat"]) for r in rows] == [
+            (sid, mm, stat) for sid, mm in (("S1", "CT"), ("S2", "CV"), ("S3", "CA"))
+            for stat in ("min", "max", "mean", "std")
+        ]
+        # the segments cover every epoch, so their extremes are the flight's
+        stats = json.loads((out / "stats.json").read_text())
+        value = {(r["segment"], r["stat"]): float(r["value_m"]) for r in rows}
+        assert min(value[s, "min"] for s in ("S1", "S2", "S3")) == pytest.approx(stats["min_m"], abs=1e-4)
+        assert max(value[s, "max"] for s in ("S1", "S2", "S3")) == pytest.approx(stats["max_m"], abs=1e-4)
+
+    def test_duplicate_segment_id_rejected(self, tmp_path, capsys):
+        truth, rf, segments = self._simulate(tmp_path)
+        _rename_segment(Path(segments), "S2", "S1")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "evaluate", truth, rf, "--segments", segments]) == 1
+        assert "duplicate segment id 'S1'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_aligned_pairs_exit(self, tmp_path, capsys):
+        self._logs(tmp_path)
+        _shift_log(tmp_path / "est.csv", 500)
+        logs = [str(tmp_path / "truth.csv"), str(tmp_path / "est.csv")]
+        assert main(["--out", str(tmp_path / "out"), "evaluate", *logs]) == 1
+        assert "no aligned pairs between truth and estimate logs" in capsys.readouterr().err
 
 
 def test_main_leaves_root_handlers_unchanged(tmp_path):

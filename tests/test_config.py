@@ -1,9 +1,12 @@
+import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from uavtrack.config import ConfigError, RunConfig
+from uavtrack.config import DEFAULTS, ConfigError, RunConfig
+from uavtrack.geodesy import GeoPoint, to_enu
 
 README_CONFIG = {
     "sensors": {
@@ -98,3 +101,92 @@ def test_benchmark_workload_configs_load(tmp_path, monkeypatch, workload):
     import workloads
 
     RunConfig.load(_write(tmp_path, workloads.generate(workload, seed=1)))
+
+
+def test_missing_config_file(tmp_path):
+    with pytest.raises(ConfigError, match=f"^config file not found: {tmp_path / 'absent.json'}$"):
+        RunConfig.load(tmp_path / "absent.json")
+
+
+def test_invalid_json(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text('{"sim": {"seed": 1,}}', encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{path}: invalid JSON: "):
+        RunConfig.load(path)
+
+
+def test_explicit_origin():
+    cfg = RunConfig.from_dict({"origin": {"lat_deg": 40.0, "lon_deg": -105.25}})
+    assert cfg.origin() == GeoPoint(40.0, -105.25)
+    assert cfg.sim_origin() == GeoPoint(40.0, -105.25)
+    assert RunConfig.from_dict({}).origin() is None
+
+
+@pytest.mark.parametrize(
+    "origin",
+    [{"lat_deg": 40.0}, {"lat_deg": "north", "lon_deg": 0.0}, [40.0, -105.25], {"lat_deg": 91.0, "lon_deg": 0.0}],
+    ids=["missing_lon", "non_numeric", "not_an_object", "latitude_out_of_range"],
+)
+def test_invalid_origin(origin):
+    with pytest.raises(ConfigError, match=r"^invalid origin: "):
+        RunConfig.from_dict({"origin": origin}).origin()
+
+
+def test_geodetic_sensor_entries():
+    origin = GeoPoint(35.8, -78.7)
+    geo = [(35.8, -78.7), (35.801, -78.7), (35.8, -78.698)]
+    cfg = RunConfig.from_dict({"sensors": {
+        "reference_idx": 1,
+        "sensors": [{"lat_deg": lat, "lon_deg": lon} for lat, lon in geo] + [{"x": 50.0, "y": -20.0}],
+    }})
+    arr = cfg.sensor_array(origin)
+    expected = [[p.x, p.y] for p in (to_enu(GeoPoint(lat, lon), origin) for lat, lon in geo)] + [[50.0, -20.0]]
+    assert np.array_equal(arr.positions, np.array(expected))
+    assert arr.reference_idx == 1
+
+
+@pytest.mark.parametrize(
+    "sensors", [{"sensors": [{"lat_deg": 35.8}]}, {"sensors": [{"x": 0.0, "y": 0.0}]}, {"beacons": []}],
+    ids=["missing_lon", "too_few_sensors", "no_sensor_list"],
+)
+def test_invalid_sensor_array(sensors):
+    with pytest.raises(ConfigError, match=r"^invalid sensor array: "):
+        RunConfig.from_dict({"sensors": sensors}).sensor_array(GeoPoint(35.8, -78.7))
+
+
+def _containers(obj) -> dict[int, object]:
+    """Every dict and list inside ``obj``, by identity (the objects are kept alive)."""
+    found = {}
+    stack = [obj]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (dict, list)):
+            found[id(item)] = item
+            stack.extend(item.values() if isinstance(item, dict) else item)
+    return found
+
+
+def test_from_dict_never_aliases_its_argument():
+    user = copy.deepcopy(README_CONFIG)
+    cfg = RunConfig.from_dict(user)
+    assert not _containers(cfg.data).keys() & _containers(user).keys()
+    cfg.data["sim"]["legs"][0]["mm"] = "CV"
+    cfg.data["sensors"]["sensors"].clear()
+    assert user == README_CONFIG
+
+
+def test_no_config_shares_state_with_defaults(tmp_path):
+    before = copy.deepcopy(DEFAULTS)
+    configs = [
+        RunConfig.from_dict({}),
+        RunConfig.from_dict(README_CONFIG),
+        RunConfig.load(_write(tmp_path, README_CONFIG)),
+        RunConfig.load(_write(tmp_path, {"filter": {"v_max": 5.0}})),
+    ]
+    defaults = _containers(DEFAULTS).keys()
+    for cfg in configs:
+        assert not _containers(cfg.data).keys() & defaults
+        cfg.data["filter"]["sigma_defaults"]["accel"] = -1.0
+        cfg.data["sim"]["legs"].append({"mm": "CV", "duration_s": 1})
+        cfg.data["paths"].clear()
+    assert DEFAULTS == before

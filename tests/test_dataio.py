@@ -14,15 +14,19 @@ from uavtrack.dataio import (
     TimedSample,
     align,
     clean,
+    Segment,
     kept_mask,
     load_segments,
     match_times,
     parse_position_log,
     write_csv,
     write_position_log,
+    write_segments,
 )
+from uavtrack.ekf import estimate_R_arrays
 from uavtrack.geodesy import EnuPoint, GeoPoint
-from uavtrack.motionmodels import ModelKind
+from uavtrack.metrics import euclidean_errors
+from uavtrack.motionmodels import ModelKind, NoiseSigmas
 
 
 def _write(path, text):
@@ -207,6 +211,21 @@ class TestClean:
         mask = kept_mask(uav, rf, threshold_m)
         assert mask.tolist() == [p.error_m() <= threshold_m for p in pairs]
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_cleaning_and_R_use_the_reported_error(self, seed):
+        # the 60 m decision, R and the error tables share one distance, so a
+        # threshold equal to a reported error keeps that pair, bit for bit
+        rng = np.random.default_rng(seed)
+        uav = rng.normal(0, 1e3, (200, 2))
+        rf = uav + rng.normal(0, 40.0, (200, 2))
+        err = euclidean_errors(uav, rf)
+        for threshold_m in err[:40].tolist():
+            assert kept_mask(uav, rf, threshold_m).tolist() == (err <= threshold_m).tolist()
+        pairs = [AlignedPair(i, EnuPoint(*u), EnuPoint(*r)) for i, (u, r) in enumerate(zip(uav, rf))]
+        assert [p.error_m() for p in pairs] == err.tolist()
+        assert estimate_R_arrays(uav, rf, "mean").tolist() == [[np.mean(err), 0.0], [0.0, np.mean(err)]]
+
 
 class TestSegments:
     def _write_segments(self, tmp_path, entries):
@@ -251,6 +270,28 @@ class TestSegments:
         ])
         with pytest.raises(SegmentError, match=r"unknown sigma keys: \['acel'\]"):
             load_segments(p, K=30)
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        p = self._write_segments(tmp_path, [
+            {"id": "S1", "start_idx": 0, "end_idx": 10, "mm": "CV", "sigmas": {}},
+            {"id": "S2", "start_idx": 11, "end_idx": 15, "mm": "CV", "sigmas": {}},
+            {"id": "S1", "start_idx": 16, "end_idx": 20, "mm": "CA", "sigmas": {}},
+        ])
+        with pytest.raises(SegmentError, match=r"duplicate segment id 'S1'$"):
+            load_segments(p, K=30)
+
+    def test_write_load_round_trip(self, tmp_path):
+        segments = [
+            Segment("S1", 0, 10, ModelKind.CT, NoiseSigmas(accel=0.5, omega=0.1)),
+            Segment("S2", 11, 20, ModelKind.CA, NoiseSigmas(jerk=0.25)),
+        ]
+        p = tmp_path / "segments.json"
+        write_segments(p, segments)
+        assert json.loads(p.read_text())[0] == {
+            "id": "S1", "start_idx": 0, "end_idx": 10, "mm": "CT",
+            "sigmas": {"accel": 0.5, "jerk": 0.0, "omega": 0.1},
+        }
+        assert load_segments(p, K=21) == segments
 
 
 @settings(max_examples=200, deadline=None)

@@ -305,3 +305,41 @@ class TestFlightStream:
         assert radius.max() <= max_m + 1e-9
         # uniform in the disk: half the glitches lie within max_m / sqrt(2)
         assert abs(np.count_nonzero(radius[hit] <= max_m / np.sqrt(2)) - k / 2) < 5 * np.sqrt(k / 4)
+
+
+class TestCramerRaoBound:
+    """Solver RMS error against c·σ_t·GDOP at σ_t 3.3 ns on the README array.
+
+    Each TDoA carries i.i.d. timing jitter, so the range differences have
+    covariance (c·σ_t)²·I and the efficient estimator's position RMS is
+    c·σ_t·√tr((JᵀJ)⁻¹), J the range-difference Jacobian at the target. At
+    this noise the fix is near-linear in the jitter and the solver should
+    attain the bound.
+    """
+
+    N = 4000
+    SIGMA_T = 3.3e-9
+
+    @staticmethod
+    def _gdop(p: np.ndarray) -> float:
+        s = README_ARRAY.positions
+        u = (p - s) / np.linalg.norm(p - s, axis=1)[:, None]  # unit vectors sensor -> target
+        ref = README_ARRAY.reference_idx
+        J = np.delete(u, ref, axis=0) - u[ref]
+        return float(np.sqrt(np.trace(np.linalg.inv(J.T @ J))))
+
+    @pytest.mark.parametrize(
+        "point", [(50, 50), (20, 70), (90, 10), (150, -40), (-60, 130), (250, 250), (500, 0)]
+    )
+    def test_rms_error_attains_bound(self, point):
+        p = np.array(point, dtype=float)
+        xy = np.tile(p, (self.N, 1))
+        _, fix, dropped = simulate_columns(
+            1000 * np.arange(self.N, dtype=np.int64), xy, self.SIGMA_T, 7, 1000, 0.0, 0.0, arr=README_ARRAY
+        )
+        assert dropped == 0
+        rms = np.sqrt(np.mean(np.sum((fix - xy) ** 2, axis=1)))
+        gdop = self._gdop(p)
+        assert gdop < 10
+        # 4,000 draws put one standard error of the RMS at about 1%
+        assert rms / (SPEED_OF_LIGHT * self.SIGMA_T * gdop) == pytest.approx(1.0, abs=0.05)
