@@ -14,7 +14,7 @@ import json
 import logging
 import re
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -31,10 +31,9 @@ ALIGNED_HEADER = ["t_ms", "uav_x", "uav_y", "rf_x", "rf_y"]
 DEFAULT_CLEAN_THRESHOLD_M = 60.0
 
 _GEO_DTYPE = [("t", "i8"), ("lat", "f8"), ("lon", "f8")]
-_ALIGNED_DTYPE = [("t", "i8"), ("xy", "f8", (4,))]
 _PLAIN_BYTES = b"0123456789+-.eE,\n"
 _WRITE_BLOCK_ROWS = 4096
-# one printf conversion of a line format, or a literal percent sign
+# one printf conversion of a line format
 _CONVERSION = re.compile(r"(%s|%\.\d+f)")
 _ZERO, _MINUS, _POINT = ord("0"), ord("-"), ord(".")
 
@@ -131,8 +130,7 @@ def _check_timestamp(t_ms: int) -> None:
 def _geo_row(r: list[str]) -> tuple[int, float, float]:
     t_ms, lat, lon = int(r[0]), float(r[1]), float(r[2])
     _check_timestamp(t_ms)
-    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-        GeoPoint(lat, lon)  # raises GeodesyError naming the bad coordinate
+    GeoPoint(lat, lon)  # raises GeodesyError naming a coordinate out of range
     return t_ms, lat, lon
 
 
@@ -142,12 +140,12 @@ def _aligned_row(r: list[str]) -> tuple[int, float, float, float, float]:
     return t_ms, uav.x, uav.y, rf.x, rf.y
 
 
-def _load_columns(path: Path, header: list[str], dtype: list) -> np.ndarray | None:
-    """The data rows of a plain log as one structured ``dtype`` array, or None.
+def _load_columns(path: Path) -> np.ndarray | None:
+    """The data rows of a plain position log as one structured array, or None.
 
-    A log is plain when its first line is ``header`` exactly and the rest
-    holds only ASCII digits, signs, ``.``, ``e``/``E``, commas and line
-    feeds. For such text ``np.loadtxt``'s C parser reads each field as
+    A log is plain when its first line is :data:`LOG_HEADER` exactly and
+    the rest holds only ASCII digits, signs, ``.``, ``e``/``E``, commas and
+    line feeds. For such text ``np.loadtxt``'s C parser reads each field as
     ``int``/``float`` do, blank lines included, so every file it takes has
     the values of the row-wise scan (:func:`_csv_rows`). Any other file, and
     any file the C parser rejects, gives None: the caller then runs that
@@ -155,7 +153,7 @@ def _load_columns(path: Path, header: list[str], dtype: list) -> np.ndarray | No
     """
     with open(path, "rb") as f:
         data = f.read()
-    head = (",".join(header) + "\n").encode()
+    head = (",".join(LOG_HEADER) + "\n").encode()
     body = data[len(head):]
     if not data.startswith(head) or not body.strip(b"\n") or body.translate(None, _PLAIN_BYTES):
         return None
@@ -164,7 +162,7 @@ def _load_columns(path: Path, header: list[str], dtype: list) -> np.ndarray | No
             # numpy 1.x truncates a float-looking integer field with this warning
             warnings.simplefilter("error", DeprecationWarning)
             return np.loadtxt(
-                io.StringIO(body.decode("ascii")), delimiter=",", dtype=dtype, comments=None, ndmin=1
+                io.StringIO(body.decode("ascii")), delimiter=",", dtype=_GEO_DTYPE, comments=None, ndmin=1
             )
     except (ValueError, DeprecationWarning):
         return None
@@ -183,7 +181,7 @@ def parse_position_log(path) -> tuple[np.ndarray, np.ndarray]:
     about duplicates in line order.
     """
     path = Path(path)
-    rows = _load_columns(path, LOG_HEADER, _GEO_DTYPE)
+    rows = _load_columns(path)
     if rows is not None:
         lat, lon = rows["lat"], rows["lon"]
         order = np.argsort(rows["t"])
@@ -220,14 +218,10 @@ def parse_aligned_log(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Aligned-pair log in the local frame, in file order (may have no rows).
 
     Returns ``t_ms`` (int64, (K,)), truth ``uav`` (K, 2) and ``rf`` (K, 2).
-    A plain file (:func:`_load_columns`) with finite coordinates is read in
-    one array pass, any other row by row.
+    Every file is scanned row by row (:func:`_csv_rows`): only the ``clean``
+    utility reads aligned logs, so they have no array fast path.
     """
-    path = Path(path)
-    rows = _load_columns(path, ALIGNED_HEADER, _ALIGNED_DTYPE)
-    if rows is not None and np.isfinite(rows["xy"]).all():
-        return rows["t"], rows["xy"][:, :2], rows["xy"][:, 2:]
-    rows = [row for _, row in _csv_rows(path, ALIGNED_HEADER, _aligned_row)]
+    rows = [row for _, row in _csv_rows(Path(path), ALIGNED_HEADER, _aligned_row)]
     xy = np.array([row[1:] for row in rows], dtype=float).reshape(-1, 4)
     return np.array([row[0] for row in rows], dtype=np.int64), xy[:, :2], xy[:, 2:]
 
@@ -517,7 +511,8 @@ def load_segments(path, K: int) -> list[Segment]:
 
 
 def write_segments(path, segments: Sequence[Segment]) -> None:
-    write_json(path, [asdict(s) for s in segments])  # ``mm`` is a str enum: its label
+    # ``mm`` is a str enum: its label
+    write_json(path, [{**vars(s), "sigmas": vars(s.sigmas)} for s in segments])
 
 
 def write_json(path, payload) -> None:

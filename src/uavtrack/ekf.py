@@ -70,13 +70,20 @@ class FilterConfig:
     ``omega_var`` is the initial turn-rate variance of a CT segment in
     (rad/s)^2: 0.01, a 6 deg/s standard deviation, bounds the prior by the
     platform's turn rates. A 1.0 prior (57 deg/s) lets long CT segments
-    diverge from noisy fixes.
+    diverge from noisy fixes. ``v_max``, ``accel_var`` and ``omega_var``
+    must be finite and non-negative, else :class:`FilterError`.
     """
 
     R: np.ndarray
     v_max: float = 20.0
     accel_var: float = 25.0
     omega_var: float = 0.01
+
+    def __post_init__(self):
+        for name in ("v_max", "accel_var", "omega_var"):
+            value = getattr(self, name)
+            if not 0.0 <= value < float("inf"):
+                raise FilterError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)

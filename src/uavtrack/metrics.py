@@ -34,7 +34,7 @@ class CdfCurve:
 def _xy(points) -> np.ndarray:
     if isinstance(points, np.ndarray):
         return points.astype(float, copy=False)
-    return np.array([[p.x, p.y] for p in points], dtype=float)
+    return np.array([[p.x, p.y] for p in points], dtype=float).reshape(-1, 2)
 
 
 def euclidean_errors(truth, est) -> np.ndarray:
@@ -49,12 +49,9 @@ def euclidean_errors(truth, est) -> np.ndarray:
 
 
 def stats(errors: Sequence[float]) -> ErrorStats:
-    """Min / max / mean / sample std (n-1 denominator; std 0 for n=1)."""
+    """Min / max / mean / sample std (n-1 denominator; std 0 for n=1): one row of :func:`segment_stats`."""
     e = np.asarray(errors, dtype=float)
-    if e.size == 0:
-        raise MetricsError("empty error sequence")
-    std = float(np.std(e, ddof=1)) if e.size > 1 else 0.0
-    return ErrorStats(float(e.min()), float(e.max()), float(e.mean()), std, int(e.size))
+    return ErrorStats(*segment_stats([e])[0].tolist(), e.size)
 
 
 def segment_stats(groups: Sequence[Sequence[float]]) -> np.ndarray:
@@ -62,8 +59,8 @@ def segment_stats(groups: Sequence[Sequence[float]]) -> np.ndarray:
 
     The columns follow :data:`STATS`. Sequences of one length L are stacked
     into an (n_L, L) array and reduced along axis 1, which sums in the order
-    :func:`stats` does on each sequence alone, so every value is
-    bit-identical to it (std 0 for L = 1).
+    numpy's 1-d reductions do on each sequence alone, so every value is
+    bit-identical to them (std 0 for L = 1).
     """
     arrays = [np.asarray(g, dtype=float) for g in groups]
     by_length: dict[int, list[int]] = {}

@@ -82,10 +82,10 @@ def _arrival_differences(
     minus the reference's over the speed of light, plus that row's
     ``jitter`` (E, m) in seconds.
     """
-    ref = arr.reference_idx
-    idx = [i for i in range(arr.positions.shape[0]) if i != ref]
-    dists = np.linalg.norm(arr.positions - xy[:, None, :], axis=-1)
-    return idx, (dists[:, idx] - dists[:, ref, None]) / SPEED_OF_LIGHT + jitter
+    pos, ref = arr.positions, arr.reference_idx
+    idx = [i for i in range(pos.shape[0]) if i != ref]
+    _, d, d_ref = _range_residuals(pos[idx], pos[ref], 0.0, xy.T)
+    return idx, (d - d_ref).T / SPEED_OF_LIGHT + jitter
 
 
 def simulate_tdoa(
@@ -414,7 +414,7 @@ def simulate_columns(
 
 def simulate_flight(
     truth: Sequence[TimedSample],
-    arr: SensorArray,
+    arr: Optional[SensorArray],
     sigma_t: float,
     rng_seed: int,
     decimate_ms: Optional[int] = None,
@@ -425,7 +425,8 @@ def simulate_flight(
 
     :func:`simulate_columns` with the sensor array ``arr`` and timing jitter
     ``sigma_t``, over and into sample lists; ``decimate_ms`` keeps only
-    epochs on that grid (~1 Hz sensor rate).
+    epochs on that grid (~1 Hz sensor rate). With ``arr`` None, ``sigma_t``
+    is the position noise in meters per axis instead.
     """
     t_ms, xy, dropped = simulate_columns(
         *sample_columns(truth), sigma_t, rng_seed, decimate_ms, outlier_rate, outlier_max_m, arr=arr
@@ -443,10 +444,7 @@ def position_noise_flight(
 ) -> tuple[list[TimedSample], int]:
     """Direct position-noise measurement model that bypasses the TDoA chain.
 
-    :func:`simulate_columns` with no sensor array: each fix is the true
+    :func:`simulate_flight` with no sensor array: each fix is the true
     position plus i.i.d. Gaussian noise of ``sigma_m`` per axis.
     """
-    t_ms, xy, dropped = simulate_columns(
-        *sample_columns(truth), sigma_m, rng_seed, decimate_ms, outlier_rate, outlier_max_m
-    )
-    return timed_samples(t_ms, xy), dropped
+    return simulate_flight(truth, None, sigma_m, rng_seed, decimate_ms, outlier_rate, outlier_max_m)

@@ -252,6 +252,14 @@ class TestTrack:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), "track"]) == 1
         assert "no aligned pairs: timestamps never match within tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("accel_var", -25), ("omega_var", -0.01), ("v_max", float("nan"))])
+    def test_bad_filter_prior_rejected(self, tmp_path, capsys, key, value):
+        self._simulate(tmp_path)
+        cfg = _write_config(tmp_path, filter={key: value})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), "track"]) == 1
+        assert f"{key} must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_tol_ms_override(self, tmp_path):
         cfg = self._simulate(tmp_path)
         _shift_log(tmp_path / "data/rf.csv", 50)

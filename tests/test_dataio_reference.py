@@ -273,9 +273,8 @@ def test_aligned_log_matches_frozen_row_wise_parser(text):
     [
         (parse_position_log, lambda p: _ref_parse(p)[0],
          "t_ms,lat_deg,lon_deg\n300,35.8,-78.7\n\n100,-1e-3,+78.5\n200,3.58E+01,-0.0"),
-        (parse_aligned_log, _ref_parse_aligned, "t_ms,uav_x,uav_y,rf_x,rf_y\n0,0,0,50,0\n\n-5,1.5e3,-2,70,+0.25\n"),
     ],
-    ids=["position", "aligned"],
+    ids=["position"],
 )
 def test_plain_log_is_read_without_the_row_scan(tmp_path, monkeypatch, parse, ref, text):
     path = tmp_path / "log.csv"

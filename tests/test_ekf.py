@@ -120,6 +120,17 @@ class TestEstimateR:
             estimate_R([])
 
 
+class TestFilterConfig:
+    @pytest.mark.parametrize("key", ["v_max", "accel_var", "omega_var"])
+    @pytest.mark.parametrize("value", [-0.01, -25.0, float("nan"), float("inf")])
+    def test_bad_prior_rejected(self, key, value):
+        with pytest.raises(FilterError, match=f"{key} must be finite and >= 0"):
+            FilterConfig(R=np.eye(2), **{key: value})
+
+    def test_zero_priors_accepted(self):
+        FilterConfig(R=np.eye(2), v_max=0.0, accel_var=0.0, omega_var=0.0)
+
+
 def _track(seg, pairs, cfg):
     """The track points of one segment over all ``pairs``, or None when it is skipped."""
     results, warnings = run_trajectory([seg], pairs, cfg)

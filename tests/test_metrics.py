@@ -36,6 +36,11 @@ class TestEuclideanErrors:
         with pytest.raises(MetricsError):
             euclidean_errors(_pts([(0, 0)]), _pts([(0, 0), (1, 1)]))
 
+    @pytest.mark.parametrize("empty", [[], np.empty((0, 2))], ids=["list", "array"])
+    def test_no_points_no_errors(self, empty):
+        errors = euclidean_errors(empty, empty)
+        assert errors.shape == (0,) and errors.dtype == float
+
 
 class TestStats:
     def test_constant(self):
@@ -149,6 +154,13 @@ class TestSegmentReport:
             assert {r["segment"] for r in csv.DictReader(f)} == {"S1"}
 
 
+def _frozen_stats(errors):
+    """``stats`` as it was before it became one row of ``segment_stats``: (min, max, mean, std)."""
+    e = np.asarray(errors, dtype=float)
+    std = float(np.std(e, ddof=1)) if e.size > 1 else 0.0
+    return [float(e.min()), float(e.max()), float(e.mean()), std]
+
+
 class TestSegmentStats:
     # lengths on both sides of the 8-element unrolling and the 128-element
     # block of numpy's pairwise sum, several segments per length
@@ -161,8 +173,7 @@ class TestSegmentStats:
         rng = np.random.default_rng(seed)
         groups = [rng.gamma(2.0, 5.0, n) * rng.uniform(0.01, 100.0) for n in lengths]
         for group, row in zip(groups, segment_stats(groups).tolist()):
-            s = stats(group)
-            assert row == [s.min_m, s.max_m, s.mean_m, s.std_m]
+            assert row == _frozen_stats(group)
 
     def test_empty_group_rejected(self):
         with pytest.raises(MetricsError):

@@ -12,6 +12,9 @@ runs, in its own work directory,
     track
     track --raw
     evaluate sim/truth.csv sim/rf.csv --segments sim/segments.json
+    convert sim/truth.csv --output convert.csv
+    align --uav sim/truth.csv --rf sim/rf.csv --output align.csv
+    clean align.csv --output clean.csv
 
 and every file written and every stderr stream of the two trees is
 compared byte for byte. Each tree tracks and evaluates its own simulated
@@ -40,6 +43,9 @@ COMMANDS = {
     "track": ["track"],
     "track_raw": ["track", "--raw"],
     "evaluate": ["evaluate", "sim/truth.csv", "sim/rf.csv", "--segments", "sim/segments.json"],
+    "convert": ["convert", "sim/truth.csv", "--output", "convert.csv"],
+    "align": ["align", "--uav", "sim/truth.csv", "--rf", "sim/rf.csv", "--output", "align.csv"],
+    "clean": ["clean", "align.csv", "--output", "clean.csv"],
 }
 SEEDS = (1, 2)
 
@@ -52,7 +58,7 @@ def package_root(path: str) -> Path:
 
 
 def run_flight(src: Path, cfg: dict, work: Path) -> dict[str, bytes]:
-    """Outputs of the four commands on one flight: relative path -> bytes.
+    """Outputs of the seven commands on one flight: relative path -> bytes.
 
     A command's stderr is ``<out>/stderr`` and its exit code ``<out>/exit``.
     """
