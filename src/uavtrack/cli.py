@@ -11,7 +11,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -41,11 +41,12 @@ class _WarningCounter(logging.Handler):
 
 def _aligned_pairs(
     cfg: RunConfig, uav_path, rf_path
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, GeoPoint]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, GeoPoint]:
     """Parse both logs, move them to the local frame and timestamp-match them.
 
     Returns the matched ``t_ms`` (K,), truth ``uav`` (K, 2) and ``rf`` (K, 2)
-    local positions, and the origin of the local frame.
+    local positions, each pair's RF-log row (K,) ascending, the RF log's
+    length and the origin of the local frame.
     """
     uav_t, uav_geo = dataio.parse_position_log(uav_path)
     rf_t, rf_geo = dataio.parse_position_log(rf_path)
@@ -53,7 +54,7 @@ def _aligned_pairs(
     uav_xy = to_enu_array(uav_geo, origin)
     rf_xy = to_enu_array(rf_geo, origin)
     rf_idx, uav_idx = dataio.match_times(uav_t, rf_t, int(cfg.data["align"]["tol_ms"]))
-    return rf_t[rf_idx], uav_xy[uav_idx], rf_xy[rf_idx], origin
+    return rf_t[rf_idx], uav_xy[uav_idx], rf_xy[rf_idx], rf_idx, len(rf_t), origin
 
 
 def _write_segment_table(path, segments: list[Segment], errors, ekf_errors) -> None:
@@ -134,12 +135,22 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     sigma = float(sim[sigma_key])
     if not sigma >= 0:
         raise RunError(f"sim.{sigma_key} must be >= 0, got {sigma}")
+    seed = int(sim["seed"])
+    if seed < 0:
+        raise RunError(f"sim.seed must be >= 0, got {seed}")
+    outlier_rate, outlier_max_m = float(sim["outlier_rate"]), float(sim["outlier_max_m"])
+    if not 0 <= outlier_rate <= 1:
+        raise RunError(f"sim.outlier_rate must be in [0, 1], got {outlier_rate}")
+    if not outlier_max_m >= 0:
+        raise RunError(f"sim.outlier_max_m must be >= 0, got {outlier_max_m}")
     legs = [trajgen.leg_from_dict(d) for d in leg_dicts]
     sigma_defaults = cfg.data["filter"]["sigma_defaults"]
     for leg, leg_dict in zip(legs, leg_dicts):  # segments use them only after the flight
         _leg_sigmas(leg_dict, leg, sigma_defaults)
     origin = cfg.sim_origin()
     arr = cfg.sensor_array(origin) if sim["noise_model"] == "tdoa" else None
+    if arr is not None and len(arr.positions) < 3:  # SensorArray takes 2 for simulate_tdoa
+        raise RunError(f"sensors.sensors: a TDoA fix needs at least 3 sensors, got {len(arr.positions)}")
 
     start = EnuPoint(float(sim["start"]["x"]), float(sim["start"]["y"]))
     t_ms, xy, boundaries = trajgen.truth_columns(
@@ -147,8 +158,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     )
     truth_geo = from_enu_array(xy, origin)  # fails past the 50 km limit before the RF simulation
     rf_t, rf_xy, dropped = tdoa.simulate_columns(
-        t_ms, xy, sigma, int(sim["seed"]), interval,
-        float(sim["outlier_rate"]), float(sim["outlier_max_m"]), arr=arr,
+        t_ms, xy, sigma, seed, interval, outlier_rate, outlier_max_m, arr=arr,
     )
     rf_geo = from_enu_array(rf_xy, origin)
     segments = _segments_from_boundaries(
@@ -174,7 +184,15 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
 
 
 def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False) -> dict:
-    t_ms, uav, rf, origin = _aligned_pairs(cfg, cfg.input_path("truth"), cfg.input_path("rf"))
+    fcfg = cfg.data["filter"]
+    ekf.check_r_mode(fcfg["r_mode"])
+    prior = ekf.FilterConfig(  # R is estimated from the matched logs below
+        R=np.zeros((2, 2)),
+        v_max=float(fcfg["v_max"]),
+        accel_var=float(fcfg["accel_var"]),
+        omega_var=float(fcfg["omega_var"]),
+    )
+    t_ms, uav, rf, rf_rows, n_rf, origin = _aligned_pairs(cfg, cfg.input_path("truth"), cfg.input_path("rf"))
     if not t_ms.size:
         raise RunError("no aligned pairs: timestamps never match within tolerance")
 
@@ -182,20 +200,13 @@ def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False) -> dict:
         keep = np.ones(t_ms.size, dtype=bool)
     else:
         keep = dataio.kept_mask(uav, rf, float(cfg.data["clean"]["threshold_m"]))
-    kept_idx = np.flatnonzero(keep)
-    if not kept_idx.size:
+    t_ms, uav, rf, rf_rows = t_ms[keep], uav[keep], rf[keep], rf_rows[keep]
+    if not rf_rows.size:
         raise RunError("all pairs removed by cleaning: nothing to track")
-    t_ms, uav, rf = t_ms[keep], uav[keep], rf[keep]
 
-    segments = dataio.load_segments(cfg.input_path("segments"), K=keep.size)
-    fcfg = cfg.data["filter"]
-    filter_cfg = ekf.FilterConfig(
-        R=ekf.estimate_R_arrays(uav, rf, fcfg["r_mode"]),
-        v_max=float(fcfg["v_max"]),
-        accel_var=float(fcfg["accel_var"]),
-        omega_var=float(fcfg["omega_var"]),
-    )
-    tracks, warnings = ekf.filter_segments(segments, t_ms, rf, kept_idx, filter_cfg)
+    segments = dataio.load_segments(cfg.input_path("segments"), K=n_rf)
+    filter_cfg = replace(prior, R=ekf.estimate_R_arrays(uav, rf, fcfg["r_mode"]))
+    tracks, warnings = ekf.filter_segments(segments, t_ms, rf, rf_rows, filter_cfg)
     for w in warnings:
         log.warning("%s", w)
 
@@ -226,7 +237,7 @@ def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False) -> dict:
         "command": "track",
         "raw": raw,
         "k_aligned": keep.size,
-        "k_used": kept_idx.size,
+        "k_used": rf_rows.size,
         "n_segments_tracked": len(tracks),
     }
 
@@ -238,19 +249,23 @@ def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False) -> dict:
 def cmd_evaluate(
     truth_path, est_path, segments_path, out_dir: Path, cfg: RunConfig
 ) -> dict:
-    _, uav, est, _ = _aligned_pairs(cfg, truth_path, est_path)
+    _, uav, est, rf_rows, n_rf, _ = _aligned_pairs(cfg, truth_path, est_path)
     if not len(uav):
         raise RunError("no aligned pairs between truth and estimate logs")
 
     errors = metrics.euclidean_errors(uav, est)
-    segments = dataio.load_segments(segments_path, K=len(errors)) if segments_path else []
+    segments = dataio.load_segments(segments_path, K=n_rf) if segments_path else []
 
     out_dir.mkdir(parents=True, exist_ok=True)
     dataio.write_json(out_dir / "stats.json", asdict(metrics.stats(errors)))
     _write_cdf(out_dir / "cdf.csv", errors)
     if segments_path:
-        groups = [errors[seg.start_idx : seg.end_idx + 1] for seg in segments]
-        _write_segment_table(out_dir / "segment_stats.csv", segments, groups, ekf_errors=None)
+        groups = [errors[rows] for rows in dataio.segment_rows(segments, rf_rows)]
+        for seg, group in zip(segments, groups):
+            if not group.size:
+                log.warning("segment %s: no aligned pairs, skipped", seg.id)
+        tabled = [seg for seg, group in zip(segments, groups) if group.size]
+        _write_segment_table(out_dir / "segment_stats.csv", tabled, [g for g in groups if g.size], ekf_errors=None)
     return {"command": "evaluate", "k_aligned": len(errors), "n_segments": len(segments)}
 
 
@@ -266,7 +281,7 @@ def cmd_convert(input_path, out_path, cfg: RunConfig) -> dict:
 
 
 def cmd_align(uav_path, rf_path, out_path, cfg: RunConfig) -> dict:
-    t_ms, uav, rf, _ = _aligned_pairs(cfg, uav_path, rf_path)
+    t_ms, uav, rf, *_ = _aligned_pairs(cfg, uav_path, rf_path)
     dataio.write_aligned_log(out_path, t_ms, uav, rf)
     return {"command": "align", "n_pairs": len(t_ms)}
 
@@ -292,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="override sim.seed")
     parser.add_argument("--tol-ms", type=int, help="override align.tol_ms")
     parser.add_argument("--threshold-m", type=float, help="override clean.threshold_m")
-    parser.add_argument("--r-mode", choices=["mean", "mse"], help="override filter.r_mode")
+    parser.add_argument("--r-mode", choices=ekf.R_MODES, help="override filter.r_mode")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("simulate", help="generate truth/RF logs and a segment file")

@@ -85,7 +85,7 @@ class AlignedPair:
 
 @dataclass(frozen=True)
 class Segment:
-    """Inclusive index range of the aligned sequence with one motion model."""
+    """Inclusive range of RF-log rows flown under one motion model."""
 
     id: str
     start_idx: int
@@ -471,7 +471,7 @@ def clean(
 
 
 def load_segments(path, K: int) -> list[Segment]:
-    """Load and validate the segment file against an aligned sequence of length ``K``.
+    """Load and validate the segment file against an RF log of ``K`` rows.
 
     Indices not covered by any segment are implicitly excluded from tracking.
     """
@@ -508,6 +508,13 @@ def load_segments(path, K: int) -> list[Segment]:
         if b.start_idx <= a.end_idx:
             raise SegmentError(f"segments {a.id} and {b.id} overlap")
     return segments
+
+
+def segment_rows(segments: Sequence[Segment], rf_rows: np.ndarray) -> list[slice]:
+    """Each segment's slice of the pairs whose RF-log rows ``rf_rows`` (K,) ascend."""
+    starts = np.searchsorted(rf_rows, [seg.start_idx for seg in segments]).tolist()
+    stops = np.searchsorted(rf_rows, [seg.end_idx for seg in segments], side="right").tolist()
+    return [slice(a, b) for a, b in zip(starts, stops)]
 
 
 def write_segments(path, segments: Sequence[Segment]) -> None:

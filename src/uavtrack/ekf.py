@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dataio import AlignedPair, Segment, pair_columns
+from .dataio import AlignedPair, Segment, pair_columns, segment_rows
 from .geodesy import EnuPoint
 from .metrics import euclidean_errors
 from .motionmodels import (
@@ -35,6 +35,9 @@ from .motionmodels import (
 # constraints", IET Control Theory & Applications 4(8), 2010); no workload
 # turns faster than 0.5 rad/s
 _OMEGA_MAX = 1.0
+
+# measurement-noise estimates of estimate_R_arrays; "mean" is the paper's
+R_MODES = ("mean", "mse")
 
 
 class FilterError(ValueError):
@@ -168,21 +171,26 @@ def update(fs_pred: FilterState, z: EnuPoint, meas: MeasurementModel) -> FilterS
     return FilterState(s[0], P[0], fs_pred.t_ms)
 
 
+def check_r_mode(mode: str) -> None:
+    """FilterError unless ``mode`` is one of :data:`R_MODES`."""
+    if mode not in R_MODES:
+        raise FilterError(f"unknown R mode: {mode!r}, expected one of {list(R_MODES)}")
+
+
 def estimate_R_arrays(uav: np.ndarray, rf: np.ndarray, mode: str = "mean") -> np.ndarray:
     """Measurement-noise covariance from matched ``(K, 2)`` truth and RF positions.
 
     ``"mean"`` puts the mean Euclidean error (meters) on both diagonal
     entries; ``"mse"`` uses per-axis mean squared errors (meters^2).
     """
+    check_r_mode(mode)
     if len(uav) == 0:
         raise FilterError("cannot estimate R from empty input")
     if mode == "mean":
         m = float(np.mean(euclidean_errors(uav, rf)))
         return np.diag([m, m])
-    if mode == "mse":
-        dx, dy = (rf - uav).T
-        return np.diag([float(np.mean(dx**2)), float(np.mean(dy**2))])
-    raise FilterError(f"unknown R mode: {mode!r}")
+    dx, dy = (rf - uav).T
+    return np.diag([float(np.mean(dx**2)), float(np.mean(dy**2))])
 
 
 def estimate_R(pairs: Sequence[AlignedPair], mode: str = "mean") -> np.ndarray:
@@ -212,26 +220,19 @@ def _run_batch(
     past a segment's end are NaN, so reading them poisons that segment alone.
 
     Returns, per segment in input order, its ``(K_seg, n)`` states and
-    ``(K_seg, n, n)`` covariances, or the FilterError that stops it: the
-    first non-increasing timestamp or singular innovation covariance, in
-    step order.
+    ``(K_seg, n, n)`` covariances, or the FilterError of its first bad step:
+    a non-increasing timestamp, or else a singular innovation covariance.
+    A failed segment steps on to its end with the batch, its rows unread.
     """
     mm = segs[0].mm
     n = mm.state_dim
     starts = np.array([sl.start for sl in slices], dtype=np.intp)
     lengths = np.array([sl.stop - sl.start for sl in slices], dtype=np.intp)
-
-    # a non-increasing timestamp ends the segment before that step
-    bad_t = np.append(np.flatnonzero(np.diff(t_ms) <= 0), len(t_ms))
-    first_bad = bad_t[np.searchsorted(bad_t, starts)]
-    halted = first_bad < starts + lengths - 1
-    run_len = np.where(halted, first_bad - starts + 1, lengths)
-
-    order = np.argsort(-run_len, kind="stable")
-    run_len, first = run_len[order], starts[order]
-    B, L = len(segs), int(run_len[0])
+    order = np.argsort(-lengths, kind="stable")
+    lengths, first = lengths[order], starts[order]
+    B, L = len(segs), int(lengths[0])
     steps = np.arange(L)[:, None]
-    live = steps < run_len  # (L, B)
+    live = steps < lengths  # (L, B)
     rows = np.where(live, first + steps, 0)
     n_active = live.sum(axis=1)
     z_pad = np.where(live[:, :, None], z[rows], np.nan)
@@ -244,10 +245,9 @@ def _run_batch(
     states[0] = 0.0
     states[0, :, :2] = z_pad[0]
     covs[0] = _initial_covariance(mm, cfg)
-    failed = np.zeros(B, dtype=bool)
-    S_failed = np.empty((B, 2, 2))
+    errors: list[Optional[FilterError]] = [None] * B
     s, P = states[0], covs[0]
-    with np.errstate(all="ignore"):  # rows that fail are flagged and dropped
+    with np.errstate(all="ignore"):  # a failed row steps on unread
         for k in range(1, L):
             b = n_active[k]
             T = T_pad[k - 1, :b]
@@ -255,20 +255,18 @@ def _run_batch(
             s, P, S, ok = _update_step(s, P, z_pad[k, :b], H, cfg.R)
             if mm is ModelKind.CT:
                 np.clip(s[:, 4], -_OMEGA_MAX, _OMEGA_MAX, out=s[:, 4])
-            new = ~ok & ~failed[:b]
-            S_failed[:b][new] = S[new]
-            failed[:b] |= new
+            for j in np.flatnonzero(~ok | (T <= 0)).tolist():
+                if errors[j] is None:
+                    errors[j] = FilterError(
+                        f"non-increasing timestamps at {t_ms[rows[k, j]]}" if T[j] <= 0
+                        else f"singular innovation covariance: {S[j]}"
+                    )
             states[k, :b] = s
             covs[k, :b] = P
 
     out: list = [None] * B
     for j, i in enumerate(order):
-        if failed[j]:
-            out[i] = FilterError(f"singular innovation covariance: {S_failed[j]}")
-        elif halted[i]:
-            out[i] = FilterError(f"non-increasing timestamps at {t_ms[first_bad[i] + 1]}")
-        else:
-            out[i] = (states[:run_len[j], j].copy(), covs[:run_len[j], j].copy())
+        out[i] = errors[j] or (states[:lengths[j], j].copy(), covs[:lengths[j], j].copy())
     return out
 
 
@@ -281,17 +279,13 @@ def filter_segments(
 ) -> tuple[list[SegmentTrack], list[str]]:
     """Run each segment independently over the fixes ``z`` (K, 2) at ``t_ms`` (K,).
 
-    ``indices`` (K,), strictly ascending, gives each row's position in the
-    aligned sequence the segment indices refer to. Returns the tracked
-    segments and the warning messages, both in ``start_idx`` order; a
-    segment with fewer than two rows or a failed filter step warns and is
-    omitted.
+    ``indices`` (K,), strictly ascending, gives each row's RF-log row, the
+    index space of the segments. Returns the tracked segments and the
+    warning messages, both in ``start_idx`` order; a segment with fewer
+    than two rows or a failed filter step warns and is omitted.
     """
     ordered = sorted(segments, key=lambda s: s.start_idx)
-    indices = np.asarray(indices)
-    starts = np.searchsorted(indices, [seg.start_idx for seg in ordered]).tolist()
-    stops = np.searchsorted(indices, [seg.end_idx for seg in ordered], side="right").tolist()
-    slices = [slice(a, b) for a, b in zip(starts, stops)]
+    slices = segment_rows(ordered, indices)
 
     outcome: dict[int, Union[tuple[np.ndarray, np.ndarray], FilterError]] = {}
     for mm in ModelKind:
@@ -324,9 +318,9 @@ def run_trajectory(
 ) -> tuple[list[tuple[Segment, list[TrackPoint]]], list[str]]:
     """Run each segment independently; no state carries across segments.
 
-    ``indices`` maps each pair to its position in the aligned sequence the
-    segment indices refer to (identity when cleaning removed nothing); it
-    must be strictly ascending and as long as ``pairs``, else ValueError.
+    ``indices`` maps each pair to its RF-log row, the index space of the
+    segments (identity when every RF fix is paired and kept); it must be
+    strictly ascending and as long as ``pairs``, else ValueError.
     Returns (per-segment tracks, warning messages); failed segments warn
     and are omitted.
     """

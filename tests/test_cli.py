@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uavtrack import tdoa, trajgen
+from uavtrack import dataio, tdoa, trajgen
 from uavtrack.cli import main
 from uavtrack.dataio import parse_position_log, write_position_log
 from uavtrack.geodesy import GeoPoint
@@ -105,9 +105,14 @@ class TestSimulate:
             ({"legs": [*LEGS[:-1], dict(LEGS[-1], sigmas={"acel": 0.3})]}, "unknown sigma keys: ['acel']"),
             ({"sigma_t": -1e-9}, "sim.sigma_t must be >= 0"),
             ({"noise_model": "position", "position_sigma_m": -1.0}, "sim.position_sigma_m must be >= 0"),
+            ({"seed": -1}, "sim.seed must be >= 0, got -1"),
+            ({"outlier_rate": 1.5}, "sim.outlier_rate must be in [0, 1], got 1.5"),
+            ({"outlier_rate": -0.1}, "sim.outlier_rate must be in [0, 1], got -0.1"),
+            ({"outlier_max_m": -50}, "sim.outlier_max_m must be >= 0, got -50"),
         ],
         ids=["noise_model", "interval_multiple", "zero_truth_dt", "last_leg_sigma", "negative_sigma_t",
-             "negative_position_sigma"],
+             "negative_position_sigma", "negative_seed", "outlier_rate_above_one", "negative_outlier_rate",
+             "negative_outlier_max"],
     )
     def test_bad_sim_config_rejected_before_truth(self, tmp_path, capsys, monkeypatch, sim, message):
         def fail(*args, **kwargs):
@@ -130,6 +135,18 @@ class TestSimulate:
         cfg.write_text(json.dumps(data))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "simulate"]) == 1
         assert "config has no sensor array" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_two_sensor_tdoa_array_rejected_before_truth(self, tmp_path, capsys, monkeypatch):
+        # SensorArray accepts two sensors (simulate_tdoa measures with them),
+        # but no epoch of theirs has a 2-D fix
+        def fail(*args, **kwargs):
+            pytest.fail("ground truth generated for a TDoA array that cannot fix a position")
+
+        monkeypatch.setattr(trajgen, "truth_columns", fail)
+        cfg = _write_config(tmp_path, sensors={"sensors": [{"x": -200.0, "y": 0.0}, {"x": 200.0, "y": 0.0}]})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "simulate"]) == 1
+        assert "sensors.sensors: a TDoA fix needs at least 3 sensors, got 2" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_wild_fixes_dropped_as_lost_epochs(self, tmp_path, caplog):
@@ -252,12 +269,27 @@ class TestTrack:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), "track"]) == 1
         assert "no aligned pairs: timestamps never match within tolerance" in capsys.readouterr().err
 
+    @staticmethod
+    def _fail_on_log_read(monkeypatch):
+        def fail(*args, **kwargs):
+            pytest.fail("logs read for a filter setting that cannot track")
+
+        monkeypatch.setattr(dataio, "parse_position_log", fail)
+
     @pytest.mark.parametrize("key, value", [("accel_var", -25), ("omega_var", -0.01), ("v_max", float("nan"))])
-    def test_bad_filter_prior_rejected(self, tmp_path, capsys, key, value):
-        self._simulate(tmp_path)
+    def test_bad_filter_prior_rejected(self, tmp_path, capsys, monkeypatch, key, value):
+        self._fail_on_log_read(monkeypatch)
         cfg = _write_config(tmp_path, filter={key: value})
         assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), "track"]) == 1
         assert f"{key} must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_unknown_r_mode_rejected_before_reading_logs(self, tmp_path, capsys, monkeypatch):
+        # argparse's choices check only the --r-mode flag, not the config
+        self._fail_on_log_read(monkeypatch)
+        cfg = _write_config(tmp_path, filter={"r_mode": "median"})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), "track"]) == 1
+        assert "unknown R mode: 'median'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_tol_ms_override(self, tmp_path):
@@ -361,6 +393,57 @@ class TestEvaluate:
         logs = [str(tmp_path / "truth.csv"), str(tmp_path / "est.csv")]
         assert main(["--out", str(tmp_path / "out"), "evaluate", *logs]) == 1
         assert "no aligned pairs between truth and estimate logs" in capsys.readouterr().err
+
+
+class TestTruthGap:
+    """Segment indices count RF-log rows, so a fix left without truth moves only its own segment."""
+
+    def _runs(self, tmp_path, truth: Path, segments: Path) -> Path:
+        data = json.loads((tmp_path / "config.json").read_text())
+        data["paths"].update(truth=str(truth), segments=str(segments))
+        cfg = truth.parent / "config.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["--config", str(cfg), "--out", str(truth.parent / "track"), "track"]) == 0
+        rf = str(tmp_path / "data/rf.csv")
+        assert main(["--out", str(truth.parent / "eval"), "evaluate", str(truth), rf, "--segments", str(segments)]) == 0
+        return truth.parent
+
+    @staticmethod
+    def _rows(path: Path, fields=("segment", "mm", "stat", "rf_m")) -> list:
+        with open(path) as f:
+            return [[r[k] for k in fields] for r in csv.DictReader(f)]
+
+    def test_truth_gap_moves_only_its_segment(self, tmp_path, caplog):
+        cfg = _write_config(tmp_path)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "data"), "simulate"]) == 0
+        data = tmp_path / "data"
+        rf_t, _ = parse_position_log(data / "rf.csv")
+        gap_row = int(np.searchsorted(rf_t, 5000))
+        segs = json.loads((data / "segments.json").read_text())
+        assert rf_t[gap_row] == 5000 and segs[0]["start_idx"] < gap_row < segs[0]["end_idx"]  # inside S1
+        t_ms, latlon = parse_position_log(data / "truth.csv")
+        (tmp_path / "gap").mkdir()
+        write_position_log(tmp_path / "gap/truth.csv", t_ms[t_ms != 5000], latlon[t_ms != 5000])
+
+        full = self._runs(tmp_path, data / "truth.csv", data / "segments.json")
+        gap = self._runs(tmp_path, tmp_path / "gap/truth.csv", data / "segments.json")
+        assert json.loads((gap / "track/summary.json").read_text())["n_segments_tracked"] == 3
+        full_report, gap_report = self._rows(full / "track/report.csv"), self._rows(gap / "track/report.csv")
+        assert gap_report[4:] == full_report[4:] and gap_report[:4] != full_report[:4]  # S1 first
+        full_stats = (full / "eval/segment_stats.csv").read_bytes().splitlines()
+        gap_stats = (gap / "eval/segment_stats.csv").read_bytes().splitlines()
+        assert gap_stats[5:] == full_stats[5:] and gap_stats[:5] != full_stats[:5]  # header and S1 first
+
+        # a segment holding only the unmatched fix has no pairs in either command
+        segs[0]["end_idx"] = gap_row - 1
+        segs.insert(1, dict(segs[0], id="G", start_idx=gap_row, end_idx=gap_row))
+        (tmp_path / "gap/segments.json").write_text(json.dumps(segs))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            split = self._runs(tmp_path, tmp_path / "gap/truth.csv", tmp_path / "gap/segments.json")
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert warnings == ["segment G: too few pairs, skipped", "segment G: no aligned pairs, skipped"]
+        assert [r[0] for r in self._rows(split / "eval/segment_stats.csv", ["segment"])][::4] == ["S1", "S2", "S3"]
 
 
 def test_main_leaves_root_handlers_unchanged(tmp_path):

@@ -127,6 +127,42 @@ def test_failures_warn_in_start_order_and_stop_at_the_first_bad_step():
     assert warnings == ["segment S3: non-increasing timestamps at 4000"]
 
 
+@pytest.mark.parametrize("mm", list(ModelKind))
+@pytest.mark.parametrize("dt_ms", [0, -400], ids=["repeated", "decreasing"])
+def test_stopped_segment_leaves_its_batch_neighbours_bit_identical(mm, dt_ms):
+    # the stopped segment is the longest, so it keeps stepping to its end
+    # inside the batch after its bad step, beside both neighbours
+    rng = np.random.default_rng(5)
+    lengths = [30, 12, 20]
+    t = np.cumsum(rng.integers(200, 1500, sum(lengths))).astype(np.int64)
+    t[3] = t[2] + dt_ms
+    z = np.cumsum(rng.normal(0, 5, (sum(lengths), 2)), axis=0)
+    edges = np.cumsum([0, *lengths])
+    slices = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    segs = [Segment(f"S{i}", sl.start, sl.stop - 1, mm, NoiseSigmas(0.3, 0.1, omega=0.02))
+            for i, sl in enumerate(slices)]
+    cfg = FilterConfig(R=np.diag([9.0, 16.0]))
+
+    stopped, *batch = ekf._run_batch(segs, t, z, slices, cfg)
+    assert isinstance(stopped, ekf.FilterError)
+    assert str(stopped) == f"non-increasing timestamps at {t[3]}"
+    for got, want in zip(batch, ekf._run_batch(segs[1:], t, z, slices[1:], cfg)):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_step_both_non_increasing_and_singular_reports_the_timestamp():
+    # R = 0, v_max = 0 and no process noise: S is 0 at every step
+    xy = np.c_[np.arange(4.0), np.zeros(4)]
+    cfg = FilterConfig(R=np.zeros((2, 2)), v_max=0.0)
+    seg = Segment("S1", 0, 3, ModelKind.CV, NoiseSigmas(accel=0.0))
+    t = np.array([1000, 1000, 2000, 3000])
+    _, warnings = run_trajectory([seg], _pairs(t, xy, xy), cfg)
+    assert warnings == ["segment S1: non-increasing timestamps at 1000"]
+    t = np.array([0, 1000, 1000, 2000])  # singular one step before the repeat
+    _, warnings = run_trajectory([seg], _pairs(t, xy, xy), cfg)
+    assert warnings == [f"segment S1: singular innovation covariance: {np.zeros((2, 2))}"]
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_long_ct_leg_beats_raw_fixes_under_default_prior(seed):
     # 60 s turning at 0.05 rad/s, 10 Hz fixes with 9 m noise per axis. Under

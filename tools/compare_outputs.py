@@ -18,7 +18,8 @@ runs, in its own work directory,
 
 and every file written and every stderr stream of the two trees is
 compared byte for byte. Each tree tracks and evaluates its own simulated
-flight. Prints one line per difference and a summary; exits 1 if any
+flight. Prints one line per difference, a summary and each tree's
+``uavtrack/*.py`` line count (as ``wc -l`` counts); exits 1 if any
 output differs or a command's exit code does, else 0. A change that moves
 outputs within a stated bound exits 1 too; its list of differing files is
 what the bound has to account for.
@@ -55,6 +56,11 @@ def package_root(path: str) -> Path:
     if not (root / "uavtrack" / "cli.py").is_file():
         raise SystemExit(f"error: no uavtrack package in {path}")
     return root
+
+
+def src_lines(root: Path) -> int:
+    """Newlines in the package's modules, the total of ``wc -l uavtrack/*.py``."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "uavtrack").glob("*.py"))
 
 
 def run_flight(src: Path, cfg: dict, work: Path) -> dict[str, bytes]:
@@ -103,6 +109,8 @@ def main() -> int:
     for line in differ:
         print(line)
     print(f"{len(differ)} of {n_compared} outputs differ")
+    parent, change = (src_lines(root) for root in trees.values())
+    print(f"uavtrack/*.py lines: parent {parent}, change {change} ({change - parent:+d})")
     return 1 if differ else 0
 
 
