@@ -46,14 +46,17 @@ def _aligned_pairs(
 
     Returns the matched ``t_ms`` (K,), truth ``uav`` (K, 2) and ``rf`` (K, 2)
     local positions, each pair's RF-log row (K,) ascending, the RF log's
-    length and the origin of the local frame.
+    length and the origin of the local frame. ``align.tol_ms`` is checked
+    before either log is read.
     """
+    tol_ms = cfg.data["align"]["tol_ms"]
+    dataio.check_tol_ms(tol_ms)
     uav_t, uav_geo = dataio.parse_position_log(uav_path)
     rf_t, rf_geo = dataio.parse_position_log(rf_path)
     origin = cfg.origin() or GeoPoint(*uav_geo[0].tolist())
     uav_xy = to_enu_array(uav_geo, origin)
     rf_xy = to_enu_array(rf_geo, origin)
-    rf_idx, uav_idx = dataio.match_times(uav_t, rf_t, int(cfg.data["align"]["tol_ms"]))
+    rf_idx, uav_idx = dataio.match_times(uav_t, rf_t, tol_ms)
     return rf_t[rf_idx], uav_xy[uav_idx], rf_xy[rf_idx], rf_idx, len(rf_t), origin
 
 
@@ -116,15 +119,15 @@ def _segments_from_boundaries(
     return segments
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
+def cmd_simulate(args, cfg: RunConfig) -> dict:
     sim = cfg.data["sim"]
     leg_dicts = sim["legs"]
     if not leg_dicts:
         raise RunError("sim.legs is empty: nothing to simulate")
-    interval = int(sim["rf_interval_ms"])
+    interval = sim["rf_interval_ms"]
     if interval <= 0:
         raise RunError(f"rf_interval_ms must be positive, got {interval}")
-    dt_ms = int(sim["truth_dt_ms"])
+    dt_ms = sim["truth_dt_ms"]
     if dt_ms <= 0:
         raise RunError(f"truth_dt_ms must be positive, got {dt_ms}")
     if interval % dt_ms != 0:
@@ -135,7 +138,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     sigma = float(sim[sigma_key])
     if not sigma >= 0:
         raise RunError(f"sim.{sigma_key} must be >= 0, got {sigma}")
-    seed = int(sim["seed"])
+    seed = sim["seed"]
     if seed < 0:
         raise RunError(f"sim.seed must be >= 0, got {seed}")
     outlier_rate, outlier_max_m = float(sim["outlier_rate"]), float(sim["outlier_max_m"])
@@ -165,13 +168,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
         boundaries, leg_dicts, interval // dt_ms, sigma_defaults, np.searchsorted(t_ms, rf_t)
     )
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataio.write_position_log(out_dir / "truth.csv", t_ms, truth_geo)
-    dataio.write_position_log(out_dir / "rf.csv", rf_t, rf_geo)
-    dataio.write_segments(out_dir / "segments.json", segments)
-    dataio.write_json(out_dir / "resolved_config.json", cfg.data)
+    args.out.mkdir(parents=True, exist_ok=True)
+    dataio.write_position_log(args.out / "truth.csv", t_ms, truth_geo)
+    dataio.write_position_log(args.out / "rf.csv", rf_t, rf_geo)
+    dataio.write_segments(args.out / "segments.json", segments)
+    dataio.write_json(args.out / "resolved_config.json", cfg.data)
     return {
-        "command": "simulate",
         "n_truth": len(t_ms),
         "n_rf": len(rf_t),
         "n_segments": len(segments),
@@ -183,9 +185,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
 # track
 
 
-def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False) -> dict:
+def cmd_track(args, cfg: RunConfig) -> dict:
     fcfg = cfg.data["filter"]
     ekf.check_r_mode(fcfg["r_mode"])
+    threshold_m = float(cfg.data["clean"]["threshold_m"])
+    if not args.raw:
+        dataio.check_threshold_m(threshold_m)
     prior = ekf.FilterConfig(  # R is estimated from the matched logs below
         R=np.zeros((2, 2)),
         v_max=float(fcfg["v_max"]),
@@ -196,10 +201,10 @@ def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False) -> dict:
     if not t_ms.size:
         raise RunError("no aligned pairs: timestamps never match within tolerance")
 
-    if raw:
+    if args.raw:
         keep = np.ones(t_ms.size, dtype=bool)
     else:
-        keep = dataio.kept_mask(uav, rf, float(cfg.data["clean"]["threshold_m"]))
+        keep = dataio.kept_mask(uav, rf, threshold_m)
     t_ms, uav, rf, rf_rows = t_ms[keep], uav[keep], rf[keep], rf_rows[keep]
     if not rf_rows.size:
         raise RunError("all pairs removed by cleaning: nothing to track")
@@ -219,23 +224,22 @@ def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False) -> dict:
     ids = np.repeat([tr.segment.id for tr in tracks], lengths)
     latlon = from_enu_array(xy, origin)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     dataio.write_csv(
-        out_dir / "track.csv", ["t_ms", "segment", "x", "y", "lat_deg", "lon_deg"],
+        args.out / "track.csv", ["t_ms", "segment", "x", "y", "lat_deg", "lon_deg"],
         "%s,%s,%.6f,%.6f,%.10f,%.10f", t_ms[rows], ids, *xy.T, *latlon.T,
     )
     ends = np.cumsum(lengths, dtype=np.intp)  # np.split at every end leaves one empty last piece
     _write_segment_table(
-        out_dir / "report.csv", [tr.segment for tr in tracks],
+        args.out / "report.csv", [tr.segment for tr in tracks],
         np.split(all_rf[rows], ends)[:-1], np.split(ekf_err, ends)[:-1],
     )
-    _write_cdf(out_dir / "cdf_rf.csv", all_rf)
+    _write_cdf(args.out / "cdf_rf.csv", all_rf)
     if tracks:
-        _write_cdf(out_dir / "cdf_ekf.csv", ekf_err)
-    dataio.write_json(out_dir / "resolved_config.json", cfg.data)
+        _write_cdf(args.out / "cdf_ekf.csv", ekf_err)
+    dataio.write_json(args.out / "resolved_config.json", cfg.data)
     return {
-        "command": "track",
-        "raw": raw,
+        "raw": args.raw,
         "k_aligned": keep.size,
         "k_used": rf_rows.size,
         "n_segments_tracked": len(tracks),
@@ -246,55 +250,63 @@ def cmd_track(cfg: RunConfig, out_dir: Path, raw: bool = False) -> dict:
 # evaluate
 
 
-def cmd_evaluate(
-    truth_path, est_path, segments_path, out_dir: Path, cfg: RunConfig
-) -> dict:
-    _, uav, est, rf_rows, n_rf, _ = _aligned_pairs(cfg, truth_path, est_path)
+def cmd_evaluate(args, cfg: RunConfig) -> dict:
+    _, uav, est, rf_rows, n_rf, _ = _aligned_pairs(cfg, args.truth, args.estimate)
     if not len(uav):
         raise RunError("no aligned pairs between truth and estimate logs")
 
     errors = metrics.euclidean_errors(uav, est)
-    segments = dataio.load_segments(segments_path, K=n_rf) if segments_path else []
+    segments = dataio.load_segments(args.segments, K=n_rf) if args.segments else []
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataio.write_json(out_dir / "stats.json", asdict(metrics.stats(errors)))
-    _write_cdf(out_dir / "cdf.csv", errors)
-    if segments_path:
+    args.out.mkdir(parents=True, exist_ok=True)
+    dataio.write_json(args.out / "stats.json", asdict(metrics.stats(errors)))
+    _write_cdf(args.out / "cdf.csv", errors)
+    if args.segments:
         groups = [errors[rows] for rows in dataio.segment_rows(segments, rf_rows)]
         for seg, group in zip(segments, groups):
             if not group.size:
                 log.warning("segment %s: no aligned pairs, skipped", seg.id)
         tabled = [seg for seg, group in zip(segments, groups) if group.size]
-        _write_segment_table(out_dir / "segment_stats.csv", tabled, [g for g in groups if g.size], ekf_errors=None)
-    return {"command": "evaluate", "k_aligned": len(errors), "n_segments": len(segments)}
+        _write_segment_table(args.out / "segment_stats.csv", tabled, [g for g in groups if g.size], ekf_errors=None)
+    return {"k_aligned": len(errors), "n_segments": len(segments)}
 
 
 # ---------------------------------------------------------------------------
 # small utilities
 
 
-def cmd_convert(input_path, out_path, cfg: RunConfig) -> dict:
-    t_ms, latlon = dataio.parse_position_log(input_path)
+def cmd_convert(args, cfg: RunConfig) -> dict:
+    t_ms, latlon = dataio.parse_position_log(args.input)
     xy = to_enu_array(latlon, cfg.origin() or GeoPoint(*latlon[0].tolist()))
-    dataio.write_csv(out_path, ["t_ms", "x", "y"], "%s,%.6f,%.6f", t_ms, *xy.T)
-    return {"command": "convert", "n": len(t_ms)}
+    dataio.write_csv(args.output, ["t_ms", "x", "y"], "%s,%.6f,%.6f", t_ms, *xy.T)
+    return {"n": len(t_ms)}
 
 
-def cmd_align(uav_path, rf_path, out_path, cfg: RunConfig) -> dict:
-    t_ms, uav, rf, *_ = _aligned_pairs(cfg, uav_path, rf_path)
-    dataio.write_aligned_log(out_path, t_ms, uav, rf)
-    return {"command": "align", "n_pairs": len(t_ms)}
+def cmd_align(args, cfg: RunConfig) -> dict:
+    t_ms, uav, rf, *_ = _aligned_pairs(cfg, args.uav, args.rf)
+    dataio.write_aligned_log(args.output, t_ms, uav, rf)
+    return {"n_pairs": len(t_ms)}
 
 
-def cmd_clean(input_path, out_path, cfg: RunConfig) -> dict:
-    t_ms, uav, rf = dataio.parse_aligned_log(input_path)
-    keep = dataio.kept_mask(uav, rf, float(cfg.data["clean"]["threshold_m"]))
-    dataio.write_aligned_log(out_path, t_ms[keep], uav[keep], rf[keep])
-    return {"command": "clean", "n_in": len(t_ms), "n_out": int(keep.sum())}
+def cmd_clean(args, cfg: RunConfig) -> dict:
+    threshold_m = float(cfg.data["clean"]["threshold_m"])
+    dataio.check_threshold_m(threshold_m)
+    t_ms, uav, rf = dataio.parse_aligned_log(args.input)
+    keep = dataio.kept_mask(uav, rf, threshold_m)
+    dataio.write_aligned_log(args.output, t_ms[keep], uav[keep], rf[keep])
+    return {"n_in": len(t_ms), "n_out": int(keep.sum())}
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
+
+# global flags that each replace one config value: (flag, config key, argparse options)
+OVERRIDES = (
+    ("--seed", "sim.seed", {"type": int}),
+    ("--tol-ms", "align.tol_ms", {"type": int}),
+    ("--threshold-m", "clean.threshold_m", {"type": float}),
+    ("--r-mode", "filter.r_mode", {"choices": ekf.R_MODES}),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -304,46 +316,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", type=Path, help="JSON run configuration")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    parser.add_argument("--seed", type=int, help="override sim.seed")
-    parser.add_argument("--tol-ms", type=int, help="override align.tol_ms")
-    parser.add_argument("--threshold-m", type=float, help="override clean.threshold_m")
-    parser.add_argument("--r-mode", choices=ekf.R_MODES, help="override filter.r_mode")
+    for flag, key, options in OVERRIDES:
+        parser.add_argument(flag, help=f"override {key}", **options)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("simulate", help="generate truth/RF logs and a segment file")
+    sub.add_parser("simulate", help="generate truth/RF logs and a segment file").set_defaults(run=cmd_simulate)
 
     p_track = sub.add_parser("track", help="align, clean, filter, and report")
+    p_track.set_defaults(run=cmd_track)
     p_track.add_argument("--raw", action="store_true", help="skip the error-threshold cleaning step")
 
     p_eval = sub.add_parser("evaluate", help="metrics-only comparison of two logs")
+    p_eval.set_defaults(run=cmd_evaluate)
     p_eval.add_argument("truth", type=Path)
     p_eval.add_argument("estimate", type=Path)
     p_eval.add_argument("--segments", type=Path, help="optional segment file for per-segment stats")
 
     p_conv = sub.add_parser("convert", help="geodetic log to local east/north CSV")
+    p_conv.set_defaults(run=cmd_convert)
     p_conv.add_argument("input", type=Path)
     p_conv.add_argument("--output", type=Path, required=True)
 
     p_align = sub.add_parser("align", help="timestamp-match a truth log and an estimate log")
+    p_align.set_defaults(run=cmd_align)
     p_align.add_argument("--uav", type=Path, required=True)
     p_align.add_argument("--rf", type=Path, required=True)
     p_align.add_argument("--output", type=Path, required=True)
 
     p_clean = sub.add_parser("clean", help="drop aligned pairs above the error threshold")
+    p_clean.set_defaults(run=cmd_clean)
     p_clean.add_argument("input", type=Path)
     p_clean.add_argument("--output", type=Path, required=True)
     return parser
-
-
-def _apply_overrides(cfg: RunConfig, args) -> None:
-    if args.seed is not None:
-        cfg.data["sim"]["seed"] = args.seed
-    if args.tol_ms is not None:
-        cfg.data["align"]["tol_ms"] = args.tol_ms
-    if args.threshold_m is not None:
-        cfg.data["clean"]["threshold_m"] = args.threshold_m
-    if args.r_mode is not None:
-        cfg.data["filter"]["r_mode"] = args.r_mode
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -354,25 +358,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         cfg = RunConfig.load(args.config) if args.config else RunConfig.from_dict({})
-        _apply_overrides(cfg, args)
-        if args.command == "simulate":
-            summary = cmd_simulate(cfg, args.out)
-        elif args.command == "track":
-            summary = cmd_track(cfg, args.out, raw=args.raw)
-        elif args.command == "evaluate":
-            summary = cmd_evaluate(args.truth, args.estimate, args.segments, args.out, cfg)
-        elif args.command == "convert":
-            summary = cmd_convert(args.input, args.output, cfg)
-        elif args.command == "align":
-            summary = cmd_align(args.uav, args.rf, args.output, cfg)
-        else:
-            summary = cmd_clean(args.input, args.output, cfg)
+        for flag, key, _ in OVERRIDES:
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if value is not None:
+                section, name = key.split(".")
+                cfg.data[section][name] = value
+        summary = args.run(args, cfg)
     except (RunError, ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         logging.getLogger().removeHandler(counter)
 
+    summary["command"] = args.command
     summary["warnings"] = counter.count
     if args.command in ("convert", "align", "clean"):
         # utilities write one --output file and report on the log instead

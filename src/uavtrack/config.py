@@ -59,7 +59,13 @@ def _merge(defaults: Any, override: Any, where: str = "") -> Any:
     """Lay ``override`` over a copy of ``defaults``. A section whose default
     is a dict is closed (an unknown key is a ConfigError naming the dotted
     key); any other default, such as ``sensors`` or ``sim.legs``, is
-    replaced whole by the override's object itself, uncopied."""
+    replaced whole by the override's object itself, uncopied. A setting
+    whose default is an int takes only an integer, and one whose default
+    is a float any number; a bool is neither (a ConfigError names the key)."""
+    if isinstance(defaults, (int, float)):
+        kinds, expected = (int, "an integer") if isinstance(defaults, int) else ((int, float), "a number")
+        if isinstance(override, bool) or not isinstance(override, kinds):
+            raise ConfigError(f"{where.rstrip('.')} must be {expected}, got {json.dumps(override, default=repr)}")
     if not isinstance(defaults, dict):
         return override
     if not isinstance(override, dict):
@@ -125,7 +131,10 @@ class RunConfig:
                 else:
                     p = to_enu(GeoPoint(float(entry["lat_deg"]), float(entry["lon_deg"])), origin)
                     positions.append([p.x, p.y])
-            return SensorArray(np.array(positions), int(spec.get("reference_idx", 0)))
+            ref = spec.get("reference_idx", 0)
+            if isinstance(ref, bool) or not isinstance(ref, int):
+                raise ConfigError(f"sensors.reference_idx must be an integer, got {ref!r}")
+            return SensorArray(np.array(positions), ref)
         except (TypeError, KeyError, ValueError, ArrayError) as exc:
             raise ConfigError(f"invalid sensor array: {exc}") from exc
 

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import logging
+import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -390,6 +391,18 @@ def pair_columns(pairs: Sequence[AlignedPair]) -> tuple[np.ndarray, np.ndarray, 
     return t_ms, uav, rf
 
 
+def check_tol_ms(tol_ms: int) -> None:
+    """ValueError unless the matching tolerance ``tol_ms`` is at least 0."""
+    if tol_ms < 0:
+        raise ValueError(f"tol_ms must be >= 0, got {tol_ms}")
+
+
+def check_threshold_m(threshold_m: float) -> None:
+    """ValueError unless the cleaning threshold ``threshold_m`` is positive (NaN is not)."""
+    if not threshold_m > 0:
+        raise ValueError(f"threshold_m must be positive, got {threshold_m}")
+
+
 def match_times(uav_t: np.ndarray, rf_t: np.ndarray, tol_ms: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Match each RF timestamp to the nearest unused UAV timestamp within ``tol_ms``.
 
@@ -404,8 +417,7 @@ def match_times(uav_t: np.ndarray, rf_t: np.ndarray, tol_ms: int = 1) -> tuple[n
     its window directly; the nearest-unused rule runs, in order, only over
     runs of overlapping windows, whose candidates no other window holds.
     """
-    if tol_ms < 0:
-        raise ValueError(f"tol_ms must be >= 0, got {tol_ms}")
+    check_tol_ms(tol_ms)
     uav_t = np.asarray(uav_t, dtype=np.int64)
     rf_t = np.asarray(rf_t, dtype=np.int64)
     if not uav_t.size:
@@ -457,8 +469,7 @@ def kept_mask(
 
     The distance is :func:`metrics.euclidean_errors`, the one every error table reports.
     """
-    if not threshold_m > 0:
-        raise ValueError(f"threshold_m must be positive, got {threshold_m}")
+    check_threshold_m(threshold_m)
     return euclidean_errors(uav, rf) <= threshold_m
 
 
@@ -484,8 +495,8 @@ def load_segments(path, K: int) -> list[Segment]:
     for entry in raw:
         try:
             sid = str(entry["id"])
-            start = int(entry["start_idx"])
-            end = int(entry["end_idx"])
+            start = operator.index(entry["start_idx"])
+            end = operator.index(entry["end_idx"])
             mm_label = entry["mm"]
             sigmas = NoiseSigmas.from_dict(entry.get("sigmas", {}))
         except (KeyError, TypeError, ValueError) as exc:

@@ -316,11 +316,8 @@ def solve_position(arr: SensorArray, m: TdoaMeasurement, init: EnuPoint) -> Tdoa
     """
     if len(m.deltas) < 2:
         raise GeometryError(f"need at least 2 deltas for a 2-D fix, got {len(m.deltas)}")
-    p0 = np.array([init.x, init.y], dtype=float)
-    if not np.all(np.isfinite(p0)):
-        raise ValueError(f"non-finite initialization: {init}")
-    idx, rd = _range_differences([m])
-    points, rms, converged = _fixes(arr, idx, rd, p0[None])
+    idx, rd = _range_differences([m])  # an EnuPoint ``init`` is finite
+    points, rms, converged = _fixes(arr, idx, rd, np.array([[init.x, init.y]], dtype=float))
     if np.isnan(points[0, 0]):
         if _impossible(arr, idx, rd)[0]:
             raise GeometryError("range difference exceeds sensor baseline: rank-deficient at every start")

@@ -163,6 +163,48 @@ class TestSimulate:
         epochs = [int(m.split()[1].rstrip(":")) for m in drops]
         assert epochs == sorted(epochs)  # one warning per epoch, in epoch order
 
+    def test_leg_without_an_rf_epoch_gets_no_segment(self, tmp_path, caplog):
+        # the 0.3 s middle leg holds truth samples 50-53; the 1 s epoch at
+        # sample 50 already belongs to S1, so the leg has no epoch of its own
+        legs = [{"mm": "CV", "duration_s": 5}, {"mm": "CV", "duration_s": 0.3}, {"mm": "CV", "duration_s": 5}]
+        cfg = _write_config(tmp_path, sim={"noise_model": "position", "legs": legs})
+        with caplog.at_level(logging.WARNING):
+            assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "simulate"]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert warnings == ["leg 2 too short for a segment at the RF rate, skipped"]
+        segs = json.loads((tmp_path / "x/segments.json").read_text())
+        assert [(s["id"], s["start_idx"], s["end_idx"]) for s in segs] == [("S1", 0, 5), ("S3", 6, 10)]
+
+    @pytest.mark.parametrize(
+        "section, key, value, command",
+        [
+            ("sim", "seed", 1.5, "simulate"),
+            ("sim", "seed", None, "simulate"),
+            ("sim", "rf_interval_ms", None, "simulate"),
+            ("sim", "outlier_rate", "0.1", "simulate"),
+            ("align", "tol_ms", None, "track"),
+            ("filter", "v_max", None, "track"),
+            ("clean", "threshold_m", [60], "track"),
+        ],
+        ids=["fractional_seed", "null_seed", "null_rf_interval", "string_outlier_rate", "null_tol",
+             "null_v_max", "list_threshold"],
+    )
+    def test_mistyped_setting_rejected_at_load(self, tmp_path, capsys, monkeypatch, section, key, value, command):
+        # rejected at load: no command runs on a truncated value or fails later with a traceback
+        monkeypatch.setattr(trajgen, "truth_columns", lambda *a, **k: pytest.fail("truth generated"))
+        monkeypatch.setattr(dataio, "parse_position_log", lambda *a, **k: pytest.fail("log read"))
+        cfg = _write_config(tmp_path, **{section: {key: value}})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), command]) == 1
+        err = capsys.readouterr().err
+        assert f"{section}.{key} must be" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_fractional_reference_sensor_rejected(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, sensors={"reference_idx": 0.7})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "simulate"]) == 1
+        assert "sensors.reference_idx must be an integer, got 0.7" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_leg_sigma_key_rejected(self, tmp_path, capsys):
         legs = [dict(LEGS[0], sigmas={"acel": 0.3}), *LEGS[1:]]
         cfg = _write_config(tmp_path, sim={"legs": legs})
@@ -290,6 +332,38 @@ class TestTrack:
         cfg = _write_config(tmp_path, filter={"r_mode": "median"})
         assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), "track"]) == 1
         assert "unknown R mode: 'median'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "flag, command, message",
+        [
+            ("--threshold-m=-1", ["track"], "threshold_m must be positive, got -1.0"),
+            ("--threshold-m=-1", ["clean", "aligned.csv", "--output", "c.csv"], "threshold_m must be positive"),
+            ("--tol-ms=-5", ["track"], "tol_ms must be >= 0, got -5"),
+            ("--tol-ms=-5", ["track", "--raw"], "tol_ms must be >= 0, got -5"),
+            ("--tol-ms=-5", ["evaluate", "nope.csv", "est.csv"], "tol_ms must be >= 0, got -5"),
+            ("--tol-ms=-5", ["align", "--uav", "nope.csv", "--rf", "est.csv", "--output", "a.csv"],
+             "tol_ms must be >= 0, got -5"),
+        ],
+        ids=["track_threshold", "clean_threshold", "track_tol", "track_raw_tol", "evaluate_tol", "align_tol"],
+    )
+    def test_bad_match_setting_rejected_before_reading_logs(self, tmp_path, capsys, monkeypatch, flag, command, message):
+        self._fail_on_log_read(monkeypatch)
+        monkeypatch.setattr(dataio, "parse_aligned_log", lambda *a, **k: pytest.fail("aligned log read"))
+        cfg = _write_config(tmp_path, paths={"truth": "nope.csv", "rf": "nope.csv"})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), flag, *command]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_fractional_segment_index_rejected(self, tmp_path, capsys):
+        cfg = self._simulate(tmp_path)
+        seg_path = tmp_path / "data/segments.json"
+        segs = json.loads(seg_path.read_text())
+        segs[0]["end_idx"] += 0.9  # a truncating read would give the same segment
+        seg_path.write_text(json.dumps(segs))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), "track"]) == 1
+        err = capsys.readouterr().err
+        assert "malformed segment entry" in err and "'S1'" in err
         assert not (tmp_path / "run").exists()
 
     def test_tol_ms_override(self, tmp_path):

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,38 @@ def test_unknown_key_rejected_by_from_dict(override, key):
 def test_section_must_be_object(override, where):
     with pytest.raises(ConfigError, match=rf"^{where} must be a JSON object$"):
         RunConfig.from_dict(override)
+
+
+# a setting takes the JSON type of its default: an int only an integer, a float any number, neither a bool
+MISTYPED = [
+    ({"sim": {"seed": 1.5}}, "sim.seed must be an integer, got 1.5"),
+    ({"sim": {"truth_dt_ms": 100.5}}, "sim.truth_dt_ms must be an integer, got 100.5"),
+    ({"sim": {"seed": None}}, "sim.seed must be an integer, got null"),
+    ({"sim": {"seed": True}}, "sim.seed must be an integer, got true"),
+    ({"sim": {"rf_interval_ms": "1000"}}, 'sim.rf_interval_ms must be an integer, got "1000"'),
+    ({"align": {"tol_ms": 1.9}}, "align.tol_ms must be an integer, got 1.9"),
+    ({"align": {"tol_ms": None}}, "align.tol_ms must be an integer, got null"),
+    ({"sim": {"outlier_rate": "0.1"}}, 'sim.outlier_rate must be a number, got "0.1"'),
+    ({"filter": {"v_max": None}}, "filter.v_max must be a number, got null"),
+    ({"filter": {"accel_var": False}}, "filter.accel_var must be a number, got false"),
+    ({"clean": {"threshold_m": [60]}}, "clean.threshold_m must be a number, got [60]"),
+    ({"sim": {"start": {"x": {}}}}, "sim.start.x must be a number, got {}"),
+    ({"filter": {"sigma_defaults": {"jerk": "0.1"}}}, 'filter.sigma_defaults.jerk must be a number, got "0.1"'),
+]
+
+
+@pytest.mark.parametrize("override, message", MISTYPED, ids=[m.split()[0] + "=" + m.split()[-1] for _, m in MISTYPED])
+def test_mistyped_setting_rejected_by_load(tmp_path, override, message):
+    path = _write(tmp_path, override)
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        RunConfig.load(path)
+
+
+def test_numbers_keep_their_json_type():
+    cfg = RunConfig.from_dict({"clean": {"threshold_m": 60}, "sim": {"seed": 2**70, "speed": 8}})
+    assert cfg.data["clean"]["threshold_m"] == 60 and type(cfg.data["clean"]["threshold_m"]) is int
+    assert cfg.data["sim"]["seed"] == 2**70
+    assert RunConfig.from_dict({"sim": {"outlier_rate": 0.25}}).data["sim"]["outlier_rate"] == 0.25
 
 
 def test_top_level_must_be_object(tmp_path):
@@ -152,6 +185,14 @@ def test_geodetic_sensor_entries():
 def test_invalid_sensor_array(sensors):
     with pytest.raises(ConfigError, match=r"^invalid sensor array: "):
         RunConfig.from_dict({"sensors": sensors}).sensor_array(GeoPoint(35.8, -78.7))
+
+
+@pytest.mark.parametrize("ref", [0.7, "1", True])
+def test_reference_sensor_must_be_an_integer(ref):
+    # a truncating read would pick sensor 0 for 0.7
+    spec = {"reference_idx": ref, "sensors": [{"x": 0.0, "y": 0.0}, {"x": 100.0, "y": 0.0}, {"x": 0.0, "y": 100.0}]}
+    with pytest.raises(ConfigError, match=r"^invalid sensor array: sensors.reference_idx must be an integer, got "):
+        RunConfig.from_dict({"sensors": spec}).sensor_array(GeoPoint(35.8, -78.7))
 
 
 def _containers(obj) -> dict[int, object]:

@@ -280,6 +280,20 @@ class TestSegments:
         with pytest.raises(SegmentError, match=r"duplicate segment id 'S1'$"):
             load_segments(p, K=30)
 
+    @pytest.mark.parametrize("key", ["start_idx", "end_idx"])
+    def test_fractional_index_rejected(self, tmp_path, key):
+        # a truncating read would load 10.9 as 10, the integer twin of the file
+        entry = {"id": "S1", "start_idx": 0, "end_idx": 10, "mm": "CV", "sigmas": {}}
+        p = self._write_segments(tmp_path, [{**entry, key: entry[key] + 0.9}])
+        with pytest.raises(SegmentError, match=r"malformed segment entry \{'id': 'S1'.*cannot be interpreted as an integer"):
+            load_segments(p, K=30)
+
+    def test_not_an_array_rejected(self, tmp_path):
+        p = tmp_path / "segments.json"
+        p.write_text(json.dumps({"id": "S1", "start_idx": 0, "end_idx": 10, "mm": "CV"}), encoding="utf-8")
+        with pytest.raises(SegmentError, match="expected a JSON array of segments"):
+            load_segments(p, K=30)
+
     def test_write_load_round_trip(self, tmp_path):
         segments = [
             Segment("S1", 0, 10, ModelKind.CT, NoiseSigmas(accel=0.5, omega=0.1)),

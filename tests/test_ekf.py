@@ -94,6 +94,14 @@ class TestUpdate:
             after = np.trace(H @ out.P @ H.T)
             assert after <= before + 1e-9
 
+    @pytest.mark.parametrize(
+        "H, R", [(np.eye(2, 5), np.eye(2)), (np.eye(2, 4), np.eye(3))], ids=["H_of_another_model", "R_3x3"]
+    )
+    def test_dimension_mismatch(self, H, R):
+        fs = FilterState(np.zeros(4), np.eye(4), 0)
+        with pytest.raises(FilterError, match="inconsistent measurement dimensions"):
+            update(fs, EnuPoint(0, 0), MeasurementModel(H, R))
+
     def test_singular_innovation(self):
         fs = FilterState(np.zeros(4), np.zeros((4, 4)), 0)
         with pytest.raises(FilterError):

@@ -79,6 +79,10 @@ class TestCdf:
         assert curve.errors_m.size == 1
         assert curve.fractions[-1] == 1.0
 
+    def test_empty(self):
+        with pytest.raises(MetricsError, match="empty error sequence"):
+            cdf([])
+
     def test_last_fraction_exactly_one(self):
         curve = cdf(np.random.default_rng(0).uniform(0, 100, 500))
         assert curve.fractions[-1] == 1.0

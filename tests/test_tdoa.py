@@ -201,6 +201,16 @@ class TestSimulateFlight:
         rf, _ = simulate_flight(truth, SQUARE, 0.0, rng_seed=1, decimate_ms=1000)
         assert [s.t_ms for s in rf] == list(range(0, 10000, 1000))
 
+    @pytest.mark.parametrize("arr", [SQUARE, None], ids=["tdoa", "position"])
+    def test_negative_sigma_rejected(self, arr):
+        t_ms, xy = np.arange(0, 5000, 1000), np.zeros((5, 2))
+        with pytest.raises(ValueError, match="sigma must be >= 0, got -1.0"):
+            simulate_columns(t_ms, xy, -1.0, 1, None, 0.0, 0.0, arr=arr)
+
+    def test_empty_truth_rejected(self):
+        with pytest.raises(ValueError, match="empty ground-truth trajectory"):
+            simulate_columns(np.empty(0, np.int64), np.empty((0, 2)), 0.0, 1, 1000, 0.0, 0.0, arr=SQUARE)
+
     def test_decreasing_timestamps_rejected(self):
         truth = [TimedSample(t, EnuPoint(0.0, 0.0)) for t in (0, 1000, 500)]
         with pytest.raises(ValueError, match="must not decrease"):

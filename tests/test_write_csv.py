@@ -147,6 +147,7 @@ def test_formats_outside_the_matrix_match_printf():
         ("%s,%s", [t, ids]),  # a string column
         ("%s,%s", [t, np.array([b"a", b"b"])]),  # bytes print as b'a'
         ("%s,%s", [t, np.array([True, False])]),
+        ("%s,%s", [t, np.array([[1, 2], [3, 4]])]),  # a 2-D column prints each row as a list
     ]:
         assert not _fast(fmt, columns), fmt
         assert _written(["x", "y"], fmt, columns) == _printf_text(["x", "y"], fmt, columns), fmt

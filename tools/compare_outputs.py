@@ -14,11 +14,17 @@ runs, in its own work directory,
     evaluate sim/truth.csv sim/rf.csv --segments sim/segments.json
     convert sim/truth.csv --output convert.csv
     align --uav sim/truth.csv --rf sim/rf.csv --output align.csv
+    --tol-ms 600 align --uav sim/truth.csv --rf sim/rf.csv --output align_wide.csv
     clean align.csv --output clean.csv
 
 and every file written and every stderr stream of the two trees is
 compared byte for byte. Each tree tracks and evaluates its own simulated
-flight. Prints one line per difference, a summary and each tree's
+flight. At the default 1 ms tolerance no RF window of these flights
+overlaps a neighbour's, so ``align`` takes each nearest candidate
+directly; at 600 ms every window overlaps, so ``align_wide.csv`` runs
+every epoch through ``dataio.match_times``' nearest-unused loop.
+
+Prints one line per difference, a summary and each tree's
 ``uavtrack/*.py`` line count (as ``wc -l`` counts); exits 1 if any
 output differs or a command's exit code does, else 0. A change that moves
 outputs within a stated bound exits 1 too; its list of differing files is
@@ -46,6 +52,9 @@ COMMANDS = {
     "evaluate": ["evaluate", "sim/truth.csv", "sim/rf.csv", "--segments", "sim/segments.json"],
     "convert": ["convert", "sim/truth.csv", "--output", "convert.csv"],
     "align": ["align", "--uav", "sim/truth.csv", "--rf", "sim/rf.csv", "--output", "align.csv"],
+    "align_wide": [
+        "--tol-ms", "600", "align", "--uav", "sim/truth.csv", "--rf", "sim/rf.csv", "--output", "align_wide.csv",
+    ],
     "clean": ["clean", "align.csv", "--output", "clean.csv"],
 }
 SEEDS = (1, 2)
@@ -64,7 +73,7 @@ def src_lines(root: Path) -> int:
 
 
 def run_flight(src: Path, cfg: dict, work: Path) -> dict[str, bytes]:
-    """Outputs of the seven commands on one flight: relative path -> bytes.
+    """Outputs of the eight commands on one flight: relative path -> bytes.
 
     A command's stderr is ``<out>/stderr`` and its exit code ``<out>/exit``.
     """
