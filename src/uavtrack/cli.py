@@ -11,13 +11,13 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import dataio, ekf, metrics, tdoa, trajgen
+from . import config, dataio, ekf, metrics, tdoa, trajgen
 from .config import ConfigError, RunConfig
 from .dataio import Segment
 from .geodesy import EnuPoint, GeoPoint, from_enu_array, to_enu_array
@@ -46,17 +46,14 @@ def _aligned_pairs(
 
     Returns the matched ``t_ms`` (K,), truth ``uav`` (K, 2) and ``rf`` (K, 2)
     local positions, each pair's RF-log row (K,) ascending, the RF log's
-    length and the origin of the local frame. ``align.tol_ms`` is checked
-    before either log is read.
+    length and the origin of the local frame.
     """
-    tol_ms = cfg.data["align"]["tol_ms"]
-    dataio.check_tol_ms(tol_ms)
     uav_t, uav_geo = dataio.parse_position_log(uav_path)
     rf_t, rf_geo = dataio.parse_position_log(rf_path)
     origin = cfg.origin() or GeoPoint(*uav_geo[0].tolist())
     uav_xy = to_enu_array(uav_geo, origin)
     rf_xy = to_enu_array(rf_geo, origin)
-    rf_idx, uav_idx = dataio.match_times(uav_t, rf_t, tol_ms)
+    rf_idx, uav_idx = dataio.match_times(uav_t, rf_t, cfg.data["align"]["tol_ms"])
     return rf_t[rf_idx], uav_xy[uav_idx], rf_xy[rf_idx], rf_idx, len(rf_t), origin
 
 
@@ -124,28 +121,7 @@ def cmd_simulate(args, cfg: RunConfig) -> dict:
     leg_dicts = sim["legs"]
     if not leg_dicts:
         raise RunError("sim.legs is empty: nothing to simulate")
-    interval = sim["rf_interval_ms"]
-    if interval <= 0:
-        raise RunError(f"rf_interval_ms must be positive, got {interval}")
-    dt_ms = sim["truth_dt_ms"]
-    if dt_ms <= 0:
-        raise RunError(f"truth_dt_ms must be positive, got {dt_ms}")
-    if interval % dt_ms != 0:
-        raise RunError(f"rf_interval_ms ({interval}) must be a multiple of truth_dt_ms ({dt_ms})")
-    if sim["noise_model"] not in ("position", "tdoa"):
-        raise RunError(f"unknown noise model: {sim['noise_model']!r}")
-    sigma_key = "position_sigma_m" if sim["noise_model"] == "position" else "sigma_t"
-    sigma = float(sim[sigma_key])
-    if not sigma >= 0:
-        raise RunError(f"sim.{sigma_key} must be >= 0, got {sigma}")
-    seed = sim["seed"]
-    if seed < 0:
-        raise RunError(f"sim.seed must be >= 0, got {seed}")
-    outlier_rate, outlier_max_m = float(sim["outlier_rate"]), float(sim["outlier_max_m"])
-    if not 0 <= outlier_rate <= 1:
-        raise RunError(f"sim.outlier_rate must be in [0, 1], got {outlier_rate}")
-    if not outlier_max_m >= 0:
-        raise RunError(f"sim.outlier_max_m must be >= 0, got {outlier_max_m}")
+    interval, dt_ms = sim["rf_interval_ms"], sim["truth_dt_ms"]
     legs = [trajgen.leg_from_dict(d) for d in leg_dicts]
     sigma_defaults = cfg.data["filter"]["sigma_defaults"]
     for leg, leg_dict in zip(legs, leg_dicts):  # segments use them only after the flight
@@ -160,8 +136,9 @@ def cmd_simulate(args, cfg: RunConfig) -> dict:
         legs, start, float(sim["heading_deg"]), float(sim["speed"]), dt_ms
     )
     truth_geo = from_enu_array(xy, origin)  # fails past the 50 km limit before the RF simulation
+    sigma = sim["position_sigma_m" if sim["noise_model"] == "position" else "sigma_t"]
     rf_t, rf_xy, dropped = tdoa.simulate_columns(
-        t_ms, xy, sigma, seed, interval, outlier_rate, outlier_max_m, arr=arr,
+        t_ms, xy, sigma, sim["seed"], interval, sim["outlier_rate"], sim["outlier_max_m"], arr=arr,
     )
     rf_geo = from_enu_array(rf_xy, origin)
     segments = _segments_from_boundaries(
@@ -186,17 +163,6 @@ def cmd_simulate(args, cfg: RunConfig) -> dict:
 
 
 def cmd_track(args, cfg: RunConfig) -> dict:
-    fcfg = cfg.data["filter"]
-    ekf.check_r_mode(fcfg["r_mode"])
-    threshold_m = float(cfg.data["clean"]["threshold_m"])
-    if not args.raw:
-        dataio.check_threshold_m(threshold_m)
-    prior = ekf.FilterConfig(  # R is estimated from the matched logs below
-        R=np.zeros((2, 2)),
-        v_max=float(fcfg["v_max"]),
-        accel_var=float(fcfg["accel_var"]),
-        omega_var=float(fcfg["omega_var"]),
-    )
     t_ms, uav, rf, rf_rows, n_rf, origin = _aligned_pairs(cfg, cfg.input_path("truth"), cfg.input_path("rf"))
     if not t_ms.size:
         raise RunError("no aligned pairs: timestamps never match within tolerance")
@@ -204,13 +170,15 @@ def cmd_track(args, cfg: RunConfig) -> dict:
     if args.raw:
         keep = np.ones(t_ms.size, dtype=bool)
     else:
-        keep = dataio.kept_mask(uav, rf, threshold_m)
+        keep = dataio.kept_mask(uav, rf, cfg.data["clean"]["threshold_m"])
     t_ms, uav, rf, rf_rows = t_ms[keep], uav[keep], rf[keep], rf_rows[keep]
     if not rf_rows.size:
         raise RunError("all pairs removed by cleaning: nothing to track")
 
     segments = dataio.load_segments(cfg.input_path("segments"), K=n_rf)
-    filter_cfg = replace(prior, R=ekf.estimate_R_arrays(uav, rf, fcfg["r_mode"]))
+    fcfg = cfg.data["filter"]
+    R = ekf.estimate_R_arrays(uav, rf, fcfg["r_mode"])
+    filter_cfg = ekf.FilterConfig(R, fcfg["v_max"], fcfg["accel_var"], fcfg["omega_var"])
     tracks, warnings = ekf.filter_segments(segments, t_ms, rf, rf_rows, filter_cfg)
     for w in warnings:
         log.warning("%s", w)
@@ -289,10 +257,8 @@ def cmd_align(args, cfg: RunConfig) -> dict:
 
 
 def cmd_clean(args, cfg: RunConfig) -> dict:
-    threshold_m = float(cfg.data["clean"]["threshold_m"])
-    dataio.check_threshold_m(threshold_m)
     t_ms, uav, rf = dataio.parse_aligned_log(args.input)
-    keep = dataio.kept_mask(uav, rf, threshold_m)
+    keep = dataio.kept_mask(uav, rf, cfg.data["clean"]["threshold_m"])
     dataio.write_aligned_log(args.output, t_ms[keep], uav[keep], rf[keep])
     return {"n_in": len(t_ms), "n_out": int(keep.sum())}
 
@@ -363,6 +329,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if value is not None:
                 section, name = key.split(".")
                 cfg.data[section][name] = value
+        config.check(cfg.data)
         summary = args.run(args, cfg)
     except (RunError, ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from . import dataio, ekf
 from .geodesy import GeoPoint, to_enu
 from .tdoa import SensorArray, ArrayError
 
@@ -77,6 +78,51 @@ def _merge(defaults: Any, override: Any, where: str = "") -> Any:
     for k, v in override.items():
         out[k] = _merge(defaults[k], v, f"{where}{k}.")
     return out
+
+
+def check(data: dict) -> None:
+    """Apply every value rule to a resolved config, else a ConfigError naming the dotted
+    key: ``cli.main`` runs it once, after the flag overrides and before any command."""
+    sim, f = data["sim"], data["filter"]
+    interval, dt_ms = sim["rf_interval_ms"], sim["truth_dt_ms"]
+    sigma_key = "position_sigma_m" if sim["noise_model"] == "position" else "sigma_t"
+    for ok, message in (
+        (interval > 0, f"sim.rf_interval_ms must be positive, got {interval}"),
+        (dt_ms > 0, f"sim.truth_dt_ms must be positive, got {dt_ms}"),
+        (dt_ms <= 0 or interval % dt_ms == 0,
+         f"sim.rf_interval_ms ({interval}) must be a multiple of truth_dt_ms ({dt_ms})"),
+        (sim["noise_model"] in ("position", "tdoa"), f"sim.noise_model: unknown noise model: {sim['noise_model']!r}"),
+        (sim[sigma_key] >= 0, f"sim.{sigma_key} must be >= 0, got {sim[sigma_key]}"),
+        (sim["seed"] >= 0, f"sim.seed must be >= 0, got {sim['seed']}"),
+        (0 <= sim["outlier_rate"] <= 1, f"sim.outlier_rate must be in [0, 1], got {sim['outlier_rate']}"),
+        (sim["outlier_max_m"] >= 0, f"sim.outlier_max_m must be >= 0, got {sim['outlier_max_m']}"),
+    ):
+        if not ok:
+            raise ConfigError(message)
+    for prefix, rule, *values in (  # each library message starts with the setting's name but the R mode's
+        ("align.", dataio.check_tol_ms, data["align"]["tol_ms"]),
+        ("clean.", dataio.check_threshold_m, data["clean"]["threshold_m"]),
+        ("filter.r_mode: ", ekf.check_r_mode, f["r_mode"]),
+        ("filter.", ekf.FilterConfig, np.zeros((2, 2)), f["v_max"], f["accel_var"], f["omega_var"]),
+    ):
+        try:
+            rule(*values)
+        except ValueError as exc:
+            raise ConfigError(f"{prefix}{exc}") from None
+    # after the rules above, so that their messages win: a NaN prior fails as a prior
+    _check_numbers(data, "")
+
+
+def _check_numbers(value: Any, key: str) -> None:
+    """Every number at any depth must be finite, and every integer but ``sim.seed``
+    fit in 64 bits (numpy's ``default_rng`` takes any non-negative seed)."""
+    if isinstance(value, (dict, list)):
+        for k, v in value.items() if isinstance(value, dict) else enumerate(value):
+            _check_numbers(v, f"{key}.{k}" if key else k)
+    elif isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value}")
+    elif isinstance(value, int) and key != "sim.seed" and not -(2**63) <= value < 2**63:
+        raise ConfigError(f"{key} is too large for a 64-bit integer, got {value}")
 
 
 class RunConfig:

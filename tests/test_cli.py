@@ -109,10 +109,18 @@ class TestSimulate:
             ({"outlier_rate": 1.5}, "sim.outlier_rate must be in [0, 1], got 1.5"),
             ({"outlier_rate": -0.1}, "sim.outlier_rate must be in [0, 1], got -0.1"),
             ({"outlier_max_m": -50}, "sim.outlier_max_m must be >= 0, got -50"),
+            ({"heading_deg": float("inf")}, "sim.heading_deg must be finite, got inf"),
+            ({"speed": float("inf")}, "sim.speed must be finite, got inf"),
+            ({"outlier_rate": 0.5, "outlier_max_m": float("inf")}, "sim.outlier_max_m must be finite, got inf"),
+            ({"start": {"x": float("nan")}}, "sim.start.x must be finite, got nan"),
+            ({"legs": [dict(LEGS[0], speed=float("nan")), *LEGS[1:]]}, "sim.legs.0.speed must be finite, got nan"),
+            ({"sigma_t": float("nan")}, "sim.sigma_t must be >= 0, got nan"),
+            ({"truth_dt_ms": 10**20, "rf_interval_ms": 10**20}, "sim.truth_dt_ms is too large"),
         ],
         ids=["noise_model", "interval_multiple", "zero_truth_dt", "last_leg_sigma", "negative_sigma_t",
              "negative_position_sigma", "negative_seed", "outlier_rate_above_one", "negative_outlier_rate",
-             "negative_outlier_max"],
+             "negative_outlier_max", "infinite_heading", "infinite_speed", "infinite_outlier_max", "nan_start_x",
+             "nan_leg_speed", "nan_sigma_t", "int64_overflow_truth_dt"],
     )
     def test_bad_sim_config_rejected_before_truth(self, tmp_path, capsys, monkeypatch, sim, message):
         def fail(*args, **kwargs):
@@ -344,8 +352,13 @@ class TestTrack:
             ("--tol-ms=-5", ["evaluate", "nope.csv", "est.csv"], "tol_ms must be >= 0, got -5"),
             ("--tol-ms=-5", ["align", "--uav", "nope.csv", "--rf", "est.csv", "--output", "a.csv"],
              "tol_ms must be >= 0, got -5"),
+            ("--threshold-m=-1", ["track", "--raw"], "clean.threshold_m must be positive, got -1.0"),
+            (f"--tol-ms={10**30}", ["track"], "align.tol_ms is too large"),
+            ("--seed=-1", ["convert", "nope.csv", "--output", "c.csv"], "sim.seed must be >= 0, got -1"),
+            ("--seed=-1", ["evaluate", "nope.csv", "est.csv"], "sim.seed must be >= 0, got -1"),
         ],
-        ids=["track_threshold", "clean_threshold", "track_tol", "track_raw_tol", "evaluate_tol", "align_tol"],
+        ids=["track_threshold", "clean_threshold", "track_tol", "track_raw_tol", "evaluate_tol", "align_tol",
+             "track_raw_threshold", "track_int64_overflow_tol", "convert_seed", "evaluate_seed"],
     )
     def test_bad_match_setting_rejected_before_reading_logs(self, tmp_path, capsys, monkeypatch, flag, command, message):
         self._fail_on_log_read(monkeypatch)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uavtrack.config import DEFAULTS, ConfigError, RunConfig
+from uavtrack.config import DEFAULTS, ConfigError, RunConfig, check
 from uavtrack.geodesy import GeoPoint, to_enu
 
 README_CONFIG = {
@@ -126,6 +126,7 @@ def test_nested_override_keeps_sibling_defaults():
 def test_readme_config_loads(tmp_path):
     cfg = RunConfig.load(_write(tmp_path, README_CONFIG))
     assert cfg.data["sim"]["seed"] == 7
+    check(cfg.data)
 
 
 @pytest.mark.parametrize("workload", ["tdoa_loiter", "dense_segments", "long_legs_10hz"])
@@ -133,7 +134,7 @@ def test_benchmark_workload_configs_load(tmp_path, monkeypatch, workload):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import workloads
 
-    RunConfig.load(_write(tmp_path, workloads.generate(workload, seed=1)))
+    check(RunConfig.load(_write(tmp_path, workloads.generate(workload, seed=1))).data)
 
 
 def test_missing_config_file(tmp_path):
