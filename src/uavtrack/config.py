@@ -16,6 +16,7 @@ import numpy as np
 
 from . import dataio, ekf
 from .geodesy import GeoPoint, to_enu
+from .motionmodels import NoiseSigmas
 from .tdoa import SensorArray, ArrayError
 
 
@@ -99,18 +100,21 @@ def check(data: dict) -> None:
     ):
         if not ok:
             raise ConfigError(message)
-    for prefix, rule, *values in (  # each library message starts with the setting's name but the R mode's
+    for prefix, rule, *values in (  # the prefix and the rule's message together name the key
         ("align.", dataio.check_tol_ms, data["align"]["tol_ms"]),
         ("clean.", dataio.check_threshold_m, data["clean"]["threshold_m"]),
         ("filter.r_mode: ", ekf.check_r_mode, f["r_mode"]),
         ("filter.", ekf.FilterConfig, np.zeros((2, 2)), f["v_max"], f["accel_var"], f["omega_var"]),
+        # after the rules above, so that a NaN prior fails as a prior, and before those
+        # below, whose float() overflows on an integer past 64 bits
+        ("", _check_numbers, data, ""),
+        ("filter.sigma_defaults: ", NoiseSigmas.from_dict, f["sigma_defaults"]),
+        ("", RunConfig(data, Path()).origin),
     ):
         try:
             rule(*values)
         except ValueError as exc:
             raise ConfigError(f"{prefix}{exc}") from None
-    # after the rules above, so that their messages win: a NaN prior fails as a prior
-    _check_numbers(data, "")
 
 
 def _check_numbers(value: Any, key: str) -> None:
@@ -142,6 +146,8 @@ class RunConfig:
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        except ValueError as exc:  # not UTF-8, or an integer past Python's digit limit
+            raise ConfigError(f"{path}: {exc}") from exc
         try:
             return cls(_merge(DEFAULTS, user), path.parent)
         except ConfigError as exc:

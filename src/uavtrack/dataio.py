@@ -9,7 +9,6 @@ File formats:
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import operator
@@ -153,17 +152,16 @@ def _load_columns(path: Path) -> np.ndarray | None:
     scan, which accepts or names the failing line as before.
     """
     with open(path, "rb") as f:
-        data = f.read()
-    head = (",".join(LOG_HEADER) + "\n").encode()
-    body = data[len(head):]
-    if not data.startswith(head) or not body.strip(b"\n") or body.translate(None, _PLAIN_BYTES):
+        plain = f.readline() == (",".join(LOG_HEADER) + "\n").encode()
+        body = f.read() if plain else b""
+    if not body.strip(b"\n") or body.translate(None, _PLAIN_BYTES):
         return None
     try:
         with warnings.catch_warnings():
             # numpy 1.x truncates a float-looking integer field with this warning
             warnings.simplefilter("error", DeprecationWarning)
             return np.loadtxt(
-                io.StringIO(body.decode("ascii")), delimiter=",", dtype=_GEO_DTYPE, comments=None, ndmin=1
+                path, delimiter=",", skiprows=1, encoding="ascii", dtype=_GEO_DTYPE, comments=None, ndmin=1
             )
     except (ValueError, DeprecationWarning):
         return None
@@ -184,29 +182,21 @@ def parse_position_log(path) -> tuple[np.ndarray, np.ndarray]:
     path = Path(path)
     rows = _load_columns(path)
     if rows is not None:
-        lat, lon = rows["lat"], rows["lon"]
-        order = np.argsort(rows["t"])
-        t = rows["t"][order]
-        if (
-            np.all((-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0))
-            and not np.any(t[1:] == t[:-1])
-        ):
-            return t, np.column_stack((lat, lon))[order]
-    t_ms: list[int] = []
-    latlon: list[tuple[float, float]] = []
-    seen: set[int] = set()
+        rows = rows[np.argsort(rows["t"])]
+        t, latlon = rows["t"], np.column_stack((rows["lat"], rows["lon"]))
+        if np.all(np.abs(latlon) <= (90.0, 180.0)) and not np.any(t[1:] == t[:-1]):
+            return t, latlon
+    first: dict[int, tuple[float, float]] = {}  # timestamp -> coordinates of its first row
     for line_no, (t, lat, lon) in _csv_rows(path, LOG_HEADER, _geo_row):
-        if t in seen:
+        if t in first:
             log.warning("%s:%d: duplicate timestamp %d, keeping first", path, line_no, t)
-            continue
-        seen.add(t)
-        t_ms.append(t)
-        latlon.append((lat, lon))
-    if not t_ms:
+        else:
+            first[t] = lat, lon
+    if not first:
         raise EmptyInputError(f"{path}: no data rows")
-    t = np.array(t_ms, dtype=np.int64)
+    t = np.fromiter(first, dtype=np.int64, count=len(first))
     order = np.argsort(t)
-    return t[order], np.array(latlon, dtype=float)[order]
+    return t[order], np.array(list(first.values()), dtype=float)[order]
 
 
 def write_position_log(path, t_ms: np.ndarray, latlon: np.ndarray) -> None:

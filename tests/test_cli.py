@@ -368,6 +368,29 @@ class TestTrack:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "command", [["track"], ["evaluate", "nope.csv", "est.csv"], ["convert", "nope.csv", "--output", "c.csv"]],
+        ids=["track", "evaluate", "convert"],
+    )
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"filter": {"sigma_defaults": {"accel": -1.0}}}, "filter.sigma_defaults: negative noise sigma"),
+            ({"origin": {"lat_deg": 200, "lon_deg": 0}}, "invalid origin: {'lat_deg': 200, 'lon_deg': 0}"),
+        ],
+        ids=["negative_sigma_default", "latitude_out_of_range_origin"],
+    )
+    def test_bad_origin_or_sigma_default_rejected_before_reading_logs(
+        self, tmp_path, capsys, monkeypatch, command, overrides, message
+    ):
+        self._fail_on_log_read(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        cfg = _write_config(tmp_path, **overrides)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), *command]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists() and not (tmp_path / "c.csv").exists()
+
     def test_fractional_segment_index_rejected(self, tmp_path, capsys):
         cfg = self._simulate(tmp_path)
         seg_path = tmp_path / "data/segments.json"
@@ -579,7 +602,8 @@ class TestUtilities:
         aligned.write_text("t_ms,uav_x,uav_y,rf_x,rf_y\n0,0,0,50,0\n1000,0,0,70,0\n")
         out = tmp_path / "c.csv"
         assert main(["--threshold-m", "80", "clean", str(aligned), "--output", str(out)]) == 0
-        assert sum(1 for _ in open(out)) - 1 == 2
+        with open(out) as f:
+            assert sum(1 for _ in f) - 1 == 2
 
     @pytest.mark.parametrize(
         "text, where",

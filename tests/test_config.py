@@ -149,6 +149,21 @@ def test_invalid_json(tmp_path):
         RunConfig.load(path)
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"sim": {"seed": 1' + b"0" * 4999 + b"}}", "Exceeds the limit (4300 digits)"),
+        (b'{"sim": {"seed": 1}}\xff', "'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["integer_past_digit_limit", "not_utf8"],
+)
+def test_unreadable_config_names_the_file(tmp_path, content, message):
+    path = tmp_path / "run.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}"):
+        RunConfig.load(path)
+
+
 def test_explicit_origin():
     cfg = RunConfig.from_dict({"origin": {"lat_deg": 40.0, "lon_deg": -105.25}})
     assert cfg.origin() == GeoPoint(40.0, -105.25)

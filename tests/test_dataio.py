@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,22 @@ class TestParsing:
         write_position_log(p, t_ms, latlon)
         back_t, back_latlon = parse_position_log(p)
         assert back_t.tolist() == t_ms.tolist() and back_latlon.tolist() == latlon.tolist()
+
+    def test_plain_log_parse_memory_bounded_by_file_size(self, tmp_path):
+        # the size of the dense_segments truth log; a decoded text copy of the
+        # body alone would take 4 bytes per character
+        k = np.arange(27_001)
+        p = tmp_path / "truth.csv"
+        write_position_log(p, 100 * k, np.column_stack((35.8 + 1e-6 * np.sin(k), -78.7 + 1e-6 * k)))
+        parse_position_log(p)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            t_ms, _ = parse_position_log(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(t_ms) == 27_001
+        assert peak <= 4 * p.stat().st_size
 
 
 class TestWriteCsv:
