@@ -485,11 +485,13 @@ def load_segments(path, K: int) -> list[Segment]:
     for entry in raw:
         try:
             sid = str(entry["id"])
-            start = operator.index(entry["start_idx"])
-            end = operator.index(entry["end_idx"])
+            start, end = entry["start_idx"], entry["end_idx"]
+            if isinstance(start, bool) or isinstance(end, bool):  # operator.index takes them as 0 and 1
+                raise TypeError("'bool' object cannot be interpreted as an integer")
+            start, end = operator.index(start), operator.index(end)
             mm_label = entry["mm"]
             sigmas = NoiseSigmas.from_dict(entry.get("sigmas", {}))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SegmentError(f"{path}: malformed segment entry {entry!r}: {exc}") from exc
         try:
             mm = ModelKind(mm_label)

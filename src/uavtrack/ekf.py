@@ -4,11 +4,11 @@ Predict with the segment's motion model over the actual inter-sample
 interval, update with the RF position measurement. Covariance updates use
 the Joseph form and are re-symmetrized after every step.
 
-The filter runs batched: :func:`filter_segments` groups the segments by
-motion model and sweeps each group once, stepping every segment still
-running on ``(B, n)`` states and ``(B, n, n)`` covariances. The scalar
-:func:`predict` and :func:`update` are batches of one over the same step
-kernels, and a segment's result does not depend on the batch it ran in.
+The filter runs batched: :func:`filter_segments` sweeps every segment of
+a flight at once on ``(B, 7)`` states and ``(B, 7, 7)`` covariances in the
+common layout :data:`motionmodels.LAYOUT`, whatever its motion model. The
+scalar :func:`predict` and :func:`update` are batches of one over the same
+step kernels, and a segment's result does not depend on the batch it ran in.
 """
 
 from __future__ import annotations
@@ -21,14 +21,8 @@ import numpy as np
 from .dataio import AlignedPair, Segment, pair_columns, segment_rows
 from .geodesy import EnuPoint
 from .metrics import euclidean_errors
-from .motionmodels import (
-    ModelKind,
-    _check_dt,
-    measurement_matrix,
-    process_noise_batch,
-    propagate_batch,
-    sigma_rows,
-)
+from .motionmodels import LAYOUT, ModelKind, _check_dt, noise_rows, process_noise_rows, propagate_batch, propagate_rows
+from .motionmodels import sigma_rows, state_mask
 
 # rad/s bound on a CT segment's turn-rate estimate, projected onto after each
 # update (estimate projection, D. Simon, "Kalman filtering with state
@@ -103,10 +97,9 @@ def _symmetrize(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.swapaxes(-1, -2))
 
 
-def _predict_step(mm: ModelKind, s: np.ndarray, P: np.ndarray, T: np.ndarray, Q: np.ndarray):
-    """Time update of (B, n) states and (B, n, n) covariances over steps ``T`` (B,)."""
-    s, F = propagate_batch(mm, s, T)
-    return s, _symmetrize(F @ P @ F.swapaxes(1, 2) + Q)
+def _predict_cov(F: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Time update of (B, n, n) covariances by the transition Jacobians ``F``."""
+    return _symmetrize(F @ P @ F.swapaxes(1, 2) + Q)
 
 
 def _update_step(s: np.ndarray, P: np.ndarray, z: np.ndarray, H: np.ndarray, R: np.ndarray):
@@ -147,12 +140,9 @@ def predict(fs: FilterState, mm: ModelKind, T: float, Q: np.ndarray) -> FilterSt
     n = mm.state_dim
     Q = np.asarray(Q, dtype=float)
     if fs.s.shape != (n,) or fs.P.shape != (n, n) or Q.shape != (n, n):
-        raise FilterError(
-            f"inconsistent dimensions for {mm.value}: s{fs.s.shape} P{fs.P.shape} Q{Q.shape}"
-        )
-    s = np.asarray(fs.s, dtype=float)[None]
-    s, P = _predict_step(mm, s, fs.P[None], np.array([_check_dt(T)]), Q[None])
-    return FilterState(s[0], P[0], fs.t_ms + round(T * 1000))
+        raise FilterError(f"inconsistent dimensions for {mm.value}: s{fs.s.shape} P{fs.P.shape} Q{Q.shape}")
+    s, F = propagate_batch(mm, fs.s[None], np.array([_check_dt(T)]))
+    return FilterState(s[0], _predict_cov(F, fs.P[None], Q[None])[0], fs.t_ms + round(T * 1000))
 
 
 def update(fs_pred: FilterState, z: EnuPoint, meas: MeasurementModel) -> FilterState:
@@ -199,84 +189,85 @@ def estimate_R(pairs: Sequence[AlignedPair], mode: str = "mean") -> np.ndarray:
     return estimate_R_arrays(uav, rf, mode)
 
 
-def _initial_covariance(mm: ModelKind, cfg: FilterConfig) -> np.ndarray:
+def _initial_covariance(has: np.ndarray, cfg: FilterConfig) -> np.ndarray:
+    """(B, 7, 7) diagonal priors of rows with state mask ``has``: 0 on a state a row lacks."""
     var = {"x": cfg.R[0, 0], "y": cfg.R[1, 1], "vx": cfg.v_max**2, "vy": cfg.v_max**2,
            "ax": cfg.accel_var, "ay": cfg.accel_var, "omega": cfg.omega_var}
-    return np.diag(np.array([var[k] for k in mm.states], dtype=float))
+    return np.where(has[:, :, None], np.diag([var[k] for k in LAYOUT]), 0.0)
 
 
-def _run_batch(
-    segs: Sequence[Segment], t_ms: np.ndarray, z: np.ndarray, slices: Sequence[slice],
-    cfg: FilterConfig,
-) -> list[Union[tuple[np.ndarray, np.ndarray], FilterError]]:
-    """Filter same-model segments, each over its rows of ``t_ms`` (K,) and ``z`` (K, 2).
+def _run_batch(segs: Sequence[Segment], t_ms: np.ndarray, z: np.ndarray, slices: Sequence[slice],
+               cfg: FilterConfig) -> list[Union[tuple[np.ndarray, np.ndarray], FilterError]]:
+    """Filter segments of any models, each over its rows of ``t_ms`` (K,) and ``z`` (K, 2).
 
     Every segment needs at least two rows. It starts at its first fix with
     zero velocity (and acceleration / turn rate) under the prior of
     :func:`_initial_covariance`; a CT turn rate is clipped to
-    ±``_OMEGA_MAX`` after each update. The segments are sorted longest
-    first, so the ones still running at step k are a prefix of the batch;
-    each step predicts and updates that prefix in one array operation. Rows
-    past a segment's end are NaN, so reading them poisons that segment alone.
+    ±``_OMEGA_MAX`` after each update. Sorted longest first, the segments
+    still running at step k are a prefix of the batch, which each step
+    predicts and updates in one array operation on the common layout.
 
     Returns, per segment in input order, its ``(K_seg, n)`` states and
-    ``(K_seg, n, n)`` covariances, or the FilterError of its first bad step:
-    a non-increasing timestamp, or else a singular innovation covariance.
-    A failed segment steps on to its end with the batch, its rows unread.
+    ``(K_seg, n, n)`` covariances, or the FilterError of its first bad
+    step: a non-increasing timestamp, or else a singular innovation
+    covariance. A failed segment steps on with the batch, its rows unread.
     """
-    mm = segs[0].mm
-    n = mm.state_dim
     starts = np.array([sl.start for sl in slices], dtype=np.intp)
     lengths = np.array([sl.stop - sl.start for sl in slices], dtype=np.intp)
     order = np.argsort(-lengths, kind="stable")
     lengths, first = lengths[order], starts[order]
-    B, L = len(segs), int(lengths[0])
-    steps = np.arange(L)[:, None]
-    live = steps < lengths  # (L, B)
-    rows = np.where(live, first + steps, 0)
-    n_active = live.sum(axis=1)
-    z_pad = np.where(live[:, :, None], z[rows], np.nan)
-    T_pad = np.where(live[1:], np.diff(t_ms[rows], axis=0) / 1000.0, np.nan)
-    sig = sigma_rows([segs[i].sigmas for i in order])
-    H = measurement_matrix(mm)
+    B, L, n = len(segs), int(lengths.max(initial=0)), len(LAYOUT)
+    n_active = (np.arange(L)[:, None] < lengths).sum(axis=1)
+    index = {mm: m for m, mm in enumerate(ModelKind)}
+    kind = np.array([index[segs[i].mm] for i in order], dtype=np.intp)
+    has = state_mask(list(index))[kind]
+    q = noise_rows(sigma_rows([segs[i].sigmas for i in order]), has)
+    dt = np.diff(t_ms) / 1000.0  # dt[i] leads from row i to row i + 1
+    w, H = LAYOUT.index("omega"), np.eye(2, n)
+    turn = has[:, w]
+    # output rows: one model's segments together, each segment's rows in a block
+    grouped = np.argsort(kind, kind="stable")
+    base = np.empty(B, dtype=np.intp)
+    base[grouped] = np.cumsum(lengths[grouped]) - lengths[grouped]
+    states, covs = np.empty((lengths.sum(), n)), np.empty((lengths.sum(), n, n))
 
-    states = np.empty((L, B, n))
-    covs = np.empty((L, B, n, n))
-    states[0] = 0.0
-    states[0, :, :2] = z_pad[0]
-    covs[0] = _initial_covariance(mm, cfg)
-    errors: list[Optional[FilterError]] = [None] * B
-    s, P = states[0], covs[0]
+    s = np.zeros((B, n))
+    s[:, :2] = z[first]
+    P = _initial_covariance(has, cfg)
+    states[base], covs[base] = s, P
+    errors: list[Optional[FilterError]] = [None] * B  # in input order
     with np.errstate(all="ignore"):  # a failed row steps on unread
         for k in range(1, L):
             b = n_active[k]
-            T = T_pad[k - 1, :b]
-            s, P = _predict_step(mm, s[:b], P[:b], T, process_noise_batch(mm, T, sig[:b]))
-            s, P, S, ok = _update_step(s, P, z_pad[k, :b], H, cfg.R)
-            if mm is ModelKind.CT:
-                np.clip(s[:, 4], -_OMEGA_MAX, _OMEGA_MAX, out=s[:, 4])
+            at = first[:b] + k  # the running segments' rows of t_ms and z
+            T = dt[at - 1]
+            s, F = propagate_rows(s[:b], T, turn[:b])
+            P = _predict_cov(F, P[:b], process_noise_rows(T, q[:b]))
+            s, P, S, ok = _update_step(s, P, z[at], H, cfg.R)
+            np.clip(s[:, w], -_OMEGA_MAX, _OMEGA_MAX, out=s[:, w], where=turn[:b])
             for j in np.flatnonzero(~ok | (T <= 0)).tolist():
-                if errors[j] is None:
-                    errors[j] = FilterError(
-                        f"non-increasing timestamps at {t_ms[rows[k, j]]}" if T[j] <= 0
+                if errors[order[j]] is None:
+                    errors[order[j]] = FilterError(
+                        f"non-increasing timestamps at {t_ms[at[j]]}" if T[j] <= 0
                         else f"singular innovation covariance: {S[j]}"
                     )
-            states[k, :b] = s
-            covs[k, :b] = P
+            states[base[:b] + k], covs[base[:b] + k] = s, P
 
-    out: list = [None] * B
-    for j, i in enumerate(order):
-        out[i] = errors[j] or (states[:lengths[j], j].copy(), covs[:lengths[j], j].copy())
+    out: list = list(errors)
+    for mm, m in index.items():  # the model's columns of all its segments at once
+        mine = grouped[kind[grouped] == m]
+        if len(mine):
+            c, lo = mm.columns, base[mine[0]]
+            rows = slice(lo, base[mine[-1]] + lengths[mine[-1]])
+            mm_states, mm_covs = states[rows][:, c], covs[rows][:, c[:, None], c]
+            offset = base[mine] - lo
+            for i, a, e in zip(order[mine].tolist(), offset.tolist(), (offset + lengths[mine]).tolist()):
+                out[i] = errors[i] or (mm_states[a:e], mm_covs[a:e])
     return out
 
 
-def filter_segments(
-    segments: Sequence[Segment],
-    t_ms: np.ndarray,
-    z: np.ndarray,
-    indices: np.ndarray,
-    cfg: FilterConfig,
-) -> tuple[list[SegmentTrack], list[str]]:
+def filter_segments(segments: Sequence[Segment], t_ms: np.ndarray, z: np.ndarray, indices: np.ndarray,
+                    cfg: FilterConfig) -> tuple[list[SegmentTrack], list[str]]:
     """Run each segment independently over the fixes ``z`` (K, 2) at ``t_ms`` (K,).
 
     ``indices`` (K,), strictly ascending, gives each row's RF-log row, the
@@ -287,15 +278,8 @@ def filter_segments(
     ordered = sorted(segments, key=lambda s: s.start_idx)
     slices = segment_rows(ordered, indices)
 
-    outcome: dict[int, Union[tuple[np.ndarray, np.ndarray], FilterError]] = {}
-    for mm in ModelKind:
-        group = [
-            i for i, seg in enumerate(ordered)
-            if seg.mm is mm and slices[i].stop - slices[i].start >= 2
-        ]
-        if group:
-            segs = [ordered[i] for i in group]
-            outcome.update(zip(group, _run_batch(segs, t_ms, z, [slices[i] for i in group], cfg)))
+    run = [i for i, sl in enumerate(slices) if sl.stop - sl.start >= 2]
+    outcome = dict(zip(run, _run_batch([ordered[i] for i in run], t_ms, z, [slices[i] for i in run], cfg)))
 
     tracks: list[SegmentTrack] = []
     warnings: list[str] = []

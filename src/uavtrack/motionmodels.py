@@ -1,21 +1,25 @@
-"""Kinematic motion models: CV, CA, and CT.
+"""Kinematic motion models CV, CA and CT over one common state layout.
 
-Each model provides its state transition, transition Jacobian,
-process-noise covariance, and the position-selecting measurement matrix.
-``ModelKind.states`` gives each state layout (SI units throughout).
+Every model's states (``ModelKind.states``, SI units) are a subset of
+:data:`LAYOUT`. The transition, its Jacobian and the process noise are
+written once, over ``(B, 7)`` layout rows of mixed models, where a state
+that a row's model lacks holds 0; the per-model functions slice them.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 # below this rotation angle |omega T| the CT coefficients switch to their
 # Taylor series, where the closed forms would lose digits to cancellation
 _SMALL_TURN = 1e-2
+
+LAYOUT = ("x", "y", "vx", "vy", "ax", "ay", "omega")
 
 
 class ModelError(ValueError):
@@ -38,9 +42,17 @@ class ModelKind(str, enum.Enum):
         return len(self.states)
 
     @property
+    def columns(self) -> np.ndarray:
+        """Positions of the model's states in :data:`LAYOUT`."""
+        return _COLUMNS[self]
+
+    @property
     def noise_keys(self) -> tuple[str, ...]:
         """The :class:`NoiseSigmas` fields that drive this model's process noise."""
         return {ModelKind.CV: ("accel",), ModelKind.CA: ("jerk",), ModelKind.CT: ("accel", "omega")}[self]
+
+
+_COLUMNS = {mm: np.array([LAYOUT.index(k) for k in mm.states]) for mm in ModelKind}
 
 
 @dataclass(frozen=True)
@@ -57,6 +69,10 @@ class NoiseSigmas:
     omega: float = 0.0
 
     def __post_init__(self):
+        for name, v in vars(self).items():  # float() takes a bool or a string, which is no sigma
+            if isinstance(v, bool) or not isinstance(v, (int, float, np.number)) or not -math.inf < v < math.inf:
+                raise ModelError(f"noise sigma {name} must be a finite number, got {v!r}")
+            object.__setattr__(self, name, float(v))  # OverflowError past the largest float
         if self.accel < 0 or self.jerk < 0 or self.omega < 0:
             raise ModelError(f"negative noise sigma: {self}")
 
@@ -66,7 +82,7 @@ class NoiseSigmas:
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ModelError(f"unknown sigma keys: {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in d.items()})
+        return cls(**d)
 
 
 def _check_state(mm: ModelKind, s: np.ndarray) -> np.ndarray:
@@ -82,26 +98,9 @@ def _check_dt(T: float) -> float:
     return float(T)
 
 
-def _per_axis(block: np.ndarray, n: int) -> np.ndarray:
-    """(B, n, n) matrices holding each per-axis ``block`` on the x and on the y states.
-
-    The layout interleaves the axes, ``[x, y, vx, vy, (ax, ay)]``: a (B, m, m)
-    block over ``[pos, vel, (acc)]`` lands on the even indices for x and on
-    the odd ones for y, with no cross-axis terms.
-    """
-    m = 2 * block.shape[-1]
-    M = np.zeros((block.shape[0], n, n))
-    M[:, 0:m:2, 0:m:2] = block
-    M[:, 1:m:2, 1:m:2] = block
-    return M
-
-
-# CV/CA transition matrix F = I + T D1 (+ T^2/2 D2): the per-axis kinematic
-# chain [[1, T, T^2/2], [0, 1, T], [0, 0, 1]] on both axes, as 0/1 masks
-_CHAIN_MASKS = {
-    mm: [_per_axis(np.eye(m, k=k)[None], mm.state_dim)[0] for k in range(m)]
-    for mm, m in ((ModelKind.CV, 2), (ModelKind.CA, 3))
-}
+def state_mask(kinds: Sequence[ModelKind]) -> np.ndarray:
+    """(B, 7) flags of the :data:`LAYOUT` states that each row's model has."""
+    return np.array([[k in mm.states for k in LAYOUT] for mm in kinds]).reshape(-1, len(LAYOUT))
 
 
 def _turn_coeffs(w: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -133,89 +132,103 @@ def _turn_coeffs(w: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, ...]:
     return swt_w, cwt_w, c, sn, dswt_dw, dcwt_dw
 
 
-def _arc(x, y, vx, vy, w, swt_w, cwt_w, c, sn) -> list[np.ndarray]:
-    """The CT state columns after one step: the exact circular arc."""
-    return [x + vx * swt_w - vy * cwt_w, y + vx * cwt_w + vy * swt_w, vx * c - vy * sn, vx * sn + vy * c, w]
+def propagate_rows(s: np.ndarray, T: np.ndarray, turn: np.ndarray,
+                   jacobian: bool = True) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Layout rows ``s`` (B, 7) propagated over their steps ``T`` (B,), and the
+    (B, 7, 7) Jacobians df/ds there (None unless ``jacobian``).
+
+    Rows flagged in ``turn`` (B,) follow the exact CT arc, the others the
+    per-axis chain ``[[1, T, T^2/2], [0, 1, T], [0, 0, 1]]`` on ``[pos, vel,
+    acc]``. A Jacobian is exact on its row's states; the rest multiply zeros.
+    """
+    half = 0.5 * T * T
+    cols = s.T.copy()  # one contiguous array per state: the fastest in-place sums
+    f = cols.copy()
+    f[:4] += T * cols[2:6]  # p + T v, v + T a
+    f[:2] += half * cols[4:6]  # + T^2/2 a
+    F = None
+    if jacobian:
+        F = np.zeros((len(T), 49))  # row-major 7 x 7
+        F[:, ::8] = 1.0
+        F[:, 2:27:8] = T[:, None]  # x <- vx, y <- vy, vx <- ax, vy <- ay
+        F[:, 4:13:8] = half[:, None]  # x <- ax, y <- ay
+        F = F.reshape(-1, 7, 7)
+    if turn.any():
+        i = slice(None) if turn.all() else np.flatnonzero(turn)
+        x, y, vx, vy, _, _, w = cols[:, i]
+        T = T[i]
+        swt_w, cwt_w, c, sn, dswt_dw, dcwt_dw = _turn_coeffs(w, T)
+        arc = (x + vx * swt_w - vy * cwt_w, y + vx * cwt_w + vy * swt_w, vx * c - vy * sn, vx * sn + vy * c)
+        for col, value in enumerate(arc):
+            f[col, i] = value
+        if jacobian:  # the x, y, vx and vy rows differ from the chain's in the vx, vy and omega columns
+            jac = (swt_w, -cwt_w, vx * dswt_dw - vy * dcwt_dw, cwt_w, swt_w, vx * dcwt_dw + vy * dswt_dw,
+                   c, -sn, T * (-vx * sn - vy * c), sn, c, T * (vx * c - vy * sn))
+            for (row, col), value in zip([(r, k) for r in range(4) for k in (2, 3, 6)], jac):
+                F[i, row, col] = value
+    return f.T, F
+
+
+def noise_rows(sig: np.ndarray, has: np.ndarray) -> np.ndarray:
+    """(B, 3) per row: the variance of the noise on top of each axis's chain (``jerk^2``
+    with an acceleration, else ``accel^2``), its gain on the acceleration and ``omega^2``."""
+    acc = has[:, 4]
+    return np.stack([np.where(acc, sig[:, 1], sig[:, 0]) ** 2, acc * 1.0,
+                     np.where(has[:, 6], sig[:, 2], 0.0) ** 2], axis=1)
+
+
+def process_noise_rows(T: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(B, 7, 7) piecewise-constant white-noise covariances over steps ``T`` (B,)
+    for :func:`noise_rows` ``q``: per-axis outer products, no cross-axis terms."""
+    g = np.stack([0.5 * T * T, T, q[:, 1]], axis=1)  # gains on [pos, vel, acc]
+    block = q[:, 0, None, None] * (g[:, :, None] * g[:, None, :])
+    Q = np.zeros((len(T), 7, 7))
+    Q[:, 0:6:2, 0:6:2] = block
+    Q[:, 1:6:2, 1:6:2] = block
+    Q[:, 6, 6] = q[:, 2] * T * T
+    return Q
+
+
+def _rows(mm: ModelKind, s: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """States ``s`` (..., n) broadcast against steps ``T``: (M, 7) rows, (M,) steps, turn flags, shape."""
+    s, T = np.asarray(s, dtype=float), np.asarray(T, dtype=float)
+    rows = np.zeros(np.broadcast(s[..., 0], T).shape + (len(LAYOUT),))
+    rows[..., mm.columns] = s
+    steps = np.empty(rows.shape[:-1])
+    steps[...] = T
+    return rows.reshape(-1, len(LAYOUT)), steps.ravel(), np.full(steps.size, mm is ModelKind.CT), steps.shape
 
 
 def propagate_states(mm: ModelKind, s: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """The states of :func:`propagate_batch`, without the Jacobians.
-
-    ``s`` (..., n) and the steps ``T`` broadcast against each other, so one
-    entry state (n,) over an array of elapsed times is that state's
-    trajectory. CV/CA take the per-axis chain ``p + T v (+ T^2/2 a)``, the
-    sums of the transition matrix applied to ``s`` without its zero terms
-    (the same bits as ``F @ s`` with numpy 2.4 on x86-64); CT takes the arc.
-    """
-    d = mm.state_dim
-    cols = [s[..., i] for i in range(d)]
-    if mm is ModelKind.CT:
-        out = _arc(*cols, *_turn_coeffs(cols[4], T)[:4])
-    elif mm is ModelKind.CV:
-        x, y, vx, vy = cols
-        out = [x + T * vx, y + T * vy, vx, vy]
-    else:
-        x, y, vx, vy, ax, ay = cols
-        half = 0.5 * T * T
-        out = [x + T * vx + half * ax, y + T * vy + half * ay, vx + T * ax, vy + T * ay, ax, ay]
-    f = np.empty(np.broadcast_shapes(s.shape[:-1], np.shape(T)) + (d,))
-    for i, col in enumerate(out):
-        f[..., i] = col
-    return f
+    """The states of :func:`propagate_batch`, without the Jacobians. ``s`` (..., n) and
+    ``T`` broadcast, so one entry state (n,) over elapsed times is its trajectory."""
+    rows, T, turn, shape = _rows(mm, s, T)
+    return propagate_rows(rows, T, turn, jacobian=False)[0][:, mm.columns].reshape(shape + (mm.state_dim,))
 
 
 def propagate_batch(mm: ModelKind, s: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row of the (B, n) states ``s`` propagated over its step ``T[b]`` seconds,
     and the (B, n, n) transition Jacobians df/ds there."""
-    if mm is not ModelKind.CT:
-        F = np.eye(mm.state_dim) + T[:, None, None] * _CHAIN_MASKS[mm][1]
-        if mm is ModelKind.CA:
-            F += (0.5 * T * T)[:, None, None] * _CHAIN_MASKS[mm][2]
-        return propagate_states(mm, s, T), F
-
-    x, y, vx, vy, w = s.T
-    swt_w, cwt_w, c, sn, dswt_dw, dcwt_dw = _turn_coeffs(w, T)
-    f = np.stack(_arc(x, y, vx, vy, w, swt_w, cwt_w, c, sn), axis=1)
-    one, zero = np.ones_like(w), np.zeros_like(w)
-    J = np.stack([
-        one, zero, swt_w, -cwt_w, vx * dswt_dw - vy * dcwt_dw,
-        zero, one, cwt_w, swt_w, vx * dcwt_dw + vy * dswt_dw,
-        zero, zero, c, -sn, T * (-vx * sn - vy * c),
-        zero, zero, sn, c, T * (vx * c - vy * sn),
-        zero, zero, zero, zero, one,
-    ], axis=1).reshape(-1, 5, 5)
-    return f, J
+    cols = mm.columns
+    f, F = propagate_rows(*_rows(mm, s, T)[:3])
+    return f[:, cols], F[:, cols[:, None], cols]
 
 
 def process_noise_batch(mm: ModelKind, T: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """(B, n, n) process-noise covariances for steps ``T`` and sigma rows ``sig``.
-
-    ``sig`` is (B, 3): the :class:`NoiseSigmas` fields ``accel``, ``jerk``
-    and ``omega`` of each row. Piecewise-constant white-noise construction:
-    per-axis outer products, no cross-axis correlation.
-    """
-    half = 0.5 * T * T
-    if mm is ModelKind.CA:
-        # [pos, vel, acc] per axis
-        g, sigma = np.stack([half, T, np.ones_like(T)], axis=1), sig[:, 1]
-    else:
-        g, sigma = np.stack([half, T], axis=1), sig[:, 0]  # [pos, vel] per axis
-    Q = _per_axis((sigma**2)[:, None, None] * (g[:, :, None] * g[:, None, :]), mm.state_dim)
-    if mm is ModelKind.CT:
-        Q[:, 4, 4] = sig[:, 2] ** 2 * T * T
-    return Q
+    """(B, n, n) process-noise covariances for steps ``T`` and (B, 3) rows ``sig``
+    of the :class:`NoiseSigmas` fields ``accel``, ``jerk`` and ``omega``."""
+    cols = mm.columns
+    return process_noise_rows(T, noise_rows(sig, state_mask([mm] * len(T))))[:, cols[:, None], cols]
 
 
 def transition(mm: ModelKind, s: Sequence[float], T: float) -> np.ndarray:
     """Propagate state ``s`` over ``T`` seconds under model ``mm``."""
-    s = _check_state(mm, s)
-    return propagate_batch(mm, s[None], np.array([_check_dt(T)]))[0][0]
+    return propagate_batch(mm, _check_state(mm, s)[None], np.array([_check_dt(T)]))[0][0]
 
 
 def jacobian(mm: ModelKind, s: Sequence[float], T: float) -> np.ndarray:
     """Transition Jacobian df/ds evaluated at ``s``."""
-    s = _check_state(mm, s)
-    return propagate_batch(mm, s[None], np.array([_check_dt(T)]))[1][0]
+    return propagate_batch(mm, _check_state(mm, s)[None], np.array([_check_dt(T)]))[1][0]
 
 
 def process_noise(mm: ModelKind, T: float, sig: NoiseSigmas) -> np.ndarray:
@@ -230,4 +243,4 @@ def sigma_rows(sigmas: Sequence[NoiseSigmas]) -> np.ndarray:
 
 def measurement_matrix(mm: ModelKind) -> np.ndarray:
     """2 x state_dim selector of the (x, y) position components."""
-    return np.eye(2, mm.state_dim)
+    return np.eye(2, len(LAYOUT))[:, mm.columns]

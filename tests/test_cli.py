@@ -116,11 +116,15 @@ class TestSimulate:
             ({"legs": [dict(LEGS[0], speed=float("nan")), *LEGS[1:]]}, "sim.legs.0.speed must be finite, got nan"),
             ({"sigma_t": float("nan")}, "sim.sigma_t must be >= 0, got nan"),
             ({"truth_dt_ms": 10**20, "rf_interval_ms": 10**20}, "sim.truth_dt_ms is too large"),
+            ({"legs": [dict(LEGS[0], sigmas={"accel": True}), *LEGS[1:]]},
+             "noise sigma accel must be a finite number, got True"),
+            ({"legs": [*LEGS[:-1], dict(LEGS[-1], sigmas={"accel": "0.2"})]},
+             "noise sigma accel must be a finite number, got '0.2'"),
         ],
         ids=["noise_model", "interval_multiple", "zero_truth_dt", "last_leg_sigma", "negative_sigma_t",
              "negative_position_sigma", "negative_seed", "outlier_rate_above_one", "negative_outlier_rate",
              "negative_outlier_max", "infinite_heading", "infinite_speed", "infinite_outlier_max", "nan_start_x",
-             "nan_leg_speed", "nan_sigma_t", "int64_overflow_truth_dt"],
+             "nan_leg_speed", "nan_sigma_t", "int64_overflow_truth_dt", "bool_leg_sigma", "string_leg_sigma"],
     )
     def test_bad_sim_config_rejected_before_truth(self, tmp_path, capsys, monkeypatch, sim, message):
         def fail(*args, **kwargs):

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -288,6 +289,22 @@ class TestSegments:
         with pytest.raises(SegmentError, match=r"unknown sigma keys: \['acel'\]"):
             load_segments(p, K=30)
 
+    @pytest.mark.parametrize("value, message", [
+        (float("nan"), "noise sigma accel must be a finite number, got nan"),
+        (float("inf"), "noise sigma accel must be a finite number, got inf"),
+        (True, "noise sigma accel must be a finite number, got True"),
+        ("0.2", "noise sigma accel must be a finite number, got '0.2'"),
+        (10**400, "int too large to convert to float"),
+    ], ids=["nan", "inf", "true", "string", "huge_int"])
+    def test_bad_sigma_value_rejected(self, tmp_path, value, message):
+        # json writes NaN and Infinity, which json.load reads back; such a
+        # segment used to load and fail in the filter as a singular covariance
+        p = self._write_segments(tmp_path, [
+            {"id": "S1", "start_idx": 0, "end_idx": 10, "mm": "CV", "sigmas": {"accel": value}},
+        ])
+        with pytest.raises(SegmentError, match=r"malformed segment entry .*: " + re.escape(message)):
+            load_segments(p, K=30)
+
     def test_duplicate_id_rejected(self, tmp_path):
         p = self._write_segments(tmp_path, [
             {"id": "S1", "start_idx": 0, "end_idx": 10, "mm": "CV", "sigmas": {}},
@@ -297,11 +314,17 @@ class TestSegments:
         with pytest.raises(SegmentError, match=r"duplicate segment id 'S1'$"):
             load_segments(p, K=30)
 
-    @pytest.mark.parametrize("key", ["start_idx", "end_idx"])
-    def test_fractional_index_rejected(self, tmp_path, key):
-        # a truncating read would load 10.9 as 10, the integer twin of the file
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("start_idx", 0.9, id="start_idx"),
+        pytest.param("end_idx", 10.9, id="end_idx"),
+        pytest.param("start_idx", False, id="start_idx_false"),
+        pytest.param("end_idx", True, id="end_idx_true"),
+    ])
+    def test_fractional_index_rejected(self, tmp_path, key, value):
+        # a truncating read would load 10.9 as 10, the integer twin of the file;
+        # operator.index reads false and true as rows 0 and 1
         entry = {"id": "S1", "start_idx": 0, "end_idx": 10, "mm": "CV", "sigmas": {}}
-        p = self._write_segments(tmp_path, [{**entry, key: entry[key] + 0.9}])
+        p = self._write_segments(tmp_path, [{**entry, key: value}])
         with pytest.raises(SegmentError, match=r"malformed segment entry \{'id': 'S1'.*cannot be interpreted as an integer"):
             load_segments(p, K=30)
 
