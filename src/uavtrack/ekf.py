@@ -21,8 +21,17 @@ import numpy as np
 from .dataio import AlignedPair, Segment, pair_columns, segment_rows
 from .geodesy import EnuPoint
 from .metrics import euclidean_errors
-from .motionmodels import LAYOUT, ModelKind, _check_dt, noise_rows, process_noise_rows, propagate_batch, propagate_rows
-from .motionmodels import sigma_rows, state_mask
+from .motionmodels import (
+    LAYOUT,
+    ModelKind,
+    _check_dt,
+    noise_rows,
+    process_noise_rows,
+    propagate_batch,
+    propagate_rows,
+    sigma_rows,
+    state_mask,
+)
 
 # rad/s bound on a CT segment's turn-rate estimate, projected onto after each
 # update (estimate projection, D. Simon, "Kalman filtering with state
@@ -140,7 +149,9 @@ def predict(fs: FilterState, mm: ModelKind, T: float, Q: np.ndarray) -> FilterSt
     n = mm.state_dim
     Q = np.asarray(Q, dtype=float)
     if fs.s.shape != (n,) or fs.P.shape != (n, n) or Q.shape != (n, n):
-        raise FilterError(f"inconsistent dimensions for {mm.value}: s{fs.s.shape} P{fs.P.shape} Q{Q.shape}")
+        raise FilterError(
+            f"inconsistent dimensions for {mm.value}: s{fs.s.shape} P{fs.P.shape} Q{Q.shape}"
+        )
     s, F = propagate_batch(mm, fs.s[None], np.array([_check_dt(T)]))
     return FilterState(s[0], _predict_cov(F, fs.P[None], Q[None])[0], fs.t_ms + round(T * 1000))
 
@@ -196,8 +207,10 @@ def _initial_covariance(has: np.ndarray, cfg: FilterConfig) -> np.ndarray:
     return np.where(has[:, :, None], np.diag([var[k] for k in LAYOUT]), 0.0)
 
 
-def _run_batch(segs: Sequence[Segment], t_ms: np.ndarray, z: np.ndarray, slices: Sequence[slice],
-               cfg: FilterConfig) -> list[Union[tuple[np.ndarray, np.ndarray], FilterError]]:
+def _run_batch(
+    segs: Sequence[Segment], t_ms: np.ndarray, z: np.ndarray, slices: Sequence[slice],
+    cfg: FilterConfig,
+) -> list[Union[tuple[np.ndarray, np.ndarray], FilterError]]:
     """Filter segments of any models, each over its rows of ``t_ms`` (K,) and ``z`` (K, 2).
 
     Every segment needs at least two rows. It starts at its first fix with
@@ -241,9 +254,9 @@ def _run_batch(segs: Sequence[Segment], t_ms: np.ndarray, z: np.ndarray, slices:
             b = n_active[k]
             at = first[:b] + k  # the running segments' rows of t_ms and z
             T = dt[at - 1]
-            s, F = propagate_rows(s[:b], T, turn[:b])
+            f, F = propagate_rows(s[:b].T, T, turn[:b])
             P = _predict_cov(F, P[:b], process_noise_rows(T, q[:b]))
-            s, P, S, ok = _update_step(s, P, z[at], H, cfg.R)
+            s, P, S, ok = _update_step(f.T, P, z[at], H, cfg.R)
             np.clip(s[:, w], -_OMEGA_MAX, _OMEGA_MAX, out=s[:, w], where=turn[:b])
             for j in np.flatnonzero(~ok | (T <= 0)).tolist():
                 if errors[order[j]] is None:
@@ -266,8 +279,13 @@ def _run_batch(segs: Sequence[Segment], t_ms: np.ndarray, z: np.ndarray, slices:
     return out
 
 
-def filter_segments(segments: Sequence[Segment], t_ms: np.ndarray, z: np.ndarray, indices: np.ndarray,
-                    cfg: FilterConfig) -> tuple[list[SegmentTrack], list[str]]:
+def filter_segments(
+    segments: Sequence[Segment],
+    t_ms: np.ndarray,
+    z: np.ndarray,
+    indices: np.ndarray,
+    cfg: FilterConfig,
+) -> tuple[list[SegmentTrack], list[str]]:
     """Run each segment independently over the fixes ``z`` (K, 2) at ``t_ms`` (K,).
 
     ``indices`` (K,), strictly ascending, gives each row's RF-log row, the

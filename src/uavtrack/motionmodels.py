@@ -2,8 +2,8 @@
 
 Every model's states (``ModelKind.states``, SI units) are a subset of
 :data:`LAYOUT`. The transition, its Jacobian and the process noise are
-written once, over ``(B, 7)`` layout rows of mixed models, where a state
-that a row's model lacks holds 0; the per-model functions slice them.
+written once, over a batch of mixed models' states in that layout, where
+a state that a model lacks holds 0; the per-model functions slice them.
 """
 
 from __future__ import annotations
@@ -132,20 +132,20 @@ def _turn_coeffs(w: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, ...]:
     return swt_w, cwt_w, c, sn, dswt_dw, dcwt_dw
 
 
-def propagate_rows(s: np.ndarray, T: np.ndarray, turn: np.ndarray,
+def propagate_rows(cols: np.ndarray, T: np.ndarray, turn: np.ndarray,
                    jacobian: bool = True) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Layout rows ``s`` (B, 7) propagated over their steps ``T`` (B,), and the
-    (B, 7, 7) Jacobians df/ds there (None unless ``jacobian``).
+    """Layout columns ``cols`` (7, B), one row per state, propagated over their
+    steps ``T`` (B,), and the (B, 7, 7) Jacobians df/ds (None unless ``jacobian``).
 
-    Rows flagged in ``turn`` (B,) follow the exact CT arc, the others the
+    Columns flagged in ``turn`` (B,) follow the exact CT arc, the others the
     per-axis chain ``[[1, T, T^2/2], [0, 1, T], [0, 0, 1]]`` on ``[pos, vel,
-    acc]``. A Jacobian is exact on its row's states; the rest multiply zeros.
+    acc]``. A Jacobian is exact on its column's states; the rest multiply zeros.
     """
-    half = 0.5 * T * T
-    cols = s.T.copy()  # one contiguous array per state: the fastest in-place sums
-    f = cols.copy()
-    f[:4] += T * cols[2:6]  # p + T v, v + T a
-    f[:2] += half * cols[4:6]  # + T^2/2 a
+    half, n_turn = 0.5 * T * T, np.count_nonzero(turn)
+    f = cols.copy()  # one contiguous array per state: the fastest in-place sums
+    if n_turn < len(T):  # the arc overwrites the chain's sums on CT columns
+        f[:4] += T * f[2:6]  # p + T v, v + T a
+        f[:2] += half * f[4:6]  # + T^2/2 a
     F = None
     if jacobian:
         F = np.zeros((len(T), 49))  # row-major 7 x 7
@@ -153,20 +153,20 @@ def propagate_rows(s: np.ndarray, T: np.ndarray, turn: np.ndarray,
         F[:, 2:27:8] = T[:, None]  # x <- vx, y <- vy, vx <- ax, vy <- ay
         F[:, 4:13:8] = half[:, None]  # x <- ax, y <- ay
         F = F.reshape(-1, 7, 7)
-    if turn.any():
-        i = slice(None) if turn.all() else np.flatnonzero(turn)
+    if n_turn:
+        i = slice(None) if n_turn == len(T) else np.flatnonzero(turn)
         x, y, vx, vy, _, _, w = cols[:, i]
         T = T[i]
         swt_w, cwt_w, c, sn, dswt_dw, dcwt_dw = _turn_coeffs(w, T)
         arc = (x + vx * swt_w - vy * cwt_w, y + vx * cwt_w + vy * swt_w, vx * c - vy * sn, vx * sn + vy * c)
-        for col, value in enumerate(arc):
-            f[col, i] = value
+        for row, value in enumerate(arc):
+            f[row, i] = value
         if jacobian:  # the x, y, vx and vy rows differ from the chain's in the vx, vy and omega columns
             jac = (swt_w, -cwt_w, vx * dswt_dw - vy * dcwt_dw, cwt_w, swt_w, vx * dcwt_dw + vy * dswt_dw,
                    c, -sn, T * (-vx * sn - vy * c), sn, c, T * (vx * c - vy * sn))
             for (row, col), value in zip([(r, k) for r in range(4) for k in (2, 3, 6)], jac):
                 F[i, row, col] = value
-    return f.T, F
+    return f, F
 
 
 def noise_rows(sig: np.ndarray, has: np.ndarray) -> np.ndarray:
@@ -189,46 +189,60 @@ def process_noise_rows(T: np.ndarray, q: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _rows(mm: ModelKind, s: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-    """States ``s`` (..., n) broadcast against steps ``T``: (M, 7) rows, (M,) steps, turn flags, shape."""
+def _columns(mm: ModelKind, s: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """States ``s`` (..., n) broadcast against steps ``T``: (7, M) layout columns, (M,) steps, turn flags, shape."""
     s, T = np.asarray(s, dtype=float), np.asarray(T, dtype=float)
-    rows = np.zeros(np.broadcast(s[..., 0], T).shape + (len(LAYOUT),))
-    rows[..., mm.columns] = s
-    steps = np.empty(rows.shape[:-1])
+    shape = np.broadcast(s[..., 0], T).shape
+    cols, steps = np.zeros((len(LAYOUT),) + shape), np.empty(shape)
+    for i, col in enumerate(mm.columns.tolist()):
+        cols[col] = s[..., i]
     steps[...] = T
-    return rows.reshape(-1, len(LAYOUT)), steps.ravel(), np.full(steps.size, mm is ModelKind.CT), steps.shape
+    return cols.reshape(len(LAYOUT), -1), steps.ravel(), np.full(steps.size, mm is ModelKind.CT), shape
 
 
 def propagate_states(mm: ModelKind, s: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """The states of :func:`propagate_batch`, without the Jacobians. ``s`` (..., n) and
-    ``T`` broadcast, so one entry state (n,) over elapsed times is its trajectory."""
-    rows, T, turn, shape = _rows(mm, s, T)
-    return propagate_rows(rows, T, turn, jacobian=False)[0][:, mm.columns].reshape(shape + (mm.state_dim,))
+    """The states of :func:`propagate_batch`, without the Jacobians.
+
+    ``s`` (..., n) and the steps ``T`` broadcast against each other, so one
+    entry state (n,) over an array of elapsed times is that state's
+    trajectory. CV/CA take the per-axis chain ``p + T v (+ T^2/2 a)``, the
+    sums of the transition matrix applied to ``s`` without its zero terms
+    (the same bits as ``F @ s`` with numpy 2.4 on x86-64); CT takes the arc.
+    """
+    cols, T, turn, shape = _columns(mm, s, T)
+    f = propagate_rows(cols, T, turn, jacobian=False)[0]
+    return f[mm.columns].T.reshape(shape + (mm.state_dim,))
 
 
 def propagate_batch(mm: ModelKind, s: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row of the (B, n) states ``s`` propagated over its step ``T[b]`` seconds,
     and the (B, n, n) transition Jacobians df/ds there."""
     cols = mm.columns
-    f, F = propagate_rows(*_rows(mm, s, T)[:3])
-    return f[:, cols], F[:, cols[:, None], cols]
+    f, F = propagate_rows(*_columns(mm, s, T)[:3])
+    return f[cols].T, F[:, cols[:, None], cols]
 
 
 def process_noise_batch(mm: ModelKind, T: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """(B, n, n) process-noise covariances for steps ``T`` and (B, 3) rows ``sig``
-    of the :class:`NoiseSigmas` fields ``accel``, ``jerk`` and ``omega``."""
+    """(B, n, n) process-noise covariances for steps ``T`` and sigma rows ``sig``.
+
+    ``sig`` is (B, 3): the :class:`NoiseSigmas` fields ``accel``, ``jerk``
+    and ``omega`` of each row. Piecewise-constant white-noise construction:
+    per-axis outer products, no cross-axis correlation.
+    """
     cols = mm.columns
     return process_noise_rows(T, noise_rows(sig, state_mask([mm] * len(T))))[:, cols[:, None], cols]
 
 
 def transition(mm: ModelKind, s: Sequence[float], T: float) -> np.ndarray:
     """Propagate state ``s`` over ``T`` seconds under model ``mm``."""
-    return propagate_batch(mm, _check_state(mm, s)[None], np.array([_check_dt(T)]))[0][0]
+    s = _check_state(mm, s)
+    return propagate_batch(mm, s[None], np.array([_check_dt(T)]))[0][0]
 
 
 def jacobian(mm: ModelKind, s: Sequence[float], T: float) -> np.ndarray:
     """Transition Jacobian df/ds evaluated at ``s``."""
-    return propagate_batch(mm, _check_state(mm, s)[None], np.array([_check_dt(T)]))[1][0]
+    s = _check_state(mm, s)
+    return propagate_batch(mm, s[None], np.array([_check_dt(T)]))[1][0]
 
 
 def process_noise(mm: ModelKind, T: float, sig: NoiseSigmas) -> np.ndarray:

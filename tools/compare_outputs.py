@@ -67,6 +67,20 @@ def package_root(path: str) -> Path:
     return root
 
 
+def tree_env(src: Path) -> dict[str, str]:
+    """The environment of a tree's commands: the pinned one, with ``src`` alone on the path."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env.update(PINNED_ENV, PYTHONPATH=str(src))
+    return env
+
+
+def flight_config(name: str, seed: int) -> dict:
+    """The workload's run config, its logs under ``sim/`` of the work directory."""
+    cfg = workloads.generate(name, seed)
+    cfg["paths"] = {"truth": "sim/truth.csv", "rf": "sim/rf.csv", "segments": "sim/segments.json"}
+    return cfg
+
+
 def src_lines(root: Path) -> int:
     """Newlines in the package's modules, the total of ``wc -l uavtrack/*.py``."""
     return sum(p.read_bytes().count(b"\n") for p in (root / "uavtrack").glob("*.py"))
@@ -79,8 +93,7 @@ def run_flight(src: Path, cfg: dict, work: Path) -> dict[str, bytes]:
     """
     work.mkdir(parents=True)
     (work / "run.json").write_text(json.dumps(cfg, indent=1))
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env.update(PINNED_ENV, PYTHONPATH=str(src))
+    env = tree_env(src)
     outputs = {}
     for out, args in COMMANDS.items():
         argv = [sys.executable, "-m", "uavtrack.cli", "--config", "run.json", "--out", out, *args]
@@ -104,8 +117,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
         for name in sorted(workloads.WORKLOADS):
             for seed in SEEDS:
-                cfg = workloads.generate(name, seed)
-                cfg["paths"] = {"truth": "sim/truth.csv", "rf": "sim/rf.csv", "segments": "sim/segments.json"}
+                cfg = flight_config(name, seed)
                 flight = f"{name}-{seed}"
                 parent, change = (run_flight(src, cfg, Path(tmp, side, flight)) for side, src in trees.items())
                 for key in sorted(parent.keys() | change.keys()):

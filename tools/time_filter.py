@@ -1,7 +1,7 @@
 """Time in-process ``ekf.filter_segments`` of two uavtrack source trees.
 
 Usage:
-    python tools/time_filter.py PARENT_SRC CHANGE_SRC [--pairs N] [--repeats R]
+    python tools/time_filter.py PARENT_SRC CHANGE_SRC [--pairs N]
 
 Each argument is a checkout's ``src`` directory, the one holding the
 ``uavtrack`` package. For every benchmark flight of
@@ -12,7 +12,7 @@ One pair is two fresh processes, one per tree, in alternating order
 (parent first in even pairs, change first in odd ones). Each process runs
 ``track`` in-process on every flight once, untimed, keeping the arguments
 it passed to ``ekf.filter_segments``; it then calls ``filter_segments``
-``R`` times on them and reports the median wall time per flight.
+``REPEATS`` times on them and reports the median wall time per flight.
 
 Prints, per flight, each tree's median and quartiles over the pairs (in
 ms) and in how many pairs the change was faster. It is a report, not a
@@ -32,14 +32,13 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import workloads  # noqa: E402
-from run import PINNED_ENV  # noqa: E402
+from compare_outputs import flight_config, package_root, tree_env, workloads
 
 SEEDS = (1, 2, 3)
+REPEATS = 5  # filter_segments calls per flight and process
 
 
-def worker(flights_dir: str, repeats: int) -> None:
+def worker(flights_dir: str) -> None:
     """Print ``{flight: median seconds of filter_segments}`` as JSON, run inside one tree."""
     from uavtrack import cli, ekf
 
@@ -64,7 +63,7 @@ def worker(flights_dir: str, repeats: int) -> None:
             ekf.filter_segments = filter_segments
         (args, kwargs), = captured
         times = []
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             t0 = time.perf_counter()
             filter_segments(*args, **kwargs)
             times.append(time.perf_counter() - t0)
@@ -72,28 +71,22 @@ def worker(flights_dir: str, repeats: int) -> None:
     print(json.dumps(medians))
 
 
-def run_tree(src: Path, flights: Path, repeats: int) -> dict[str, float]:
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env.update(PINNED_ENV, PYTHONPATH=str(src))
-    argv = [sys.executable, __file__, "--worker", str(flights), "--repeats", str(repeats)]
-    proc = subprocess.run(argv, env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True)
+def run_tree(src: Path, flights: Path) -> dict[str, float]:
+    argv = [sys.executable, __file__, "--worker", str(flights)]
+    proc = subprocess.run(argv, env=tree_env(src), stdin=subprocess.DEVNULL, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"error: timing run of {src} failed:\n{proc.stderr}")
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 def simulate(src: Path, flights: Path) -> None:
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env.update(PINNED_ENV, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "uavtrack.cli", "--config", "run.json", "--out", "sim", "simulate"]
     for name in sorted(workloads.WORKLOADS):
         for seed in SEEDS:
             work = flights / f"{name}-{seed}"
             work.mkdir(parents=True)
-            cfg = workloads.generate(name, seed)
-            cfg["paths"] = {"truth": "sim/truth.csv", "rf": "sim/rf.csv", "segments": "sim/segments.json"}
-            (work / "run.json").write_text(json.dumps(cfg, indent=1))
-            argv = [sys.executable, "-m", "uavtrack.cli", "--config", "run.json", "--out", "sim", "simulate"]
-            subprocess.run(argv, cwd=work, env=env, stdin=subprocess.DEVNULL, capture_output=True, check=True)
+            (work / "run.json").write_text(json.dumps(flight_config(name, seed), indent=1))
+            subprocess.run(argv, cwd=work, env=tree_env(src), stdin=subprocess.DEVNULL, capture_output=True, check=True)
 
 
 def main() -> int:
@@ -101,21 +94,16 @@ def main() -> int:
     parser.add_argument("parent_src", nargs="?")
     parser.add_argument("change_src", nargs="?")
     parser.add_argument("--pairs", type=int, default=10, help="alternating parent/change process pairs")
-    parser.add_argument("--repeats", type=int, default=5, help="filter_segments calls per flight and process")
     parser.add_argument("--worker", metavar="FLIGHTS_DIR", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        worker(args.worker, args.repeats)
+        worker(args.worker)
         return 0
     if args.parent_src is None or args.change_src is None:
         parser.error("PARENT_SRC and CHANGE_SRC are required")
-    if args.pairs < 1 or args.repeats < 1:
-        parser.error("--pairs and --repeats must be at least 1")
-    trees = {}
-    for side, path in (("parent", args.parent_src), ("change", args.change_src)):
-        trees[side] = Path(path).resolve()
-        if not (trees[side] / "uavtrack" / "ekf.py").is_file():
-            raise SystemExit(f"error: no uavtrack package in {path}")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    trees = {"parent": package_root(args.parent_src), "change": package_root(args.change_src)}
 
     times: dict[str, dict[str, list[float]]] = {side: {} for side in trees}
     with tempfile.TemporaryDirectory(prefix="time_filter-") as tmp:
@@ -124,11 +112,11 @@ def main() -> int:
         for i in range(args.pairs):
             sides = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for side in sides:
-                for flight, t in run_tree(trees[side], flights, args.repeats).items():
+                for flight, t in run_tree(trees[side], flights).items():
                     times[side].setdefault(flight, []).append(t)
             print(f"# pair {i + 1} of {args.pairs} done", file=sys.stderr)
 
-    print(f"filter_segments ms, {args.pairs} pairs, median of {args.repeats} calls per process")
+    print(f"filter_segments ms, {args.pairs} pairs, median of {REPEATS} calls per process")
     print(f"{'flight':<18} {'parent median [q1, q3]':>26} {'change median [q1, q3]':>26} {'change faster':>14}")
     for flight in sorted(times["parent"]):
         p, c = (np.array(times[side][flight]) * 1000.0 for side in ("parent", "change"))
