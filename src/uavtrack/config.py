@@ -15,9 +15,9 @@ from typing import Any, Optional
 import numpy as np
 
 from . import dataio, ekf
-from .geodesy import GeoPoint, to_enu
-from .motionmodels import NoiseSigmas
-from .tdoa import SensorArray, ArrayError
+from .geodesy import EnuPoint, GeoPoint, to_enu
+from .motionmodels import NoiseSigmas, _finite_number
+from .tdoa import SensorArray
 
 
 class ConfigError(ValueError):
@@ -177,17 +177,16 @@ class RunConfig:
             raise ConfigError("config has no sensor array")
         try:
             positions = []
-            for entry in spec["sensors"]:
-                if "x" in entry:
-                    positions.append([float(entry["x"]), float(entry["y"])])
-                else:
-                    p = to_enu(GeoPoint(float(entry["lat_deg"]), float(entry["lon_deg"])), origin)
-                    positions.append([p.x, p.y])
+            for i, entry in enumerate(spec["sensors"]):
+                keys = ("x", "y") if "x" in entry else ("lat_deg", "lon_deg")
+                a, b = (_finite_number(entry[k], f"sensors.sensors.{i}.{k}") for k in keys)
+                p = EnuPoint(a, b) if keys[0] == "x" else to_enu(GeoPoint(a, b), origin)
+                positions.append([p.x, p.y])
             ref = spec.get("reference_idx", 0)
             if isinstance(ref, bool) or not isinstance(ref, int):
                 raise ConfigError(f"sensors.reference_idx must be an integer, got {ref!r}")
             return SensorArray(np.array(positions), ref)
-        except (TypeError, KeyError, ValueError, ArrayError) as exc:
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid sensor array: {exc}") from exc
 
     def input_path(self, key: str) -> Path:

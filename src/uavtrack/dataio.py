@@ -68,22 +68,6 @@ class SegmentError(ValueError):
 
 
 @dataclass(frozen=True)
-class TimedSample:
-    t_ms: int
-    pos: EnuPoint
-
-
-@dataclass(frozen=True)
-class AlignedPair:
-    t_ms: int
-    uav: EnuPoint
-    rf: EnuPoint
-
-    def error_m(self) -> float:
-        return float(euclidean_errors([self.uav], [self.rf])[0])
-
-
-@dataclass(frozen=True)
 class Segment:
     """Inclusive range of RF-log rows flown under one motion model."""
 
@@ -362,25 +346,6 @@ def _fixed_text(digits: int) -> Callable[[np.ndarray], list[np.ndarray] | None]:
     return convert
 
 
-def sample_columns(samples: Sequence[TimedSample]) -> tuple[np.ndarray, np.ndarray]:
-    """``t_ms`` (K,) and local ``xy`` (K, 2) columns of timed samples."""
-    t_ms = np.array([s.t_ms for s in samples], dtype=np.int64)
-    return t_ms, np.array([(s.pos.x, s.pos.y) for s in samples], dtype=float).reshape(-1, 2)
-
-
-def timed_samples(t_ms: np.ndarray, xy: np.ndarray) -> list[TimedSample]:
-    """One :class:`TimedSample` per row of ``t_ms`` (K,) and local ``xy`` (K, 2)."""
-    return [TimedSample(t, EnuPoint(x, y)) for t, (x, y) in zip(t_ms.tolist(), xy.tolist())]
-
-
-def pair_columns(pairs: Sequence[AlignedPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``t_ms`` (K,), truth ``uav`` (K, 2) and ``rf`` (K, 2) columns of aligned pairs."""
-    t_ms = np.array([p.t_ms for p in pairs], dtype=np.int64)
-    uav = np.array([(p.uav.x, p.uav.y) for p in pairs], dtype=float).reshape(-1, 2)
-    rf = np.array([(p.rf.x, p.rf.y) for p in pairs], dtype=float).reshape(-1, 2)
-    return t_ms, uav, rf
-
-
 def check_tol_ms(tol_ms: int) -> None:
     """ValueError unless the matching tolerance ``tol_ms`` is at least 0."""
     if tol_ms < 0:
@@ -444,14 +409,6 @@ def match_times(uav_t: np.ndarray, rf_t: np.ndarray, tol_ms: int = 1) -> tuple[n
     return rf_idx, pick[rf_idx].astype(np.intp)
 
 
-def align(
-    uav: Sequence[TimedSample], rf: Sequence[TimedSample], tol_ms: int = 1
-) -> list[AlignedPair]:
-    """:func:`match_times` over in-memory samples, sorted by time and in the local frame."""
-    rf_idx, uav_idx = match_times([s.t_ms for s in uav], [s.t_ms for s in rf], tol_ms)
-    return [AlignedPair(rf[i].t_ms, uav=uav[j].pos, rf=rf[i].pos) for i, j in zip(rf_idx, uav_idx)]
-
-
 def kept_mask(
     uav: np.ndarray, rf: np.ndarray, threshold_m: float = DEFAULT_CLEAN_THRESHOLD_M
 ) -> np.ndarray:
@@ -461,14 +418,6 @@ def kept_mask(
     """
     check_threshold_m(threshold_m)
     return euclidean_errors(uav, rf) <= threshold_m
-
-
-def clean(
-    pairs: Sequence[AlignedPair], threshold_m: float = DEFAULT_CLEAN_THRESHOLD_M
-) -> list[AlignedPair]:
-    """Drop pairs whose localization error is strictly above ``threshold_m``."""
-    _, uav, rf = pair_columns(pairs)
-    return [p for p, keep in zip(pairs, kept_mask(uav, rf, threshold_m).tolist()) if keep]
 
 
 def load_segments(path, K: int) -> list[Segment]:

@@ -6,9 +6,10 @@ the Joseph form and are re-symmetrized after every step.
 
 The filter runs batched: :func:`filter_segments` sweeps every segment of
 a flight at once on ``(B, 7)`` states and ``(B, 7, 7)`` covariances in the
-common layout :data:`motionmodels.LAYOUT`, whatever its motion model. The
-scalar :func:`predict` and :func:`update` are batches of one over the same
-step kernels, and a segment's result does not depend on the batch it ran in.
+common layout :data:`motionmodels.LAYOUT`, whatever its motion model, and
+a segment's result does not depend on the batch it ran in. The single-state
+``predict`` and ``update`` of :mod:`uavtrack.objects` are batches of one
+over the same step kernels, :func:`_predict_cov` and :func:`_update_step`.
 """
 
 from __future__ import annotations
@@ -18,16 +19,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dataio import AlignedPair, Segment, pair_columns, segment_rows
-from .geodesy import EnuPoint
+from .dataio import Segment, segment_rows
 from .metrics import euclidean_errors
 from .motionmodels import (
     LAYOUT,
     ModelKind,
-    _check_dt,
     noise_rows,
     process_noise_rows,
-    propagate_batch,
     propagate_rows,
     sigma_rows,
     state_mask,
@@ -48,31 +46,11 @@ class FilterError(ValueError):
 
 
 @dataclass(frozen=True)
-class FilterState:
-    s: np.ndarray
-    P: np.ndarray
-    t_ms: int
-
-
-@dataclass(frozen=True)
-class MeasurementModel:
-    H: np.ndarray
-    R: np.ndarray
-
-
-@dataclass(frozen=True)
-class TrackPoint:
-    t_ms: int
-    pos: EnuPoint
-    state: FilterState
-
-
-@dataclass(frozen=True)
 class FilterConfig:
     """Filter tuning shared across segments.
 
     ``R`` is the 2 x 2 measurement-noise covariance used by every
-    segment, typically :func:`estimate_R` over the whole flight.
+    segment, typically :func:`estimate_R_arrays` over the whole flight.
     ``omega_var`` is the initial turn-rate variance of a CT segment in
     (rad/s)^2: 0.01, a 6 deg/s standard deviation, bounds the prior by the
     platform's turn rates. A 1.0 prior (57 deg/s) lets long CT segments
@@ -144,34 +122,6 @@ def _update_step(s: np.ndarray, P: np.ndarray, z: np.ndarray, H: np.ndarray, R: 
     return s, P, S, ok
 
 
-def predict(fs: FilterState, mm: ModelKind, T: float, Q: np.ndarray) -> FilterState:
-    """Time update: propagate mean and covariance over ``T`` seconds."""
-    n = mm.state_dim
-    Q = np.asarray(Q, dtype=float)
-    if fs.s.shape != (n,) or fs.P.shape != (n, n) or Q.shape != (n, n):
-        raise FilterError(
-            f"inconsistent dimensions for {mm.value}: s{fs.s.shape} P{fs.P.shape} Q{Q.shape}"
-        )
-    s, F = propagate_batch(mm, fs.s[None], np.array([_check_dt(T)]))
-    return FilterState(s[0], _predict_cov(F, fs.P[None], Q[None])[0], fs.t_ms + round(T * 1000))
-
-
-def update(fs_pred: FilterState, z: EnuPoint, meas: MeasurementModel) -> FilterState:
-    """Measurement update with the RF position fix (Joseph form)."""
-    H = np.asarray(meas.H, dtype=float)
-    R = np.asarray(meas.R, dtype=float)
-    n = fs_pred.s.shape[0]
-    if H.shape != (2, n) or R.shape != (2, 2):
-        raise FilterError(f"inconsistent measurement dimensions: H{H.shape} R{R.shape}")
-    with np.errstate(all="ignore"):
-        s, P, S, ok = _update_step(
-            np.asarray(fs_pred.s, dtype=float)[None], fs_pred.P[None], np.array([[z.x, z.y]]), H, R
-        )
-    if not ok[0]:
-        raise FilterError(f"singular innovation covariance: {S[0]}")
-    return FilterState(s[0], P[0], fs_pred.t_ms)
-
-
 def check_r_mode(mode: str) -> None:
     """FilterError unless ``mode`` is one of :data:`R_MODES`."""
     if mode not in R_MODES:
@@ -192,12 +142,6 @@ def estimate_R_arrays(uav: np.ndarray, rf: np.ndarray, mode: str = "mean") -> np
         return np.diag([m, m])
     dx, dy = (rf - uav).T
     return np.diag([float(np.mean(dx**2)), float(np.mean(dy**2))])
-
-
-def estimate_R(pairs: Sequence[AlignedPair], mode: str = "mean") -> np.ndarray:
-    """:func:`estimate_R_arrays` over aligned pairs."""
-    _, uav, rf = pair_columns(pairs)
-    return estimate_R_arrays(uav, rf, mode)
 
 
 def _initial_covariance(has: np.ndarray, cfg: FilterConfig) -> np.ndarray:
@@ -310,30 +254,3 @@ def filter_segments(
         else:
             tracks.append(SegmentTrack(seg, slices[i], *res))
     return tracks, warnings
-
-
-def run_trajectory(
-    segments: Sequence[Segment],
-    pairs: Sequence[AlignedPair],
-    cfg: FilterConfig,
-    indices: Optional[Sequence[int]] = None,
-) -> tuple[list[tuple[Segment, list[TrackPoint]]], list[str]]:
-    """Run each segment independently; no state carries across segments.
-
-    ``indices`` maps each pair to its RF-log row, the index space of the
-    segments (identity when every RF fix is paired and kept); it must be
-    strictly ascending and as long as ``pairs``, else ValueError.
-    Returns (per-segment tracks, warning messages); failed segments warn
-    and are omitted.
-    """
-    if indices is None:
-        indices = range(len(pairs))
-    elif len(indices) != len(pairs) or any(b <= a for a, b in zip(indices, indices[1:])):
-        raise ValueError("indices must be strictly ascending, one per pair")
-    t, _, rf = pair_columns(pairs)
-    tracks, warnings = filter_segments(segments, t, rf, indices, cfg)
-    return [
-        (tr.segment, [TrackPoint(ts, EnuPoint(s[0], s[1]), FilterState(s, P, ts))
-                      for ts, s, P in zip(t[tr.rows].tolist(), tr.states, tr.covs)])
-        for tr in tracks
-    ], warnings

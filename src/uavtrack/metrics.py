@@ -86,11 +86,3 @@ def cdf(errors: Sequence[float]) -> CdfCurve:
     values, counts = np.unique(e, return_counts=True)
     fractions = np.cumsum(counts) / e.size
     return CdfCurve(values, fractions)
-
-
-def quantile(curve: CdfCurve, q: float) -> float:
-    """Smallest error e with F(e) >= q (right-continuous inverse)."""
-    if not 0.0 < q <= 1.0:
-        raise MetricsError(f"quantile level must be in (0, 1], got {q}")
-    idx = int(np.searchsorted(curve.fractions, q - 1e-12))
-    return float(curve.errors_m[min(idx, curve.errors_m.size - 1)])

@@ -4,6 +4,7 @@ Every model's states (``ModelKind.states``, SI units) are a subset of
 :data:`LAYOUT`. The transition, its Jacobian and the process noise are
 written once, over a batch of mixed models' states in that layout, where
 a state that a model lacks holds 0; the per-model functions slice them.
+The single-state forms are in :mod:`uavtrack.objects`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +56,14 @@ class ModelKind(str, enum.Enum):
 _COLUMNS = {mm: np.array([LAYOUT.index(k) for k in mm.states]) for mm in ModelKind}
 
 
+def _finite_number(value: Any, name: str, error: type[ValueError] = ValueError) -> float:
+    """``value`` as a float if it is a finite number, else ``error`` naming ``name``. A bool or a
+    string is none, though ``float()`` takes ``true`` and ``"nan"``; OverflowError past the largest float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.number)) or not -math.inf < value < math.inf:
+        raise error(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class NoiseSigmas:
     """Process-noise standard deviations.
@@ -69,10 +78,8 @@ class NoiseSigmas:
     omega: float = 0.0
 
     def __post_init__(self):
-        for name, v in vars(self).items():  # float() takes a bool or a string, which is no sigma
-            if isinstance(v, bool) or not isinstance(v, (int, float, np.number)) or not -math.inf < v < math.inf:
-                raise ModelError(f"noise sigma {name} must be a finite number, got {v!r}")
-            object.__setattr__(self, name, float(v))  # OverflowError past the largest float
+        for name, v in vars(self).items():
+            object.__setattr__(self, name, _finite_number(v, f"noise sigma {name}", ModelError))
         if self.accel < 0 or self.jerk < 0 or self.omega < 0:
             raise ModelError(f"negative noise sigma: {self}")
 
@@ -83,19 +90,6 @@ class NoiseSigmas:
         if unknown:
             raise ModelError(f"unknown sigma keys: {sorted(unknown)}")
         return cls(**d)
-
-
-def _check_state(mm: ModelKind, s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    if s.shape != (mm.state_dim,):
-        raise ModelError(f"{mm.value} expects state of length {mm.state_dim}, got shape {s.shape}")
-    return s
-
-
-def _check_dt(T: float) -> float:
-    if not T > 0:
-        raise ModelError(f"time step must be positive, got {T}")
-    return float(T)
 
 
 def state_mask(kinds: Sequence[ModelKind]) -> np.ndarray:
@@ -220,34 +214,6 @@ def propagate_batch(mm: ModelKind, s: np.ndarray, T: np.ndarray) -> tuple[np.nda
     cols = mm.columns
     f, F = propagate_rows(*_columns(mm, s, T)[:3])
     return f[cols].T, F[:, cols[:, None], cols]
-
-
-def process_noise_batch(mm: ModelKind, T: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """(B, n, n) process-noise covariances for steps ``T`` and sigma rows ``sig``.
-
-    ``sig`` is (B, 3): the :class:`NoiseSigmas` fields ``accel``, ``jerk``
-    and ``omega`` of each row. Piecewise-constant white-noise construction:
-    per-axis outer products, no cross-axis correlation.
-    """
-    cols = mm.columns
-    return process_noise_rows(T, noise_rows(sig, state_mask([mm] * len(T))))[:, cols[:, None], cols]
-
-
-def transition(mm: ModelKind, s: Sequence[float], T: float) -> np.ndarray:
-    """Propagate state ``s`` over ``T`` seconds under model ``mm``."""
-    s = _check_state(mm, s)
-    return propagate_batch(mm, s[None], np.array([_check_dt(T)]))[0][0]
-
-
-def jacobian(mm: ModelKind, s: Sequence[float], T: float) -> np.ndarray:
-    """Transition Jacobian df/ds evaluated at ``s``."""
-    s = _check_state(mm, s)
-    return propagate_batch(mm, s[None], np.array([_check_dt(T)]))[1][0]
-
-
-def process_noise(mm: ModelKind, T: float, sig: NoiseSigmas) -> np.ndarray:
-    """Process-noise covariance Q for one step of length ``T``."""
-    return process_noise_batch(mm, np.array([_check_dt(T)]), sigma_rows([sig]))[0]
 
 
 def sigma_rows(sigmas: Sequence[NoiseSigmas]) -> np.ndarray:

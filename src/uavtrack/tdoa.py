@@ -11,11 +11,10 @@ from __future__ import annotations
 import bisect
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .dataio import TimedSample, sample_columns, timed_samples
 from .geodesy import MAX_RANGE_M, EnuPoint
 
 log = logging.getLogger(__name__)
@@ -44,9 +43,11 @@ class SensorArray:
         pos = np.asarray(self.positions, dtype=float)
         object.__setattr__(self, "positions", pos)
         # 2 sensors can still produce a measurement; a 2-D fix needs >= 3
-        # (enforced in solve_position)
+        # (enforced by `simulate` and by objects.solve_position)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 2:
             raise ArrayError(f"need at least 2 sensors with (x, y) positions, got shape {pos.shape}")
+        if not np.isfinite(pos).all():
+            raise ArrayError(f"sensor positions must be finite, got {pos.tolist()}")
         if not 0 <= self.reference_idx < pos.shape[0]:
             raise ArrayError(f"reference index {self.reference_idx} out of range")
         d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
@@ -58,19 +59,6 @@ class SensorArray:
     def centroid(self) -> EnuPoint:
         c = self.positions.mean(axis=0)
         return EnuPoint(float(c[0]), float(c[1]))
-
-
-@dataclass(frozen=True)
-class TdoaMeasurement:
-    t_ms: int
-    deltas: tuple  # ((sensor_idx, delta_tau_seconds), ...), reference excluded
-
-
-@dataclass(frozen=True)
-class TdoaFix:
-    pos: EnuPoint
-    residual_m: float  # RMS range-difference residual at the solution
-    converged: bool
 
 
 def _arrival_differences(
@@ -86,29 +74,6 @@ def _arrival_differences(
     idx = [i for i in range(pos.shape[0]) if i != ref]
     _, d, d_ref = _range_residuals(pos[idx], pos[ref], 0.0, xy.T)
     return idx, (d - d_ref).T / SPEED_OF_LIGHT + jitter
-
-
-def simulate_tdoa(
-    arr: SensorArray,
-    p: EnuPoint,
-    sigma_t: float,
-    rng: np.random.Generator,
-    t_ms: int = 0,
-) -> TdoaMeasurement:
-    """Arrival-time differences for an emitter at ``p`` with i.i.d. Gaussian jitter."""
-    if not sigma_t >= 0:
-        raise ValueError(f"sigma_t must be >= 0, got {sigma_t}")
-    m = arr.positions.shape[0] - 1
-    jitter = rng.normal(0.0, sigma_t, size=m) if sigma_t > 0 else np.zeros(m)
-    idx, dt = _arrival_differences(arr, np.array([[p.x, p.y]]), jitter)
-    return TdoaMeasurement(t_ms, tuple(zip(idx, dt[0].tolist())))
-
-
-def _range_differences(meas: Sequence[TdoaMeasurement]) -> tuple[list[int], np.ndarray]:
-    """Sensor indices and range differences c*dtau, shape (E, m), of measurements over one sensor set."""
-    idx = [i for i, _ in meas[0].deltas]
-    rd = np.array([[dt for _, dt in m.deltas] for m in meas], dtype=float).reshape(len(meas), len(idx))
-    return idx, SPEED_OF_LIGHT * rd
 
 
 def _impossible(arr: SensorArray, idx: list[int], rd: np.ndarray) -> np.ndarray:
@@ -192,14 +157,6 @@ def _qr_step(jx: np.ndarray, jy: np.ndarray, r: np.ndarray) -> tuple[np.ndarray,
     step_y = -g2 / r22
     step_x = -(g1 + r12 * step_y) / r11
     return full_rank, np.stack((step_x, step_y)), g1 * g1 + g2 * g2
-
-
-def cost(arr: SensorArray, m: TdoaMeasurement, p: EnuPoint) -> float:
-    """Sum of squared range-difference residuals at ``p``."""
-    idx, rd = _range_differences([m])
-    pos = arr.positions
-    r = _range_residuals(pos[idx], pos[arr.reference_idx], rd.T, np.array([[p.x], [p.y]]))[0]
-    return float(np.sum(r * r))
 
 
 def _solve_batch(
@@ -304,27 +261,6 @@ def _fixes(arr: SensorArray, idx: list[int], rd: np.ndarray, init: np.ndarray) -
     return points, np.sqrt(costs / len(idx)), converged
 
 
-def solve_position(arr: SensorArray, m: TdoaMeasurement, init: EnuPoint) -> TdoaFix:
-    """Gauss-Newton minimizer of the range-difference least-squares cost.
-
-    The cost has spurious local minima near the array edge, so descent
-    also starts from points between each sensor and the centroid, and the
-    lowest-cost minimum wins; see :func:`_solve_batch`. Fewer than two
-    deltas raise :class:`GeometryError`, and so does a rank-deficient
-    Jacobian at every start, with its cause: a range difference at or above
-    its sensor baseline (see :func:`_impossible`) or collinear geometry.
-    """
-    if len(m.deltas) < 2:
-        raise GeometryError(f"need at least 2 deltas for a 2-D fix, got {len(m.deltas)}")
-    idx, rd = _range_differences([m])  # an EnuPoint ``init`` is finite
-    points, rms, converged = _fixes(arr, idx, rd, np.array([[init.x, init.y]], dtype=float))
-    if np.isnan(points[0, 0]):
-        if _impossible(arr, idx, rd)[0]:
-            raise GeometryError("range difference exceeds sensor baseline: rank-deficient at every start")
-        raise GeometryError("rank-deficient geometry at every start (collinear sensors?)")
-    return TdoaFix(EnuPoint(*points[0].tolist()), float(rms[0]), bool(converged[0]))
-
-
 def simulate_columns(
     t_ms: np.ndarray,
     xy: np.ndarray,
@@ -407,41 +343,3 @@ def simulate_columns(
         else:
             log.warning("epoch %d: rank-deficient geometry at every start, dropping", t_ms[i])
     return t_ms[~drop], fix[~drop], int(drop.sum())
-
-
-def simulate_flight(
-    truth: Sequence[TimedSample],
-    arr: Optional[SensorArray],
-    sigma_t: float,
-    rng_seed: int,
-    decimate_ms: Optional[int] = None,
-    outlier_rate: float = 0.0,
-    outlier_max_m: float = 200.0,
-) -> tuple[list[TimedSample], int]:
-    """Run the TDoA measurement chain over a ground-truth flight.
-
-    :func:`simulate_columns` with the sensor array ``arr`` and timing jitter
-    ``sigma_t``, over and into sample lists; ``decimate_ms`` keeps only
-    epochs on that grid (~1 Hz sensor rate). With ``arr`` None, ``sigma_t``
-    is the position noise in meters per axis instead.
-    """
-    t_ms, xy, dropped = simulate_columns(
-        *sample_columns(truth), sigma_t, rng_seed, decimate_ms, outlier_rate, outlier_max_m, arr=arr
-    )
-    return timed_samples(t_ms, xy), dropped
-
-
-def position_noise_flight(
-    truth: Sequence[TimedSample],
-    sigma_m: float,
-    rng_seed: int,
-    decimate_ms: int,
-    outlier_rate: float,
-    outlier_max_m: float,
-) -> tuple[list[TimedSample], int]:
-    """Direct position-noise measurement model that bypasses the TDoA chain.
-
-    :func:`simulate_flight` with no sensor array: each fix is the true
-    position plus i.i.d. Gaussian noise of ``sigma_m`` per axis.
-    """
-    return simulate_flight(truth, None, sigma_m, rng_seed, decimate_ms, outlier_rate, outlier_max_m)

@@ -14,9 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataio import TimedSample, timed_samples
 from .geodesy import EnuPoint
-from .motionmodels import ModelKind, propagate_states
+from .motionmodels import ModelKind, _finite_number, propagate_states
 
 
 class LegError(ValueError):
@@ -46,16 +45,12 @@ class LegSpec:
 
 
 def leg_from_dict(d: dict) -> LegSpec:
+    """A leg from its config entry; each number it gives must be a finite number (``motionmodels._finite_number``)."""
     try:
         mm = ModelKind(d["mm"])
-        return LegSpec(
-            mm=mm,
-            duration_s=float(d["duration_s"]),
-            speed=float(d["speed"]) if "speed" in d else None,
-            accel=float(d.get("accel", 0.0)),
-            omega=float(d.get("omega", 0.0)),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
+        numbers = {k: _finite_number(d[k], k) for k in ("duration_s", "speed", "accel", "omega") if k in d}
+        return LegSpec(mm, **numbers)
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise LegError(f"invalid leg spec {d!r}: {exc}") from exc
 
 
@@ -106,15 +101,3 @@ def truth_columns(
         boundaries.append((leg, last, last + n))
         last += n
     return np.arange(last + 1, dtype=np.int64) * dt_ms, np.concatenate(xy), boundaries
-
-
-def generate_truth(
-    legs: Sequence[LegSpec],
-    start: EnuPoint = EnuPoint(0.0, 0.0),
-    heading_deg: float = 0.0,
-    speed: float = 10.0,
-    dt_ms: int = 100,
-) -> tuple[list[TimedSample], list[tuple[LegSpec, int, int]]]:
-    """:func:`truth_columns` as one :class:`TimedSample` per sample."""
-    t_ms, xy, boundaries = truth_columns(legs, start, heading_deg, speed, dt_ms)
-    return timed_samples(t_ms, xy), boundaries

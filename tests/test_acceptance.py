@@ -7,22 +7,28 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from uavtrack import dataio, ekf, metrics, trajgen
+from uavtrack import ekf, metrics, objects, trajgen
 from uavtrack.cli import _segments_from_boundaries, main
-from uavtrack.dataio import AlignedPair, TimedSample
-from uavtrack.ekf import FilterState, MeasurementModel, predict, update
 from uavtrack.geodesy import EnuPoint
-from uavtrack.metrics import cdf, euclidean_errors, quantile, stats
-from uavtrack.motionmodels import (
-    ModelKind,
-    NoiseSigmas,
+from uavtrack.metrics import cdf, euclidean_errors, stats
+from uavtrack.motionmodels import ModelKind, NoiseSigmas, measurement_matrix
+from uavtrack.objects import (
+    AlignedPair,
+    FilterState,
+    MeasurementModel,
+    TimedSample,
     jacobian,
-    measurement_matrix,
+    predict,
     process_noise,
+    quantile,
+    simulate_flight,
+    simulate_tdoa,
+    solve_position,
     transition,
+    update,
 )
-from uavtrack.tdoa import SPEED_OF_LIGHT, SensorArray, simulate_flight, simulate_tdoa, solve_position
-from uavtrack.tdoa import position_noise_flight as _position_noise_flight
+from uavtrack.objects import position_noise_flight as _position_noise_flight
+from uavtrack.tdoa import SPEED_OF_LIGHT, SensorArray
 
 CORNERS = SensorArray(np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0], [100.0, 100.0]]))
 
@@ -174,7 +180,7 @@ class TestCriterion6ElevenSegments:
     def test_ekf_beats_raw_rf(self, capfd):
         t0 = time.monotonic()
         legs = [trajgen.leg_from_dict(d) for d in ELEVEN_LEGS]
-        truth, bounds = trajgen.generate_truth(legs, speed=8.0)
+        truth, bounds = objects.generate_truth(legs, speed=8.0)
         defaults = {"accel": 0.2, "jerk": 0.1, "omega": 0.02}
         segments = _segments_from_boundaries(bounds, ELEVEN_LEGS, 10, defaults)
         sigma_pos = 9.0 / np.sqrt(2)  # ~9 m RMSE planar noise
@@ -182,11 +188,11 @@ class TestCriterion6ElevenSegments:
         wins_max = wins_std = total = 0
         for seed in range(50):
             rf, _ = _position_noise_flight(truth, sigma_pos, seed, 1000, 0.0, 200.0)
-            pairs = dataio.align(truth, rf, tol_ms=1)
-            kept = dataio.clean(pairs, 60.0)
+            pairs = objects.align(truth, rf, tol_ms=1)
+            kept = objects.clean(pairs, 60.0)
             kept_idx = [i for i, p in enumerate(pairs) if p.error_m() <= 60.0]
-            cfg = ekf.FilterConfig(R=ekf.estimate_R(kept, "mean"))
-            results, _ = ekf.run_trajectory(segments, kept, cfg, indices=kept_idx)
+            cfg = ekf.FilterConfig(R=objects.estimate_R(kept, "mean"))
+            results, _ = objects.run_trajectory(segments, kept, cfg, indices=kept_idx)
             by_index = dict(zip(kept_idx, kept))
             for seg, track in results:
                 sp = [by_index[i] for i in sorted(by_index) if seg.start_idx <= i <= seg.end_idx]
@@ -209,7 +215,7 @@ class TestCriterion7Cleaning:
         assert dropped == 0
         pairs = [AlignedPair(t.t_ms, t.pos, r.pos) for t, r in zip(truth, rf)]
         raw = [p.error_m() for p in pairs]
-        kept = dataio.clean(pairs, 60.0)
+        kept = objects.clean(pairs, 60.0)
         clean_errs = [p.error_m() for p in kept]
         raw_max = quantile(cdf(raw), 1.0)
         clean_max = quantile(cdf(clean_errs), 1.0)

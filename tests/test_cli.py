@@ -161,6 +161,24 @@ class TestSimulate:
         assert "sensors.sensors: a TDoA fix needs at least 3 sensors, got 2" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"sensors": {"sensors": [
+                {"x": -200.0, "y": -200.0}, {"x": 200.0, "y": -200.0}, {"x": -200.0, "y": 200.0}, {"x": "nan", "y": 200},
+            ]}}, "sensors.sensors.3.x must be a finite number, got 'nan'"),
+            ({"sim": {"legs": [{"mm": "CV", "duration_s": "nan"}]}}, "duration_s must be a finite number, got 'nan'"),
+            ({"sim": {"legs": [{"mm": "CV", "duration_s": True}]}}, "duration_s must be a finite number, got True"),
+        ],
+        ids=["nan_string_sensor", "nan_string_duration", "bool_duration"],
+    )
+    def test_non_number_sensor_or_leg_rejected_before_truth(self, tmp_path, capsys, monkeypatch, overrides, message):
+        monkeypatch.setattr(trajgen, "truth_columns", lambda *a, **k: pytest.fail("truth generated"))
+        cfg = _write_config(tmp_path, **overrides)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "simulate"]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_wild_fixes_dropped_as_lost_epochs(self, tmp_path, caplog):
         # at 2 us timing jitter a few fixes land past the 50 km geodesy limit
         cfg = _write_config(tmp_path, sim={"sigma_t": 2e-6, "rf_interval_ms": 100})

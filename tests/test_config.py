@@ -195,8 +195,16 @@ def test_geodetic_sensor_entries():
 
 
 @pytest.mark.parametrize(
-    "sensors", [{"sensors": [{"lat_deg": 35.8}]}, {"sensors": [{"x": 0.0, "y": 0.0}]}, {"beacons": []}],
-    ids=["missing_lon", "too_few_sensors", "no_sensor_list"],
+    "sensors",
+    [
+        {"sensors": [{"lat_deg": 35.8}]}, {"sensors": [{"x": 0.0, "y": 0.0}]}, {"beacons": []},
+        # float() would read a bool as 1.0 or 0.0 and "nan" as a NaN sensor
+        *({"sensors": [{"x": 0.0, "y": 0.0}, {"x": 100.0, "y": 0.0}, {"x": 0.0, "y": 100.0}, entry]} for entry in (
+            {"x": True, "y": 0.0}, {"x": "10", "y": 0.0}, {"x": "nan", "y": 200},
+            {"lat_deg": 35.8, "lon_deg": "-78.699"},
+        )),
+    ],
+    ids=["missing_lon", "too_few_sensors", "no_sensor_list", "bool_x", "string_x", "nan_string_x", "string_lon"],
 )
 def test_invalid_sensor_array(sensors):
     with pytest.raises(ConfigError, match=r"^invalid sensor array: "):

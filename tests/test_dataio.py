@@ -9,13 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from uavtrack.dataio import (
-    AlignedPair,
     EmptyInputError,
     ParseError,
     SegmentError,
-    TimedSample,
-    align,
-    clean,
     Segment,
     kept_mask,
     load_segments,
@@ -29,6 +25,7 @@ from uavtrack.ekf import estimate_R_arrays
 from uavtrack.geodesy import EnuPoint, GeoPoint
 from uavtrack.metrics import euclidean_errors
 from uavtrack.motionmodels import ModelKind, NoiseSigmas
+from uavtrack.objects import AlignedPair, TimedSample, align, clean
 
 
 def _write(path, text):

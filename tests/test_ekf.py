@@ -3,26 +3,22 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from uavtrack import ekf
-from uavtrack.dataio import AlignedPair, Segment, pair_columns
-from uavtrack.ekf import (
-    FilterConfig,
-    FilterError,
+from uavtrack.dataio import Segment
+from uavtrack.ekf import FilterConfig, FilterError, filter_segments
+from uavtrack.geodesy import EnuPoint
+from uavtrack.motionmodels import ModelKind, NoiseSigmas, measurement_matrix
+from uavtrack.objects import (
+    AlignedPair,
     FilterState,
     MeasurementModel,
     estimate_R,
-    filter_segments,
-    predict,
-    run_trajectory,
-    update,
-)
-from uavtrack.geodesy import EnuPoint
-from uavtrack.motionmodels import (
-    ModelKind,
-    NoiseSigmas,
     jacobian,
-    measurement_matrix,
+    pair_columns,
+    predict,
     process_noise,
+    run_trajectory,
     transition,
+    update,
 )
 
 

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavtrack import dataio, ekf, trajgen
+from uavtrack import ekf, objects, trajgen
 from uavtrack.config import RunConfig
-from uavtrack.dataio import AlignedPair, Segment
-from uavtrack.ekf import FilterConfig, run_trajectory
+from uavtrack.dataio import Segment
+from uavtrack.ekf import FilterConfig
 from uavtrack.geodesy import EnuPoint
 from uavtrack.motionmodels import ModelKind, NoiseSigmas, measurement_matrix
-from uavtrack.tdoa import position_noise_flight
+from uavtrack.objects import AlignedPair, position_noise_flight, run_trajectory
 
 
 def _pairs(t_ms, uav, rf):
@@ -97,7 +97,7 @@ def test_zero_pivot_row_is_flagged_and_spares_its_neighbour():
     alone_s, alone_P, _, _ = ekf._update_step(s[1:], P[1:], z[1:], H, R)
     assert np.array_equal(s_out[1:], alone_s) and np.array_equal(P_out[1:], alone_P)
     with pytest.raises(ekf.FilterError, match="singular innovation covariance"):
-        ekf.update(ekf.FilterState(s[0], P[0], 0), EnuPoint(1.0, 2.0), ekf.MeasurementModel(H, R))
+        objects.update(objects.FilterState(s[0], P[0], 0), EnuPoint(1.0, 2.0), objects.MeasurementModel(H, R))
 
 
 def test_failures_warn_in_start_order_and_stop_at_the_first_bad_step():
@@ -169,11 +169,11 @@ def test_long_ct_leg_beats_raw_fixes_under_default_prior(seed):
     # a 1.0 (rad/s)^2 turn-rate prior the filter diverged on 4 of these 8
     # flights, ending up to 2.7 times worse than the raw fixes.
     leg = {"mm": "CT", "duration_s": 60, "omega": 0.05, "speed": 3.0}
-    truth, _ = trajgen.generate_truth([trajgen.leg_from_dict(leg)], speed=3.0, dt_ms=100)
+    truth, _ = objects.generate_truth([trajgen.leg_from_dict(leg)], speed=3.0, dt_ms=100)
     rf, _ = position_noise_flight(truth, 9.0, seed, 100, 0.0, 200.0)
-    pairs = dataio.align(truth, rf, tol_ms=1)
+    pairs = objects.align(truth, rf, tol_ms=1)
     seg = Segment("S1", 0, len(pairs) - 1, ModelKind.CT, NoiseSigmas(accel=0.2, omega=0.02))
-    [(_, track)], _ = run_trajectory([seg], pairs, FilterConfig(R=ekf.estimate_R(pairs, "mean")))
+    [(_, track)], _ = run_trajectory([seg], pairs, FilterConfig(R=objects.estimate_R(pairs, "mean")))
 
     raw = np.mean([p.error_m() for p in pairs])
     est = np.mean([np.hypot(tp.pos.x - p.uav.x, tp.pos.y - p.uav.y) for tp, p in zip(track, pairs)])

@@ -3,16 +3,17 @@
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from uavtrack import ekf
-from uavtrack.dataio import AlignedPair, Segment
-from uavtrack.ekf import FilterConfig, FilterError, FilterState, MeasurementModel, TrackPoint
+from uavtrack import ekf, objects
+from uavtrack.dataio import Segment
+from uavtrack.ekf import FilterConfig, FilterError
 from uavtrack.geodesy import EnuPoint
-from uavtrack.motionmodels import (
-    _SMALL_TURN,
-    ModelKind,
-    NoiseSigmas,
+from uavtrack.motionmodels import _SMALL_TURN, ModelKind, NoiseSigmas, measurement_matrix
+from uavtrack.objects import (
+    AlignedPair,
+    FilterState,
+    MeasurementModel,
+    TrackPoint,
     jacobian,
-    measurement_matrix,
     process_noise,
     transition,
 )
@@ -173,9 +174,9 @@ def test_one_step_matches_frozen_scalar_step(mm, T, turn, sign, seed):
     meas = MeasurementModel(measurement_matrix(mm), _random_cov(rng, 2))
     z = EnuPoint(*rng.normal(0, 30, 2))
 
-    pred, ref_pred = ekf.predict(fs, mm, T, Q), ref_predict(fs, mm, T, Q)
+    pred, ref_pred = objects.predict(fs, mm, T, Q), ref_predict(fs, mm, T, Q)
     assert np.allclose(pred.s, ref_pred.s, rtol=1e-12, atol=1e-12)
     assert np.allclose(pred.P, ref_pred.P, rtol=1e-12, atol=1e-12 * np.abs(ref_pred.P).max())
-    upd, ref_upd = ekf.update(ref_pred, z, meas), ref_update(ref_pred, z, meas)
+    upd, ref_upd = objects.update(ref_pred, z, meas), ref_update(ref_pred, z, meas)
     assert np.allclose(upd.s, ref_upd.s, rtol=1e-9, atol=1e-9)
     assert np.allclose(upd.P, ref_upd.P, rtol=1e-9, atol=1e-9 * np.abs(ref_upd.P).max())

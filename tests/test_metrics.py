@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from uavtrack import cli
 from uavtrack.dataio import Segment, write_position_log, write_segments
 from uavtrack.geodesy import EnuPoint
-from uavtrack.metrics import MetricsError, cdf, euclidean_errors, quantile, segment_stats, stats
+from uavtrack.metrics import MetricsError, cdf, euclidean_errors, segment_stats, stats
+from uavtrack.objects import quantile
 from uavtrack.motionmodels import ModelKind, NoiseSigmas
 
 

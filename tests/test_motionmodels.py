@@ -9,13 +9,11 @@ from uavtrack.motionmodels import (
     ModelError,
     ModelKind,
     NoiseSigmas,
-    jacobian,
     measurement_matrix,
-    process_noise,
     propagate_batch,
     propagate_states,
-    transition,
 )
+from uavtrack.objects import jacobian, process_noise, transition
 
 ALL_MODELS = list(ModelKind)
 

@@ -4,21 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavtrack.dataio import TimedSample
 from uavtrack.geodesy import MAX_RANGE_M, EnuPoint
-from uavtrack.tdoa import (
-    SPEED_OF_LIGHT,
-    ArrayError,
-    GeometryError,
-    SensorArray,
+from uavtrack.objects import (
+    TdoaMeasurement,
+    TimedSample,
     cost,
     position_noise_flight,
-    simulate_columns,
     simulate_flight,
-    TdoaMeasurement,
     simulate_tdoa,
     solve_position,
 )
+from uavtrack.tdoa import SPEED_OF_LIGHT, ArrayError, GeometryError, SensorArray, simulate_columns
 
 SQUARE = SensorArray(np.array([[-50.0, -50], [50, -50], [-50, 50], [50, 50]]))
 CORNERS = SensorArray(np.array([[0.0, 0], [100, 0], [0, 100], [100, 100]]))
@@ -41,6 +37,12 @@ class TestSensorArray:
     def test_bad_reference(self):
         with pytest.raises(ArrayError):
             SensorArray(np.array([[0.0, 0], [100, 0], [0, 100]]), reference_idx=5)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+    def test_non_finite_position_rejected(self, value):
+        # a NaN distance fails no "closer than 1 m" test, so the array has to check itself
+        with pytest.raises(ArrayError, match="sensor positions must be finite"):
+            SensorArray(np.array([[0.0, 0], [100, 0], [0, 100], [value, 200]]))
 
 
 class TestSimulateTdoa:

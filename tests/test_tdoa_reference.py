@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from uavtrack import tdoa
-from uavtrack.dataio import TimedSample
+from uavtrack import objects, tdoa
 from uavtrack.geodesy import EnuPoint
-from uavtrack.tdoa import GeometryError, SensorArray, TdoaFix, simulate_tdoa, solve_position
+from uavtrack.objects import TdoaFix, TimedSample, simulate_tdoa, solve_position
+from uavtrack.tdoa import GeometryError, SensorArray
 
 ARRAY = SensorArray(np.array([[-200.0, -200], [200, -200], [-200, 200], [200, 200]]))
 SIGMA_T = 3.3e-9
@@ -98,7 +98,7 @@ def _measurements(targets, seed):
 
 def _solve_all(meas):
     """Every epoch in one batched call, each from the centroid and the sensor starts."""
-    idx, rd = tdoa._range_differences(meas)
+    idx, rd = objects._range_differences(meas)
     pos = ARRAY.positions
     starts = tdoa._starts(ARRAY, np.tile(pos.mean(axis=0), (len(meas), 1)))
     return tdoa._solve_batch(pos[idx], pos[ARRAY.reference_idx], rd, starts)
@@ -156,7 +156,7 @@ _coord = st.floats(-400.0, 400.0, allow_nan=False)
 def test_fix_independent_of_batch(targets, seed, data):
     meas = _measurements(targets, seed)
     k = data.draw(st.integers(0, len(meas) - 1))
-    idx, rd = tdoa._range_differences(meas)
+    idx, rd = objects._range_differences(meas)
     points, rms, converged = tdoa._fixes(ARRAY, idx, rd, np.tile(ARRAY.positions.mean(axis=0), (len(meas), 1)))
     batch = TdoaFix(EnuPoint(*points[k].tolist()), float(rms[k]), bool(converged[k]))
     assert batch == solve_position(ARRAY, meas[k], ARRAY.centroid)
@@ -184,7 +184,7 @@ def ref_simulate_tdoa(arr, p, sigma_t, rng, t_ms=0):
         if sigma_t > 0:
             dt += rng.normal(0.0, sigma_t)
         deltas.append((i, dt))
-    return tdoa.TdoaMeasurement(t_ms, tuple(deltas))
+    return objects.TdoaMeasurement(t_ms, tuple(deltas))
 
 
 def ref_simulate_epochs(truth, measure, locate, rng_seed, decimate_ms, outlier_rate, outlier_max_m):
@@ -273,14 +273,14 @@ def test_flight_matches_frozen_epoch_loop(
     truth = [TimedSample(int(k), EnuPoint(*p)) for k, (_, p) in zip(t, steps)]
     if tdoa_model:
         arr = SensorArray(np.array([[0.0, 0], [100, 0], [200, 0]])) if collinear else ARRAY
-        got = tdoa.simulate_flight(truth, arr, sigma_t, seed, decimate_ms, outlier_rate, 150.0)
+        got = objects.simulate_flight(truth, arr, sigma_t, seed, decimate_ms, outlier_rate, 150.0)
         want = ref_simulate_epochs(
             truth, lambda s, rng: ref_simulate_tdoa(arr, s.pos, sigma_t, rng, s.t_ms),
             lambda m: _ref_locate(arr, m), seed, decimate_ms, outlier_rate, 150.0,
         )
     else:
         decimate_ms = decimate_ms or 1
-        got = tdoa.position_noise_flight(truth, sigma_m, seed, decimate_ms, outlier_rate, 150.0)
+        got = objects.position_noise_flight(truth, sigma_m, seed, decimate_ms, outlier_rate, 150.0)
         want = ref_simulate_epochs(
             truth,
             lambda s, rng: EnuPoint(s.pos.x + rng.normal(0.0, sigma_m), s.pos.y + rng.normal(0.0, sigma_m)),

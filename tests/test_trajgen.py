@@ -20,11 +20,24 @@ def test_ct_leg_needs_a_turn_rate():
     [
         {"mm": "CV"}, {"duration_s": 5}, {"mm": "CJ", "duration_s": 5}, {"mm": "CV", "duration_s": "five"}, None,
         {"mm": "CT", "duration_s": 5},
+        {"mm": "CV", "duration_s": True}, {"mm": "CV", "duration_s": "10"}, {"mm": "CV", "duration_s": "nan"},
+        {"mm": "CT", "duration_s": 5, "omega": True},
     ],
-    ids=["no_duration", "no_model", "unknown_model", "non_numeric_duration", "not_a_dict", "ct_without_omega"],
+    ids=["no_duration", "no_model", "unknown_model", "non_numeric_duration", "not_a_dict", "ct_without_omega",
+         "bool_duration", "string_duration", "nan_string_duration", "bool_omega"],
 )
 def test_malformed_leg_dict_rejected(leg):
     with pytest.raises(LegError, match=r"^invalid leg spec "):
+        leg_from_dict(leg)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("duration_s", "nan"), ("duration_s", float("inf")), ("speed", "8"), ("accel", False), ("omega", None)],
+)
+def test_leg_number_rule_names_the_key(key, value):
+    leg = {"mm": "CT", "duration_s": 5, "omega": 0.2, key: value}
+    with pytest.raises(LegError, match=f"{key} must be a finite number, got {value!r}$"):
         leg_from_dict(leg)
 
 

@@ -24,8 +24,10 @@ overlaps a neighbour's, so ``align`` takes each nearest candidate
 directly; at 600 ms every window overlaps, so ``align_wide.csv`` runs
 every epoch through ``dataio.match_times``' nearest-unused loop.
 
-Prints one line per difference, a summary and each tree's
-``uavtrack/*.py`` line count (as ``wc -l`` counts); exits 1 if any
+Prints one line per difference, a summary, and each tree's line count
+(as ``wc -l`` counts) of every ``uavtrack/*.py`` module and of all of
+them, with the change's delta, so that the modules that shrank or grew
+show; a module that one tree lacks counts 0 lines there. Exits 1 if any
 output differs or a command's exit code does, else 0. A change that moves
 outputs within a stated bound exits 1 too; its list of differing files is
 what the bound has to account for.
@@ -81,9 +83,9 @@ def flight_config(name: str, seed: int) -> dict:
     return cfg
 
 
-def src_lines(root: Path) -> int:
-    """Newlines in the package's modules, the total of ``wc -l uavtrack/*.py``."""
-    return sum(p.read_bytes().count(b"\n") for p in (root / "uavtrack").glob("*.py"))
+def module_lines(root: Path) -> dict[str, int]:
+    """Newlines in each of the package's modules, as ``wc -l uavtrack/*.py`` counts them."""
+    return {p.name: p.read_bytes().count(b"\n") for p in (root / "uavtrack").glob("*.py")}
 
 
 def run_flight(src: Path, cfg: dict, work: Path) -> dict[str, bytes]:
@@ -130,8 +132,12 @@ def main() -> int:
     for line in differ:
         print(line)
     print(f"{len(differ)} of {n_compared} outputs differ")
-    parent, change = (src_lines(root) for root in trees.values())
-    print(f"uavtrack/*.py lines: parent {parent}, change {change} ({change - parent:+d})")
+    parent, change = (module_lines(root) for root in trees.values())
+    for name in sorted(parent.keys() | change.keys()):
+        a, b = parent.get(name, 0), change.get(name, 0)
+        print(f"uavtrack/{name} lines: parent {a}, change {b} ({b - a:+d})")
+    a, b = sum(parent.values()), sum(change.values())
+    print(f"uavtrack/*.py lines: parent {a}, change {b} ({b - a:+d})")
     return 1 if differ else 0
 
 
