@@ -14,7 +14,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from . import dataio, ekf
+from . import dataio, ekf, trajgen
 from .geodesy import EnuPoint, GeoPoint, to_enu
 from .motionmodels import NoiseSigmas, _finite_number
 from .tdoa import SensorArray
@@ -97,6 +97,7 @@ def check(data: dict) -> None:
         (sim["seed"] >= 0, f"sim.seed must be >= 0, got {sim['seed']}"),
         (0 <= sim["outlier_rate"] <= 1, f"sim.outlier_rate must be in [0, 1], got {sim['outlier_rate']}"),
         (sim["outlier_max_m"] >= 0, f"sim.outlier_max_m must be >= 0, got {sim['outlier_max_m']}"),
+        (isinstance(sim["legs"], list), f"sim.legs must be a list, got {sim['legs']!r}"),
     ):
         if not ok:
             raise ConfigError(message)
@@ -110,6 +111,7 @@ def check(data: dict) -> None:
         ("", _check_numbers, data, ""),
         ("filter.sigma_defaults: ", NoiseSigmas.from_dict, f["sigma_defaults"]),
         ("", RunConfig(data, Path()).origin),
+        *((f"sim.legs.{i}: ", trajgen.check_leg_keys, leg) for i, leg in enumerate(sim["legs"])),
     ):
         try:
             rule(*values)

@@ -14,7 +14,6 @@ import logging
 import operator
 import re
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -23,6 +22,7 @@ import numpy as np
 from .geodesy import EnuPoint, GeoPoint
 from .metrics import euclidean_errors
 from .motionmodels import ModelKind, NoiseSigmas
+from .records import record
 
 log = logging.getLogger(__name__)
 
@@ -67,7 +67,7 @@ class SegmentError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Segment:
     """Inclusive range of RF-log rows flown under one motion model."""
 

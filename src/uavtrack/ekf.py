@@ -14,7 +14,6 @@ over the same step kernels, :func:`_predict_cov` and :func:`_update_step`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -30,6 +29,7 @@ from .motionmodels import (
     sigma_rows,
     state_mask,
 )
+from .records import record
 
 # rad/s bound on a CT segment's turn-rate estimate, projected onto after each
 # update (estimate projection, D. Simon, "Kalman filtering with state
@@ -45,7 +45,7 @@ class FilterError(ValueError):
     """Dimension mismatch or degenerate numerics in a filter step."""
 
 
-@dataclass(frozen=True)
+@record
 class FilterConfig:
     """Filter tuning shared across segments.
 
@@ -70,7 +70,7 @@ class FilterConfig:
                 raise FilterError(f"{name} must be finite and >= 0, got {value}")
 
 
-@dataclass(frozen=True)
+@record
 class SegmentTrack:
     """One filtered segment: its rows of the filtered arrays and the EKF output there."""
 

@@ -8,9 +8,10 @@ does not report it).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .records import record
 
 # WGS-84 ellipsoid
 _A = 6378137.0
@@ -25,7 +26,7 @@ class GeodesyError(ValueError):
     """Invalid coordinate or out-of-range conversion request."""
 
 
-@dataclass(frozen=True)
+@record
 class GeoPoint:
     """Geodetic coordinate in decimal degrees."""
 
@@ -39,7 +40,7 @@ class GeoPoint:
             raise GeodesyError(f"longitude out of range: {self.lon_deg}")
 
 
-@dataclass(frozen=True)
+@record
 class EnuPoint:
     """Local planar coordinate: east (x) / north (y) offsets in meters."""
 

@@ -3,10 +3,11 @@ statistics and CDFs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .records import record
 
 
 STATS = ("min", "max", "mean", "std")  # report order
@@ -16,7 +17,7 @@ class MetricsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class ErrorStats:
     min_m: float
     max_m: float
@@ -25,7 +26,7 @@ class ErrorStats:
     n: int
 
 
-@dataclass(frozen=True)
+@record
 class CdfCurve:
     errors_m: np.ndarray  # distinct, ascending
     fractions: np.ndarray  # strictly increasing, last == 1.0

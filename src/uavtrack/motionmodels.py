@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
 from typing import Any, Optional, Sequence
 
 import numpy as np
+
+from .records import record
 
 # below this rotation angle |omega T| the CT coefficients switch to their
 # Taylor series, where the closed forms would lose digits to cancellation
@@ -64,7 +65,7 @@ def _finite_number(value: Any, name: str, error: type[ValueError] = ValueError) 
     return float(value)
 
 
-@dataclass(frozen=True)
+@record
 class NoiseSigmas:
     """Process-noise standard deviations.
 
@@ -86,7 +87,7 @@ class NoiseSigmas:
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseSigmas":
         """Sigmas from a ``{field: value}`` mapping; an unknown field is a ModelError."""
-        unknown = set(d) - {f.name for f in fields(cls)}
+        unknown = set(d) - set(cls._fields)
         if unknown:
             raise ModelError(f"unknown sigma keys: {sorted(unknown)}")
         return cls(**d)

@@ -1,4 +1,4 @@
-"""The per-sample object API: one frozen dataclass per sample, fix or filter step.
+"""The per-sample object API: one frozen record per sample, fix or filter step.
 
 Every CLI command runs on the pipeline modules' columnar data path:
 integer timestamps and ``(K, 2)`` float positions. Each name here is a
@@ -8,7 +8,6 @@ objects instead, and gives that kernel's values. No command imports it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,6 +19,7 @@ from .metrics import CdfCurve, MetricsError, euclidean_errors
 from .motionmodels import (
     ModelError, ModelKind, NoiseSigmas, noise_rows, process_noise_rows, propagate_batch, sigma_rows, state_mask,
 )
+from .records import record
 from .tdoa import (
     SPEED_OF_LIGHT, GeometryError, SensorArray, _arrival_differences, _fixes, _impossible, _range_residuals,
     simulate_columns,
@@ -28,13 +28,13 @@ from .trajgen import LegSpec, truth_columns
 
 
 # dataio: samples and aligned pairs
-@dataclass(frozen=True)
+@record
 class TimedSample:
     t_ms: int
     pos: EnuPoint
 
 
-@dataclass(frozen=True)
+@record
 class AlignedPair:
     t_ms: int
     uav: EnuPoint
@@ -109,20 +109,20 @@ def process_noise(mm: ModelKind, T: float, sig: NoiseSigmas) -> np.ndarray:
 
 
 # ekf: single filter steps and tracks of objects
-@dataclass(frozen=True)
+@record
 class FilterState:
     s: np.ndarray
     P: np.ndarray
     t_ms: int
 
 
-@dataclass(frozen=True)
+@record
 class MeasurementModel:
     H: np.ndarray
     R: np.ndarray
 
 
-@dataclass(frozen=True)
+@record
 class TrackPoint:
     t_ms: int
     pos: EnuPoint
@@ -185,13 +185,13 @@ def run_trajectory(
 
 
 # tdoa: single measurements and fixes, flights as sample lists
-@dataclass(frozen=True)
+@record
 class TdoaMeasurement:
     t_ms: int
     deltas: tuple  # ((sensor_idx, delta_tau_seconds), ...), reference excluded
 
 
-@dataclass(frozen=True)
+@record
 class TdoaFix:
     pos: EnuPoint
     residual_m: float  # RMS range-difference residual at the solution

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import bisect
 import logging
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .geodesy import MAX_RANGE_M, EnuPoint
+from .records import record
 
 log = logging.getLogger(__name__)
 
@@ -34,7 +34,7 @@ class ArrayError(ValueError):
     """Invalid sensor-array definition."""
 
 
-@dataclass(frozen=True)
+@record
 class SensorArray:
     positions: np.ndarray  # (n, 2) east/north meters
     reference_idx: int = 0

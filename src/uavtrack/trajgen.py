@@ -9,20 +9,20 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from .geodesy import EnuPoint
 from .motionmodels import ModelKind, _finite_number, propagate_states
+from .records import record
 
 
 class LegError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class LegSpec:
     """One flight leg.
 
@@ -44,11 +44,32 @@ class LegSpec:
             raise LegError("CT leg requires a nonzero omega")
 
 
+# the keys of a leg's config entry, and the one each model adds
+_LEG_KEYS = frozenset({"mm", "duration_s", "speed", "sigmas"})
+_MODEL_KEYS = {ModelKind.CA: "accel", ModelKind.CT: "omega"}
+
+
+def check_leg_keys(d: Any) -> None:
+    """LegError naming the first key of leg entry ``d`` that its model's leg does not take.
+
+    An entry that is no dict or names no known model passes: :func:`leg_from_dict` rejects it.
+    """
+    try:
+        mm = ModelKind(d["mm"])
+    except (KeyError, TypeError, ValueError):
+        return
+    extra = [k for k in d if k not in _LEG_KEYS and k != _MODEL_KEYS.get(mm)]
+    if extra:
+        raise LegError(f"a {mm.value} leg takes no key {extra[0]!r}")
+
+
 def leg_from_dict(d: dict) -> LegSpec:
-    """A leg from its config entry; each number it gives must be a finite number (``motionmodels._finite_number``)."""
+    """A leg from its config entry; each number it gives must be a finite number (``motionmodels._finite_number``),
+    and each key one its model's leg takes (:func:`check_leg_keys`)."""
     try:
         mm = ModelKind(d["mm"])
         numbers = {k: _finite_number(d[k], k) for k in ("duration_s", "speed", "accel", "omega") if k in d}
+        check_leg_keys(d)
         return LegSpec(mm, **numbers)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise LegError(f"invalid leg spec {d!r}: {exc}") from exc

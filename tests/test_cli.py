@@ -1,12 +1,16 @@
 import csv
+import gc
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uavtrack import dataio, tdoa, trajgen
+from uavtrack import cli, dataio, tdoa, trajgen
 from uavtrack.cli import main
 from uavtrack.dataio import parse_position_log, write_position_log
 from uavtrack.geodesy import GeoPoint
@@ -178,6 +182,28 @@ class TestSimulate:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "simulate"]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "leg, message",
+        [
+            ({"mm": "CA", "duration_s": 15, "acel": 0.5}, "sim.legs.1: a CA leg takes no key 'acel'"),
+            ({"mm": "CV", "duration_s": 20, "omega": 0.5}, "sim.legs.1: a CV leg takes no key 'omega'"),
+            ({"mm": "CT", "duration_s": 20, "omega": 0.2, "accel": 0.1}, "sim.legs.1: a CT leg takes no key 'accel'"),
+        ],
+        ids=["misspelt_accel", "omega_on_cv", "accel_on_ct"],
+    )
+    def test_unknown_or_misplaced_leg_key_rejected_before_truth(self, tmp_path, capsys, monkeypatch, leg, message):
+        monkeypatch.setattr(trajgen, "truth_columns", lambda *a, **k: pytest.fail("truth generated"))
+        cfg = _write_config(tmp_path, sim={"legs": [LEGS[0], leg]})
+        for command in (["simulate"], ["track"]):
+            assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), *command]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_legs_not_a_list_rejected(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, sim={"legs": 5})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "simulate"]) == 1
+        assert capsys.readouterr().err == "error: sim.legs must be a list, got 5\n"
 
     def test_wild_fixes_dropped_as_lost_epochs(self, tmp_path, caplog):
         # at 2 us timing jitter a few fixes land past the 50 km geodesy limit
@@ -645,3 +671,48 @@ class TestUtilities:
         assert main(["clean", str(aligned), "--output", str(out)]) == 1
         assert f"{aligned}{where}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestProcessEntry:
+    """``python -m uavtrack.cli`` and the ``uavtrack`` script run :func:`cli.entry` in a fresh process."""
+
+    @staticmethod
+    def _run(tmp_path, *args):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        return subprocess.run([sys.executable, "-m", "uavtrack.cli", *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_bad_config_exits_1_with_the_error_on_stderr(self, tmp_path):
+        cfg = _write_config(tmp_path, sim={"rf_interval_ms": 0})
+        proc = self._run(tmp_path, "--config", str(cfg), "--out", str(tmp_path / "x"), "simulate")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: sim.rf_interval_ms must be positive, got 0\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_outputs_match_in_process_main(self, tmp_path):
+        cfg = _write_config(tmp_path)
+        data = tmp_path / "data"
+        commands = {
+            "sim": ["simulate"],
+            "track": ["track"],
+            "eval": ["evaluate", str(data / "truth.csv"), str(data / "rf.csv"), "--segments", str(data / "segments.json")],
+        }
+        assert main(["--config", str(cfg), "--out", str(data), "simulate"]) == 0
+        for name, command in commands.items():
+            proc = self._run(tmp_path, "--config", str(cfg), "--out", str(tmp_path / "proc" / name), *command)
+            assert proc.returncode == 0, proc.stderr
+            if name != "sim":
+                assert main(["--config", str(cfg), "--out", str(tmp_path / "main" / name), *command]) == 0
+            expected = data if name == "sim" else tmp_path / "main" / name
+            assert _read_bytes(tmp_path / "proc" / name) == _read_bytes(expected)
+
+    def test_entry_freezes_the_heap_and_exits_with_the_code_of_main(self, tmp_path, monkeypatch):
+        cfg = _write_config(tmp_path, sim={"rf_interval_ms": 0})
+        monkeypatch.setattr(sys, "argv", ["uavtrack", "--config", str(cfg), "simulate"])
+        assert gc.get_freeze_count() == 0
+        try:
+            with pytest.raises(SystemExit) as exit_info:
+                cli.entry()
+            assert exit_info.value.code == 1 and gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()

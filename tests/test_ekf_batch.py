@@ -1,7 +1,5 @@
 """Batched EKF sweep: batch independence, per-segment failures, the CT prior."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,7 +120,7 @@ def test_failures_warn_in_start_order_and_stop_at_the_first_bad_step():
     t[5] = t[4]
     _, warnings = run_trajectory(segs[1:2], _pairs(t, xy, xy), cfg)
     assert warnings == [f"segment S1: singular innovation covariance: {np.zeros((2, 2))}"]
-    first_ten = dataclasses.replace(segs[0], start_idx=0, end_idx=9)
+    first_ten = Segment("S3", 0, 9, ModelKind.CV, NoiseSigmas(accel=0.2))  # S3 over the first ten pairs
     _, warnings = run_trajectory([first_ten], _pairs(t[:10], xy[:10], xy[:10]), FilterConfig(R=np.eye(2)))
     assert warnings == ["segment S3: non-increasing timestamps at 4000"]
 
