@@ -57,15 +57,20 @@ DEFAULTS: dict[str, Any] = {
 DEFAULT_SIM_ORIGIN = {"lat_deg": 35.8, "lon_deg": -78.7}
 
 
+# what a setting takes, by the type of its default: (accepted types, as named in the error)
+_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), list: (list, "a list")}
+
+
 def _merge(defaults: Any, override: Any, where: str = "") -> Any:
     """Lay ``override`` over a copy of ``defaults``. A section whose default
     is a dict is closed (an unknown key is a ConfigError naming the dotted
     key); any other default, such as ``sensors`` or ``sim.legs``, is
     replaced whole by the override's object itself, uncopied. A setting
-    whose default is an int takes only an integer, and one whose default
-    is a float any number; a bool is neither (a ConfigError names the key)."""
-    if isinstance(defaults, (int, float)):
-        kinds, expected = (int, "an integer") if isinstance(defaults, int) else ((int, float), "a number")
+    whose default is an int takes only an integer, one whose default is a
+    float any number, and one whose default is a list only a list; a bool
+    is no number (a ConfigError names the key)."""
+    if type(defaults) in _KINDS:
+        kinds, expected = _KINDS[type(defaults)]
         if isinstance(override, bool) or not isinstance(override, kinds):
             raise ConfigError(f"{where.rstrip('.')} must be {expected}, got {json.dumps(override, default=repr)}")
     if not isinstance(defaults, dict):
@@ -97,7 +102,6 @@ def check(data: dict) -> None:
         (sim["seed"] >= 0, f"sim.seed must be >= 0, got {sim['seed']}"),
         (0 <= sim["outlier_rate"] <= 1, f"sim.outlier_rate must be in [0, 1], got {sim['outlier_rate']}"),
         (sim["outlier_max_m"] >= 0, f"sim.outlier_max_m must be >= 0, got {sim['outlier_max_m']}"),
-        (isinstance(sim["legs"], list), f"sim.legs must be a list, got {sim['legs']!r}"),
     ):
         if not ok:
             raise ConfigError(message)

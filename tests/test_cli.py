@@ -203,7 +203,7 @@ class TestSimulate:
     def test_legs_not_a_list_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, sim={"legs": 5})
         assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), "simulate"]) == 1
-        assert capsys.readouterr().err == "error: sim.legs must be a list, got 5\n"
+        assert capsys.readouterr().err == f"error: {cfg}: sim.legs must be a list, got 5\n"
 
     def test_wild_fixes_dropped_as_lost_epochs(self, tmp_path, caplog):
         # at 2 us timing jitter a few fixes land past the 50 km geodesy limit

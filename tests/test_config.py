@@ -69,7 +69,8 @@ def test_section_must_be_object(override, where):
         RunConfig.from_dict(override)
 
 
-# a setting takes the JSON type of its default: an int only an integer, a float any number, neither a bool
+# a setting takes the JSON type of its default: an int only an integer, a float any number, neither a bool,
+# and a list only a list
 MISTYPED = [
     ({"sim": {"seed": 1.5}}, "sim.seed must be an integer, got 1.5"),
     ({"sim": {"truth_dt_ms": 100.5}}, "sim.truth_dt_ms must be an integer, got 100.5"),
@@ -84,6 +85,9 @@ MISTYPED = [
     ({"clean": {"threshold_m": [60]}}, "clean.threshold_m must be a number, got [60]"),
     ({"sim": {"start": {"x": {}}}}, "sim.start.x must be a number, got {}"),
     ({"filter": {"sigma_defaults": {"jerk": "0.1"}}}, 'filter.sigma_defaults.jerk must be a number, got "0.1"'),
+    ({"sim": {"legs": 5}}, "sim.legs must be a list, got 5"),
+    ({"sim": {"legs": None}}, "sim.legs must be a list, got null"),
+    ({"sim": {"legs": {}}}, "sim.legs must be a list, got {}"),
 ]
 
 

@@ -1,12 +1,13 @@
 """Time the fixed cost of fresh uavtrack processes of two source trees.
 
 Usage:
-    python tools/time_startup.py PARENT_SRC CHANGE_SRC [--pairs N] [--workload NAME ...] [--seed N]
+    python tools/time_startup.py PARENT_SRC CHANGE_SRC [--pairs N] [--workload NAME ...]
 
 Each argument is a checkout's ``src`` directory, the one holding the
-``uavtrack`` package. The parent tree simulates each workload's flight of
-``perfbench/workloads.py`` once; both trees then run these steps, each in
-a fresh interpreter with the pinned environment of ``compare_outputs``:
+``uavtrack`` package. The parent tree simulates each workload's seed 1
+flight of ``perfbench/workloads.py`` once; both trees then run these
+steps, each in a fresh interpreter with the pinned environment of
+``compare_outputs``:
 
     bare                 python -c pass
     import numpy         python -c "import numpy"
@@ -41,6 +42,7 @@ import numpy as np
 from compare_outputs import flight_config, package_root, tree_env
 
 IMPORTS = {"bare": "pass", "import numpy": "import numpy", "import uavtrack.cli": "import uavtrack.cli"}
+SEED = 1  # of every workload's flight
 COMMANDS = {
     "simulate": ["simulate"],
     "track": ["track"],
@@ -75,7 +77,6 @@ def main() -> int:
     parser.add_argument("change_src")
     parser.add_argument("--pairs", type=int, default=30, help="alternating parent/change rounds")
     parser.add_argument("--workload", nargs="+", default=["tdoa_loiter", "dense_segments"])
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -85,7 +86,7 @@ def main() -> int:
         flights = Path(tmp)
         for workload in args.workload:
             (flights / workload).mkdir()
-            (flights / workload / "run.json").write_text(json.dumps(flight_config(workload, args.seed), indent=1))
+            (flights / workload / "run.json").write_text(json.dumps(flight_config(workload, SEED), indent=1))
             timed(trees["parent"], ["-m", "uavtrack.cli", "--config", "run.json", "--out", "sim", "simulate"],
                   flights / workload)
         plan = steps(args.workload, flights)
@@ -100,7 +101,7 @@ def main() -> int:
                     times[side][step].append(timed(trees[side], argv, cwd))
             print(f"# pair {i + 1} of {args.pairs} done", file=sys.stderr)
 
-    print(f"wall ms of fresh processes, {args.pairs} pairs, seed {args.seed}")
+    print(f"wall ms of fresh processes, {args.pairs} pairs, seed {SEED}")
     print(f"{'step':<26} {'parent median [q1, q3]':>24} {'change median [q1, q3]':>24} {'change/parent':>14} "
           f"{'change faster':>14}")
     for step in plan:
