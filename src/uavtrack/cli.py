@@ -21,7 +21,7 @@ from . import config, dataio, ekf, metrics, tdoa, trajgen
 from .config import ConfigError, RunConfig
 from .dataio import Segment
 from .geodesy import EnuPoint, GeoPoint, from_enu_array, to_enu_array
-from .motionmodels import NoiseSigmas
+from .motionmodels import ModelKind, NoiseSigmas
 
 log = logging.getLogger("uavtrack")
 
@@ -104,13 +104,19 @@ def _segments_from_boundaries(
     firsts = np.searchsorted(rows, [first for _, first, _ in boundaries]).tolist()
     lasts = (np.searchsorted(rows, [last for _, _, last in boundaries], side="right") - 1).tolist()
     segments = []
+    shared: dict[ModelKind, NoiseSigmas] = {}  # one immutable record per model for the legs without sigmas
     prev_end = -1
     for i, ((leg, _, _), first_rf, end_rf) in enumerate(zip(boundaries, firsts, lasts)):
         start_rf = max(prev_end + 1, first_rf)
         if end_rf < start_rf:
             log.warning("leg %d too short for a segment at the RF rate, skipped", i + 1)
             continue
-        sig = _leg_sigmas(leg_dicts[i], leg, defaults)
+        if "sigmas" in leg_dicts[i]:
+            sig = _leg_sigmas(leg_dicts[i], leg, defaults)
+        elif leg.mm in shared:
+            sig = shared[leg.mm]
+        else:
+            sig = shared[leg.mm] = _leg_sigmas({}, leg, defaults)
         segments.append(Segment(f"S{i + 1}", start_rf, end_rf, leg.mm, sig))
         prev_end = end_rf
     return segments
@@ -123,9 +129,6 @@ def cmd_simulate(args, cfg: RunConfig) -> dict:
         raise RunError("sim.legs is empty: nothing to simulate")
     interval, dt_ms = sim["rf_interval_ms"], sim["truth_dt_ms"]
     legs = [trajgen.leg_from_dict(d) for d in leg_dicts]
-    sigma_defaults = cfg.data["filter"]["sigma_defaults"]
-    for leg, leg_dict in zip(legs, leg_dicts):  # segments use them only after the flight
-        _leg_sigmas(leg_dict, leg, sigma_defaults)
     origin = cfg.sim_origin()
     arr = cfg.sensor_array(origin) if sim["noise_model"] == "tdoa" else None
     if arr is not None and len(arr.positions) < 3:  # SensorArray takes 2 for objects.simulate_tdoa
@@ -142,7 +145,7 @@ def cmd_simulate(args, cfg: RunConfig) -> dict:
     )
     rf_geo = from_enu_array(rf_xy, origin)
     segments = _segments_from_boundaries(
-        boundaries, leg_dicts, interval // dt_ms, sigma_defaults, np.searchsorted(t_ms, rf_t)
+        boundaries, leg_dicts, interval // dt_ms, cfg.data["filter"]["sigma_defaults"], np.searchsorted(t_ms, rf_t)
     )
 
     args.out.mkdir(parents=True, exist_ok=True)

@@ -116,6 +116,8 @@ def check(data: dict) -> None:
         ("filter.sigma_defaults: ", NoiseSigmas.from_dict, f["sigma_defaults"]),
         ("", RunConfig(data, Path()).origin),
         *((f"sim.legs.{i}: ", trajgen.check_leg_keys, leg) for i, leg in enumerate(sim["legs"])),
+        *((f"sim.legs.{i}.sigmas: ", NoiseSigmas.from_dict, leg["sigmas"])
+          for i, leg in enumerate(sim["legs"]) if isinstance(leg, dict) and "sigmas" in leg),
     ):
         try:
             rule(*values)

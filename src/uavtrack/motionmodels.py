@@ -86,7 +86,9 @@ class NoiseSigmas:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseSigmas":
-        """Sigmas from a ``{field: value}`` mapping; an unknown field is a ModelError."""
+        """Sigmas from a ``{field: value}`` dict; an unknown field, or no dict, is a ModelError."""
+        if not isinstance(d, dict):
+            raise ModelError(f"expected a {{name: value}} object, got {d!r}")
         unknown = set(d) - set(cls._fields)
         if unknown:
             raise ModelError(f"unknown sigma keys: {sorted(unknown)}")
@@ -184,36 +186,14 @@ def process_noise_rows(T: np.ndarray, q: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _columns(mm: ModelKind, s: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-    """States ``s`` (..., n) broadcast against steps ``T``: (7, M) layout columns, (M,) steps, turn flags, shape."""
-    s, T = np.asarray(s, dtype=float), np.asarray(T, dtype=float)
-    shape = np.broadcast(s[..., 0], T).shape
-    cols, steps = np.zeros((len(LAYOUT),) + shape), np.empty(shape)
-    for i, col in enumerate(mm.columns.tolist()):
-        cols[col] = s[..., i]
-    steps[...] = T
-    return cols.reshape(len(LAYOUT), -1), steps.ravel(), np.full(steps.size, mm is ModelKind.CT), shape
-
-
-def propagate_states(mm: ModelKind, s: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """The states of :func:`propagate_batch`, without the Jacobians.
-
-    ``s`` (..., n) and the steps ``T`` broadcast against each other, so one
-    entry state (n,) over an array of elapsed times is that state's
-    trajectory. CV/CA take the per-axis chain ``p + T v (+ T^2/2 a)``, the
-    sums of the transition matrix applied to ``s`` without its zero terms
-    (the same bits as ``F @ s`` with numpy 2.4 on x86-64); CT takes the arc.
-    """
-    cols, T, turn, shape = _columns(mm, s, T)
-    f = propagate_rows(cols, T, turn, jacobian=False)[0]
-    return f[mm.columns].T.reshape(shape + (mm.state_dim,))
-
-
 def propagate_batch(mm: ModelKind, s: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row of the (B, n) states ``s`` propagated over its step ``T[b]`` seconds,
     and the (B, n, n) transition Jacobians df/ds there."""
     cols = mm.columns
-    f, F = propagate_rows(*_columns(mm, s, T)[:3])
+    s, T = np.asarray(s, dtype=float), np.asarray(T, dtype=float)
+    rows = np.zeros((len(LAYOUT), len(s)))  # a state that the model lacks holds 0
+    rows[cols] = s.T
+    f, F = propagate_rows(rows, T, np.full(len(T), mm is ModelKind.CT))
     return f[cols].T, F[:, cols[:, None], cols]
 
 

@@ -14,7 +14,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from .geodesy import EnuPoint
-from .motionmodels import ModelKind, _finite_number, propagate_states
+from .motionmodels import ModelKind, _finite_number, _turn_coeffs, propagate_rows
 from .records import record
 
 
@@ -97,28 +97,45 @@ def truth_columns(
     if dt_ms <= 0:
         raise LegError(f"dt_ms must be positive, got {dt_ms}")
 
+    # pass 1, per leg: its entry state, and its exit by the leg's exact transition over its
+    # n samples, in propagate_rows' order of operations, so each exit has that row's bits
+    ns = [max(round(leg.duration_s * 1000 / dt_ms), 1) for leg in legs]
+    turns = [(leg.omega, n * dt_ms / 1000.0) for leg, n in zip(legs, ns) if leg.mm is ModelKind.CT]
+    arcs = zip(*(c.tolist() for c in _turn_coeffs(*np.array(turns).reshape(-1, 2).T)[:4]))
     x, y = start.x, start.y
     h, v = math.radians(heading_deg), _standstill(speed)
     vx, vy = v * math.cos(h), v * math.sin(h)
-
-    xy = [np.array([[x, y]])]
-    boundaries: list[tuple[LegSpec, int, int]] = []
-    last = 0
-    for leg in legs:
+    entries = []
+    CA, CT = ModelKind.CA, ModelKind.CT  # locals: the loop reads them on every leg
+    for leg, n in zip(legs, ns):
         if leg.speed is not None:
             v, s = math.hypot(vx, vy), _standstill(leg.speed)
             vx, vy = (vx / v * s, vy / v * s) if v > 0 else (s, 0.0)
-        tail = [leg.omega] if leg.mm is ModelKind.CT else []
-        if leg.mm is ModelKind.CA:  # fixed acceleration vector along heading at leg entry
+        ax = ay = 0.0
+        if leg.mm is CA:  # fixed acceleration vector along heading at leg entry
             v, a = math.hypot(vx, vy), _standstill(leg.accel * dt_ms / 1000) and leg.accel
             ux, uy = (vx / v, vy / v) if v > 0 else (1.0, 0.0)
-            tail = [a * ux, a * uy]
-        # every sample of the leg from its entry state: the transitions are exact
-        n = max(round(leg.duration_s * 1000 / dt_ms), 1)
-        entry = np.array([x, y, vx, vy, *tail])
-        states = propagate_states(leg.mm, entry, np.arange(1, n + 1) * dt_ms / 1000.0)
-        x, y, vx, vy = states[-1, :4].tolist()
-        xy.append(states[:, :2])
-        boundaries.append((leg, last, last + n))
-        last += n
-    return np.arange(last + 1, dtype=np.int64) * dt_ms, np.concatenate(xy), boundaries
+            ax, ay = a * ux, a * uy
+        entries.append((x, y, vx, vy, ax, ay, leg.omega if leg.mm is CT else 0.0))
+        if leg.mm is CT:
+            swt_w, cwt_w, c, sn = next(arcs)
+            x, y, vx, vy = x + vx * swt_w - vy * cwt_w, y + vx * cwt_w + vy * swt_w, vx * c - vy * sn, vx * sn + vy * c
+        else:
+            T = n * dt_ms / 1000.0
+            half = 0.5 * T * T
+            x, y, vx, vy = x + T * vx + half * ax, y + T * vy + half * ay, vx + T * ax, vy + T * ay
+
+    # pass 2, whole flight: every sample from its leg's entry state over its elapsed time
+    last = sum(ns)
+    firsts = np.cumsum(ns) - ns
+    elapsed = np.arange(1, last + 1)
+    elapsed -= np.repeat(firsts, ns)  # in place, as del below: fewer fresh pages to fault in
+    turn = np.repeat([leg.mm is CT for leg in legs], ns)
+    cols = np.repeat(np.array(entries).T, ns, axis=1)  # (7, N), one contiguous row per state
+    f = propagate_rows(cols, elapsed * dt_ms / 1000.0, turn, jacobian=False)[0]
+    del cols, elapsed
+    xy = np.empty((last + 1, 2))
+    xy[0] = start.x, start.y
+    xy[1:] = f[:2].T
+    boundaries = [(leg, first, first + n) for leg, first, n in zip(legs, firsts.tolist(), ns)]
+    return np.arange(last + 1, dtype=np.int64) * dt_ms, xy, boundaries

@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uavtrack import cli, dataio, tdoa, trajgen
+from uavtrack import cli, config, dataio, tdoa, trajgen
 from uavtrack.cli import main
 from uavtrack.dataio import parse_position_log, write_position_log
 from uavtrack.geodesy import GeoPoint
+from uavtrack.motionmodels import NoiseSigmas
 
 LEGS = [
     {"mm": "CT", "duration_s": 30, "omega": 0.2, "speed": 8},
@@ -199,6 +200,37 @@ class TestSimulate:
             assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), *command]) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "sigmas, message",
+        [
+            ({"acel": 0.1}, "unknown sigma keys: ['acel']"),
+            ({"omega": -1}, "negative noise sigma: NoiseSigmas(accel=0.0, jerk=0.0, omega=-1.0)"),
+            (5, "expected a {name: value} object, got 5"),
+        ],
+        ids=["unknown_key", "negative", "not_an_object"],
+    )
+    def test_bad_leg_sigmas_rejected_by_every_command(self, tmp_path, capsys, monkeypatch, sigmas, message):
+        monkeypatch.setattr(trajgen, "truth_columns", lambda *a, **k: pytest.fail("truth generated"))
+        monkeypatch.setattr(dataio, "parse_position_log", lambda *a, **k: pytest.fail("log read"))
+        cfg = _write_config(tmp_path, sim={"legs": [LEGS[0], {"mm": "CV", "duration_s": 20, "sigmas": sigmas}]})
+        for command in (["simulate"], ["track"]):
+            assert main(["--config", str(cfg), "--out", str(tmp_path / "x"), *command]) == 1
+            assert capsys.readouterr().err == f"error: sim.legs.1.sigmas: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_legs_without_sigmas_share_one_record_per_model(self):
+        leg_dicts = [*LEGS, {"mm": "CV", "duration_s": 5, "sigmas": {"accel": 0.7}}, *LEGS]
+        legs = [trajgen.leg_from_dict(d) for d in leg_dicts]
+        defaults = config.DEFAULTS["filter"]["sigma_defaults"]
+        segments = cli._segments_from_boundaries(trajgen.truth_columns(legs)[2], leg_dicts, 10, defaults)
+        assert [seg.id for seg in segments] == [f"S{i + 1}" for i in range(len(legs))]
+        for seg, d, leg in zip(segments, leg_dicts, legs):
+            assert seg.sigmas == cli._leg_sigmas(d, leg, defaults)
+            if "sigmas" not in d:
+                assert seg.sigmas == cli._leg_sigmas({}, leg, defaults)
+                assert seg.sigmas is segments[leg_dicts.index(d)].sigmas  # the model's first leg's record
+        assert segments[3].sigmas == NoiseSigmas(accel=0.7)
 
     def test_legs_not_a_list_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, sim={"legs": 5})

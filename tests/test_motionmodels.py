@@ -11,7 +11,6 @@ from uavtrack.motionmodels import (
     NoiseSigmas,
     measurement_matrix,
     propagate_batch,
-    propagate_states,
 )
 from uavtrack.objects import jacobian, process_noise, transition
 
@@ -153,20 +152,18 @@ def test_states_closed_form_is_the_transition(mm, small_turn, seed):
     if mm is ModelKind.CT:
         # |omega T| below the Taylor switch on every row, or spread across it
         s[:, 4] = rng.uniform(-1, 1, B) * (_SMALL_TURN / T if small_turn else 1.0)
-    states = propagate_states(mm, s, T)
+    states, J = propagate_batch(mm, s, T)
     if mm is not ModelKind.CT:
         # the per-axis chain [[1, T, T^2/2], [0, 1, T], [0, 0, 1]] on the
         # interleaved layout [x, y, vx, vy, (ax, ay)]
         d = mm.state_dim
         F = np.eye(d) + T[:, None, None] * np.eye(d, k=2) + (0.5 * T * T)[:, None, None] * np.eye(d, k=4)
-        assert np.array_equal(propagate_batch(mm, s, T)[1], F)
+        assert np.array_equal(J, F)
         # F @ s sums the same three terms (bit for bit with numpy 2.4's
         # matmul on x86-64), but a BLAS may fuse or reorder them, so the
         # bound is that of a 3-term sum
         terms = (np.abs(F) @ np.abs(s)[:, :, None])[:, :, 0]
         assert np.all(np.abs(states - (F @ s[:, :, None])[:, :, 0]) <= 2.0**-50 * terms)
-    # one entry state over many steps is that state tiled over them
-    assert np.array_equal(propagate_states(mm, s[0], T), propagate_batch(mm, np.tile(s[0], (B, 1)), T)[0])
 
 
 class TestProcessNoise:

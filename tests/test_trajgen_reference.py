@@ -1,4 +1,4 @@
-"""The truth generator against a frozen copy of the per-step loop it replaced."""
+"""The truth generator against frozen copies of the per-step loop and the per-leg sampling it replaced."""
 
 import math
 import sys
@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from uavtrack.geodesy import EnuPoint
-from uavtrack.motionmodels import ModelKind, propagate_batch
+from uavtrack.motionmodels import _SMALL_TURN, LAYOUT, ModelKind, propagate_batch, propagate_rows
 from uavtrack.trajgen import LegSpec, truth_columns
 
 # --- frozen reference: one Python step per sample with the CV/CA/CT
@@ -161,3 +161,93 @@ def test_legs_match_tiled_propagate_batch_bit_for_bit(legs, start, heading, spee
     tiled = tiled_truth_xy(legs, EnuPoint(*start), heading, speed, dt_ms)
     for _, first, last in boundaries:
         assert np.array_equal(xy[first : last + 1], tiled[first : last + 1])
+
+
+# --- the per-leg sampling that the two-pass truth_columns replaced: one
+# propagate_states call per leg, each leg's entry state over its elapsed
+# times, the next leg entered from the last row. Kept as it was, except
+# that propagate_states is reduced to its one-entry-state case.
+
+
+def _leg_states(mm, entry, T):
+    cols = np.zeros((len(LAYOUT), len(T)))
+    for i, col in enumerate(mm.columns.tolist()):
+        cols[col] = entry[i]
+    f = propagate_rows(cols, T, np.full(len(T), mm is ModelKind.CT), jacobian=False)[0]
+    return f[mm.columns].T
+
+
+def per_leg_truth_columns(legs, start, heading_deg, speed, dt_ms):
+    x, y = start.x, start.y
+    h, v = math.radians(heading_deg), _standstill(speed)
+    vx, vy = v * math.cos(h), v * math.sin(h)
+
+    xy = [np.array([[x, y]])]
+    boundaries = []
+    last = 0
+    for leg in legs:
+        if leg.speed is not None:
+            v, s = math.hypot(vx, vy), _standstill(leg.speed)
+            vx, vy = (vx / v * s, vy / v * s) if v > 0 else (s, 0.0)
+        tail = [leg.omega] if leg.mm is ModelKind.CT else []
+        if leg.mm is ModelKind.CA:  # fixed acceleration vector along heading at leg entry
+            v, a = math.hypot(vx, vy), _standstill(leg.accel * dt_ms / 1000) and leg.accel
+            ux, uy = (vx / v, vy / v) if v > 0 else (1.0, 0.0)
+            tail = [a * ux, a * uy]
+        # every sample of the leg from its entry state: the transitions are exact
+        n = max(round(leg.duration_s * 1000 / dt_ms), 1)
+        entry = np.array([x, y, vx, vy, *tail])
+        states = _leg_states(leg.mm, entry, np.arange(1, n + 1) * dt_ms / 1000.0)
+        x, y, vx, vy = states[-1, :4].tolist()
+        xy.append(states[:, :2])
+        boundaries.append((leg, last, last + n))
+        last += n
+    return np.arange(last + 1, dtype=np.int64) * dt_ms, np.concatenate(xy), boundaries
+
+
+# --- flights for it: CV, CA and CT legs in any order; CT legs whose turn
+# over the whole leg, |omega n dt|, lies on either side of _SMALL_TURN, where
+# the arc's coefficients switch to their series; legs shorter than half a
+# sample, which still take one; and speeds and per-sample speed changes
+# below the smallest normal double, which _standstill takes as 0
+
+_durations = st.floats(0.01, 20.0) | st.floats(1e-4, 0.004)
+_speeds = st.floats(0.0, 20.0) | st.sampled_from([0.0, 5e-324, sys.float_info.min])
+_accels = st.floats(-0.5, 0.5) | st.sampled_from([0.0, 5e-324, -5e-324, 10 * sys.float_info.min])
+
+
+@st.composite
+def _flights(draw):
+    dt_ms = draw(st.integers(10, 1000))
+
+    def near_small_turn(duration, speed, ratio, sign):
+        T = max(round(duration * 1000 / dt_ms), 1) * dt_ms / 1000.0
+        return LegSpec(ModelKind.CT, duration, speed=speed, omega=sign * ratio * _SMALL_TURN / T)
+
+    reset = st.none() | _speeds
+    leg = st.one_of(
+        st.builds(LegSpec, st.just(ModelKind.CV), _durations, speed=reset),
+        st.builds(LegSpec, st.just(ModelKind.CA), _durations, speed=reset, accel=_accels),
+        st.builds(LegSpec, st.just(ModelKind.CT), _durations, speed=reset,
+                  omega=st.floats(0.01, 0.5) | st.floats(-0.5, -0.01)),
+        st.builds(near_small_turn, _durations, reset, st.floats(0.25, 4.0), st.sampled_from([1.0, -1.0])),
+    )
+    legs = draw(st.lists(leg, min_size=1, max_size=8))
+    start = draw(st.tuples(st.floats(-1000, 1000), st.floats(-1000, 1000)))
+    return legs, start, draw(st.floats(-180, 180)), draw(_speeds), dt_ms
+
+
+@settings(deadline=None, max_examples=300)
+@given(_flights())
+@example(([_turn(5e-324), LegSpec(ModelKind.CA, 2.0, accel=0.5)], (0.0, 0.0), 100.0, 1.0, 10))
+@example(([LegSpec(ModelKind.CA, 2.0, accel=5e-324), _turn(None), LegSpec(ModelKind.CV, 0.001)], (0.0, 0.0), 0.0, 0.0, 10))
+@example(([LegSpec(ModelKind.CT, 1.0, omega=_SMALL_TURN * (1 - 1e-9)),
+           LegSpec(ModelKind.CT, 1.0, omega=-_SMALL_TURN * (1 + 1e-9))], (1.0, -2.0), 30.0, 7.0, 100))
+def test_two_passes_match_the_per_leg_sampling_bit_for_bit(flight):
+    legs, start, heading, speed, dt_ms = flight
+    t_ms, xy, boundaries = truth_columns(legs, EnuPoint(*start), heading, speed, dt_ms)
+    ref_t, ref_xy, ref_boundaries = per_leg_truth_columns(legs, EnuPoint(*start), heading, speed, dt_ms)
+    assert t_ms.dtype == ref_t.dtype and np.array_equal(t_ms, ref_t)
+    assert xy.shape == ref_xy.shape and np.array_equal(xy, ref_xy)
+    assert xy.tobytes() == ref_xy.tobytes()  # signed zeros too
+    assert boundaries == ref_boundaries

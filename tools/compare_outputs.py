@@ -19,7 +19,11 @@ runs, in its own work directory,
 
 and every file written and every stderr stream of the two trees is
 compared byte for byte. Each tree tracks and evaluates its own simulated
-flight. At the default 1 ms tolerance no RF window of these flights
+flight. Each tree also dumps, from its own interpreter, the local truth
+positions that ``simulate`` samples (``trajgen.truth_columns``' ``xy``),
+and the two are compared bit for bit: ``truth.csv`` and ``rf.csv`` print
+degrees to ``%.10f``, about 1e-5 m, so the byte compare cannot show a
+change in the last bits of the truth. At the default 1 ms tolerance no RF window of these flights
 overlaps a neighbour's, so ``align`` takes each nearest candidate
 directly; at 600 ms every window overlaps, so ``align_wide.csv`` runs
 every epoch through ``dataio.match_times``' nearest-unused loop.
@@ -28,7 +32,7 @@ Prints one line per difference, a summary, and each tree's line count
 (as ``wc -l`` counts) of every ``uavtrack/*.py`` module and of all of
 them, with the change's delta, so that the modules that shrank or grew
 show; a module that one tree lacks counts 0 lines there. Exits 1 if any
-output differs or a command's exit code does, else 0. A change that moves
+output, a command's exit code or a flight's truth bits differ, else 0. A change that moves
 outputs within a stated bound exits 1 too; its list of differing files is
 what the bound has to account for.
 """
@@ -60,6 +64,18 @@ COMMANDS = {
     "clean": ["clean", "align.csv", "--output", "clean.csv"],
 }
 SEEDS = (1, 2)
+# the truth positions of the flight in run.json, as cli.cmd_simulate samples them, in raw bits to stdout
+TRUTH_XY = (
+    "import sys\n"
+    "from uavtrack import trajgen\n"
+    "from uavtrack.config import RunConfig\n"
+    "from uavtrack.geodesy import EnuPoint\n"
+    "sim = RunConfig.load('run.json').data['sim']\n"
+    "legs = [trajgen.leg_from_dict(d) for d in sim['legs']]\n"
+    "start = EnuPoint(float(sim['start']['x']), float(sim['start']['y']))\n"
+    "xy = trajgen.truth_columns(legs, start, float(sim['heading_deg']), float(sim['speed']), sim['truth_dt_ms'])[1]\n"
+    "sys.stdout.buffer.write(xy.astype('<f8').tobytes())\n"
+)
 
 
 def package_root(path: str) -> Path:
@@ -108,6 +124,15 @@ def run_flight(src: Path, cfg: dict, work: Path) -> dict[str, bytes]:
     return outputs
 
 
+def truth_bits(src: Path, work: Path) -> bytes:
+    """The bits of the truth ``xy`` of the flight in ``work``'s run.json, from ``src``'s interpreter."""
+    argv = [sys.executable, "-c", TRUTH_XY]
+    proc = subprocess.run(argv, cwd=work, env=tree_env(src), stdin=subprocess.DEVNULL, capture_output=True)
+    if proc.returncode:
+        raise SystemExit(f"error: the truth dump failed in {src}:\n{proc.stderr.decode()}")
+    return proc.stdout
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src")
@@ -115,13 +140,16 @@ def main() -> int:
     args = parser.parse_args()
     trees = {"parent": package_root(args.parent_src), "change": package_root(args.change_src)}
 
-    n_compared, differ = 0, []
+    n_compared, differ, n_flights, truth_differ = 0, [], 0, []
     with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
         for name in sorted(workloads.WORKLOADS):
             for seed in SEEDS:
                 cfg = flight_config(name, seed)
                 flight = f"{name}-{seed}"
                 parent, change = (run_flight(src, cfg, Path(tmp, side, flight)) for side, src in trees.items())
+                n_flights += 1
+                if len({truth_bits(src, Path(tmp, side, flight)) for side, src in trees.items()}) > 1:
+                    truth_differ.append(f"{flight}/truth xy: bits differ")
                 for key in sorted(parent.keys() | change.keys()):
                     n_compared += 1
                     if key not in parent or key not in change:
@@ -129,16 +157,17 @@ def main() -> int:
                     elif parent[key] != change[key]:
                         differ.append(f"{flight}/{key}: differs")
                 print(f"# {flight}: {len(parent)} outputs compared", file=sys.stderr)
-    for line in differ:
+    for line in differ + truth_differ:
         print(line)
     print(f"{len(differ)} of {n_compared} outputs differ")
+    print(f"{len(truth_differ)} of {n_flights} flights' truth xy differ in bits")
     parent, change = (module_lines(root) for root in trees.values())
     for name in sorted(parent.keys() | change.keys()):
         a, b = parent.get(name, 0), change.get(name, 0)
         print(f"uavtrack/{name} lines: parent {a}, change {b} ({b - a:+d})")
     a, b = sum(parent.values()), sum(change.values())
     print(f"uavtrack/*.py lines: parent {a}, change {b} ({b - a:+d})")
-    return 1 if differ else 0
+    return 1 if differ or truth_differ else 0
 
 
 if __name__ == "__main__":
