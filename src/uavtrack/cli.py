@@ -57,20 +57,22 @@ def _aligned_pairs(
     return rf_t[rf_idx], uav_xy[uav_idx], rf_xy[rf_idx], rf_idx, len(rf_t), origin
 
 
-def _write_segment_table(path, segments: list[Segment], errors, ekf_errors) -> None:
+def _write_segment_table(path, segments: list[Segment], errors, ekf_errors, lengths=None) -> None:
     """One row per segment and entry of ``metrics.STATS`` of each segment's ``errors``.
 
+    ``errors`` and ``ekf_errors`` are per-segment error sequences or, with
+    ``lengths``, flat arrays of them (:func:`metrics.segment_stats`).
     ``ekf_errors`` None gives a ``value_m`` column, else ``rf_m``, ``ekf_m`` and
     ``better``, the side with the lower value (``tie`` where the two are equal).
     """
     n = len(metrics.STATS)
     ids = np.repeat([seg.id for seg in segments], n)
     mms = np.repeat([seg.mm.value for seg in segments], n)
-    st = metrics.segment_stats(errors).ravel()
+    st = metrics.segment_stats(errors, lengths).ravel()
     if ekf_errors is None:
         header, fmt, values = ["value_m"], "%.4f", [st]
     else:
-        ekf = metrics.segment_stats(ekf_errors).ravel()
+        ekf = metrics.segment_stats(ekf_errors, lengths).ravel()
         better = np.where(st == ekf, "tie", np.where(ekf < st, "ekf", "rf"))
         header, fmt, values = ["rf_m", "ekf_m", "better"], "%.4f,%.4f,%s", [st, ekf, better]
     stats = np.tile(metrics.STATS, len(segments))
@@ -187,8 +189,9 @@ def cmd_track(args, cfg: RunConfig) -> dict:
         log.warning("%s", w)
 
     # the tracked rows stacked once; both sides scored alike (a track starts at its first RF fix)
-    lengths = [len(tr.states) for tr in tracks]
-    rows = np.concatenate([np.arange(tr.rows.start, tr.rows.stop) for tr in tracks] + [np.empty(0, np.intp)])
+    lengths = np.array([len(tr.states) for tr in tracks], dtype=np.intp)
+    starts = np.array([tr.rows.start for tr in tracks], dtype=np.intp)
+    rows = np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
     xy = np.concatenate([tr.states[:, :2] for tr in tracks] + [np.empty((0, 2))])
     all_rf = metrics.euclidean_errors(uav, rf)
     ekf_err = metrics.euclidean_errors(uav[rows], xy)
@@ -200,10 +203,8 @@ def cmd_track(args, cfg: RunConfig) -> dict:
         args.out / "track.csv", ["t_ms", "segment", "x", "y", "lat_deg", "lon_deg"],
         "%s,%s,%.6f,%.6f,%.10f,%.10f", t_ms[rows], ids, *xy.T, *latlon.T,
     )
-    ends = np.cumsum(lengths, dtype=np.intp)  # np.split at every end leaves one empty last piece
     _write_segment_table(
-        args.out / "report.csv", [tr.segment for tr in tracks],
-        np.split(all_rf[rows], ends)[:-1], np.split(ekf_err, ends)[:-1],
+        args.out / "report.csv", [tr.segment for tr in tracks], all_rf[rows], ekf_err, lengths
     )
     _write_cdf(args.out / "cdf_rf.csv", all_rf)
     if tracks:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from pathlib import Path
 from typing import Any, Optional
 
@@ -131,7 +132,7 @@ def _check_numbers(value: Any, key: str) -> None:
     if isinstance(value, (dict, list)):
         for k, v in value.items() if isinstance(value, dict) else enumerate(value):
             _check_numbers(v, f"{key}.{k}" if key else k)
-    elif isinstance(value, float) and not np.isfinite(value):
+    elif isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {value}")
     elif isinstance(value, int) and key != "sim.seed" and not -(2**63) <= value < 2**63:
         raise ConfigError(f"{key} is too large for a 64-bit integer, got {value}")

@@ -36,6 +36,7 @@ _WRITE_BLOCK_ROWS = 4096
 # one printf conversion of a line format
 _CONVERSION = re.compile(r"(%s|%\.\d+f)")
 _ZERO, _MINUS, _POINT = ord("0"), ord("-"), ord(".")
+_ID_BREAKS = frozenset(',"\r\n')  # characters that a table's unquoted id field cannot hold
 
 
 def _digit_table() -> np.ndarray:
@@ -166,7 +167,8 @@ def parse_position_log(path) -> tuple[np.ndarray, np.ndarray]:
     path = Path(path)
     rows = _load_columns(path)
     if rows is not None:
-        rows = rows[np.argsort(rows["t"])]
+        if not np.all(rows["t"][1:] > rows["t"][:-1]):  # a log in time order needs no sort
+            rows = rows[np.argsort(rows["t"])]
         t, latlon = rows["t"], np.column_stack((rows["lat"], rows["lon"]))
         if np.all(np.abs(latlon) <= (90.0, 180.0)) and not np.any(t[1:] == t[:-1]):
             return t, latlon
@@ -236,9 +238,9 @@ def _line_fields(fmt: str, columns: list[np.ndarray]) -> list | None:
     """``fmt`` as alternating literal bytes and one text converter per column.
 
     None when the matrix form does not cover the format: a conversion other
-    than ``%s`` on an integer column or ``%.<d>f`` (d <= 15) on a float
-    column, a percent sign or NUL in a literal, or a column count the format
-    does not take.
+    than ``%s`` on an integer or native-order ``U`` string column or
+    ``%.<d>f`` (d <= 15) on a float column, a percent sign or NUL in a
+    literal, or a column count the format does not take.
     """
     parts = _CONVERSION.split(fmt)
     literals, conversions = parts[::2], parts[1::2]
@@ -251,6 +253,8 @@ def _line_fields(fmt: str, columns: list[np.ndarray]) -> list | None:
         kind, size = col.dtype.kind, col.dtype.itemsize
         if part == "%s" and kind in "iu" and size <= 8:
             convert = _int_text
+        elif part == "%s" and kind == "U" and col.dtype.isnative:
+            convert = _str_text
         elif part != "%s" and kind == "f" and size <= 8 and int(part[2:-1]) <= 15:
             convert = _fixed_text(int(part[2:-1]))
         else:
@@ -308,6 +312,18 @@ def _int_text(v: np.ndarray) -> list[np.ndarray]:
     chars = _digits(mag, len(str(int(mag.max()))))
     _drop_leading_zeros(chars)
     return [_sign(neg), chars]
+
+
+def _str_text(v: np.ndarray) -> list[np.ndarray] | None:
+    """Each string's code points as bytes, NUL-padded to the column's width.
+
+    None for a block with a code point past ASCII, or a NUL before a later
+    character: the matrix drops every NUL, printf writes that one.
+    """
+    codes = np.ascontiguousarray(v).view(np.uint32).reshape(len(v), v.dtype.itemsize // 4)
+    if codes.size and (codes.max() > 127 or ((codes[:, :-1] == 0) & (codes[:, 1:] != 0)).any()):
+        return None
+    return [codes.astype(np.uint8)]
 
 
 def _fixed_text(digits: int) -> Callable[[np.ndarray], list[np.ndarray] | None]:
@@ -424,6 +440,10 @@ def load_segments(path, K: int) -> list[Segment]:
     """Load and validate the segment file against an RF log of ``K`` rows.
 
     Indices not covered by any segment are implicitly excluded from tracking.
+    An id may not hold a comma, a double quote or a line break: the tables
+    write ids unquoted. Entries whose ``sigmas`` hold equal values of the same
+    types under the same keys share one :class:`NoiseSigmas` record; ``1``,
+    ``1.0`` and ``true`` are distinct values.
     """
     with open(path, encoding="utf-8") as f:
         raw = json.load(f)
@@ -431,6 +451,7 @@ def load_segments(path, K: int) -> list[Segment]:
         raise SegmentError(f"{path}: expected a JSON array of segments")
 
     segments, ids = [], set()
+    shared: dict[tuple, NoiseSigmas] = {}  # the record of each valid sigmas object seen
     for entry in raw:
         try:
             sid = str(entry["id"])
@@ -439,13 +460,20 @@ def load_segments(path, K: int) -> list[Segment]:
                 raise TypeError("'bool' object cannot be interpreted as an integer")
             start, end = operator.index(start), operator.index(end)
             mm_label = entry["mm"]
-            sigmas = NoiseSigmas.from_dict(entry.get("sigmas", {}))
+            sig = entry.get("sigmas", {})
+            key = (tuple(sig.items()), tuple(map(type, sig.values()))) if type(sig) is dict else None
+            try:
+                sigmas = shared[key]
+            except (KeyError, TypeError):  # not seen yet, or an unhashable value, which from_dict rejects
+                sigmas = shared[key] = NoiseSigmas.from_dict(sig)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SegmentError(f"{path}: malformed segment entry {entry!r}: {exc}") from exc
         try:
             mm = ModelKind(mm_label)
         except ValueError:
             raise SegmentError(f"segment {sid}: unknown motion model {mm_label!r}") from None
+        if not _ID_BREAKS.isdisjoint(sid):
+            raise SegmentError(f"{path}: segment id {sid!r} holds a comma, a double quote or a line break")
         if sid in ids:
             raise SegmentError(f"{path}: duplicate segment id {sid!r}")
         ids.add(sid)

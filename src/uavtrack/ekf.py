@@ -92,9 +92,11 @@ def _predict_cov(F: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def _update_step(s: np.ndarray, P: np.ndarray, z: np.ndarray, H: np.ndarray, R: np.ndarray):
     """Joseph-form measurement update of (B, n) states with (B, 2) fixes.
 
-    Returns the updated states and covariances, the (B, 2, 2) innovation
-    covariances S and a (B,) flag that is False where S is singular or not
-    finite; the rows so flagged hold no usable estimate.
+    ``H`` is the selector ``eye(2, n)`` of the two leading states, the
+    position; it is applied by slicing, which gives the products with it
+    exactly. Returns the updated states and covariances, the (B, 2, 2)
+    innovation covariances S and a (B,) flag that is False where S is
+    singular or not finite; the rows so flagged hold no usable estimate.
 
     The gain solves S^T K^T = (P H^T)^T by LAPACK, one system per row, so a
     row rounds exactly as a lone update and as the scalar filter it
@@ -102,22 +104,24 @@ def _update_step(s: np.ndarray, P: np.ndarray, z: np.ndarray, H: np.ndarray, R: 
     tuned CT filter can grow that last-bit difference by a factor of about
     1e8 within 200 steps.
     """
-    PHt = P @ H.T
-    S = H @ PHt + R
+    m, n = H.shape
+    PHt = P[:, :, :m]
+    S = PHt[:, :m] + R
     det = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
     ok = np.isfinite(det) & (det != 0.0)
     try:
         Kt = np.linalg.solve(S.swapaxes(1, 2), PHt.swapaxes(1, 2))
     except np.linalg.LinAlgError:  # some S has an exactly zero pivot: row by row
-        Kt = np.full((len(S), PHt.shape[2], PHt.shape[1]), np.nan)
+        Kt = np.full((len(S), m, n), np.nan)
         for i in np.flatnonzero(ok):
             try:
                 Kt[i] = np.linalg.solve(S[i].T, PHt[i].T)
             except np.linalg.LinAlgError:  # det != 0 although a pivot is 0
                 ok[i] = False
     K = Kt.swapaxes(1, 2)
-    s = s + (K @ (z - (H @ s[:, :, None])[:, :, 0])[:, :, None])[:, :, 0]
-    ImKH = np.eye(H.shape[1]) - K @ H
+    s = s + (K @ (z - s[:, :m])[:, :, None])[:, :, 0]
+    ImKH = np.tile(np.eye(n), (len(s), 1, 1))
+    ImKH[:, :, :m] -= K
     P = _symmetrize(ImKH @ P @ ImKH.swapaxes(1, 2) + K @ R @ K.swapaxes(1, 2))
     return s, P, S, ok
 
@@ -179,7 +183,6 @@ def _run_batch(
     kind = np.array([index[segs[i].mm] for i in order], dtype=np.intp)
     has = state_mask(list(index))[kind]
     q = noise_rows(sigma_rows([segs[i].sigmas for i in order]), has)
-    dt = np.diff(t_ms) / 1000.0  # dt[i] leads from row i to row i + 1
     w, H = LAYOUT.index("omega"), np.eye(2, n)
     turn = has[:, w]
     # output rows: one model's segments together, each segment's rows in a block
@@ -188,27 +191,38 @@ def _run_batch(
     base[grouped] = np.cumsum(lengths[grouped]) - lengths[grouped]
     states, covs = np.empty((lengths.sum(), n)), np.empty((lengths.sum(), n, n))
 
+    # the rows of steps 1, ..., L - 1 back to back, each step's ending at its
+    # entry of bounds: the batch position j of each running segment, its row
+    # of t_ms and z, the step length, the process noise and the output row
+    bounds = np.cumsum(n_active[1:])
+    k = np.repeat(np.arange(1, L), n_active[1:])
+    j = np.arange(len(k)) - np.repeat(bounds - n_active[1:], n_active[1:])
+    at = first[j] + k
+    T = (t_ms[at] - t_ms[at - 1]) / 1000.0
+    Q, z_at, out_rows = process_noise_rows(T, q[j]), z[at], base[j] + k
+    stalled = np.zeros(L, dtype=bool)  # steps with a non-increasing timestamp
+    stalled[k[T <= 0]] = True
+
     s = np.zeros((B, n))
     s[:, :2] = z[first]
     P = _initial_covariance(has, cfg)
     states[base], covs[base] = s, P
     errors: list[Optional[FilterError]] = [None] * B  # in input order
     with np.errstate(all="ignore"):  # a failed row steps on unread
-        for k in range(1, L):
-            b = n_active[k]
-            at = first[:b] + k  # the running segments' rows of t_ms and z
-            T = dt[at - 1]
-            f, F = propagate_rows(s[:b].T, T, turn[:b])
-            P = _predict_cov(F, P[:b], process_noise_rows(T, q[:b]))
-            s, P, S, ok = _update_step(f.T, P, z[at], H, cfg.R)
+        for lo, hi, stall in zip([0, *bounds[:-1].tolist()], bounds.tolist(), stalled[1:].tolist()):
+            b, Tk = hi - lo, T[lo:hi]
+            f, F = propagate_rows(s[:b].T, Tk, turn[:b])
+            P = _predict_cov(F, P[:b], Q[lo:hi])
+            s, P, S, ok = _update_step(f.T, P, z_at[lo:hi], H, cfg.R)
             np.clip(s[:, w], -_OMEGA_MAX, _OMEGA_MAX, out=s[:, w], where=turn[:b])
-            for j in np.flatnonzero(~ok | (T <= 0)).tolist():
-                if errors[order[j]] is None:
-                    errors[order[j]] = FilterError(
-                        f"non-increasing timestamps at {t_ms[at[j]]}" if T[j] <= 0
-                        else f"singular innovation covariance: {S[j]}"
-                    )
-            states[base[:b] + k], covs[base[:b] + k] = s, P
+            if stall or not ok.all():
+                for i in np.flatnonzero(~ok | (Tk <= 0)).tolist():
+                    if errors[order[i]] is None:
+                        errors[order[i]] = FilterError(
+                            f"non-increasing timestamps at {t_ms[at[lo + i]]}" if Tk[i] <= 0
+                            else f"singular innovation covariance: {S[i]}"
+                        )
+            states[out_rows[lo:hi]], covs[out_rows[lo:hi]] = s, P
 
     out: list = list(errors)
     for mm, m in index.items():  # the model's columns of all its segments at once

@@ -55,6 +55,9 @@ class ModelKind(str, enum.Enum):
 
 
 _COLUMNS = {mm: np.array([LAYOUT.index(k) for k in mm.states]) for mm in ModelKind}
+# entries (row-major 7 x 7) where the CT Jacobian differs from the chain's:
+# the x, y, vx and vy rows in the vx, vy and omega columns
+_ARC_JACOBIAN = np.array([7 * row + col for row in range(4) for col in (2, 3, 6)])
 
 
 def _finite_number(value: Any, name: str, error: type[ValueError] = ValueError) -> float:
@@ -149,21 +152,18 @@ def propagate_rows(cols: np.ndarray, T: np.ndarray, turn: np.ndarray,
         F[:, ::8] = 1.0
         F[:, 2:27:8] = T[:, None]  # x <- vx, y <- vy, vx <- ax, vy <- ay
         F[:, 4:13:8] = half[:, None]  # x <- ax, y <- ay
-        F = F.reshape(-1, 7, 7)
     if n_turn:
-        i = slice(None) if n_turn == len(T) else np.flatnonzero(turn)
+        every = n_turn == len(T)
+        i = slice(None) if every else np.flatnonzero(turn)
         x, y, vx, vy, _, _, w = cols[:, i]
         T = T[i]
         swt_w, cwt_w, c, sn, dswt_dw, dcwt_dw = _turn_coeffs(w, T)
-        arc = (x + vx * swt_w - vy * cwt_w, y + vx * cwt_w + vy * swt_w, vx * c - vy * sn, vx * sn + vy * c)
-        for row, value in enumerate(arc):
-            f[row, i] = value
-        if jacobian:  # the x, y, vx and vy rows differ from the chain's in the vx, vy and omega columns
+        f[:4, i] = (x + vx * swt_w - vy * cwt_w, y + vx * cwt_w + vy * swt_w, vx * c - vy * sn, vx * sn + vy * c)
+        if jacobian:  # the entries of _ARC_JACOBIAN, in its order
             jac = (swt_w, -cwt_w, vx * dswt_dw - vy * dcwt_dw, cwt_w, swt_w, vx * dcwt_dw + vy * dswt_dw,
                    c, -sn, T * (-vx * sn - vy * c), sn, c, T * (vx * c - vy * sn))
-            for (row, col), value in zip([(r, k) for r in range(4) for k in (2, 3, 6)], jac):
-                F[i, row, col] = value
-    return f, F
+            F[i if every else i[:, None], _ARC_JACOBIAN] = np.stack(jac, axis=1)
+    return f, None if F is None else F.reshape(-1, 7, 7)
 
 
 def noise_rows(sig: np.ndarray, has: np.ndarray) -> np.ndarray:

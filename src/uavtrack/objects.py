@@ -140,10 +140,12 @@ def predict(fs: FilterState, mm: ModelKind, T: float, Q: np.ndarray) -> FilterSt
 
 
 def update(fs_pred: FilterState, z: EnuPoint, meas: MeasurementModel) -> FilterState:
-    """Measurement update with the RF position fix (Joseph form)."""
+    """Measurement update with the RF position fix (Joseph form); ``meas.H`` must select the position."""
     H, R, n = np.asarray(meas.H, dtype=float), np.asarray(meas.R, dtype=float), fs_pred.s.shape[0]
     if H.shape != (2, n) or R.shape != (2, 2):
         raise FilterError(f"inconsistent measurement dimensions: H{H.shape} R{R.shape}")
+    if not np.array_equal(H, np.eye(2, n)):
+        raise FilterError(f"H must be the position selector measurement_matrix(mm), got {H.tolist()}")
     with np.errstate(all="ignore"):
         s, P, S, ok = _update_step(
             np.asarray(fs_pred.s, dtype=float)[None], fs_pred.P[None], np.array([[z.x, z.y]]), H, R

@@ -311,6 +311,29 @@ class TestSegments:
         with pytest.raises(SegmentError, match=r"duplicate segment id 'S1'$"):
             load_segments(p, K=30)
 
+    @pytest.mark.parametrize("sid", ["S,1", 'S"1', "S\r1", "S1\n", ","], ids=["comma", "quote", "cr", "lf", "bare_comma"])
+    def test_id_that_breaks_a_table_row_rejected(self, tmp_path, sid):
+        # track.csv, report.csv and segment_stats.csv write ids unquoted, so
+        # such an id would shift every later field of its rows
+        p = self._write_segments(tmp_path, [
+            {"id": "S0", "start_idx": 0, "end_idx": 4, "mm": "CV", "sigmas": {}},
+            {"id": sid, "start_idx": 5, "end_idx": 10, "mm": "CV", "sigmas": {}},
+        ])
+        with pytest.raises(SegmentError, match=re.escape(f"segment id {sid!r} holds a comma, a double quote or a line break")):
+            load_segments(p, K=30)
+
+    def test_simulated_ids_accepted(self, tmp_path):
+        # simulate names its segments S1, S2, ...
+        from uavtrack import cli
+
+        (tmp_path / "config.json").write_text(json.dumps({"sim": {"noise_model": "position", "legs": [
+            {"mm": "CV", "duration_s": 12}, {"mm": "CA", "duration_s": 12},
+            {"mm": "CT", "duration_s": 12, "omega": 0.2}, {"mm": "CV", "duration_s": 12},
+        ]}}))
+        assert cli.main(["--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "sim"), "simulate"]) == 0
+        segments = load_segments(tmp_path / "sim/segments.json", K=10**6)
+        assert [s.id for s in segments] == ["S1", "S2", "S3", "S4"]
+
     @pytest.mark.parametrize("key, value", [
         pytest.param("start_idx", 0.9, id="start_idx"),
         pytest.param("end_idx", 10.9, id="end_idx"),

@@ -98,6 +98,12 @@ class TestUpdate:
         with pytest.raises(FilterError, match="inconsistent measurement dimensions"):
             update(fs, EnuPoint(0, 0), MeasurementModel(H, R))
 
+    def test_measurement_other_than_the_position_rejected(self):
+        # the update applies H by slicing out the two leading states
+        fs = FilterState(np.zeros(4), np.eye(4), 0)
+        with pytest.raises(FilterError, match="H must be the position selector"):
+            update(fs, EnuPoint(0, 0), MeasurementModel(np.eye(4)[[0, 2]], np.eye(2)))
+
     def test_singular_innovation(self):
         fs = FilterState(np.zeros(4), np.zeros((4, 4)), 0)
         with pytest.raises(FilterError):

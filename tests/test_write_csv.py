@@ -1,8 +1,10 @@
 """``dataio.write_csv`` against the joined ``fmt % row`` text of its rows.
 
 The block matrix writes each field from a fixed-width slot of digits or
-bytes; every property here compares its bytes with the printf text, which
-is also what a block the matrix cannot represent is written as.
+bytes: integers, fixed-point floats and ASCII ``U`` strings. Every property
+here compares its bytes with the printf text, which is also what a block
+the matrix cannot represent is written as: non-ASCII or embedded-NUL
+strings, bytes, bools, objects and 2-D columns among others.
 """
 
 import tempfile
@@ -92,17 +94,31 @@ def test_in_range_values_take_the_matrix(data, n):
     assert _written(["t", "a", "b"], "%s,%.6f,%.10f", columns) == _printf_text(["t", "a", "b"], "%s,%.6f,%.10f", columns)
 
 
-@settings(max_examples=100, deadline=None)
+def _takes_matrix(strings):
+    """Whether a ``U`` column of ``strings`` can be the matrix's bytes: ASCII, no NUL before a later character."""
+    return all(s.isascii() and "\0" not in s.rstrip("\0") for s in strings)
+
+
+_ascii = st.text(st.characters(max_codepoint=127, blacklist_characters="\0"), max_size=12)
+_ids = st.one_of(
+    _ascii,
+    st.text(max_size=12),  # non-ASCII included
+    st.builds(lambda a, b: f"{a}\0{b}", _ascii, _ascii),  # a NUL, trailing when b is empty
+)
+
+
+@settings(max_examples=200, deadline=None)
 @given(data=st.data(), n=_rows)
 def test_track_format_with_a_string_column(data, n):
-    # a string column is outside the matrix: the whole block is printf text
+    # an ASCII string column takes the matrix; a non-ASCII character or a
+    # NUL before a later one sends the whole block to printf text
     t = data.draw(st.lists(st.integers(0, 10**10), min_size=n, max_size=n))
-    ids = data.draw(st.lists(st.text(max_size=12), min_size=n, max_size=n))  # non-ASCII included
+    ids = data.draw(st.lists(_ids, min_size=n, max_size=n))
     xy = data.draw(st.lists(st.floats(-5e4, 5e4), min_size=2 * n, max_size=2 * n))
     latlon = data.draw(st.lists(st.floats(-180.0, 180.0), min_size=2 * n, max_size=2 * n))
     columns = [np.array(t), np.array(ids), np.array(xy[:n]), np.array(xy[n:]), np.array(latlon[:n]), np.array(latlon[n:])]
     header = ["t_ms", "segment", "x", "y", "lat_deg", "lon_deg"]
-    assert not _fast(TRACK_FMT, columns)
+    assert _fast(TRACK_FMT, columns) == _takes_matrix(columns[1].tolist())
     assert _written(header, TRACK_FMT, columns) == _printf_text(header, TRACK_FMT, columns)
 
 
@@ -144,10 +160,22 @@ def test_formats_outside_the_matrix_match_printf():
         ("%.2f,%s", [t, ids]),  # an integer column at %f
         ("%s%%,%.3f", [t, v]),  # a literal percent sign
         ("%s,%.20f", [t, v]),  # 20 digits exceed the int64 path
-        ("%s,%s", [t, ids]),  # a string column
         ("%s,%s", [t, np.array([b"a", b"b"])]),  # bytes print as b'a'
         ("%s,%s", [t, np.array([True, False])]),
         ("%s,%s", [t, np.array([[1, 2], [3, 4]])]),  # a 2-D column prints each row as a list
     ]:
         assert not _fast(fmt, columns), fmt
         assert _written(["x", "y"], fmt, columns) == _printf_text(["x", "y"], fmt, columns), fmt
+    for column in [
+        np.array(["a", "é"]),  # non-ASCII
+        np.array(["a\0b", "c"]),  # a NUL before a later character
+        np.array(["a", "b"], dtype=">U1"),  # byte-swapped code points
+        np.array(["a", "b"], dtype=object),
+    ]:
+        assert not _fast("%s,%s", [t, column]), column
+        assert _written(["x", "y"], "%s,%s", [t, column]) == _printf_text(["x", "y"], "%s,%s", [t, column])
+    for column in [ids, np.array(["", "S12"]), np.array(["abc", "d"])[::-1], np.array(["xy", "z"])[::2]]:
+        assert _fast("%s,%s", [t[: len(column)], column]), column  # ASCII, strided included
+        assert _written(["x", "y"], "%s,%s", [t[: len(column)], column]) == _printf_text(
+            ["x", "y"], "%s,%s", [t[: len(column)], column]
+        )

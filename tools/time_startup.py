@@ -2,6 +2,7 @@
 
 Usage:
     python tools/time_startup.py PARENT_SRC CHANGE_SRC [--pairs N] [--workload NAME ...]
+                                 [--command simulate|track|evaluate ...]
 
 Each argument is a checkout's ``src`` directory, the one holding the
 ``uavtrack`` package. The parent tree simulates each workload's seed 1
@@ -17,9 +18,13 @@ steps, each in a fresh interpreter with the pinned environment of
     <workload> evaluate  python -m uavtrack.cli --config run.json --out ... evaluate sim/truth.csv sim/rf.csv
 
 the three commands as ``perfbench/run.py`` runs them. The first two
-steps run no uavtrack code: they show the noise floor. One untimed round
-compiles the bytecode first. In each pair every step runs once per tree,
-the parent first in even pairs and the change first in odd ones.
+steps run no uavtrack code: they show the noise floor. ``--command``,
+which may repeat, pairs only the named commands of each workload and
+none of the three import steps, so that, say, 30 pairs of
+``--workload dense_segments --command track`` run that one step. One
+untimed round compiles the bytecode first. In each pair every step runs
+once per tree, the parent first in even pairs and the change first in
+odd ones.
 
 Prints, per step, each tree's median wall time and quartiles (ms), the
 median over pairs of the change's time over the parent's, and in how many
@@ -50,11 +55,14 @@ COMMANDS = {
 }
 
 
-def steps(workloads: list[str], flights: Path) -> dict[str, tuple[list[str], Path]]:
-    """Each step's interpreter arguments and work directory."""
-    out = {name: (["-c", code], flights) for name, code in IMPORTS.items()}
+def steps(workloads: list[str], commands: list[str] | None, flights: Path) -> dict[str, tuple[list[str], Path]]:
+    """Each step's interpreter arguments and work directory: the import steps and every command,
+    or only ``commands``."""
+    out = {} if commands else {name: (["-c", code], flights) for name, code in IMPORTS.items()}
     for workload in workloads:
         for command, args in COMMANDS.items():
+            if commands and command not in commands:
+                continue
             argv = ["-m", "uavtrack.cli", "--config", "run.json", "--out", f"out_{command}", *args]
             out[f"{workload} {command}"] = (argv, flights / workload)
     return out
@@ -77,6 +85,8 @@ def main() -> int:
     parser.add_argument("change_src")
     parser.add_argument("--pairs", type=int, default=30, help="alternating parent/change rounds")
     parser.add_argument("--workload", nargs="+", default=["tdoa_loiter", "dense_segments"])
+    parser.add_argument("--command", action="append", choices=list(COMMANDS),
+                        help="pair only this command's steps (repeatable); default: the import steps and all three")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -89,7 +99,7 @@ def main() -> int:
             (flights / workload / "run.json").write_text(json.dumps(flight_config(workload, SEED), indent=1))
             timed(trees["parent"], ["-m", "uavtrack.cli", "--config", "run.json", "--out", "sim", "simulate"],
                   flights / workload)
-        plan = steps(args.workload, flights)
+        plan = steps(args.workload, args.command, flights)
         for src in trees.values():  # compiles each tree's bytecode; not timed
             for argv, cwd in plan.values():
                 timed(src, argv, cwd)
