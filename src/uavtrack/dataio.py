@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .geodesy import EnuPoint, GeoPoint
+from .geodesy import BLOCK_ROWS, EnuPoint, GeoPoint
 from .metrics import euclidean_errors
 from .motionmodels import ModelKind, NoiseSigmas
 from .records import record
@@ -32,7 +32,6 @@ DEFAULT_CLEAN_THRESHOLD_M = 60.0
 
 _GEO_DTYPE = [("t", "i8"), ("lat", "f8"), ("lon", "f8")]
 _PLAIN_BYTES = b"0123456789+-.eE,\n"
-_WRITE_BLOCK_ROWS = 4096
 # one printf conversion of a line format
 _CONVERSION = re.compile(r"(%s|%\.\d+f)")
 _ZERO, _MINUS, _POINT = ord("0"), ord("-"), ord(".")
@@ -225,8 +224,8 @@ def write_csv(path, header: list[str], fmt: str, *columns) -> None:
     fields = _line_fields(fmt, columns)
     with open(path, "wb") as f:
         f.write((",".join(header) + "\n").encode("utf-8"))
-        for i in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
-            block = [c[i : i + _WRITE_BLOCK_ROWS] for c in columns]
+        for i in range(0, len(columns[0]), BLOCK_ROWS):
+            block = [c[i : i + BLOCK_ROWS] for c in columns]
             text = _block_text(fields, block) if fields is not None else None
             if text is None:
                 rows = zip(*(c.tolist() for c in block))

@@ -21,6 +21,11 @@ _E2 = _F * (2.0 - _F)
 # small-area assumption guard
 MAX_RANGE_M = 50_000.0
 
+# rows per block of a flight-length, row-wise array pass (these conversions,
+# the truth sampling, the CSV text): its transient memory grows with the
+# block, not with the flight
+BLOCK_ROWS = 4096
+
 
 class GeodesyError(ValueError):
     """Invalid coordinate or out-of-range conversion request."""
@@ -53,9 +58,10 @@ class EnuPoint:
 
 
 Vec3 = tuple[float, float, float]
+Frame = tuple[Vec3, Vec3, Vec3, Vec3]  # an origin's ECEF position and its east, north and up unit vectors
 
 
-def _origin_frame(origin: GeoPoint) -> tuple[Vec3, Vec3, Vec3, Vec3]:
+def _origin_frame(origin: GeoPoint) -> Frame:
     """ECEF position of ``origin`` and its east, north and up unit vectors."""
     lat0 = math.radians(origin.lat_deg)
     lon0 = math.radians(origin.lon_deg)
@@ -92,15 +98,7 @@ def to_enu_array(latlon: np.ndarray, origin: GeoPoint) -> np.ndarray:
     coordinates (as :func:`uavtrack.dataio.parse_position_log` returns
     them); a row more than ``MAX_RANGE_M`` from the origin is an error.
     """
-    x0, east, north, _ = _origin_frame(origin)
-    lat = np.radians(latlon[:, 0])
-    lon = np.radians(latlon[:, 1])
-    sin_lat, cos_lat = np.sin(lat), np.cos(lat)
-    n = _A / np.sqrt(1.0 - _E2 * sin_lat * sin_lat)
-    dx = n * cos_lat * np.cos(lon) - x0[0]
-    dy = n * cos_lat * np.sin(lon) - x0[1]
-    dz = n * (1.0 - _E2) * sin_lat - x0[2]
-    enu = np.column_stack([east[0] * dx + east[1] * dy, north[0] * dx + north[1] * dy + north[2] * dz])
+    enu = _by_blocks(_to_enu_rows, latlon, _origin_frame(origin))
     if np.any(np.hypot(enu[:, 0], enu[:, 1]) > MAX_RANGE_M):
         raise GeodesyError(f"points separated by more than {MAX_RANGE_M / 1000:.0f} km")
     if not np.isfinite(enu).all():
@@ -126,7 +124,34 @@ def from_enu_array(xy: np.ndarray, origin: GeoPoint) -> np.ndarray:
     if np.any(np.hypot(xy[:, 0], xy[:, 1]) > MAX_RANGE_M):
         raise GeodesyError(f"offset exceeds {MAX_RANGE_M / 1000:.0f} km")
 
-    x0, east, north, up = _origin_frame(origin)
+    return _by_blocks(_from_enu_rows, xy, _origin_frame(origin))
+
+
+def _by_blocks(convert, rows: np.ndarray, frame: Frame) -> np.ndarray:
+    """The (K, 2) image of ``rows`` under ``convert(block, frame, out)``, filled ``BLOCK_ROWS`` rows at a time."""
+    out = np.empty((len(rows), 2))
+    for i in range(0, len(rows), BLOCK_ROWS):
+        convert(rows[i : i + BLOCK_ROWS], frame, out[i : i + BLOCK_ROWS])
+    return out
+
+
+def _to_enu_rows(latlon: np.ndarray, frame: Frame, out: np.ndarray) -> None:
+    """:func:`to_enu_array` of a block of rows into ``out``, unchecked."""
+    x0, east, north, _ = frame
+    lat = np.radians(latlon[:, 0])
+    lon = np.radians(latlon[:, 1])
+    sin_lat, cos_lat = np.sin(lat), np.cos(lat)
+    n = _A / np.sqrt(1.0 - _E2 * sin_lat * sin_lat)
+    dx = n * cos_lat * np.cos(lon) - x0[0]
+    dy = n * cos_lat * np.sin(lon) - x0[1]
+    dz = n * (1.0 - _E2) * sin_lat - x0[2]
+    out[:, 0] = east[0] * dx + east[1] * dy
+    out[:, 1] = north[0] * dx + north[1] * dy + north[2] * dz
+
+
+def _from_enu_rows(xy: np.ndarray, frame: Frame, out: np.ndarray) -> None:
+    """:func:`from_enu_array` of a block of checked rows into ``out``."""
+    x0, east, north, up = frame
     e, n = xy[:, 0], xy[:, 1]
     d = (e * east[0] + n * north[0], e * east[1] + n * north[1], e * east[2] + n * north[2])
     s = (x0[0] + d[0], x0[1] + d[1], x0[2] + d[2])
@@ -136,4 +161,5 @@ def from_enu_array(xy: np.ndarray, origin: GeoPoint) -> np.ndarray:
     u = -2.0 * c / (b + np.sqrt(b * b - 4.0 * a * c))
     x, y, z = s[0] + u * up[0], s[1] + u * up[1], s[2] + u * up[2]
     lat = np.arctan2(z, (1.0 - _E2) * np.hypot(x, y))
-    return np.column_stack([np.degrees(lat), np.degrees(np.arctan2(y, x))])
+    out[:, 0] = np.degrees(lat)
+    out[:, 1] = np.degrees(np.arctan2(y, x))

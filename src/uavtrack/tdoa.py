@@ -8,7 +8,6 @@ range-difference least-squares cost.
 
 from __future__ import annotations
 
-import bisect
 import logging
 from typing import Optional
 
@@ -261,6 +260,24 @@ def _fixes(arr: SensorArray, idx: list[int], rd: np.ndarray, init: np.ndarray) -
     return points, np.sqrt(costs / len(idx)), converged
 
 
+def _epoch_rows(t_ms: np.ndarray, decimate_ms: Optional[int]) -> np.ndarray:
+    """The rows of the never-decreasing ``t_ms`` (N,) on :func:`simulate_columns`' epoch grid.
+
+    Row 0, then each time the first later row at least ``decimate_ms`` after
+    the last epoch; every row when ``decimate_ms`` is None or at most 0.
+    """
+    if decimate_ms is None:
+        return np.arange(t_ms.size)
+    d = min(max(decimate_ms, 0), int(t_ms[-1]) - int(t_ms[0]) + 1)  # in int64: past the flight is one epoch
+    after = np.searchsorted(t_ms, t_ms + d)  # each row's successor on the grid, or past the end
+    after = memoryview(np.maximum(after, np.arange(1, after.size + 1), out=after))  # Python ints, no list
+    rows, i = [0], after[0]
+    while i < len(after):
+        rows.append(i)
+        i = after[i]
+    return np.array(rows)
+
+
 def simulate_columns(
     t_ms: np.ndarray,
     xy: np.ndarray,
@@ -307,12 +324,7 @@ def simulate_columns(
         raise ValueError("empty ground-truth trajectory")
     if np.any(t_ms[1:] < t_ms[:-1]):
         raise ValueError("ground-truth timestamps must not decrease")
-    if decimate_ms is None:
-        rows = list(range(t_ms.size))
-    else:
-        ts, rows = t_ms.tolist(), [0]
-        while (i := bisect.bisect_left(ts, ts[rows[-1]] + decimate_ms, rows[-1] + 1)) < len(ts):
-            rows.append(i)
+    rows = _epoch_rows(t_ms, decimate_ms)
     t_ms, xy = t_ms[rows], np.asarray(xy, dtype=float)[rows]
 
     n, m = len(rows), 2 if arr is None else arr.positions.shape[0] - 1

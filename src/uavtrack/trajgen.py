@@ -13,7 +13,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .geodesy import EnuPoint
+from .geodesy import BLOCK_ROWS, EnuPoint
 from .motionmodels import ModelKind, _finite_number, _turn_coeffs, propagate_rows
 from .records import record
 
@@ -125,17 +125,18 @@ def truth_columns(
             half = 0.5 * T * T
             x, y, vx, vy = x + T * vx + half * ax, y + T * vy + half * ay, vx + T * ax, vy + T * ay
 
-    # pass 2, whole flight: every sample from its leg's entry state over its elapsed time
+    # pass 2, BLOCK_ROWS samples at a time: each from its leg's entry state over its elapsed time
     last = sum(ns)
-    firsts = np.cumsum(ns) - ns
-    elapsed = np.arange(1, last + 1)
-    elapsed -= np.repeat(firsts, ns)  # in place, as del below: fewer fresh pages to fault in
-    turn = np.repeat([leg.mm is CT for leg in legs], ns)
-    cols = np.repeat(np.array(entries).T, ns, axis=1)  # (7, N), one contiguous row per state
-    f = propagate_rows(cols, elapsed * dt_ms / 1000.0, turn, jacobian=False)[0]
-    del cols, elapsed
+    ends = np.cumsum(ns)
+    firsts = ends - ns
+    states = np.array(entries).T.copy()  # (7, legs), one contiguous row per state
+    is_ct = np.array([leg.mm is CT for leg in legs])
     xy = np.empty((last + 1, 2))
     xy[0] = start.x, start.y
-    xy[1:] = f[:2].T
+    for lo in range(1, last + 1, BLOCK_ROWS):
+        k = np.arange(lo, min(lo + BLOCK_ROWS, last + 1))
+        j = np.searchsorted(ends, k)  # each sample's leg: the first to end at or after it
+        f = propagate_rows(states[:, j], (k - firsts[j]) * dt_ms / 1000.0, is_ct[j], jacobian=False)[0]
+        xy[lo : lo + len(k)] = f[:2].T
     boundaries = [(leg, first, first + n) for leg, first, n in zip(legs, firsts.tolist(), ns)]
     return np.arange(last + 1, dtype=np.int64) * dt_ms, xy, boundaries

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, strategies as st
 from uavtrack.geodesy import (
     _A,
     _E2,
+    BLOCK_ROWS,
     MAX_RANGE_M,
     EnuPoint,
     GeoPoint,
@@ -250,3 +251,88 @@ def test_array_forms_reject_non_finite():
         to_enu_array(np.array([(35.8, -78.7), (float("nan"), -78.7)]), ORIGIN)
     with pytest.raises(GeodesyError):
         from_enu_array(np.array([(0.0, 0.0), (0.0, float("inf"))]), ORIGIN)
+
+
+# --- frozen reference: the whole-array conversions, one pass over every row,
+# as they were before they ran BLOCK_ROWS rows at a time. Kept as they were,
+# except for the ref_ names and ref_origin_frame.
+
+
+def ref_to_enu_array(latlon, origin):
+    x0, east, north, _ = ref_origin_frame(origin)
+    lat = np.radians(latlon[:, 0])
+    lon = np.radians(latlon[:, 1])
+    sin_lat, cos_lat = np.sin(lat), np.cos(lat)
+    n = _A / np.sqrt(1.0 - _E2 * sin_lat * sin_lat)
+    dx = n * cos_lat * np.cos(lon) - x0[0]
+    dy = n * cos_lat * np.sin(lon) - x0[1]
+    dz = n * (1.0 - _E2) * sin_lat - x0[2]
+    enu = np.column_stack([east[0] * dx + east[1] * dy, north[0] * dx + north[1] * dy + north[2] * dz])
+    if np.any(np.hypot(enu[:, 0], enu[:, 1]) > MAX_RANGE_M):
+        raise GeodesyError(f"points separated by more than {MAX_RANGE_M / 1000:.0f} km")
+    if not np.isfinite(enu).all():
+        raise GeodesyError("non-finite ENU coordinate")
+    return enu
+
+
+def ref_from_enu_array(xy, origin):
+    if not np.isfinite(xy).all():
+        raise GeodesyError("non-finite ENU coordinate")
+    if np.any(np.hypot(xy[:, 0], xy[:, 1]) > MAX_RANGE_M):
+        raise GeodesyError(f"offset exceeds {MAX_RANGE_M / 1000:.0f} km")
+
+    x0, east, north, up = ref_origin_frame(origin)
+    e, n = xy[:, 0], xy[:, 1]
+    d = (e * east[0] + n * north[0], e * east[1] + n * north[1], e * east[2] + n * north[2])
+    s = (x0[0] + d[0], x0[1] + d[1], x0[2] + d[2])
+    a = ref_ellipsoid_dot(up, up)
+    b = 2.0 * ref_ellipsoid_dot(s, up)
+    c = ref_ellipsoid_dot(d, d)
+    u = -2.0 * c / (b + np.sqrt(b * b - 4.0 * a * c))
+    x, y, z = s[0] + u * up[0], s[1] + u * up[1], s[2] + u * up[2]
+    lat = np.arctan2(z, (1.0 - _E2) * np.hypot(x, y))
+    return np.column_stack([np.degrees(lat), np.degrees(np.arctan2(y, x))])
+
+
+_BLOCKED_ROWS = 3 * BLOCK_ROWS + 17  # three full blocks and a short one
+
+
+def _offsets_within(rows, seed):
+    rng = np.random.default_rng(seed)
+    r, theta = 0.999 * MAX_RANGE_M * np.sqrt(rng.random(rows)), rng.uniform(0.0, 2 * np.pi, rows)
+    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+
+
+@pytest.mark.parametrize("origin", [ORIGIN, GeoPoint(89.9, 0.0), GeoPoint(-33.9, 180.0)], ids=["mid", "pole", "dateline"])
+def test_blocked_conversions_match_the_whole_array_pass_bit_for_bit(origin):
+    xy = _offsets_within(_BLOCKED_ROWS, 3)
+    geo = from_enu_array(xy, origin)
+    assert np.array_equal(geo, ref_from_enu_array(xy, origin))
+    assert np.array_equal(to_enu_array(geo, origin), ref_to_enu_array(geo, origin))
+
+
+def test_empty_input_gives_empty_output():
+    for convert in (from_enu_array, to_enu_array):
+        out = convert(np.empty((0, 2)), ORIGIN)
+        assert out.shape == (0, 2) and out.dtype == np.float64
+
+
+def _raised(convert, rows):
+    with pytest.raises(GeodesyError) as err:
+        convert(rows, ORIGIN)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("nan_row, far_row", [(5, 2 * BLOCK_ROWS + 3), (2 * BLOCK_ROWS + 3, 5)])
+def test_blocked_checks_raise_the_whole_array_text(nan_row, far_row):
+    # a non-finite row and a row past 50 km in different blocks: the text and
+    # which check wins stay those of the whole-array pass
+    xy = _offsets_within(_BLOCKED_ROWS, 4)
+    geo = from_enu_array(xy, ORIGIN)
+    xy[nan_row], xy[far_row] = (np.nan, 0.0), (0.0, 1.2 * MAX_RANGE_M)
+    assert _raised(from_enu_array, xy) == _raised(ref_from_enu_array, xy) == "non-finite ENU coordinate"
+    valid = geo[far_row].copy()
+    geo[nan_row], geo[far_row] = (np.nan, ORIGIN.lon_deg), (ORIGIN.lat_deg + 1.0, ORIGIN.lon_deg)
+    assert _raised(to_enu_array, geo) == _raised(ref_to_enu_array, geo) == "points separated by more than 50 km"
+    geo[far_row] = valid
+    assert _raised(to_enu_array, geo) == _raised(ref_to_enu_array, geo) == "non-finite ENU coordinate"

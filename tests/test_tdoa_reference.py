@@ -1,8 +1,10 @@
 """The batched multi-start solver against a frozen copy of the scalar solver it replaced."""
 
+import bisect
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from uavtrack import objects, tdoa
 from uavtrack.geodesy import EnuPoint
@@ -291,3 +293,43 @@ def test_flight_matches_frozen_epoch_loop(
     assert [(s.t_ms, _bits(s.pos.x), _bits(s.pos.y)) for s in rows] == [
         (k, _bits(x), _bits(y)) for k, x, y in want[0]
     ]
+
+
+# --- frozen reference: simulate_columns' epoch grid as it was, a bisect
+# walk over the timestamps as Python ints. Kept as it was, except that it is
+# a function of its own.
+
+
+def ref_epoch_rows(t_ms, decimate_ms):
+    if decimate_ms is None:
+        return list(range(len(t_ms)))
+    ts, rows = list(t_ms), [0]
+    while (i := bisect.bisect_left(ts, ts[rows[-1]] + decimate_ms, rows[-1] + 1)) < len(ts):
+        rows.append(i)
+    return rows
+
+
+@st.composite
+def _truth_times(draw):
+    """Never-decreasing timestamps on a grid of ``step`` ms with runs of duplicates, and a
+    ``decimate_ms``: None, negative, 0, 1, the step, a non-multiple of it or past any flight."""
+    step = draw(st.integers(2, 200))
+    runs = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)), min_size=1, max_size=60))
+    t0 = draw(st.integers(-10**6, 10**6))
+    t_ms = np.repeat(t0 + step * np.cumsum([gap for gap, _ in runs]), [repeats for _, repeats in runs])
+    decimate_ms = draw(st.sampled_from([None, -step, 0, 1, step, 2 * step + 1, 10**30, -10**30]))
+    return t_ms, decimate_ms
+
+
+@settings(deadline=None, max_examples=300)
+@given(_truth_times())
+@example((np.array([5, 5, 5]), 0))
+@example((np.array([0, 100, 100, 200, 250, 300]), 100))
+def test_epoch_grid_matches_frozen_bisect_walk(flight):
+    t_ms, decimate_ms = flight
+    rows = ref_epoch_rows(t_ms.tolist(), decimate_ms)
+    xy = np.column_stack([np.arange(len(t_ms)), np.zeros(len(t_ms))]).astype(float)  # x: the truth row
+    rf_t, rf_xy, dropped = tdoa.simulate_columns(t_ms, xy, 0.0, 1, decimate_ms, 0.0, 0.0)
+    assert dropped == 0
+    assert rf_t.tolist() == t_ms[rows].tolist()
+    assert rf_xy[:, 0].tolist() == rows

@@ -4,9 +4,10 @@ import math
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from uavtrack.geodesy import EnuPoint
+from uavtrack.geodesy import BLOCK_ROWS, EnuPoint
 from uavtrack.motionmodels import _SMALL_TURN, LAYOUT, ModelKind, propagate_batch, propagate_rows
 from uavtrack.trajgen import LegSpec, truth_columns
 
@@ -250,4 +251,45 @@ def test_two_passes_match_the_per_leg_sampling_bit_for_bit(flight):
     assert t_ms.dtype == ref_t.dtype and np.array_equal(t_ms, ref_t)
     assert xy.shape == ref_xy.shape and np.array_equal(xy, ref_xy)
     assert xy.tobytes() == ref_xy.tobytes()  # signed zeros too
+    assert boundaries == ref_boundaries
+
+
+# --- pinned flights across the sample blocks of truth_columns' second pass
+# (BLOCK_ROWS samples each after the start row, at 100 ms here): legs that
+# straddle a block edge, one-sample legs on either side of one, a block of
+# CT rows only, and CT legs whose per-row turn |omega T| crosses _SMALL_TURN
+# inside a block, so one propagate_rows call takes both forms of the arc
+
+
+def _leg(mm, n, **kw):
+    """A leg of ``n`` samples at 100 ms."""
+    return LegSpec(mm, n / 10, **kw)
+
+
+_CV, _CA, _CT = ModelKind.CV, ModelKind.CA, ModelKind.CT
+_MID_TURN = _SMALL_TURN / (BLOCK_ROWS // 2 * 0.1)  # |omega T| reaches _SMALL_TURN mid-block
+_PINNED = {
+    # 2 * BLOCK_ROWS + 1 rows: a one-sample leg ends block 1, block 2 is one CT leg
+    "two_blocks": [
+        _leg(_CV, BLOCK_ROWS - 96, speed=5.0), _leg(_CA, 95, accel=0.2), _leg(_CV, 1),
+        _leg(_CT, BLOCK_ROWS, omega=_MID_TURN),
+    ],
+    # 3 * BLOCK_ROWS + 17 rows: CT and CA legs straddle edges, a one-sample CT leg starts block 3
+    "three_blocks": [
+        _leg(_CA, 3000, accel=0.01), _leg(_CT, 2000, omega=0.05), _leg(_CV, 2 * BLOCK_ROWS - 5000),
+        _leg(_CT, 1, omega=-0.3), _leg(_CA, 4000, speed=8.0, accel=-0.001), _leg(_CT, 111, omega=-0.004),
+    ],
+}
+
+
+@pytest.mark.parametrize("name, rows", [("two_blocks", 2 * BLOCK_ROWS + 1), ("three_blocks", 3 * BLOCK_ROWS + 17)])
+def test_pinned_flights_across_blocks_match_the_per_leg_sampling_bit_for_bit(name, rows):
+    legs = _PINNED[name]
+    t_ms, xy, boundaries = truth_columns(legs, EnuPoint(12.5, -40.0), 30.0, 10.0, 100)
+    ref_t, ref_xy, ref_boundaries = per_leg_truth_columns(legs, EnuPoint(12.5, -40.0), 30.0, 10.0, 100)
+    assert len(t_ms) == rows
+    edges = range(BLOCK_ROWS, rows - 1, BLOCK_ROWS)  # the last sample of each full block
+    assert any(last - first == 1 and (last in edges or last - 1 in edges) for _, first, last in boundaries)
+    assert np.array_equal(t_ms, ref_t)
+    assert xy.tobytes() == ref_xy.tobytes()
     assert boundaries == ref_boundaries

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from uavtrack.dataio import _WRITE_BLOCK_ROWS, _block_text, _line_fields, write_csv
+from uavtrack.dataio import _block_text, _line_fields, write_csv
+from uavtrack.geodesy import BLOCK_ROWS
 
 TRACK_FMT = "%s,%s,%.6f,%.6f,%.10f,%.10f"  # the track.csv line
 
@@ -141,12 +142,12 @@ def test_one_row_and_empty_logs():
 
 
 def test_blocks_fall_back_one_at_a_time():
-    n = 2 * _WRITE_BLOCK_ROWS + 10
+    n = 2 * BLOCK_ROWS + 10
     rng = np.random.default_rng(3)
     v = rng.normal(0, 1e3, n)
-    v[_WRITE_BLOCK_ROWS + 17] = np.nan  # only the second block holds a NaN
+    v[BLOCK_ROWS + 17] = np.nan  # only the second block holds a NaN
     columns = [np.arange(n) * 100, v]
-    blocks = [[c[i : i + _WRITE_BLOCK_ROWS] for c in columns] for i in range(0, n, _WRITE_BLOCK_ROWS)]
+    blocks = [[c[i : i + BLOCK_ROWS] for c in columns] for i in range(0, n, BLOCK_ROWS)]
     assert [_fast("%s,%.6f", b) for b in blocks] == [True, False, True]
     assert _written(["t", "v"], "%s,%.6f", columns) == _printf_text(["t", "v"], "%s,%.6f", columns)
 

@@ -28,14 +28,20 @@ odd ones.
 
 Prints, per step, each tree's median wall time and quartiles (ms), the
 median over pairs of the change's time over the parent's, and in how many
-pairs the change was faster. It is a report, not a gate: it exits 0
-unless a run fails.
+pairs the change was faster. Then, per step, each tree's median and
+maximum peak RSS (MB): the child's ``ru_maxrss`` from ``os.wait4``. On
+Linux that reading includes the RSS this runner held when it spawned the
+child, so the runner prints its own ``ru_maxrss`` as the floor: a child's
+reading at or below it is not the child's own. It is a report, not a
+gate: it exits 0 unless a run fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -68,15 +74,19 @@ def steps(workloads: list[str], commands: list[str] | None, flights: Path) -> di
     return out
 
 
-def timed(src: Path, argv: list[str], cwd: Path) -> float:
-    """Wall time of one fresh interpreter running ``argv`` in ``cwd``."""
-    t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=tree_env(src), stdin=subprocess.DEVNULL,
-                          capture_output=True)
-    wall = time.perf_counter() - t0
-    if proc.returncode != 0:
-        raise SystemExit(f"error: {' '.join(argv)} failed in {src}:\n{proc.stderr.decode()}")
-    return wall
+def timed(src: Path, argv: list[str], cwd: Path) -> tuple[float, float]:
+    """Wall time (s) and peak RSS (MB) of one fresh interpreter running ``argv`` in ``cwd``."""
+    with tempfile.TemporaryFile() as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, *argv], cwd=cwd, env=tree_env(src), stdin=subprocess.DEVNULL,
+                                stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            err.seek(0)
+            raise SystemExit(f"error: {' '.join(argv)} failed in {src}:\n{err.read().decode()}")
+    return wall, usage.ru_maxrss / 1024.0
 
 
 def main() -> int:
@@ -104,11 +114,14 @@ def main() -> int:
             for argv, cwd in plan.values():
                 timed(src, argv, cwd)
         times = {side: {step: [] for step in plan} for side in trees}
+        rss = {side: {step: [] for step in plan} for side in trees}
         for i in range(args.pairs):
             sides = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for step, (argv, cwd) in plan.items():
                 for side in sides:
-                    times[side][step].append(timed(trees[side], argv, cwd))
+                    wall, peak = timed(trees[side], argv, cwd)
+                    times[side][step].append(wall)
+                    rss[side][step].append(peak)
             print(f"# pair {i + 1} of {args.pairs} done", file=sys.stderr)
 
     print(f"wall ms of fresh processes, {args.pairs} pairs, seed {SEED}")
@@ -119,6 +132,14 @@ def main() -> int:
         cells = [f"{np.median(x):6.1f} [{np.quantile(x, 0.25):.1f}, {np.quantile(x, 0.75):.1f}]" for x in (p, c)]
         ratio = f"{np.median(c / p):.3f}"
         print(f"{step:<26} {cells[0]:>24} {cells[1]:>24} {ratio:>14} {f'{int(np.sum(c < p))} of {len(p)}':>14}")
+
+    floor = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"\npeak RSS MB of fresh processes (ru_maxrss from os.wait4); floor, this runner's own: {floor:.2f}")
+    print(f"{'step':<26} {'parent median / max':>24} {'change median / max':>24} {'change - parent':>16}")
+    for step in plan:
+        p, c = (np.array(rss[side][step]) for side in ("parent", "change"))
+        cells = [f"{np.median(x):.2f} / {np.max(x):.2f}" for x in (p, c)]
+        print(f"{step:<26} {cells[0]:>24} {cells[1]:>24} {np.median(c) - np.median(p):>+16.2f}")
     return 0
 
 
