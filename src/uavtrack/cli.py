@@ -133,7 +133,7 @@ def cmd_simulate(args, cfg: RunConfig) -> dict:
     legs = [trajgen.leg_from_dict(d) for d in leg_dicts]
     origin = cfg.sim_origin()
     arr = cfg.sensor_array(origin) if sim["noise_model"] == "tdoa" else None
-    if arr is not None and len(arr.positions) < 3:  # SensorArray takes 2 for objects.simulate_tdoa
+    if arr is not None and len(arr.positions) < 3:  # SensorArray takes 2, a 2-D fix needs 3
         raise RunError(f"sensors.sensors: a TDoA fix needs at least 3 sensors, got {len(arr.positions)}")
 
     start = EnuPoint(float(sim["start"]["x"]), float(sim["start"]["y"]))

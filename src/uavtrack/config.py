@@ -28,7 +28,7 @@ class ConfigError(ValueError):
 DEFAULTS: dict[str, Any] = {
     "origin": "auto",
     "align": {"tol_ms": 1},
-    "clean": {"threshold_m": 60.0},
+    "clean": {"threshold_m": dataio.DEFAULT_CLEAN_THRESHOLD_M},
     "sensors": None,
     "sim": {
         "seed": 0,

@@ -7,9 +7,9 @@ the Joseph form and are re-symmetrized after every step.
 The filter runs batched: :func:`filter_segments` sweeps every segment of
 a flight at once on ``(B, 7)`` states and ``(B, 7, 7)`` covariances in the
 common layout :data:`motionmodels.LAYOUT`, whatever its motion model, and
-a segment's result does not depend on the batch it ran in. The single-state
-``predict`` and ``update`` of :mod:`uavtrack.objects` are batches of one
-over the same step kernels, :func:`_predict_cov` and :func:`_update_step`.
+a segment's result does not depend on the batch it ran in. Each step is
+:func:`motionmodels.propagate_rows`, :func:`_predict_cov` and
+:func:`_update_step` on the rows of the segments still running.
 """
 
 from __future__ import annotations

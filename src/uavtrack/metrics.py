@@ -32,21 +32,11 @@ class CdfCurve:
     fractions: np.ndarray  # strictly increasing, last == 1.0
 
 
-def _xy(points) -> np.ndarray:
-    if isinstance(points, np.ndarray):
-        return points.astype(float, copy=False)
-    return np.array([[p.x, p.y] for p in points], dtype=float).reshape(-1, 2)
-
-
-def euclidean_errors(truth, est) -> np.ndarray:
-    """Per-epoch Euclidean distance between matched positions.
-
-    Each side is a ``(K, 2)`` array or a sequence of points with ``x`` and ``y``.
-    """
-    a, b = _xy(truth), _xy(est)
-    if a.shape != b.shape:
-        raise MetricsError(f"length mismatch: {a.shape[0]} truth vs {b.shape[0]} estimates")
-    return np.linalg.norm(a - b, axis=1)
+def euclidean_errors(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
+    """Per-epoch Euclidean distance between matched ``(K, 2)`` positions."""
+    if truth.shape != est.shape:
+        raise MetricsError(f"length mismatch: {truth.shape[0]} truth vs {est.shape[0]} estimates")
+    return np.linalg.norm(truth - est, axis=1)
 
 
 def stats(errors: Sequence[float]) -> ErrorStats:
@@ -93,3 +83,11 @@ def cdf(errors: Sequence[float]) -> CdfCurve:
     values, counts = np.unique(e, return_counts=True)
     fractions = np.cumsum(counts) / e.size
     return CdfCurve(values, fractions)
+
+
+def quantile(curve: CdfCurve, q: float) -> float:
+    """Smallest error e with F(e) >= q (right-continuous inverse of :func:`cdf`)."""
+    if not 0.0 < q <= 1.0:
+        raise MetricsError(f"quantile level must be in (0, 1], got {q}")
+    idx = int(np.searchsorted(curve.fractions, q - 1e-12))
+    return float(curve.errors_m[min(idx, curve.errors_m.size - 1)])

@@ -3,8 +3,8 @@
 Every model's states (``ModelKind.states``, SI units) are a subset of
 :data:`LAYOUT`. The transition, its Jacobian and the process noise are
 written once, over a batch of mixed models' states in that layout, where
-a state that a model lacks holds 0; the per-model functions slice them.
-The single-state forms are in :mod:`uavtrack.objects`.
+a state that a model lacks holds 0; a model's states and matrices are the
+slices at ``ModelKind.columns``.
 """
 
 from __future__ import annotations
@@ -186,22 +186,7 @@ def process_noise_rows(T: np.ndarray, q: np.ndarray) -> np.ndarray:
     return Q
 
 
-def propagate_batch(mm: ModelKind, s: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of the (B, n) states ``s`` propagated over its step ``T[b]`` seconds,
-    and the (B, n, n) transition Jacobians df/ds there."""
-    cols = mm.columns
-    s, T = np.asarray(s, dtype=float), np.asarray(T, dtype=float)
-    rows = np.zeros((len(LAYOUT), len(s)))  # a state that the model lacks holds 0
-    rows[cols] = s.T
-    f, F = propagate_rows(rows, T, np.full(len(T), mm is ModelKind.CT))
-    return f[cols].T, F[:, cols[:, None], cols]
-
-
 def sigma_rows(sigmas: Sequence[NoiseSigmas]) -> np.ndarray:
     """(B, 3) array of the ``accel``, ``jerk`` and ``omega`` sigmas, one row per entry."""
     return np.array([(s.accel, s.jerk, s.omega) for s in sigmas], dtype=float).reshape(-1, 3)
 
-
-def measurement_matrix(mm: ModelKind) -> np.ndarray:
-    """2 x state_dim selector of the (x, y) position components."""
-    return np.eye(2, len(LAYOUT))[:, mm.columns]

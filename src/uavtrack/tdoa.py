@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geodesy import MAX_RANGE_M, EnuPoint
+from .geodesy import MAX_RANGE_M
 from .records import record
 
 log = logging.getLogger(__name__)
@@ -23,10 +23,6 @@ SPEED_OF_LIGHT = 299_792_458.0
 _MAX_ITER = 100
 _STEP_TOL_M = 1e-6
 _MAX_HALVINGS = 25
-
-
-class GeometryError(ValueError):
-    """Sensor geometry cannot support a 2-D fix."""
 
 
 class ArrayError(ValueError):
@@ -41,8 +37,9 @@ class SensorArray:
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
         object.__setattr__(self, "positions", pos)
-        # 2 sensors can still produce a measurement; a 2-D fix needs >= 3
-        # (enforced by `simulate` and by objects.solve_position)
+        # 2 sensors give one range difference per epoch, too few for a 2-D
+        # fix: the solver finds every start rank-deficient and `simulate`
+        # asks for at least 3
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 2:
             raise ArrayError(f"need at least 2 sensors with (x, y) positions, got shape {pos.shape}")
         if not np.isfinite(pos).all():
@@ -53,11 +50,6 @@ class SensorArray:
         np.fill_diagonal(d, np.inf)
         if d.min() < 1.0:
             raise ArrayError("sensors closer than 1 m: degenerate geometry")
-
-    @property
-    def centroid(self) -> EnuPoint:
-        c = self.positions.mean(axis=0)
-        return EnuPoint(float(c[0]), float(c[1]))
 
 
 def _arrival_differences(

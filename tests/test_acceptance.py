@@ -7,30 +7,41 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from uavtrack import ekf, metrics, objects, trajgen
+from uavtrack import ekf, trajgen
 from uavtrack.cli import _segments_from_boundaries, main
-from uavtrack.geodesy import EnuPoint
-from uavtrack.metrics import cdf, euclidean_errors, stats
-from uavtrack.motionmodels import ModelKind, NoiseSigmas, measurement_matrix
-from uavtrack.objects import (
-    AlignedPair,
-    FilterState,
-    MeasurementModel,
-    TimedSample,
-    jacobian,
-    predict,
-    process_noise,
-    quantile,
-    simulate_flight,
-    simulate_tdoa,
-    solve_position,
-    transition,
-    update,
+from uavtrack.dataio import kept_mask, match_times
+from uavtrack.metrics import cdf, euclidean_errors, quantile, stats
+from uavtrack.motionmodels import (
+    LAYOUT, ModelKind, NoiseSigmas, noise_rows, process_noise_rows, propagate_rows, sigma_rows, state_mask,
 )
-from uavtrack.objects import position_noise_flight as _position_noise_flight
-from uavtrack.tdoa import SPEED_OF_LIGHT, SensorArray
+from uavtrack.tdoa import SPEED_OF_LIGHT, SensorArray, _arrival_differences, _fixes, simulate_columns
 
 CORNERS = SensorArray(np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0], [100.0, 100.0]]))
+CENTROID = CORNERS.positions.mean(axis=0)[None]
+
+
+def _tdoa_fix(p, jitter):
+    """Range differences (3,) on CORNERS of an emitter at ``p`` (1, 2) with timing
+    ``jitter`` (3,), and its fix (2,) solved from the centroid and the sensor starts."""
+    idx, dt = _arrival_differences(CORNERS, p, jitter)
+    rd = SPEED_OF_LIGHT * dt
+    return rd[0], _fixes(CORNERS, idx, rd, CENTROID)[0][0]
+
+
+def _propagate(mm, s, T):
+    """States ``s`` (B, n) of model ``mm`` over steps ``T`` (B,) and their (B, n, n) Jacobians,
+    by :func:`propagate_rows` on the common layout."""
+    c = mm.columns
+    rows = np.zeros((len(LAYOUT), len(s)))
+    rows[c] = s.T
+    f, F = propagate_rows(rows, T, np.full(len(T), mm is ModelKind.CT))
+    return f[c].T, F[:, c[:, None], c]
+
+
+def _process_noise(mm, T, sig):
+    """(1, n, n) process noise of model ``mm`` over one step ``T`` (1,)."""
+    c = mm.columns
+    return process_noise_rows(T, noise_rows(sigma_rows([sig]), state_mask([mm])))[:, c[:, None], c]
 
 
 def _verdict(capfd, num, name, ok):
@@ -45,10 +56,9 @@ class TestCriterion1RoundTrip:
         t0 = time.monotonic()
         worst = 0.0
         for _ in range(1000):
-            p = EnuPoint(rng.uniform(1, 99), rng.uniform(1, 99))
-            m = simulate_tdoa(CORNERS, p, 0.0, rng)
-            fix = solve_position(CORNERS, m, CORNERS.centroid)
-            worst = max(worst, float(np.hypot(fix.pos.x - p.x, fix.pos.y - p.y)))
+            p = np.array([[rng.uniform(1, 99), rng.uniform(1, 99)]])
+            _, fix = _tdoa_fix(p, np.zeros(3))
+            worst = max(worst, float(np.hypot(fix[0] - p[0, 0], fix[1] - p[0, 1])))
         elapsed = time.monotonic() - t0
         _verdict(capfd, 1, "noiseless TDoA round trip", worst < 1e-6 and elapsed < 5.0)
 
@@ -68,13 +78,11 @@ class TestCriterion2GridOracle:
         rng = np.random.default_rng(2)
         worst = 0.0
         for _ in range(100):
-            p = EnuPoint(rng.uniform(1, 99), rng.uniform(1, 99))
-            m = simulate_tdoa(CORNERS, p, 3.3e-9, rng)
-            ranges = [SPEED_OF_LIGHT * dt for _, dt in m.deltas]
+            p = np.array([[rng.uniform(1, 99), rng.uniform(1, 99)]])
+            ranges, fix = _tdoa_fix(p, rng.normal(0.0, 3.3e-9, size=3))
             f = sum_d2 - 2.0 * sum(c * d for c, d in zip(ranges, D))
             i, j = np.unravel_index(np.argmin(f), f.shape)
-            fix = solve_position(CORNERS, m, CORNERS.centroid)
-            worst = max(worst, float(np.hypot(fix.pos.x - xs[i], fix.pos.y - xs[j])))
+            worst = max(worst, float(np.hypot(fix[0] - xs[i], fix[1] - xs[j])))
         elapsed = time.monotonic() - t0
         _verdict(capfd, 2, "noisy TDoA matches grid oracle", worst < 0.2 and elapsed < 120.0)
 
@@ -90,14 +98,14 @@ class TestCriterion3Jacobians:
                 s = rng.normal(0, 10, n)
                 if mm is ModelKind.CT:
                     s[4] = rng.uniform(-1.0, 1.0)
-                T = rng.uniform(0.1, 2.0)
-                J = jacobian(mm, s, T)
+                T = np.array([rng.uniform(0.1, 2.0)])
+                J = _propagate(mm, s[None], T)[1][0]
                 fd = np.empty((n, n))
                 for j in range(n):
                     hi, lo = s.copy(), s.copy()
                     hi[j] += h
                     lo[j] -= h
-                    fd[:, j] = (transition(mm, hi, T) - transition(mm, lo, T)) / (2 * h)
+                    fd[:, j] = (_propagate(mm, hi[None], T)[0][0] - _propagate(mm, lo[None], T)[0][0]) / (2 * h)
                 dev = np.abs(J - fd).max() / max(1.0, np.abs(J).max())
                 worst = max(worst, float(dev))
         _verdict(capfd, 3, "analytic Jacobians vs finite differences", worst < 1e-5)
@@ -110,36 +118,42 @@ class TestCriterion4CovarianceHealth:
         for mm in ModelKind:
             n = mm.state_dim
             sig = NoiseSigmas(accel=0.5, jerk=0.2, omega=0.05)
-            meas = MeasurementModel(measurement_matrix(mm), np.diag([25.0, 25.0]))
-            fs = FilterState(rng.normal(size=n), np.diag(rng.uniform(1, 100, n)), 0)
+            H, R = np.eye(2, n), np.diag([25.0, 25.0])
+            s, P = rng.normal(size=(1, n)), np.diag(rng.uniform(1, 100, n))[None]
             for _ in range(3334):
-                T = rng.uniform(0.1, 2.0)
-                fs = predict(fs, mm, T, process_noise(mm, T, sig))
-                fs = update(fs, EnuPoint(*rng.normal(0, 30, 2)), meas)
-                if np.abs(fs.P - fs.P.T).max() >= 1e-9 or np.linalg.eigvalsh(fs.P).min() <= -1e-9:
+                T = np.array([rng.uniform(0.1, 2.0)])
+                s, F = _propagate(mm, s, T)
+                P = ekf._predict_cov(F, P, _process_noise(mm, T, sig))
+                s, P, _, finite = ekf._update_step(s, P, rng.normal(0, 30, (1, 2)), H, R)
+                if not finite[0] or np.abs(P[0] - P[0].T).max() >= 1e-9 or np.linalg.eigvalsh(P[0]).min() <= -1e-9:
                     ok = False
         _verdict(capfd, 4, "covariance symmetric and PSD over 10k cycles", ok)
 
 
 class TestCriterion5Consistency:
     def _run_averages(self, mm, s0, sig, P0, rng, runs=100, steps=200):
-        n = mm.state_dim
-        Q = process_noise(mm, 1.0, sig)
+        # the runs filter side by side as one (runs, n) batch; their noise is
+        # drawn first, in run order and within a run in step order
+        n, T = mm.state_dim, np.ones(runs)
+        Q = _process_noise(mm, T[:1], sig)
         R = np.diag([25.0, 25.0])
-        meas = MeasurementModel(measurement_matrix(mm), R)
-        avgs = []
-        for _ in range(runs):
-            truth = np.array(s0, float)
-            fs = FilterState(truth + rng.multivariate_normal(np.zeros(n), P0), P0.copy(), 0)
-            vals = []
-            for _ in range(steps):
-                truth = transition(mm, truth, 1.0) + rng.multivariate_normal(np.zeros(n), Q)
-                z = meas.H @ truth + rng.multivariate_normal(np.zeros(2), R)
-                fs = update(predict(fs, mm, 1.0, Q), EnuPoint(*z), meas)
-                e = truth[:2] - fs.s[:2]
-                vals.append(e @ np.linalg.solve(fs.P[:2, :2], e))
-            avgs.append(np.mean(vals))
-        return np.mean(avgs)
+        init, w, v = np.empty((runs, n)), np.empty((steps, runs, n)), np.empty((steps, runs, 2))
+        for r in range(runs):
+            init[r] = rng.multivariate_normal(np.zeros(n), P0)
+            for k in range(steps):
+                w[k, r] = rng.multivariate_normal(np.zeros(n), Q[0])
+                v[k, r] = rng.multivariate_normal(np.zeros(2), R)
+        truth = np.tile(np.array(s0, float), (runs, 1))
+        s, P = truth + init, np.tile(P0, (runs, 1, 1))
+        vals = np.empty((runs, steps))
+        for k in range(steps):
+            truth = _propagate(mm, truth, T)[0] + w[k]
+            s, F = _propagate(mm, s, T)
+            s, P, _, _ = ekf._update_step(s, ekf._predict_cov(F, P, Q), truth[:, :2] + v[k], np.eye(2, n), R)
+            e = truth[:, :2] - s[:, :2]
+            x = np.linalg.solve(P[:, :2, :2], e[:, :, None])[:, :, 0]
+            vals[:, k] = e[:, 0] * x[:, 0] + e[:, 1] * x[:, 1]
+        return np.mean(np.mean(vals, axis=1))
 
     def test_nees_within_interval(self, capfd):
         # 95% interval for the mean of 100 independent chi-square(2) run
@@ -180,24 +194,23 @@ class TestCriterion6ElevenSegments:
     def test_ekf_beats_raw_rf(self, capfd):
         t0 = time.monotonic()
         legs = [trajgen.leg_from_dict(d) for d in ELEVEN_LEGS]
-        truth, bounds = objects.generate_truth(legs, speed=8.0)
+        t_ms, xy, bounds = trajgen.truth_columns(legs, speed=8.0)
         defaults = {"accel": 0.2, "jerk": 0.1, "omega": 0.02}
         segments = _segments_from_boundaries(bounds, ELEVEN_LEGS, 10, defaults)
         sigma_pos = 9.0 / np.sqrt(2)  # ~9 m RMSE planar noise
 
         wins_max = wins_std = total = 0
         for seed in range(50):
-            rf, _ = _position_noise_flight(truth, sigma_pos, seed, 1000, 0.0, 200.0)
-            pairs = objects.align(truth, rf, tol_ms=1)
-            kept = objects.clean(pairs, 60.0)
-            kept_idx = [i for i, p in enumerate(pairs) if p.error_m() <= 60.0]
-            cfg = ekf.FilterConfig(R=objects.estimate_R(kept, "mean"))
-            results, _ = objects.run_trajectory(segments, kept, cfg, indices=kept_idx)
-            by_index = dict(zip(kept_idx, kept))
-            for seg, track in results:
-                sp = [by_index[i] for i in sorted(by_index) if seg.start_idx <= i <= seg.end_idx]
-                rf_s = stats(euclidean_errors([p.uav for p in sp], [p.rf for p in sp]))
-                ekf_s = stats(euclidean_errors([p.uav for p in sp], [tp.pos for tp in track]))
+            rf_t, rf, _ = simulate_columns(t_ms, xy, sigma_pos, seed, 1000, 0.0, 200.0)
+            rf_idx, uav_idx = match_times(t_ms, rf_t, 1)
+            uav, rf, t = xy[uav_idx], rf[rf_idx], rf_t[rf_idx]  # the aligned pairs
+            kept_idx = np.flatnonzero(kept_mask(uav, rf, 60.0))
+            uav, rf, t = uav[kept_idx], rf[kept_idx], t[kept_idx]
+            cfg = ekf.FilterConfig(R=ekf.estimate_R_arrays(uav, rf, "mean"))
+            tracks, _ = ekf.filter_segments(segments, t, rf, kept_idx, cfg)
+            for tr in tracks:
+                rf_s = stats(euclidean_errors(uav[tr.rows], rf[tr.rows]))
+                ekf_s = stats(euclidean_errors(uav[tr.rows], tr.states[:, :2]))
                 total += 1
                 wins_max += ekf_s.max_m < rf_s.max_m
                 wins_std += ekf_s.std_m < rf_s.std_m
@@ -208,15 +221,12 @@ class TestCriterion6ElevenSegments:
 
 class TestCriterion7Cleaning:
     def test_outlier_rejection(self, capfd):
-        truth = [TimedSample(1000 * k, EnuPoint(0.4 * k, 0.2 * k)) for k in range(200)]
-        rf, dropped = simulate_flight(
-            truth, CORNERS, 3.3e-9, rng_seed=7, outlier_rate=0.1, outlier_max_m=200.0
-        )
+        k = np.arange(200)
+        truth = np.column_stack((0.4 * k, 0.2 * k))
+        _, rf, dropped = simulate_columns(1000 * k, truth, 3.3e-9, 7, None, 0.1, 200.0, arr=CORNERS)
         assert dropped == 0
-        pairs = [AlignedPair(t.t_ms, t.pos, r.pos) for t, r in zip(truth, rf)]
-        raw = [p.error_m() for p in pairs]
-        kept = objects.clean(pairs, 60.0)
-        clean_errs = [p.error_m() for p in kept]
+        raw = euclidean_errors(truth, rf)
+        clean_errs = raw[kept_mask(truth, rf, 60.0)]
         raw_max = quantile(cdf(raw), 1.0)
         clean_max = quantile(cdf(clean_errs), 1.0)
         ok = raw_max > 60.0 and clean_max <= 60.0 and clean_max < raw_max
@@ -264,7 +274,7 @@ class TestCriterion8Determinism:
 
 class TestCriterion9MetricsExamples:
     def test_unit_examples_exact(self, capfd):
-        ok = euclidean_errors([EnuPoint(0, 0)], [EnuPoint(3, 4)])[0] == pytest.approx(5.0)
+        ok = euclidean_errors(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]))[0] == pytest.approx(5.0)
         s = stats([1, 2, 3, 4])
         ok = ok and s.std_m == pytest.approx(np.sqrt(5 / 3)) and s.mean_m == pytest.approx(2.5)
         curve = cdf([1, 2, 3])

@@ -1,8 +1,10 @@
+import argparse
 import csv
 import gc
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -155,8 +157,8 @@ class TestSimulate:
         assert not (tmp_path / "x").exists()
 
     def test_two_sensor_tdoa_array_rejected_before_truth(self, tmp_path, capsys, monkeypatch):
-        # SensorArray accepts two sensors (simulate_tdoa measures with them),
-        # but no epoch of theirs has a 2-D fix
+        # SensorArray accepts two sensors (the forward model measures with
+        # them), but no epoch of theirs has a 2-D fix
         def fail(*args, **kwargs):
             pytest.fail("ground truth generated for a TDoA array that cannot fix a position")
 
@@ -748,3 +750,57 @@ class TestProcessEntry:
             assert exit_info.value.code == 1 and gc.get_freeze_count() > 0
         finally:
             gc.unfreeze()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SUBCOMMAND_LEGS = [
+    {"mm": "CV", "duration_s": 12, "speed": 8},
+    {"mm": "CT", "duration_s": 10, "omega": 0.2},
+    {"mm": "CA", "duration_s": 8, "accel": 0.5},
+]
+FLIGHTS = {
+    "tdoa_outliers": {"sigma_t": 3.3e-9, "outlier_rate": 0.3, "outlier_max_m": 300.0},
+    "position_noise": {"noise_model": "position", "position_sigma_m": 9.0},
+}
+# every subcommand, each as the benchmark's output comparison runs it
+COMMANDS = [
+    ["simulate"],
+    ["track"],
+    ["track", "--raw"],
+    ["evaluate", "sim/truth.csv", "sim/rf.csv", "--segments", "sim/segments.json"],
+    ["convert", "sim/truth.csv", "--output", "convert.csv"],
+    ["align", "--uav", "sim/truth.csv", "--rf", "sim/rf.csv", "--output", "align.csv"],
+    ["--tol-ms", "600", "align", "--uav", "sim/truth.csv", "--rf", "sim/rf.csv", "--output", "align_wide.csv"],
+    ["clean", "align.csv", "--output", "clean.csv"],
+]
+
+
+def test_commands_cover_every_subcommand():
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {next(arg for arg in argv if arg in sub.choices) for argv in COMMANDS} == set(sub.choices)
+
+
+@pytest.mark.parametrize("flight", sorted(FLIGHTS))
+def test_every_subcommand_exits_0(tmp_path, monkeypatch, flight):
+    config = {
+        "sensors": {"sensors": [{"x": -200.0, "y": -200.0}, {"x": 200.0, "y": -200.0}, {"x": -200.0, "y": 200.0},
+                                {"x": 200.0, "y": 200.0}]},
+        "sim": {"seed": 3, "legs": SUBCOMMAND_LEGS, **FLIGHTS[flight]},
+        "paths": {"truth": "sim/truth.csv", "rf": "sim/rf.csv", "segments": "sim/segments.json"},
+    }
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path)
+    codes = [main(["--config", "run.json", "--out", "sim" if argv == ["simulate"] else f"out{i}", *argv])
+             for i, argv in enumerate(COMMANDS)]
+    assert codes == [0] * len(COMMANDS)
+
+
+def test_readme_library_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    fix, dropped = namespace["fix"], namespace["dropped"]
+    assert dropped == 0 and fix.shape == (1, 2)
+    assert abs(fix[0, 0] - 30.0) < 1.0 and abs(fix[0, 1] - 40.0) < 1.0
+    assert capsys.readouterr().out == f"{fix[0]} 0\n"

@@ -22,10 +22,9 @@ from uavtrack.dataio import (
     write_segments,
 )
 from uavtrack.ekf import estimate_R_arrays
-from uavtrack.geodesy import EnuPoint, GeoPoint
+from uavtrack.geodesy import GeoPoint
 from uavtrack.metrics import euclidean_errors
 from uavtrack.motionmodels import ModelKind, NoiseSigmas
-from uavtrack.objects import AlignedPair, TimedSample, align, clean
 
 
 def _write(path, text):
@@ -33,8 +32,10 @@ def _write(path, text):
     return path
 
 
-def _enu(t_ms, x, y):
-    return TimedSample(t_ms, EnuPoint(x, y))
+def _pairs(uav_t, rf_t, tol_ms):
+    """The (RF row, UAV row) pairs that :func:`match_times` makes."""
+    rf_idx, uav_idx = match_times(np.array(uav_t, dtype=np.int64), np.array(rf_t, dtype=np.int64), tol_ms)
+    return list(zip(rf_idx.tolist(), uav_idx.tolist()))
 
 
 class TestParsing:
@@ -115,36 +116,26 @@ class TestWriteCsv:
 
 class TestAlign:
     def test_exact_match(self):
-        pairs = align([_enu(1000, 0, 0)], [_enu(1000, 1, 1)], tol_ms=0)
-        assert len(pairs) == 1
-        assert pairs[0].t_ms == 1000
+        assert _pairs([1000], [1000], tol_ms=0) == [(0, 0)]
 
     def test_outside_window(self):
-        assert align([_enu(1050, 0, 0)], [_enu(1000, 1, 1)], tol_ms=10) == []
+        assert _pairs([1050], [1000], tol_ms=10) == []
 
     def test_nearest_within_window(self):
         # candidates enumerated by hand: rf 995 matches uav 1000 (|dt|=5),
         # rf 2000 has no uav within 50 ms
-        uav = [_enu(900, 0, 0), _enu(1000, 1, 1), _enu(1100, 2, 2)]
-        rf = [_enu(995, 5, 5), _enu(2000, 6, 6)]
-        pairs = align(uav, rf, tol_ms=50)
-        assert len(pairs) == 1
-        assert pairs[0].uav == EnuPoint(1, 1)
+        assert _pairs([900, 1000, 1100], [995, 2000], tol_ms=50) == [(0, 1)]
 
     def test_each_uav_used_once(self):
-        uav = [_enu(1000, 1, 1)]
-        rf = [_enu(999, 0, 0), _enu(1001, 0, 0)]
-        assert len(align(uav, rf, tol_ms=5)) == 1
+        assert len(_pairs([1000], [999, 1001], tol_ms=5)) == 1
 
     def test_output_bounded_by_inputs(self):
-        uav = [_enu(t, 0, 0) for t in range(0, 10000, 100)]
-        rf = [_enu(t, 0, 0) for t in range(0, 10000, 1000)]
-        pairs = align(uav, rf, tol_ms=1)
-        assert len(pairs) <= min(len(uav), len(rf))
+        uav, rf = range(0, 10000, 100), range(0, 10000, 1000)
+        assert len(_pairs(uav, rf, tol_ms=1)) <= min(len(uav), len(rf))
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            align([], [], tol_ms=-1)
+            _pairs([], [], tol_ms=-1)
 
 
 def _greedy_match(uav_t, rf_t, tol_ms):
@@ -187,31 +178,30 @@ class TestMatchTimes:
 
 
 class TestClean:
-    def _pairs(self, errors):
-        return [AlignedPair(1000 * i, EnuPoint(0, 0), EnuPoint(e, 0)) for i, e in enumerate(errors)]
+    def _kept(self, errors, threshold_m=60):
+        """The RF x of the pairs kept among truth at the origin and RF fixes ``errors`` metres east of it."""
+        rf = np.c_[errors, np.zeros(len(errors))]
+        return rf[kept_mask(np.zeros_like(rf), rf, threshold_m), 0].tolist()
 
     def test_strict_threshold(self):
-        kept = clean(self._pairs([10, 70, 59.9]), 60)
-        assert [p.rf.x for p in kept] == [10, 59.9]
+        assert self._kept([10, 70, 59.9]) == [10, 59.9]
 
     def test_exactly_60_retained(self):
-        assert len(clean(self._pairs([60.0]), 60)) == 1
+        assert self._kept([60.0]) == [60.0]
 
     def test_all_removed(self):
-        assert clean(self._pairs([61, 100, 200]), 60) == []
+        assert self._kept([61, 100, 200]) == []
 
     def test_idempotent(self):
-        pairs = self._pairs([10, 70, 30, 90])
-        once = clean(pairs, 60)
-        assert clean(once, 60) == once
+        once = self._kept([10, 70, 30, 90])
+        assert self._kept(once) == once
 
     def test_max_error_bounded_after_clean(self):
-        kept = clean(self._pairs([10, 70, 59.9, 60.0, 199]), 60)
-        assert max(p.error_m() for p in kept) <= 60
+        assert max(self._kept([10, 70, 59.9, 60.0, 199])) <= 60
 
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
-            clean([], 0)
+            self._kept([], 0)
         with pytest.raises(ValueError, match="threshold_m must be positive"):
             kept_mask(np.zeros((1, 2)), np.zeros((1, 2)), float("nan"))
 
@@ -222,9 +212,9 @@ class TestClean:
         uav = rng.normal(0, 1e3, (50, 2))
         rf = uav + rng.normal(0, threshold_m, (50, 2))
         rf[:5] = uav[:5] + [threshold_m, 0.0]  # on the threshold
-        pairs = [AlignedPair(i, EnuPoint(*u), EnuPoint(*r)) for i, (u, r) in enumerate(zip(uav, rf))]
         mask = kept_mask(uav, rf, threshold_m)
-        assert mask.tolist() == [p.error_m() <= threshold_m for p in pairs]
+        # each pair's error on its own, a batch of one
+        assert mask.tolist() == [euclidean_errors(u[None], r[None])[0] <= threshold_m for u, r in zip(uav, rf)]
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -237,8 +227,7 @@ class TestClean:
         err = euclidean_errors(uav, rf)
         for threshold_m in err[:40].tolist():
             assert kept_mask(uav, rf, threshold_m).tolist() == (err <= threshold_m).tolist()
-        pairs = [AlignedPair(i, EnuPoint(*u), EnuPoint(*r)) for i, (u, r) in enumerate(zip(uav, rf))]
-        assert [p.error_m() for p in pairs] == err.tolist()
+        assert [euclidean_errors(u[None], r[None])[0] for u, r in zip(uav, rf)] == err.tolist()
         assert estimate_R_arrays(uav, rf, "mean").tolist() == [[np.mean(err), 0.0], [0.0, np.mean(err)]]
 
 

@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavtrack import ekf, objects, trajgen
+from uavtrack import ekf, trajgen
 from uavtrack.config import RunConfig
-from uavtrack.dataio import Segment
-from uavtrack.ekf import FilterConfig
-from uavtrack.geodesy import EnuPoint
-from uavtrack.motionmodels import ModelKind, NoiseSigmas, measurement_matrix
-from uavtrack.objects import AlignedPair, position_noise_flight, run_trajectory
-
-
-def _pairs(t_ms, uav, rf):
-    return [AlignedPair(int(t), EnuPoint(*u), EnuPoint(*r)) for t, u, r in zip(t_ms, uav, rf)]
+from uavtrack.dataio import Segment, match_times
+from uavtrack.ekf import FilterConfig, estimate_R_arrays, filter_segments
+from uavtrack.metrics import euclidean_errors
+from uavtrack.motionmodels import ModelKind, NoiseSigmas
+from uavtrack.tdoa import simulate_columns
 
 
 @settings(deadline=None, max_examples=100)
@@ -51,20 +47,18 @@ def test_singular_segment_warns_once_and_spares_its_neighbour():
     # innovation covariance of S1 is singular; S2's process noise is not zero
     t = np.arange(20) * 1000
     xy = np.c_[np.arange(20.0), 0.5 * np.arange(20.0)]
-    pairs = _pairs(t, xy, xy)
     cfg = FilterConfig(R=np.zeros((2, 2)), v_max=0.0)
     s1 = Segment("S1", 0, 9, ModelKind.CV, NoiseSigmas(accel=0.0))
     s2 = Segment("S2", 10, 19, ModelKind.CV, NoiseSigmas(accel=0.2))
 
-    results, warnings = run_trajectory([s2, s1], pairs, cfg)
+    tracks, warnings = filter_segments([s2, s1], t, xy, np.arange(20), cfg)
     assert warnings == [f"segment S1: singular innovation covariance: {np.zeros((2, 2))}"]
-    assert [seg.id for seg, _ in results] == ["S2"]
-    alone, alone_warnings = run_trajectory([s2], pairs[10:], cfg, indices=range(10, 20))
+    assert [tr.segment.id for tr in tracks] == ["S2"]
+    alone, alone_warnings = filter_segments([s2], t[10:], xy[10:], np.arange(10, 20), cfg)
     assert not alone_warnings
-    for a, b in zip(results[0][1], alone[0][1]):
-        assert a.t_ms == b.t_ms
-        assert np.array_equal(a.state.s, b.state.s)
-        assert np.array_equal(a.state.P, b.state.P)
+    assert t[tracks[0].rows].tolist() == t[10:][alone[0].rows].tolist()
+    assert np.array_equal(tracks[0].states, alone[0].states)
+    assert np.array_equal(tracks[0].covs, alone[0].covs)
 
 
 def _zero_pivot_matrix():
@@ -86,7 +80,7 @@ def test_zero_pivot_row_is_flagged_and_spares_its_neighbour():
     # row 0 has P = 0, so its S is R, whose transpose the gain solve cannot
     # factor although its determinant is not 0; row 1 has S = R + I
     R = _zero_pivot_matrix().T
-    H = measurement_matrix(ModelKind.CV)
+    H = np.eye(2, 4)
     s = np.zeros((2, 4))
     P = np.stack([np.zeros((4, 4)), np.eye(4)])
     z = np.array([[1.0, 2.0], [1.0, 2.0]])
@@ -94,23 +88,20 @@ def test_zero_pivot_row_is_flagged_and_spares_its_neighbour():
     assert ok.tolist() == [False, True]
     alone_s, alone_P, _, _ = ekf._update_step(s[1:], P[1:], z[1:], H, R)
     assert np.array_equal(s_out[1:], alone_s) and np.array_equal(P_out[1:], alone_P)
-    with pytest.raises(ekf.FilterError, match="singular innovation covariance"):
-        objects.update(objects.FilterState(s[0], P[0], 0), EnuPoint(1.0, 2.0), objects.MeasurementModel(H, R))
 
 
 def test_failures_warn_in_start_order_and_stop_at_the_first_bad_step():
     t = np.arange(30) * 1000
     t[25] = t[24]  # S3 meets a repeated timestamp
     xy = np.c_[np.arange(30.0), np.zeros(30)]
-    pairs = _pairs(t, xy, xy)
     cfg = FilterConfig(R=np.zeros((2, 2)), v_max=0.0)
     segs = [
         Segment("S3", 20, 29, ModelKind.CV, NoiseSigmas(accel=0.2)),
         Segment("S1", 0, 9, ModelKind.CV, NoiseSigmas(accel=0.0)),  # singular at its first step
         Segment("S2", 10, 10, ModelKind.CA, NoiseSigmas(jerk=0.1)),  # one pair
     ]
-    results, warnings = run_trajectory(segs, pairs, cfg)
-    assert results == []
+    tracks, warnings = filter_segments(segs, t, xy, np.arange(30), cfg)
+    assert tracks == []
     assert warnings == [
         f"segment S1: singular innovation covariance: {np.zeros((2, 2))}",
         "segment S2: too few pairs, skipped",
@@ -118,10 +109,10 @@ def test_failures_warn_in_start_order_and_stop_at_the_first_bad_step():
     ]
     # a singular step before the bad timestamp is the one reported
     t[5] = t[4]
-    _, warnings = run_trajectory(segs[1:2], _pairs(t, xy, xy), cfg)
+    _, warnings = filter_segments(segs[1:2], t, xy, np.arange(30), cfg)
     assert warnings == [f"segment S1: singular innovation covariance: {np.zeros((2, 2))}"]
     first_ten = Segment("S3", 0, 9, ModelKind.CV, NoiseSigmas(accel=0.2))  # S3 over the first ten pairs
-    _, warnings = run_trajectory([first_ten], _pairs(t[:10], xy[:10], xy[:10]), FilterConfig(R=np.eye(2)))
+    _, warnings = filter_segments([first_ten], t[:10], xy[:10], np.arange(10), FilterConfig(R=np.eye(2)))
     assert warnings == ["segment S3: non-increasing timestamps at 4000"]
 
 
@@ -154,10 +145,10 @@ def test_step_both_non_increasing_and_singular_reports_the_timestamp():
     cfg = FilterConfig(R=np.zeros((2, 2)), v_max=0.0)
     seg = Segment("S1", 0, 3, ModelKind.CV, NoiseSigmas(accel=0.0))
     t = np.array([1000, 1000, 2000, 3000])
-    _, warnings = run_trajectory([seg], _pairs(t, xy, xy), cfg)
+    _, warnings = filter_segments([seg], t, xy, np.arange(4), cfg)
     assert warnings == ["segment S1: non-increasing timestamps at 1000"]
     t = np.array([0, 1000, 1000, 2000])  # singular one step before the repeat
-    _, warnings = run_trajectory([seg], _pairs(t, xy, xy), cfg)
+    _, warnings = filter_segments([seg], t, xy, np.arange(4), cfg)
     assert warnings == [f"segment S1: singular innovation covariance: {np.zeros((2, 2))}"]
 
 
@@ -167,14 +158,15 @@ def test_long_ct_leg_beats_raw_fixes_under_default_prior(seed):
     # a 1.0 (rad/s)^2 turn-rate prior the filter diverged on 4 of these 8
     # flights, ending up to 2.7 times worse than the raw fixes.
     leg = {"mm": "CT", "duration_s": 60, "omega": 0.05, "speed": 3.0}
-    truth, _ = objects.generate_truth([trajgen.leg_from_dict(leg)], speed=3.0, dt_ms=100)
-    rf, _ = position_noise_flight(truth, 9.0, seed, 100, 0.0, 200.0)
-    pairs = objects.align(truth, rf, tol_ms=1)
-    seg = Segment("S1", 0, len(pairs) - 1, ModelKind.CT, NoiseSigmas(accel=0.2, omega=0.02))
-    [(_, track)], _ = run_trajectory([seg], pairs, FilterConfig(R=objects.estimate_R(pairs, "mean")))
+    t_ms, xy, _ = trajgen.truth_columns([trajgen.leg_from_dict(leg)], speed=3.0, dt_ms=100)
+    rf_t, rf, _ = simulate_columns(t_ms, xy, 9.0, seed, 100, 0.0, 200.0)
+    rf_idx, uav_idx = match_times(t_ms, rf_t, 1)
+    uav, rf, t = xy[uav_idx], rf[rf_idx], rf_t[rf_idx]
+    seg = Segment("S1", 0, len(t) - 1, ModelKind.CT, NoiseSigmas(accel=0.2, omega=0.02))
+    [track], _ = filter_segments([seg], t, rf, np.arange(len(t)), FilterConfig(R=estimate_R_arrays(uav, rf, "mean")))
 
-    raw = np.mean([p.error_m() for p in pairs])
-    est = np.mean([np.hypot(tp.pos.x - p.uav.x, tp.pos.y - p.uav.y) for tp, p in zip(track, pairs)])
+    raw = np.mean(euclidean_errors(uav, rf))
+    est = np.mean(euclidean_errors(uav, track.states[:, :2]))
     assert est < raw
 
 

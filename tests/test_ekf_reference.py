@@ -3,83 +3,88 @@
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from uavtrack import ekf, objects
+from uavtrack import ekf
 from uavtrack.dataio import Segment
 from uavtrack.ekf import FilterConfig, FilterError
-from uavtrack.geodesy import EnuPoint
-from uavtrack.motionmodels import _SMALL_TURN, ModelKind, NoiseSigmas, measurement_matrix
-from uavtrack.objects import (
-    AlignedPair,
-    FilterState,
-    MeasurementModel,
-    TrackPoint,
-    jacobian,
-    process_noise,
-    transition,
+from uavtrack.motionmodels import (
+    _SMALL_TURN, LAYOUT, ModelKind, NoiseSigmas, noise_rows, process_noise_rows, propagate_rows, sigma_rows, state_mask,
 )
+
+
+def _step(mm, s, T):
+    """State ``s`` (n,) of model ``mm`` over ``T`` seconds and its Jacobian, by :func:`propagate_rows`."""
+    c = mm.columns
+    rows = np.zeros((len(LAYOUT), 1))
+    rows[c, 0] = s
+    f, F = propagate_rows(rows, np.array([T]), np.array([mm is ModelKind.CT]))
+    return f[c, 0], F[0][c[:, None], c]
+
+
+def _process_noise(mm, T, sig):
+    c = mm.columns
+    return process_noise_rows(np.array([T]), noise_rows(sigma_rows([sig]), state_mask([mm])))[0][c[:, None], c]
+
 
 # --- frozen reference: one predict and one update call per step, the gain
 # from np.linalg.solve, a Python loop over the segment. Kept as it was,
-# except for the function names and the turn-rate projection onto
+# except for the function names, the turn-rate projection onto
 # [-ekf._OMEGA_MAX, ekf._OMEGA_MAX] after each CT update, which the filter
-# gained later; the motion-model matrices come from the library, whose own
-# tests pin them.
+# gained later, and that a state and its covariance are passed as arrays
+# instead of filter-state records; the motion-model matrices come from the
+# library, whose own tests pin them.
 
 
 def _symmetrize(P):
     return 0.5 * (P + P.T)
 
 
-def ref_predict(fs, mm, T, Q):
-    F = jacobian(mm, fs.s, T)
-    s_pred = transition(mm, fs.s, T)
-    P_pred = _symmetrize(F @ fs.P @ F.T + Q)
-    return FilterState(s_pred, P_pred, fs.t_ms + round(T * 1000))
+def ref_predict(s, P, mm, T, Q):
+    s_pred, F = _step(mm, s, T)
+    P_pred = _symmetrize(F @ P @ F.T + Q)
+    return s_pred, P_pred
 
 
-def ref_update(fs_pred, z, meas):
-    H = np.asarray(meas.H, dtype=float)
-    R = np.asarray(meas.R, dtype=float)
-    n = fs_pred.s.shape[0]
-    zv = np.array([z.x, z.y])
-    S = H @ fs_pred.P @ H.T + R
+def ref_update(s_pred, P_pred, zv, H, R):
+    n = s_pred.shape[0]
+    S = H @ P_pred @ H.T + R
     try:
-        K = np.linalg.solve(S.T, (fs_pred.P @ H.T).T).T
+        K = np.linalg.solve(S.T, (P_pred @ H.T).T).T
     except np.linalg.LinAlgError as exc:
         raise FilterError(f"singular innovation covariance: {S}") from exc
-    s = fs_pred.s + K @ (zv - H @ fs_pred.s)
+    s = s_pred + K @ (zv - H @ s_pred)
     ImKH = np.eye(n) - K @ H
-    P = _symmetrize(ImKH @ fs_pred.P @ ImKH.T + K @ R @ K.T)
-    return FilterState(s, P, fs_pred.t_ms)
+    P = _symmetrize(ImKH @ P_pred @ ImKH.T + K @ R @ K.T)
+    return s, P
 
 
 def _ref_initial_state(seg, first, cfg):
     s = np.zeros(seg.mm.state_dim)
-    s[0], s[1] = first.rf.x, first.rf.y
+    s[0], s[1] = first
     var = {"x": cfg.R[0, 0], "y": cfg.R[1, 1], "vx": cfg.v_max**2, "vy": cfg.v_max**2,
            "ax": cfg.accel_var, "ay": cfg.accel_var, "omega": cfg.omega_var}
     P = np.diag(np.array([var[k] for k in seg.mm.states], dtype=float))
-    return FilterState(s, P, first.t_ms)
+    return s, P
 
 
-def ref_run_segment(seg, pairs, cfg):
-    if len(pairs) < 2:
+def ref_run_segment(seg, t, z, cfg):
+    """States (K, n) and covariances (K, n, n) of one segment over its fixes ``z`` (K, 2) at ``t`` (K,)."""
+    if len(t) < 2:
         return None
-    meas = MeasurementModel(measurement_matrix(seg.mm), cfg.R)
-    fs = _ref_initial_state(seg, pairs[0], cfg)
-    track = [TrackPoint(fs.t_ms, EnuPoint(fs.s[0], fs.s[1]), fs)]
-    for prev, cur in zip(pairs, pairs[1:]):
-        T = (cur.t_ms - prev.t_ms) / 1000.0
+    H = np.eye(2, seg.mm.state_dim)
+    s, P = _ref_initial_state(seg, z[0], cfg)
+    states, covs = [s], [P]
+    for k in range(1, len(t)):
+        T = (t[k] - t[k - 1]) / 1000.0
         if T <= 0:
-            raise FilterError(f"segment {seg.id}: non-increasing timestamps at {cur.t_ms}")
-        Q = process_noise(seg.mm, T, seg.sigmas)
-        fs = ref_update(ref_predict(fs, seg.mm, T, Q), cur.rf, meas)
+            raise FilterError(f"segment {seg.id}: non-increasing timestamps at {t[k]}")
+        Q = _process_noise(seg.mm, T, seg.sigmas)
+        s, P = ref_update(*ref_predict(s, P, seg.mm, T, Q), z[k], H, cfg.R)
         if seg.mm is ModelKind.CT:
-            s = fs.s.copy()
+            s = s.copy()
             s[4] = min(max(s[4], -ekf._OMEGA_MAX), ekf._OMEGA_MAX)
-            fs = FilterState(s, fs.P, fs.t_ms)
-        track.append(TrackPoint(cur.t_ms, EnuPoint(fs.s[0], fs.s[1]), fs))
-    return track
+        states.append(s)
+        covs.append(P)
+    return np.array(states), np.array(covs)
 
 
 # --- flights
@@ -110,9 +115,8 @@ def _filter_config(rng):
     )
 
 
-def _assert_close(states, covs, ref_track):
-    ref_s = np.array([tp.state.s for tp in ref_track])
-    ref_P = np.array([tp.state.P for tp in ref_track])
+def _assert_close(states, covs, ref):
+    ref_s, ref_P = ref
     assert np.abs(states[:, :2] - ref_s[:, :2]).max() <= 1e-9
     scale = np.abs(ref_P).max(axis=(1, 2))[:, None, None]
     assert np.all(np.abs(covs - ref_P) <= 1e-9 * scale)
@@ -146,8 +150,7 @@ def test_batched_core_matches_frozen_scalar_filter(mm, lengths, mean_dt_ms, turn
 
     results = ekf._run_batch(segs, t, z, slices, cfg)
     for seg, sl, (states, covs) in zip(segs, slices, results):
-        pairs = [AlignedPair(int(ti), EnuPoint(0.0, 0.0), EnuPoint(*zi)) for ti, zi in zip(t[sl], z[sl])]
-        _assert_close(states, covs, ref_run_segment(seg, pairs, cfg))
+        _assert_close(states, covs, ref_run_segment(seg, t[sl], z[sl], cfg))
 
 
 def _random_cov(rng, n):
@@ -169,14 +172,19 @@ def test_one_step_matches_frozen_scalar_step(mm, T, turn, sign, seed):
     s = rng.normal(0, 10, n)
     if mm is ModelKind.CT:
         s[4] = sign * turn * _SMALL_TURN / T
-    fs = FilterState(s, _random_cov(rng, n), 0)
-    Q = process_noise(mm, T, _sigmas(rng))
-    meas = MeasurementModel(measurement_matrix(mm), _random_cov(rng, 2))
-    z = EnuPoint(*rng.normal(0, 30, 2))
+    P = _random_cov(rng, n)
+    Q = _process_noise(mm, T, _sigmas(rng))
+    H, R = np.eye(2, n), _random_cov(rng, 2)
+    z = rng.normal(0, 30, 2)
 
-    pred, ref_pred = objects.predict(fs, mm, T, Q), ref_predict(fs, mm, T, Q)
-    assert np.allclose(pred.s, ref_pred.s, rtol=1e-12, atol=1e-12)
-    assert np.allclose(pred.P, ref_pred.P, rtol=1e-12, atol=1e-12 * np.abs(ref_pred.P).max())
-    upd, ref_upd = objects.update(ref_pred, z, meas), ref_update(ref_pred, z, meas)
-    assert np.allclose(upd.s, ref_upd.s, rtol=1e-9, atol=1e-9)
-    assert np.allclose(upd.P, ref_upd.P, rtol=1e-9, atol=1e-9 * np.abs(ref_upd.P).max())
+    # the filter's step kernels on a batch of one
+    pred_s, F = _step(mm, s, T)
+    pred_P = ekf._predict_cov(F[None], P[None], Q[None])[0]
+    ref_s, ref_P = ref_predict(s, P, mm, T, Q)
+    assert np.allclose(pred_s, ref_s, rtol=1e-12, atol=1e-12)
+    assert np.allclose(pred_P, ref_P, rtol=1e-12, atol=1e-12 * np.abs(ref_P).max())
+    upd_s, upd_P, _, ok = ekf._update_step(ref_s[None], ref_P[None], z[None], H, R)
+    ref_upd_s, ref_upd_P = ref_update(ref_s, ref_P, z, H, R)
+    assert ok[0]
+    assert np.allclose(upd_s[0], ref_upd_s, rtol=1e-9, atol=1e-9)
+    assert np.allclose(upd_P[0], ref_upd_P, rtol=1e-9, atol=1e-9 * np.abs(ref_upd_P).max())

@@ -8,14 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from uavtrack import cli
 from uavtrack.dataio import Segment, write_position_log, write_segments
-from uavtrack.geodesy import EnuPoint
-from uavtrack.metrics import MetricsError, cdf, euclidean_errors, segment_stats, stats
-from uavtrack.objects import quantile
+from uavtrack.metrics import MetricsError, cdf, euclidean_errors, quantile, segment_stats, stats
 from uavtrack.motionmodels import ModelKind, NoiseSigmas
 
 
 def _pts(coords):
-    return [EnuPoint(x, y) for x, y in coords]
+    return np.array(coords, dtype=float).reshape(-1, 2)
 
 
 def _seg(sid, start, end, mm=ModelKind.CV):
@@ -37,9 +35,8 @@ class TestEuclideanErrors:
         with pytest.raises(MetricsError):
             euclidean_errors(_pts([(0, 0)]), _pts([(0, 0), (1, 1)]))
 
-    @pytest.mark.parametrize("empty", [[], np.empty((0, 2))], ids=["list", "array"])
-    def test_no_points_no_errors(self, empty):
-        errors = euclidean_errors(empty, empty)
+    def test_no_points_no_errors(self):
+        errors = euclidean_errors(np.empty((0, 2)), np.empty((0, 2)))
         assert errors.shape == (0,) and errors.dtype == float
 
 

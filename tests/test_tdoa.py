@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavtrack.geodesy import MAX_RANGE_M, EnuPoint
-from uavtrack.objects import (
-    TdoaMeasurement,
-    TimedSample,
-    cost,
-    position_noise_flight,
-    simulate_flight,
-    simulate_tdoa,
-    solve_position,
+from uavtrack.geodesy import MAX_RANGE_M
+from uavtrack.tdoa import (
+    SPEED_OF_LIGHT, ArrayError, SensorArray, _arrival_differences, _fixes, _range_residuals, simulate_columns,
 )
-from uavtrack.tdoa import SPEED_OF_LIGHT, ArrayError, GeometryError, SensorArray, simulate_columns
 
 SQUARE = SensorArray(np.array([[-50.0, -50], [50, -50], [-50, 50], [50, 50]]))
 CORNERS = SensorArray(np.array([[0.0, 0], [100, 0], [0, 100], [100, 100]]))
@@ -23,6 +16,27 @@ README_ARRAY = SensorArray(np.array([[-200.0, -200], [200, -200], [-200, 200], [
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _range_differences(arr, xy, jitter=0.0):
+    """Sensor indices and range differences c·Δτ (E, m) of emitters at ``xy`` (E, 2) with timing ``jitter``."""
+    idx, dt = _arrival_differences(arr, np.asarray(xy, dtype=float).reshape(-1, 2), jitter)
+    return idx, SPEED_OF_LIGHT * dt
+
+
+def _solve(arr, idx, rd, init=None):
+    """Fixes (E, 2), NaN where lost, RMS residuals and converged flags of the epochs ``rd`` (E, m),
+    each solved from ``init`` (E, 2), the array centroid by default, and the sensor starts."""
+    if init is None:
+        init = np.tile(arr.positions.mean(axis=0), (len(rd), 1))
+    return _fixes(arr, idx, rd, np.asarray(init, dtype=float).reshape(-1, 2))
+
+
+def _cost(arr, idx, rd, p):
+    """Sum of squared range-difference residuals of one epoch ``rd`` (1, m) at each point of ``p`` (N, 2)."""
+    pos = arr.positions
+    r = _range_residuals(pos[idx], pos[arr.reference_idx], rd.T, np.asarray(p, dtype=float).reshape(-1, 2).T)[0]
+    return np.sum(r * r, axis=0)
 
 
 class TestSensorArray:
@@ -47,83 +61,65 @@ class TestSensorArray:
 
 class TestSimulateTdoa:
     def test_center_of_square_all_zero(self):
-        m = simulate_tdoa(SQUARE, EnuPoint(0, 0), 0.0, _rng())
-        assert all(abs(dt) < 1e-15 for _, dt in m.deltas)
+        _, dt = _arrival_differences(SQUARE, np.zeros((1, 2)), 0.0)
+        assert np.all(np.abs(dt) < 1e-15)
 
     def test_two_sensor_direct_distance(self):
         arr = SensorArray(np.array([[0.0, 0], [100, 0]]))
-        m = simulate_tdoa(arr, EnuPoint(0, 0), 0.0, _rng())
-        assert len(m.deltas) == 1
-        idx, dt = m.deltas[0]
-        assert idx == 1
-        assert dt == pytest.approx(100.0 / SPEED_OF_LIGHT, rel=1e-12)
-
-    def test_deterministic_under_seed(self):
-        a = simulate_tdoa(SQUARE, EnuPoint(10, 20), 1e-9, _rng(7))
-        b = simulate_tdoa(SQUARE, EnuPoint(10, 20), 1e-9, _rng(7))
-        assert a == b
+        idx, dt = _arrival_differences(arr, np.zeros((1, 2)), 0.0)
+        assert idx == [1] and dt.shape == (1, 1)
+        assert dt[0, 0] == pytest.approx(100.0 / SPEED_OF_LIGHT, rel=1e-12)
 
     def test_reference_excluded(self):
-        m = simulate_tdoa(SQUARE, EnuPoint(5, 5), 0.0, _rng())
-        assert all(i != SQUARE.reference_idx for i, _ in m.deltas)
+        arr = SensorArray(SQUARE.positions, reference_idx=2)
+        idx, dt = _arrival_differences(arr, np.array([[5.0, 5.0]]), 0.0)
+        assert idx == [0, 1, 3] and dt.shape == (1, 3)
 
     @pytest.mark.parametrize("sigma_t", [-1e-9, float("nan")])
     def test_bad_sigma_rejected(self, sigma_t):
         # a NaN jitter sigma would otherwise give noiseless deltas
-        with pytest.raises(ValueError, match=f"sigma_t must be >= 0, got {sigma_t}"):
-            simulate_tdoa(SQUARE, EnuPoint(5, 5), sigma_t, _rng())
+        with pytest.raises(ValueError, match=f"sigma must be >= 0, got {sigma_t}"):
+            simulate_columns(np.array([0]), np.array([[5.0, 5.0]]), sigma_t, 0, None, 0.0, 0.0, arr=SQUARE)
 
 
 class TestSolvePosition:
     def test_noiseless_exact_recovery(self):
-        m = simulate_tdoa(CORNERS, EnuPoint(30, 40), 0.0, _rng())
-        fix = solve_position(CORNERS, m, CORNERS.centroid)
-        assert fix.converged
-        assert np.hypot(fix.pos.x - 30, fix.pos.y - 40) < 1e-6
+        fix, _, converged = _solve(CORNERS, *_range_differences(CORNERS, [30, 40]))
+        assert converged[0]
+        assert np.hypot(fix[0, 0] - 30, fix[0, 1] - 40) < 1e-6
 
     def test_noiseless_round_trip_random_targets(self):
-        rng = _rng(3)
-        for _ in range(100):
-            p = EnuPoint(rng.uniform(-49, 49), rng.uniform(-49, 49))
-            m = simulate_tdoa(SQUARE, p, 0.0, rng)
-            fix = solve_position(SQUARE, m, SQUARE.centroid)
-            assert np.hypot(fix.pos.x - p.x, fix.pos.y - p.y) < 1e-6
+        xy = _rng(3).uniform(-49, 49, (100, 2))
+        fix, _, _ = _solve(SQUARE, *_range_differences(SQUARE, xy))
+        assert np.all(np.hypot(*(fix - xy).T) < 1e-6)
 
     def test_noisy_near_grid_minimum(self):
         # brute-force grid oracle at 0.5 m over a local window
-        rng = _rng(11)
-        truth = EnuPoint(30, 40)
-        m = simulate_tdoa(CORNERS, truth, 3.3e-9, rng)
-        fix = solve_position(CORNERS, m, CORNERS.centroid)
-        xs = np.arange(truth.x - 20, truth.x + 20, 0.5)
-        ys = np.arange(truth.y - 20, truth.y + 20, 0.5)
-        best, best_c = None, np.inf
-        for x in xs:
-            for y in ys:
-                c = cost(CORNERS, m, EnuPoint(x, y))
-                if c < best_c:
-                    best, best_c = (x, y), c
-        assert np.hypot(fix.pos.x - best[0], fix.pos.y - best[1]) < 1.0
+        truth = np.array([30.0, 40.0])
+        idx, rd = _range_differences(CORNERS, truth, _rng(11).normal(0.0, 3.3e-9, (1, 3)))
+        fix = _solve(CORNERS, idx, rd)[0][0]
+        xs = np.arange(truth[0] - 20, truth[0] + 20, 0.5)
+        ys = np.arange(truth[1] - 20, truth[1] + 20, 0.5)
+        grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+        best = grid[np.argmin(_cost(CORNERS, idx, rd, grid))]
+        assert np.hypot(*(fix - best)) < 1.0
 
     def test_descent_property(self):
         rng = _rng(5)
         for _ in range(20):
-            p = EnuPoint(rng.uniform(-40, 40), rng.uniform(-40, 40))
-            m = simulate_tdoa(SQUARE, p, 2e-9, rng)
-            init = EnuPoint(rng.uniform(-40, 40), rng.uniform(-40, 40))
-            fix = solve_position(SQUARE, m, init)
-            assert cost(SQUARE, m, fix.pos) <= cost(SQUARE, m, init) + 1e-12
+            p = rng.uniform(-40, 40, 2)
+            idx, rd = _range_differences(SQUARE, p, rng.normal(0.0, 2e-9, (1, 3)))
+            init = rng.uniform(-40, 40, (1, 2))
+            fix = _solve(SQUARE, idx, rd, init)[0]
+            assert _cost(SQUARE, idx, rd, fix)[0] <= _cost(SQUARE, idx, rd, init)[0] + 1e-12
 
     def test_translation_equivariance(self):
         shift = np.array([123.0, -456.0])
         arr2 = SensorArray(SQUARE.positions + shift)
-        p = EnuPoint(10, 20)
-        m1 = simulate_tdoa(SQUARE, p, 0.0, _rng())
-        m2 = simulate_tdoa(arr2, EnuPoint(p.x + shift[0], p.y + shift[1]), 0.0, _rng())
-        f1 = solve_position(SQUARE, m1, SQUARE.centroid)
-        f2 = solve_position(arr2, m2, arr2.centroid)
-        assert f2.pos.x - f1.pos.x == pytest.approx(shift[0], abs=1e-9)
-        assert f2.pos.y - f1.pos.y == pytest.approx(shift[1], abs=1e-9)
+        p = np.array([10.0, 20.0])
+        f1 = _solve(SQUARE, *_range_differences(SQUARE, p))[0][0]
+        f2 = _solve(arr2, *_range_differences(arr2, p + shift))[0][0]
+        assert f2 - f1 == pytest.approx(shift, abs=1e-9)
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -136,72 +132,72 @@ class TestSolvePosition:
         # noiseless fix; the array is off the origin so the centroid matters
         arr = SensorArray(README_ARRAY.positions + offset)
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        centroid = np.array([arr.centroid.x, arr.centroid.y])
+        centroid = arr.positions.mean(axis=0)
         turned = SensorArray((arr.positions - centroid) @ rot.T + centroid)
         p = np.array(target) + centroid
         p_turned = rot @ (p - centroid) + centroid
-        f1 = solve_position(arr, simulate_tdoa(arr, EnuPoint(*p), 0.0, _rng()), arr.centroid)
-        f2 = solve_position(turned, simulate_tdoa(turned, EnuPoint(*p_turned), 0.0, _rng()), turned.centroid)
-        expected = rot @ (np.array([f1.pos.x, f1.pos.y]) - centroid) + centroid
-        assert np.hypot(f2.pos.x - expected[0], f2.pos.y - expected[1]) <= 1e-6
+        f1 = _solve(arr, *_range_differences(arr, p))[0][0]
+        f2 = _solve(turned, *_range_differences(turned, p_turned))[0][0]
+        expected = rot @ (f1 - centroid) + centroid
+        assert np.hypot(*(f2 - expected)) <= 1e-6
 
     def test_two_sensors_degenerate(self):
+        # one range difference: every start is rank-deficient and the epoch is lost
         arr = SensorArray(np.array([[0.0, 0], [100, 0]]))
-        m = simulate_tdoa(arr, EnuPoint(10, 10), 0.0, _rng())
-        with pytest.raises(GeometryError):
-            solve_position(arr, m, EnuPoint(0, 0))
+        idx, rd = _range_differences(arr, [10, 10])
+        assert np.isnan(_solve(arr, idx, rd, [[0.0, 0.0]])[0]).all()
 
     def test_collinear_sensors_degenerate(self):
         arr = SensorArray(np.array([[0.0, 0], [100, 0], [200, 0]]))
-        m = simulate_tdoa(arr, EnuPoint(50, 0), 0.0, _rng())
-        with pytest.raises(GeometryError):
-            solve_position(arr, m, EnuPoint(50, 0))
+        idx, rd = _range_differences(arr, [50, 0])
+        assert np.isnan(_solve(arr, idx, rd, [[50.0, 0.0]])[0]).all()
 
     def test_target_on_a_baseline_extension_is_solved(self):
         # beyond sensor 1 on the line through the reference, |rd_1| equals
         # the baseline; with half a metre more no hyperbola of sensor 1
         # exists, yet the other sensors pin the least-squares fix
-        m = simulate_tdoa(README_ARRAY, EnuPoint(400, -200), 0.0, _rng())
-        assert abs(m.deltas[0][1]) * SPEED_OF_LIGHT == 400.0
-        excess = TdoaMeasurement(0, ((1, m.deltas[0][1] - 0.5 / SPEED_OF_LIGHT),) + m.deltas[1:])
-        for meas in (m, excess):
-            fix = solve_position(README_ARRAY, meas, README_ARRAY.centroid)
-            assert fix.converged
-            assert np.hypot(fix.pos.x - 400, fix.pos.y + 200) < 1e-6
+        idx, rd = _range_differences(README_ARRAY, [400, -200])
+        assert abs(rd[0, 0]) == 400.0
+        excess = rd.copy()
+        excess[0, 0] -= 0.5
+        fix, _, converged = _solve(README_ARRAY, idx, np.vstack([rd, excess]))
+        assert converged.all()
+        assert np.all(np.hypot(fix[:, 0] - 400, fix[:, 1] + 200) < 1e-6)
 
     def test_monotone_degradation_with_noise(self):
         rng = _rng(9)
         rmse = []
         for sigma_ns in (0.0, 1.0, 3.0, 10.0):
-            errs = []
+            xy, jitter = np.empty((200, 2)), np.zeros((200, 3))
             for k in range(200):
-                p = EnuPoint(rng.uniform(-45, 45), rng.uniform(-45, 45))
-                m = simulate_tdoa(SQUARE, p, sigma_ns * 1e-9, rng)
-                fix = solve_position(SQUARE, m, SQUARE.centroid)
-                errs.append(np.hypot(fix.pos.x - p.x, fix.pos.y - p.y))
-            rmse.append(np.sqrt(np.mean(np.square(errs))))
+                xy[k] = rng.uniform(-45, 45), rng.uniform(-45, 45)
+                if sigma_ns > 0:
+                    jitter[k] = rng.normal(0.0, sigma_ns * 1e-9, 3)
+            fix = _solve(SQUARE, *_range_differences(SQUARE, xy, jitter))[0]
+            rmse.append(np.sqrt(np.mean(np.sum((fix - xy) ** 2, axis=1))))
         assert all(a <= b + 1e-9 for a, b in zip(rmse, rmse[1:]))
 
 
 class TestSimulateFlight:
     def _truth(self, n=20):
-        return [TimedSample(1000 * k, EnuPoint(2.0 * k - 20, 1.0 * k - 10)) for k in range(n)]
+        k = np.arange(n)
+        return 1000 * k, np.column_stack((2.0 * k - 20, 1.0 * k - 10))
 
     def test_noiseless_chain_matches_truth(self):
-        rf, dropped = simulate_flight(self._truth(), SQUARE, 0.0, rng_seed=1)
-        assert dropped == 0
-        for t, r in zip(self._truth(), rf):
-            assert np.hypot(t.pos.x - r.pos.x, t.pos.y - r.pos.y) < 1e-5
+        t_ms, xy = self._truth()
+        rf_t, rf, dropped = simulate_columns(t_ms, xy, 0.0, 1, None, 0.0, 200.0, arr=SQUARE)
+        assert dropped == 0 and rf_t.tolist() == t_ms.tolist()
+        assert np.all(np.hypot(*(rf - xy).T) < 1e-5)
 
     def test_deterministic_under_seed(self):
-        a, _ = simulate_flight(self._truth(), SQUARE, 2e-9, rng_seed=42)
-        b, _ = simulate_flight(self._truth(), SQUARE, 2e-9, rng_seed=42)
-        assert a == b
+        a = simulate_columns(*self._truth(), 2e-9, 42, None, 0.0, 200.0, arr=SQUARE)
+        b = simulate_columns(*self._truth(), 2e-9, 42, None, 0.0, 200.0, arr=SQUARE)
+        assert a[0].tolist() == b[0].tolist() and a[1].tobytes() == b[1].tobytes() and a[2] == b[2]
 
     def test_decimation(self):
-        truth = [TimedSample(100 * k, EnuPoint(0.1 * k, 0)) for k in range(100)]
-        rf, _ = simulate_flight(truth, SQUARE, 0.0, rng_seed=1, decimate_ms=1000)
-        assert [s.t_ms for s in rf] == list(range(0, 10000, 1000))
+        k = np.arange(100)
+        rf_t, _, _ = simulate_columns(100 * k, np.c_[0.1 * k, np.zeros(100)], 0.0, 1, 1000, 0.0, 200.0, arr=SQUARE)
+        assert rf_t.tolist() == list(range(0, 10000, 1000))
 
     @pytest.mark.parametrize("arr", [SQUARE, None], ids=["tdoa", "position"])
     def test_negative_sigma_rejected(self, arr):
@@ -214,30 +210,29 @@ class TestSimulateFlight:
             simulate_columns(np.empty(0, np.int64), np.empty((0, 2)), 0.0, 1, 1000, 0.0, 0.0, arr=SQUARE)
 
     def test_decreasing_timestamps_rejected(self):
-        truth = [TimedSample(t, EnuPoint(0.0, 0.0)) for t in (0, 1000, 500)]
         with pytest.raises(ValueError, match="must not decrease"):
-            simulate_flight(truth, SQUARE, 0.0, rng_seed=1)
+            simulate_columns(np.array([0, 1000, 500]), np.zeros((3, 2)), 0.0, 1, None, 0.0, 200.0, arr=SQUARE)
 
     def test_dropped_epochs_leave_gaps_in_the_grid(self):
         # truth on the line of a collinear array: every start is rank-deficient
         arr = SensorArray(np.array([[0.0, 0], [100, 0], [200, 0]]))
-        truth = [TimedSample(100 * k, EnuPoint(50 + 0.5 * k, 0)) for k in range(50)]
-        rf, dropped = simulate_flight(truth, arr, 1e-9, rng_seed=1, decimate_ms=1000)
-        assert rf == []
+        k = np.arange(50)
+        rf_t, _, dropped = simulate_columns(100 * k, np.c_[50 + 0.5 * k, np.zeros(50)], 1e-9, 1, 1000, 0.0, 200.0,
+                                            arr=arr)
+        assert rf_t.size == 0
         assert dropped == 5  # grid epochs 0, 1000, ..., 4000
 
     def test_fix_past_geodesy_limit_dropped(self, caplog):
         # glitches of up to 2 km on a target 49.5 km out throw some fixes past 50 km
-        truth = [TimedSample(1000 * k, EnuPoint(49_500.0, 0.0)) for k in range(40)]
+        t_ms, xy = 1000 * np.arange(40), np.tile([49_500.0, 0.0], (40, 1))
         with caplog.at_level(logging.WARNING, logger="uavtrack.tdoa"):
-            rf, dropped = position_noise_flight(truth, 0.0, 5, 1000, 0.5, 2000.0)
-        kept = [r.t_ms for r in rf]
-        far = [s.t_ms for s in truth if s.t_ms not in kept]
+            rf_t, rf, dropped = simulate_columns(t_ms, xy, 0.0, 5, 1000, 0.5, 2000.0)
+        far = sorted(set(t_ms.tolist()) - set(rf_t.tolist()))
         assert far and dropped == len(far)
         assert [r.getMessage() for r in caplog.records] == [
             f"epoch {t}: fix beyond 50 km of the origin, dropping" for t in far
         ]
-        assert all(np.hypot(r.pos.x, r.pos.y) <= MAX_RANGE_M for r in rf)
+        assert np.all(np.hypot(rf[:, 0], rf[:, 1]) <= MAX_RANGE_M)
 
     def test_lost_epochs_name_their_cause(self, caplog):
         # 600 m of timing noise on the README array: most lost epochs have a
@@ -267,21 +262,17 @@ class TestSimulateFlight:
             k = t // 1000
             if cause == "fix beyond 50 km of the origin, dropping":
                 continue
-            m = TdoaMeasurement(t, tuple(zip([1, 2, 3], dt[k].tolist())))
-            with pytest.raises(GeometryError) as exc:
-                solve_position(README_ARRAY, m, README_ARRAY.centroid)
+            # every start of the epoch is rank-deficient
+            assert np.isnan(_solve(README_ARRAY, [1, 2, 3], SPEED_OF_LIGHT * dt[k : k + 1])[0]).all()
             if beyond[k]:
                 assert cause == "range difference exceeds sensor baseline, dropping"
-                assert str(exc.value).startswith("range difference exceeds sensor baseline")
             else:
                 assert cause == "rank-deficient geometry at every start, dropping"
-                assert "collinear sensors?" in str(exc.value)
 
     def test_outlier_injection(self):
-        rf, _ = simulate_flight(
-            self._truth(100), SQUARE, 0.0, rng_seed=3, outlier_rate=0.5, outlier_max_m=200.0
-        )
-        errs = [np.hypot(t.pos.x - r.pos.x, t.pos.y - r.pos.y) for t, r in zip(self._truth(100), rf)]
+        t_ms, xy = self._truth(100)
+        _, rf, _ = simulate_columns(t_ms, xy, 0.0, 3, None, 0.5, 200.0, arr=SQUARE)
+        errs = np.hypot(*(rf - xy).T)
         assert max(errs) > 10  # some glitches injected
         assert max(errs) <= 200 + 1e-6
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavtrack import objects, tdoa
+from uavtrack import tdoa
 from uavtrack.tdoa import SensorArray
 
 COLLINEAR = SensorArray(np.array([[0.0, 0], [100, 0], [200, 0]]))
@@ -93,9 +93,9 @@ def test_solver_calls_no_linalg_routine(monkeypatch):
     arr = SensorArray(np.array([[-200.0, -200], [200, -200], [-200, 200], [200, 200]]))
     rng = np.random.default_rng(0)
     targets = rng.uniform(-400, 400, (50, 2))
-    meas = [objects.simulate_tdoa(arr, tdoa.EnuPoint(*p), 3.3e-9, rng) for p in targets]
-    idx, rd = objects._range_differences(meas)
-    starts = tdoa._starts(arr, np.tile(arr.positions.mean(axis=0), (len(meas), 1)))
+    idx, dt = tdoa._arrival_differences(arr, targets, rng.normal(0.0, 3.3e-9, (50, 3)))
+    rd = tdoa.SPEED_OF_LIGHT * dt
+    starts = tdoa._starts(arr, np.tile(arr.positions.mean(axis=0), (len(rd), 1)))
     args = (arr.positions[idx], arr.positions[arr.reference_idx], rd, starts)
     want = tdoa._solve_batch(*args)
     monkeypatch.setattr(np, "linalg", _NoLinalg())

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from uavtrack import objects, tdoa
+from uavtrack import tdoa
 from uavtrack.geodesy import EnuPoint
-from uavtrack.objects import TdoaFix, TimedSample, simulate_tdoa, solve_position
-from uavtrack.tdoa import GeometryError, SensorArray
+from uavtrack.tdoa import SensorArray
 
 ARRAY = SensorArray(np.array([[-200.0, -200], [200, -200], [-200, 200], [200, 200]]))
 SIGMA_T = 3.3e-9
@@ -17,6 +16,11 @@ SIGMA_T = 3.3e-9
 # --- frozen reference: the per-epoch scalar solver, five sequential
 # descents with Python loops over the sensors. Kept as it was, except that
 # it also returns the index of the winning start.
+
+
+class GeometryError(ValueError):
+    """Sensor geometry cannot support a 2-D fix."""
+
 
 _MAX_ITER = 100
 _STEP_TOL_M = 1e-6
@@ -26,8 +30,8 @@ _MAX_HALVINGS = 25
 def _ref_residuals(arr, m, p):
     ref = arr.positions[arr.reference_idx]
     d_ref = np.linalg.norm(p - ref)
-    out = np.empty(len(m.deltas))
-    for k, (i, dtau) in enumerate(m.deltas):
+    out = np.empty(len(m))
+    for k, (i, dtau) in enumerate(m):
         out[k] = tdoa.SPEED_OF_LIGHT * dtau - (np.linalg.norm(p - arr.positions[i]) - d_ref)
     return out
 
@@ -39,8 +43,8 @@ def _ref_descend(arr, m, p):
     for _ in range(_MAX_ITER):
         d_ref = np.linalg.norm(p - ref)
         u_ref = (p - ref) / d_ref if d_ref > 0 else np.zeros(2)
-        J = np.empty((len(m.deltas), 2))
-        for k, (i, _) in enumerate(m.deltas):
+        J = np.empty((len(m), 2))
+        for k, (i, _) in enumerate(m):
             d_i = np.linalg.norm(p - arr.positions[i])
             u_i = (p - arr.positions[i]) / d_i if d_i > 0 else np.zeros(2)
             J[k] = -(u_i - u_ref)
@@ -70,8 +74,8 @@ def _ref_descend(arr, m, p):
 
 def reference_solve(arr, m, init):
     """(point, cost, converged, winning start index) as the scalar solver found them."""
-    c = np.array([arr.centroid.x, arr.centroid.y])
-    starts = [np.array([init.x, init.y], dtype=float)] + [s + 0.25 * (c - s) for s in arr.positions]
+    c = arr.positions.mean(axis=0)
+    starts = [np.array(init, dtype=float)] + [s + 0.25 * (c - s) for s in arr.positions]
     best = None
     error = None
     for j, start in enumerate(starts):
@@ -92,18 +96,31 @@ def reference_solve(arr, m, init):
 
 # --- corpora
 
-
-def _measurements(targets, seed):
-    rng = np.random.default_rng(seed)
-    return [simulate_tdoa(ARRAY, EnuPoint(x, y), SIGMA_T, rng) for x, y in targets]
+CENTROID = ARRAY.positions.mean(axis=0)
 
 
-def _solve_all(meas):
+def _measurements(targets, rng):
+    """Sensor indices and arrival-time differences (E, m) on ARRAY of emitters at ``targets``, each
+    with its own timing jitter drawn in turn, as a measurement is a list of (sensor, delta) pairs."""
+    jitter = [rng.normal(0.0, SIGMA_T, size=ARRAY.positions.shape[0] - 1) for _ in targets]
+    return tdoa._arrival_differences(ARRAY, np.array(targets, dtype=float).reshape(-1, 2), np.array(jitter))
+
+
+def _deltas(idx, dt):
+    """Each epoch of ``dt`` (E, m) as the reference solver's list of (sensor, delta) pairs."""
+    return [list(zip(idx, row)) for row in dt.tolist()]
+
+
+def _solve_all(idx, dt):
     """Every epoch in one batched call, each from the centroid and the sensor starts."""
-    idx, rd = objects._range_differences(meas)
     pos = ARRAY.positions
-    starts = tdoa._starts(ARRAY, np.tile(pos.mean(axis=0), (len(meas), 1)))
-    return tdoa._solve_batch(pos[idx], pos[ARRAY.reference_idx], rd, starts)
+    starts = tdoa._starts(ARRAY, np.tile(CENTROID, (len(dt), 1)))
+    return tdoa._solve_batch(pos[idx], pos[ARRAY.reference_idx], tdoa.SPEED_OF_LIGHT * dt, starts)
+
+
+def _solve(arr, idx, dt):
+    """:func:`tdoa._fixes` of the epochs ``dt`` (E, m), each from the array centroid and the sensor starts."""
+    return tdoa._fixes(arr, idx, tdoa.SPEED_OF_LIGHT * dt, np.tile(arr.positions.mean(axis=0), (len(dt), 1)))
 
 
 def test_matches_frozen_scalar_solver():
@@ -114,16 +131,16 @@ def test_matches_frozen_scalar_solver():
         rng.uniform(-500, 500, (200, 2)),
         ARRAY.positions[rng.integers(0, 4, 200)] + rng.uniform(-40, 40, (200, 2)),
     ])
-    meas = _measurements(targets, seed=2)
-    points, costs, _, best = _solve_all(meas)
+    idx, dt = _measurements(targets, np.random.default_rng(2))
+    points, costs, _, best = _solve_all(idx, dt)
     other_minimum = 0
-    for m, p, c, b in zip(meas, points, costs, best):
-        ref_p, ref_c, _, ref_b = reference_solve(ARRAY, m, ARRAY.centroid)
+    for m, p, c, b in zip(_deltas(idx, dt), points, costs, best):
+        ref_p, ref_c, _, ref_b = reference_solve(ARRAY, m, CENTROID)
         assert b >= 0
         assert np.hypot(*(p - ref_p)) <= 1e-5
         assert c == pytest.approx(ref_c, rel=1e-9, abs=1e-9)
         if ref_b != 0:
-            centroid_p, *_ = _ref_descend(ARRAY, m, np.array([ARRAY.centroid.x, ARRAY.centroid.y]))
+            centroid_p, *_ = _ref_descend(ARRAY, m, CENTROID.copy())
             other_minimum += np.hypot(*(centroid_p - ref_p)) > 1.0
     # the corpus exercises wins by a non-centroid start in another basin
     assert other_minimum >= 5
@@ -133,17 +150,21 @@ def test_no_false_nonconvergence_on_fixed_corpus():
     # 22 of these 2,000 fixes (1.1%) were flagged not converged by the
     # scalar solver: halving ran out at the rounding floor of the cost
     rng = np.random.default_rng(2024)
-    meas = [simulate_tdoa(ARRAY, EnuPoint(*rng.uniform(-500, 500, 2)), SIGMA_T, rng) for _ in range(2000)]
-    _, _, converged, best = _solve_all(meas)
+    targets, jitter = [], []
+    for _ in range(2000):
+        targets.append(rng.uniform(-500, 500, 2))
+        jitter.append(rng.normal(0.0, SIGMA_T, size=3))
+    idx, dt = tdoa._arrival_differences(ARRAY, np.array(targets), np.array(jitter))
+    _, _, converged, best = _solve_all(idx, dt)
     assert np.all(best >= 0)
     assert int(np.sum(~converged)) == 0
 
 
 def test_iteration_cap_still_reports_not_converged(monkeypatch):
-    m = simulate_tdoa(ARRAY, EnuPoint(310.0, -120.0), SIGMA_T, np.random.default_rng(0))
-    assert solve_position(ARRAY, m, ARRAY.centroid).converged
+    idx, dt = _measurements([(310.0, -120.0)], np.random.default_rng(0))
+    assert _solve(ARRAY, idx, dt)[2][0]
     monkeypatch.setattr(tdoa, "_MAX_ITER", 2)
-    assert not solve_position(ARRAY, m, ARRAY.centroid).converged
+    assert not _solve(ARRAY, idx, dt)[2][0]
 
 
 _coord = st.floats(-400.0, 400.0, allow_nan=False)
@@ -156,19 +177,18 @@ _coord = st.floats(-400.0, 400.0, allow_nan=False)
     data=st.data(),
 )
 def test_fix_independent_of_batch(targets, seed, data):
-    meas = _measurements(targets, seed)
-    k = data.draw(st.integers(0, len(meas) - 1))
-    idx, rd = objects._range_differences(meas)
-    points, rms, converged = tdoa._fixes(ARRAY, idx, rd, np.tile(ARRAY.positions.mean(axis=0), (len(meas), 1)))
-    batch = TdoaFix(EnuPoint(*points[k].tolist()), float(rms[k]), bool(converged[k]))
-    assert batch == solve_position(ARRAY, meas[k], ARRAY.centroid)
+    idx, dt = _measurements(targets, np.random.default_rng(seed))
+    k = data.draw(st.integers(0, len(dt) - 1))
+    batch, alone = _solve(ARRAY, idx, dt), _solve(ARRAY, idx, dt[k : k + 1])
+    assert all(np.array_equal(a[k : k + 1], b) for a, b in zip(batch, alone))
 
 
 # --- frozen reference: the per-sensor forward model, one jitter draw per
-# sensor in index order, kept as it was; and the per-epoch measurement loop
-# with its measure/locate callbacks, reduced to one epoch at a time: each
-# epoch is solved on its own by solve_position, which
-# test_fix_independent_of_batch ties to the batched solve. The loop draws
+# sensor in index order, kept as it was except that it returns the list of
+# (sensor, delta) pairs; and the per-epoch measurement loop with its
+# measure/locate callbacks, reduced to one epoch at a time: each epoch is
+# solved on its own, a batch of one, which test_fix_independent_of_batch
+# ties to the batched solve, and a truth sample is a (t_ms, point) tuple. The loop draws
 # from one generator per flight, one scalar at a time: every epoch's noise
 # in epoch order, then every epoch's glitch flag, then every angle, then
 # every radius fraction.
@@ -186,13 +206,13 @@ def ref_simulate_tdoa(arr, p, sigma_t, rng, t_ms=0):
         if sigma_t > 0:
             dt += rng.normal(0.0, sigma_t)
         deltas.append((i, dt))
-    return objects.TdoaMeasurement(t_ms, tuple(deltas))
+    return deltas
 
 
 def ref_simulate_epochs(truth, measure, locate, rng_seed, decimate_ms, outlier_rate, outlier_max_m):
     epochs = []
     for s in truth:
-        if decimate_ms is None or not epochs or s.t_ms - epochs[-1].t_ms >= decimate_ms:
+        if decimate_ms is None or not epochs or s[0] - epochs[-1][0] >= decimate_ms:
             epochs.append(s)
     rng = np.random.default_rng(rng_seed)
     measured = [measure(s, rng) for s in epochs]
@@ -213,15 +233,14 @@ def ref_simulate_epochs(truth, measure, locate, rng_seed, decimate_ms, outlier_r
             continue
         if glitch is not None:
             pos = EnuPoint(pos.x + glitch[0], pos.y + glitch[1])
-        out.append((s.t_ms, pos.x, pos.y))
+        out.append((s[0], pos.x, pos.y))
     return out, dropped
 
 
 def _ref_locate(arr, m):
-    try:
-        return solve_position(arr, m, arr.centroid).pos
-    except GeometryError:
-        return None
+    idx = [i for i, _ in m]
+    fix = _solve(arr, idx, np.array([[dt for _, dt in m]]))[0][0]
+    return None if np.isnan(fix[0]) else EnuPoint(*fix.tolist())
 
 
 def _bits(v):
@@ -250,10 +269,12 @@ def _array(data, n):
 def test_forward_model_matches_frozen_per_sensor_loop(n, target, sigma, seed, data):
     arr = _array(data, n)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = simulate_tdoa(arr, EnuPoint(*target), sigma, rng, t_ms=7)
+    m = arr.positions.shape[0] - 1
+    # the jitter as simulate_columns draws it, one (E, m) array, none at zero sigma
+    jitter = rng.normal(0.0, sigma, size=(1, m)) if sigma > 0 else np.zeros((1, m))
+    idx, dt = tdoa._arrival_differences(arr, np.array([target], dtype=float), jitter)
     want = ref_simulate_tdoa(arr, EnuPoint(*target), sigma, ref_rng, t_ms=7)
-    assert got.t_ms == want.t_ms
-    assert [(i, _bits(d)) for i, d in got.deltas] == [(i, _bits(d)) for i, d in want.deltas]
+    assert [(i, _bits(d)) for i, d in zip(idx, dt[0].tolist())] == [(i, _bits(d)) for i, d in want]
     assert rng.random() == ref_rng.random()  # as many draws
 
 
@@ -272,25 +293,26 @@ def test_flight_matches_frozen_epoch_loop(
     steps, tdoa_model, collinear, sigma_t, sigma_m, seed, decimate_ms, outlier_rate
 ):
     t = np.cumsum([0] + [dt for dt, _ in steps[1:]])
-    truth = [TimedSample(int(k), EnuPoint(*p)) for k, (_, p) in zip(t, steps)]
+    truth = [(int(k), EnuPoint(*p)) for k, (_, p) in zip(t, steps)]
+    xy = np.array([p for _, p in steps], dtype=float)
     if tdoa_model:
         arr = SensorArray(np.array([[0.0, 0], [100, 0], [200, 0]])) if collinear else ARRAY
-        got = objects.simulate_flight(truth, arr, sigma_t, seed, decimate_ms, outlier_rate, 150.0)
+        got = tdoa.simulate_columns(t, xy, sigma_t, seed, decimate_ms, outlier_rate, 150.0, arr=arr)
         want = ref_simulate_epochs(
-            truth, lambda s, rng: ref_simulate_tdoa(arr, s.pos, sigma_t, rng, s.t_ms),
+            truth, lambda s, rng: ref_simulate_tdoa(arr, s[1], sigma_t, rng, s[0]),
             lambda m: _ref_locate(arr, m), seed, decimate_ms, outlier_rate, 150.0,
         )
     else:
         decimate_ms = decimate_ms or 1
-        got = objects.position_noise_flight(truth, sigma_m, seed, decimate_ms, outlier_rate, 150.0)
+        got = tdoa.simulate_columns(t, xy, sigma_m, seed, decimate_ms, outlier_rate, 150.0)
         want = ref_simulate_epochs(
             truth,
-            lambda s, rng: EnuPoint(s.pos.x + rng.normal(0.0, sigma_m), s.pos.y + rng.normal(0.0, sigma_m)),
+            lambda s, rng: EnuPoint(s[1].x + rng.normal(0.0, sigma_m), s[1].y + rng.normal(0.0, sigma_m)),
             lambda p: p, seed, decimate_ms, outlier_rate, 150.0,
         )
-    rows, dropped = got
+    rf_t, rf_xy, dropped = got
     assert dropped == want[1]
-    assert [(s.t_ms, _bits(s.pos.x), _bits(s.pos.y)) for s in rows] == [
+    assert [(k, _bits(x), _bits(y)) for k, (x, y) in zip(rf_t.tolist(), rf_xy.tolist())] == [
         (k, _bits(x), _bits(y)) for k, x, y in want[0]
     ]
 

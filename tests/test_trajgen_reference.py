@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from uavtrack.geodesy import BLOCK_ROWS, EnuPoint
-from uavtrack.motionmodels import _SMALL_TURN, LAYOUT, ModelKind, propagate_batch, propagate_rows
+from uavtrack.motionmodels import _SMALL_TURN, LAYOUT, ModelKind, propagate_rows
 from uavtrack.trajgen import LegSpec, truth_columns
 
 # --- frozen reference: one Python step per sample with the CV/CA/CT
 # kinematics written out. Kept as it was, except that it returns
-# (t_ms, x, y) tuples instead of TimedSample objects and that it takes
+# (t_ms, x, y) tuples instead of one sample record each and that it takes
 # a speed, or a CA leg's speed change per sample, below the smallest
 # normal double as a standstill, as truth_columns does: the components of
 # such a speed round to a few subnormal steps, so a turn leaves each
@@ -121,8 +121,10 @@ def test_matches_frozen_per_step_loop(legs, start, heading, speed, dt_ms):
 
 
 # --- the former sampling: each leg's entry state tiled over the leg's
-# samples and stepped by one propagate_batch call (kept as it was, except
-# that it returns the positions only and takes the standstill rules above)
+# samples and stepped by one call of the transition (kept as it was, except
+# that it returns the positions only, takes the standstill rules above and
+# steps the model's states in the common layout by propagate_rows, as the
+# former per-model propagate_batch did)
 
 
 def tiled_truth_xy(legs, start, heading_deg, speed, dt_ms):
@@ -143,7 +145,9 @@ def tiled_truth_xy(legs, start, heading_deg, speed, dt_ms):
             tail = [a * ux, a * uy]
         n = max(round(leg.duration_s * 1000 / dt_ms), 1)
         entry = np.tile([x, y, vx, vy, *tail], (n, 1))
-        states = propagate_batch(leg.mm, entry, np.arange(1, n + 1) * dt_ms / 1000.0)[0]
+        c, rows = leg.mm.columns, np.zeros((len(LAYOUT), n))
+        rows[c] = entry.T
+        states = propagate_rows(rows, np.arange(1, n + 1) * dt_ms / 1000.0, np.full(n, leg.mm is ModelKind.CT))[0][c].T
         x, y, vx, vy = states[-1, :4].tolist()
         xy.append(states[:, :2])
     return np.concatenate(xy)
